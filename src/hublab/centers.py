@@ -158,156 +158,161 @@ def level_profile(cg: CenterGraph, d: DistMatrix) -> LevelProfile:
     return LevelProfile(ordered, top)
 
 
-class CoverageState:
-    """Pair coverage with incrementally maintained per-center statistics.
+class PathIndex:
+    """Shortest-path incidence of a sorted pair list, held as two CSR views.
 
-    Value-equal to rebuilding every center graph from scratch after each update;
-    the greedy loops and the set-cover runner rely on that contract.
+    Pair ``p`` is ``(u[p], w[p])`` at ``level[p]`` (floor(log2 dist), -1 for
+    dist 0). ``index[p]`` lists the vertices on its shortest paths and
+    ``through(v)`` the pairs whose shortest paths pass through ``v``, both
+    ascending. Built one source row at a time from the column-restricted
+    membership predicate, so no table larger than n x (pairs of one source)
+    ever exists. ``pairs`` defaults to every reachable pair; an UncoveredSet
+    yields its pairs canonical and sorted, as the source grouping requires.
     """
 
     def __init__(self, d: DistMatrix, pairs: UncoveredSet | None = None):
-        self.d = d
+        m = d.matrix
+        if pairs is None:
+            us, ws = d.reachable_arrays()
+        else:
+            us, ws = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+            bad = np.flatnonzero(~np.isfinite(m[us, ws]))
+            if bad.size:
+                u, w = us[bad[0]], ws[bad[0]]
+                raise ValueError(f"pair ({u},{w}) is unreachable and can never be covered")
+        n = d.n
+        self.u, self.w = us.astype(np.int32), ws.astype(np.int32)
+        self.level = (np.frexp(m[us, ws])[1] - 1).astype(np.int8)
+        self.source_ptr = np.searchsorted(self.u, np.arange(n + 1))
+        rows, lens = [np.zeros(0, np.int32)], [np.zeros(1, np.int64)]
+        for s in self.sources():
+            member = path_membership(d, s, self.w[self.source_ptr[s] : self.source_ptr[s + 1]])
+            lens.append(member.sum(axis=0))
+            rows.append((np.flatnonzero(member.T.ravel()) % n).astype(np.int32))
+        self.verts = np.concatenate(rows)
+        self.ptr = np.cumsum(np.concatenate(lens))
+        owner = np.repeat(np.arange(len(self.u), dtype=np.int32), np.diff(self.ptr))
+        self.vpairs = owner[np.argsort(self.verts, kind="stable")]
+        self.vptr = np.concatenate(([0], np.cumsum(np.bincount(self.verts, minlength=n))))
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def __getitem__(self, pid: int) -> np.ndarray:
+        return self.verts[self.ptr[pid] : self.ptr[pid + 1]]
+
+    def through(self, v: int) -> np.ndarray:
+        return self.vpairs[self.vptr[v] : self.vptr[v + 1]]
+
+    def sources(self) -> list[int]:
+        """Vertices that are the first element of at least one pair."""
+        return np.flatnonzero(np.diff(self.source_ptr)).tolist()
+
+    def pairs(self, pids) -> list[tuple[int, int]]:
+        return list(zip(self.u[pids].tolist(), self.w[pids].tolist()))
+
+    def rows(self, pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vertices of the given pairs' rows, and each entry's position in ``pids``."""
+        start = self.ptr[pids]
+        lens = self.ptr[pids + 1] - start
+        owner = np.repeat(np.arange(len(pids)), lens)
+        pos = np.arange(int(lens.sum())) + np.repeat(start - (np.cumsum(lens) - lens), lens)
+        return self.verts[pos], owner
+
+
+class CoverageState:
+    """Pair coverage over a :class:`PathIndex` with per-center counters kept current.
+
+    Value-equal to rebuilding every center graph from scratch after each update;
+    the greedy loops and the set-cover runner rely on that contract. Per center
+    v: ``edges[v]`` uncovered pairs through v, ``noniso[v]`` non-isolated
+    vertices (side occurrences when directed), ``lvl_counts[v]`` edges per
+    finite level, and ``deg[v]`` edges per endpoint slot (tails, then heads
+    when directed).
+    """
+
+    def __init__(self, d: DistMatrix, pairs: UncoveredSet | None = None):
         self.n = n = d.n
         self.directed = d.directed
-        if pairs is None:
-            pairs = initial_uncovered(d)
-        m = d.matrix
-        diam = d.diameter
-        self.top_level = diam.bit_length() - 1 if diam >= 1 else -1
-        width = self.top_level + 1
+        self.index = PathIndex(d, pairs)
+        width = d.diameter.bit_length()  # finite levels 0..floor(log2 diameter)
+        self.uncovered = np.ones(len(self.index), dtype=bool)
+        self.uncovered_count = len(self.index)
+        self.edges = np.zeros(n, np.int64)
+        self.noniso = np.zeros(n, np.int64)
+        self.lvl_counts = np.zeros((n, width), np.int64)
+        self.global_lvl = np.zeros(width, np.int64)
+        self.deg = np.zeros((n, 2 * n if self.directed else n), np.int32)
+        ptr = self.index.source_ptr
+        for s in self.index.sources():
+            self._count(np.arange(ptr[s], ptr[s + 1]), 1)
 
-        by_source: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.pair_list: list[tuple[int, int]] = []
-        for u, w in pairs:
-            if not np.isfinite(m[u, w]):
-                raise ValueError(f"pair ({u},{w}) is unreachable and can never be covered")
-            pid = len(self.pair_list)
-            self.pair_list.append((u, w))
-            by_source[u].append((pid, w))
-        self.pair_path: list[tuple[int, ...]] = [()] * len(self.pair_list)
-        self.pair_lvl: list[int] = [0] * len(self.pair_list)
+    pair_path = property(lambda self: self.index, doc="Path vertices indexed by pair id.")
 
-        self._edges = [0] * n
-        self._noniso = [0] * n
-        self._lvl_counts = [[0] * width for _ in range(n)]
-        self._global_lvl = [0] * width
-        if self.directed:
-            self._deg_t = [[0] * n for _ in range(n)]
-            self._deg_h = [[0] * n for _ in range(n)]
-        else:
-            self._deg = [[0] * n for _ in range(n)]
-
-        for u in range(n):
-            if not by_source[u]:
-                continue
-            member = path_membership(d, u)
-            for pid, w in by_source[u]:
-                path = tuple(np.flatnonzero(member[:, w]).tolist())
-                self.pair_path[pid] = path
-                dist = int(m[u, w])
-                lvl = -1 if dist == 0 else dist.bit_length() - 1
-                self.pair_lvl[pid] = lvl
-                if lvl >= 0:
-                    self._global_lvl[lvl] += 1
-                for x in path:
-                    self._edges[x] += 1
-                    if lvl >= 0:
-                        self._lvl_counts[x][lvl] += 1
-                    if self.directed:
-                        rt, rh = self._deg_t[x], self._deg_h[x]
-                        if rt[u] == 0:
-                            self._noniso[x] += 1
-                        rt[u] += 1
-                        if rh[w] == 0:
-                            self._noniso[x] += 1
-                        rh[w] += 1
-                    else:
-                        row = self._deg[x]
-                        if row[u] == 0:
-                            self._noniso[x] += 1
-                        row[u] += 1
-                        if u != w:
-                            if row[w] == 0:
-                                self._noniso[x] += 1
-                            row[w] += 1
-        self.uncovered: set[int] = set(range(len(self.pair_list)))
-
-    @property
-    def uncovered_count(self) -> int:
-        return len(self.uncovered)
+    def _count(self, pids: np.ndarray, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) the given pairs in every counter."""
+        idx, n, (_, width), slots = self.index, self.n, self.lvl_counts.shape, self.deg.shape[1]
+        xs, owner = idx.rows(pids)
+        xs = xs.astype(np.int64)
+        self.edges += sign * np.bincount(xs, minlength=n)
+        lvl = idx.level[pids]
+        lv = lvl[owner]
+        fin = lv >= 0
+        per_level = np.bincount(xs[fin] * width + lv[fin], minlength=n * width)
+        self.lvl_counts += sign * per_level.reshape(n, width)
+        self.global_lvl += sign * np.bincount(lvl[lvl >= 0], minlength=width)
+        tail = idx.u[pids][owner]
+        head = idx.w[pids][owner] + (n if self.directed else 0)
+        both = head != tail  # an undirected self pair fills a single slot
+        keys = np.concatenate((xs * slots + tail, (xs * slots + head)[both]))
+        cells, hits = np.unique(keys, return_counts=True)
+        flat = self.deg.reshape(-1)
+        old = flat[cells]
+        flat[cells] = old + sign * hits
+        flipped = old == 0 if sign > 0 else old == hits
+        self.noniso += sign * np.bincount(cells[flipped] // slots, minlength=n)
 
     def pair(self, pid: int) -> tuple[int, int]:
-        return self.pair_list[pid]
+        return int(self.index.u[pid]), int(self.index.w[pid])
 
     def uncovered_pairs(self) -> UncoveredSet:
-        return UncoveredSet(self.directed, self.n, (self.pair_list[p] for p in self.uncovered))
+        return UncoveredSet(self.directed, self.n, self.index.pairs(np.flatnonzero(self.uncovered)))
 
     def edge_count(self, v: int) -> int:
-        return self._edges[v]
+        return int(self.edges[v])
 
     def nonisolated_count(self, v: int) -> int:
-        return self._noniso[v]
-
-    def density(self, v: int) -> Fraction:
-        if self._edges[v] == 0:
-            raise EmptyCenterGraphError(f"center graph of {v} has no edges")
-        return Fraction(self._edges[v], self._noniso[v])
+        return int(self.noniso[v])
 
     def profile_key(self, v: int) -> tuple[int, ...]:
-        return tuple(reversed(self._lvl_counts[v]))
+        return tuple(self.lvl_counts[v, ::-1].tolist())
 
     def max_uncovered_level(self) -> int | float:
-        for lvl in range(self.top_level, -1, -1):
-            if self._global_lvl[lvl]:
-                return lvl
-        return NEG_INF_LEVEL
+        live = np.flatnonzero(self.global_lvl)
+        return int(live[-1]) if live.size else NEG_INF_LEVEL
 
-    def receivers(self, v: int) -> tuple[tuple[int, ...], ...]:
-        """Non-isolated vertices of G_v per side: (tails, heads) or a single tuple."""
-        if self.directed:
-            tails = tuple(u for u in range(self.n) if self._deg_t[v][u])
-            heads = tuple(w for w in range(self.n) if self._deg_h[v][w])
-            return tails, heads
-        return (tuple(u for u in range(self.n) if self._deg[v][u]),)
+    def receivers(self, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Non-isolated vertices of G_v as (tails, heads); undirected ones are all tails."""
+        tails, heads = np.flatnonzero(self.deg[v][: self.n]), np.flatnonzero(self.deg[v][self.n :])
+        return tuple(tails.tolist()), tuple(heads.tolist())
 
-    def pairs_through(self, v: int) -> list[int]:
-        paths = self.pair_path
-        return sorted(pid for pid in self.uncovered if v in paths[pid])
+    def pairs_through(self, v: int) -> np.ndarray:
+        pids = self.index.through(v)
+        return pids[self.uncovered[pids]]
 
     def center_graph(self, v: int) -> CenterGraph:
-        arcs = tuple(sorted(self.pair_list[pid] for pid in self.pairs_through(v)))
-        return CenterGraph(v, self.directed, arcs)
+        return CenterGraph(v, self.directed, tuple(self.index.pairs(self.pairs_through(v))))
 
     def cover_pairs(self, pids) -> None:
-        for pid in pids:
-            self.uncovered.remove(pid)
-            u, w = self.pair_list[pid]
-            lvl = self.pair_lvl[pid]
-            if lvl >= 0:
-                self._global_lvl[lvl] -= 1
-            for x in self.pair_path[pid]:
-                self._edges[x] -= 1
-                if lvl >= 0:
-                    self._lvl_counts[x][lvl] -= 1
-                if self.directed:
-                    rt, rh = self._deg_t[x], self._deg_h[x]
-                    rt[u] -= 1
-                    if rt[u] == 0:
-                        self._noniso[x] -= 1
-                    rh[w] -= 1
-                    if rh[w] == 0:
-                        self._noniso[x] -= 1
-                else:
-                    row = self._deg[x]
-                    row[u] -= 1
-                    if row[u] == 0:
-                        self._noniso[x] -= 1
-                    if u != w:
-                        row[w] -= 1
-                        if row[w] == 0:
-                            self._noniso[x] -= 1
+        """Mark still-uncovered pairs covered and update every counter."""
+        pids = np.asarray(pids, dtype=np.int64)
+        if np.unique(pids).size != pids.size or not self.uncovered[pids].all():
+            raise ValueError("pair ids must be distinct and still uncovered")
+        self.uncovered[pids] = False
+        self.uncovered_count -= len(pids)
+        self._count(pids, -1)
 
-    def cover_center(self, v: int) -> list[int]:
+    def cover_center(self, v: int) -> np.ndarray:
         """Cover every uncovered pair with a shortest path through v; returns their ids."""
         pids = self.pairs_through(v)
         self.cover_pairs(pids)

@@ -1,9 +1,11 @@
 """Set-cover approximation for hub labels: per-center densest subgraphs chosen
-greedily, with a linear-time peeling 2-approximation or the exact enumerator."""
+greedily, with a peeling 2-approximation or the exact enumerator."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 from .centers import CenterGraph, CoverageState, EmptyCenterGraphError, UncoveredSet
 from .graphs import DistMatrix
@@ -76,6 +78,8 @@ def _peel_directed(cg: CenterGraph):
 def mds_peel(cg: CenterGraph):
     """Densest-subgraph 2-approximation by repeatedly removing a minimum-degree vertex.
 
+    Each removal rescans the live vertices, so a peel is quadratic, not linear.
+
     Returns (sets, density): one vertex set for undirected center graphs, a
     (tails, heads) pair for directed ones. Among equal-density prefixes the
     largest (earliest) subgraph is kept. The returned density is at least half
@@ -111,12 +115,11 @@ def run_cohen_hl(
     bwd: list[dict[int, int]] = [dict() for _ in range(n)] if d.directed else fwd
     trace = RunTrace("cohen", d.directed, n)
 
+    idx = engine.index
     while engine.uncovered_count:
-        snapshot = tuple(sorted(engine.pair_list[p] for p in engine.uncovered))
+        snapshot = tuple(idx.pairs(np.flatnonzero(engine.uncovered)))
         best = None
-        for v in range(n):
-            if engine.edge_count(v) == 0:
-                continue
+        for v in np.flatnonzero(engine.edges).tolist():
             cg = engine.center_graph(v)
             if exact_mds:
                 sets, dens = oracles.exact_mds(cg, mds_limit)
@@ -125,37 +128,19 @@ def run_cohen_hl(
             if best is None or dens > best[0]:
                 best = (dens, v, sets)
         dens, v, sets = best
-        paths = engine.pair_path
-        if d.directed:
-            tails, heads = sets
-            covered = [
-                pid
-                for pid in engine.uncovered
-                if engine.pair_list[pid][0] in tails
-                and engine.pair_list[pid][1] in heads
-                and v in paths[pid]
-            ]
-            for u in tails:
-                fwd[u].setdefault(v, int(m[u, v]))
-            for w in heads:
-                bwd[w].setdefault(v, int(m[v, w]))
-            rec_f, rec_b = tuple(sorted(tails)), tuple(sorted(heads))
-        else:
-            (members,) = sets
-            covered = [
-                pid
-                for pid in engine.uncovered
-                if engine.pair_list[pid][0] in members
-                and engine.pair_list[pid][1] in members
-                and v in paths[pid]
-            ]
-            for u in members:
-                fwd[u].setdefault(v, int(m[u, v]))
-            rec_f, rec_b = tuple(sorted(members)), ()
-        if not covered:
+        # An undirected subgraph is one vertex set playing both sides (bwd is fwd).
+        tails, heads = sets if d.directed else sets * 2
+        pids = engine.pairs_through(v)
+        covered = pids[np.isin(idx.u[pids], list(tails)) & np.isin(idx.w[pids], list(heads))]
+        for u in tails:
+            fwd[u].setdefault(v, int(m[u, v]))
+        for w in heads:
+            bwd[w].setdefault(v, int(m[v, w]))
+        rec_f, rec_b = tuple(sorted(tails)), (tuple(sorted(heads)) if d.directed else ())
+        if not covered.size:
             raise AssertionError("selected subgraph covers no uncovered pair")
         before = engine.uncovered_count
-        engine.cover_pairs(sorted(covered))
+        engine.cover_pairs(covered)
         trace.iterations.append(
             IterationRecord(
                 vertex=v,

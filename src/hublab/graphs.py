@@ -8,6 +8,10 @@ import math
 import numpy as np
 
 INF = math.inf
+# Shortest paths are simple, so no distance exceeds the total arc length. Below
+# 2^53 every distance is exact in float64, and a sum of two distances is either
+# exact or at least 2^53, so a membership test never matches by rounding.
+MAX_TOTAL_LENGTH = 2**53
 
 
 class GraphFormatError(ValueError):
@@ -68,7 +72,8 @@ class Graph:
 
     Undirected graphs store each edge once and treat it symmetrically.
     Parallel arcs collapse to the minimum length, self-loops are rejected,
-    and zero-length cycles are refused at construction time.
+    and zero-length cycles and total arc lengths of 2^53 or more are refused
+    at construction time.
     """
 
     __slots__ = ("directed", "n", "arcs", "_adj", "_len")
@@ -93,6 +98,8 @@ class Graph:
                 kept.append([tail, head, length])
             elif length < kept[pos][2]:
                 kept[pos][2] = length
+        if sum(ln for _, _, ln in kept) >= MAX_TOTAL_LENGTH:
+            raise ValueError("total arc length reaches 2^53; distances would not be exact")
         _check_zero_cycles(directed, n, kept)
         self.directed = bool(directed)
         self.n = n
@@ -276,12 +283,14 @@ class DistMatrix:
             self._diam = int(finite.max()) if finite.size else 0
         return self._diam
 
+    def reachable_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sources and targets of all finite pairs, sorted; canonical u <= w when undirected."""
+        fin = np.isfinite(self._m)
+        return np.nonzero(fin if self.directed else np.triu(fin))
+
     def reachable_pairs(self) -> list[tuple[int, int]]:
         """All finite pairs: ordered (u, w) when directed, canonical u <= w otherwise."""
-        fin = np.isfinite(self._m)
-        if not self.directed:
-            fin = np.triu(fin)
-        us, ws = np.nonzero(fin)
+        us, ws = self.reachable_arrays()
         return list(zip(us.tolist(), ws.tolist()))
 
     def __eq__(self, other) -> bool:
@@ -321,13 +330,16 @@ def shortest_path_vertices(d: DistMatrix, u: int, w: int) -> set[int]:
     return set(np.flatnonzero(mask).tolist())
 
 
-def path_membership(d: DistMatrix, u: int) -> np.ndarray:
-    """Boolean (v, w) table: v lies on some shortest u-w path.
+def path_membership(d: DistMatrix, u: int, cols=None) -> np.ndarray:
+    """Boolean (v, j) table: v lies on some shortest u-w path, w = ``cols[j]``.
 
-    Columns for unreachable w are all False.
+    Without ``cols`` every w is a column and columns for unreachable w are all
+    False. Given ``cols``, each must be reachable from u; then an infinite
+    distance on either leg can never match the finite target, so no guard is
+    needed and only n x len(cols) cells are computed.
     """
     m = d.matrix
     row = m[u]
-    out = (row[:, None] + m) == row[None, :]
-    out &= np.isfinite(row)[None, :]
-    return out
+    if cols is not None:
+        return (row[:, None] + m[:, cols]) == row[cols][None, :]
+    return ((row[:, None] + m) == row[None, :]) & np.isfinite(row)[None, :]

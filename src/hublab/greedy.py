@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .centers import NEG_INF_LEVEL, CoverageState
 from .graphs import DistMatrix
 from .labeling import Labeling, Order
@@ -78,9 +80,45 @@ class RunTrace:
         }
 
 
+# Each picker returns the best center and its score; candidates are the centers
+# with an edge (a selected center has none left) and ties go to the lowest id.
+
+
+def _pick_edges(engine: CoverageState) -> tuple[int, int]:
+    v = int(np.argmax(engine.edges))
+    return v, int(engine.edges[v])
+
+
+def _pick_density(engine: CoverageState) -> tuple[int, Fraction]:
+    cand = np.flatnonzero(engine.edges)
+    e, k = engine.edges[cand], engine.noniso[cand]
+    best = int(np.argmax(e / k))
+    while True:
+        # Exact in int64 (e <= n^2 and k <= 2n). A positive entry is strictly
+        # denser than ``best``; once none is, argmax finds the first tie.
+        diff = e * k[best] - e[best] * k
+        nxt = int(np.argmax(diff))
+        if diff[nxt] == 0:
+            return int(cand[nxt]), Fraction(int(e[nxt]), int(k[nxt]))
+        best = nxt
+
+
+def _pick_profile(engine: CoverageState) -> tuple[int, tuple[int, ...]]:
+    cand = np.flatnonzero(engine.edges)
+    for col in engine.lvl_counts.T[::-1]:
+        here = col[cand]
+        cand = cand[here == here.max()]
+    v = int(cand[0])
+    return v, engine.profile_key(v)
+
+
+_PICKERS = {"g-hhl": _pick_edges, "w-hhl": _pick_density, "d-hhl": _pick_profile}
+
+
 def _run_hierarchical(
     d: DistMatrix, algo: str, record_candidates: bool
 ) -> tuple[Order, Labeling, RunTrace]:
+    pick = _PICKERS[algo]
     engine = CoverageState(d)
     n = d.n
     m = d.matrix
@@ -89,46 +127,21 @@ def _run_hierarchical(
     fwd: list[dict[int, int]] = [dict() for _ in range(n)]
     bwd: list[dict[int, int]] = [dict() for _ in range(n)] if d.directed else fwd
 
-    if algo == "g-hhl":
-        score = engine.edge_count
-    elif algo == "w-hhl":
-        score = engine.density
-    elif algo == "d-hhl":
-        score = engine.profile_key
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
-
     trace = RunTrace(algo, d.directed, n)
     while engine.uncovered_count:
         level = engine.max_uncovered_level() if algo == "d-hhl" else None
-        best_v = -1
-        best_score = None
-        for v in range(n):
-            if chosen_mask[v] or engine.edge_count(v) == 0:
-                continue
-            s = score(v)
-            if best_score is None or s > best_score:
-                best_v, best_score = v, s
+        best_v, best_score = pick(engine)
         stats = None
         if record_candidates:
             stats = {
                 v: (engine.edge_count(v), engine.nonisolated_count(v))
-                for v in range(n)
-                if not chosen_mask[v] and engine.edge_count(v) > 0
+                for v in np.flatnonzero(engine.edges).tolist()
             }
-        recs = engine.receivers(best_v)
-        if d.directed:
-            tails, heads = recs
-            for u in tails:
-                fwd[u][best_v] = int(m[u, best_v])
-            for w in heads:
-                bwd[w][best_v] = int(m[best_v, w])
-        else:
-            (members,) = recs
-            heads = ()
-            tails = members
-            for u in members:
-                fwd[u][best_v] = int(m[u, best_v])
+        tails, heads = engine.receivers(best_v)
+        for u in tails:
+            fwd[u][best_v] = int(m[u, best_v])
+        for w in heads:
+            bwd[w][best_v] = int(m[best_v, w])
         before = engine.uncovered_count
         covered = engine.cover_center(best_v)
         chosen.append(best_v)

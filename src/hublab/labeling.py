@@ -28,9 +28,14 @@ class Order:
     @classmethod
     def from_sequence(cls, vertices) -> "Order":
         """Build from vertices listed most-important-first."""
-        vertices = list(vertices)
-        ranks = [0] * len(vertices)
+        vertices = [int(v) for v in vertices]
+        n = len(vertices)
+        ranks = [0] * n
         for pos, v in enumerate(vertices):
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} out of range for an order of {n} vertices")
+            if ranks[v]:
+                raise ValueError(f"vertex {v} listed twice")
             ranks[v] = pos + 1
         return cls(ranks)
 
@@ -149,10 +154,6 @@ class Labeling:
         return f"Labeling({kind}, n={self.n}, size={self.size})"
 
 
-def query(l: Labeling, s: int, t: int) -> int | float:
-    return l.query(s, t)
-
-
 def labeling_size(l: Labeling) -> int:
     """Total hub count; undirected lists are counted once."""
     return l.size
@@ -220,19 +221,16 @@ def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:
     if pi.n != n:
         raise ValueError("order and distance matrix disagree on n")
     m = d.matrix
-    ranks = np.array([pi.rank(v) for v in range(n)], dtype=np.float64)
+    by_rank = np.array(pi.by_rank(), dtype=np.int64)
     fwd: list[dict[int, int]] = [dict() for _ in range(n)]
     bwd: list[dict[int, int]] = [dict() for _ in range(n)] if d.directed else fwd
     for u in range(n):
-        on = path_membership(d, u)
-        keyed = np.where(on, ranks[:, None], np.inf)
-        reach = np.flatnonzero(np.isfinite(m[u]))
-        if reach.size == 0:
-            continue
-        hubs = np.argmin(keyed[:, reach], axis=0)
-        for w, h in zip(reach.tolist(), hubs.tolist()):
-            if not d.directed and w < u:
-                continue
+        cols = np.flatnonzero(np.isfinite(m[u]))
+        if not d.directed:
+            cols = cols[cols >= u]
+        # Rows in rank order: the first vertex on a path is its most important one.
+        hubs = by_rank[np.argmax(path_membership(d, u, cols)[by_rank], axis=0)]
+        for w, h in zip(cols.tolist(), hubs.tolist()):
             fwd[u][h] = int(m[u, h])
             bwd[w][h] = int(m[h, w])
     if d.directed:

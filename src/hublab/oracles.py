@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .centers import CenterGraph, EmptyCenterGraphError, UncoveredSet, initial_uncovered
-from .graphs import DistMatrix, Graph, all_pairs_distances, path_membership
+from .centers import CenterGraph, EmptyCenterGraphError, PathIndex, UncoveredSet, initial_uncovered
+from .graphs import DistMatrix, Graph, all_pairs_distances
+from .graphs import path_membership  # noqa: F401 -- perfbench/tracing.py patches it here
 from .highway import DirectedInputError, _paths_with_witnesses
 from .labeling import Labeling, Order, canonical_hhl
 
@@ -28,31 +29,21 @@ def optimal_hhl_bruteforce(d: DistMatrix, limit_n: int = 9) -> tuple[int, Order]
     n = d.n
     if n > limit_n:
         raise TooLargeError(f"n={n} exceeds limit {limit_n}")
-    m = d.matrix
-    pairs: list[tuple[int, int, int]] = []  # (u, w, path bitmask)
-    for u in range(n):
-        member = path_membership(d, u)
-        for w in range(n):
-            if not d.directed and w < u:
-                continue
-            if not np.isfinite(m[u, w]):
-                continue
-            mask = 0
-            for x in np.flatnonzero(member[:, w]).tolist():
-                mask |= 1 << x
-            pairs.append((u, w, mask))
+    idx = PathIndex(d)
+    us, ws = idx.u.tolist(), idx.w.tolist()
+    path_mask = [sum(1 << x for x in idx[p].tolist()) for p in range(len(idx))]
+    through = [idx.through(x).tolist() for x in range(n)]
 
     full = (1 << n) - 1
     memo: dict[int, tuple[int, int]] = {full: (0, -1)}
 
     def cost_of(x: int, chosen: int) -> int:
-        xbit = 1 << x
         tails = heads = 0
-        for u, w, pmask in pairs:
-            if pmask & chosen or not pmask & xbit:
+        for p in through[x]:
+            if path_mask[p] & chosen:
                 continue
-            tails |= 1 << u
-            heads |= 1 << w
+            tails |= 1 << us[p]
+            heads |= 1 << ws[p]
         if d.directed:
             return tails.bit_count() + heads.bit_count()
         return (tails | heads).bit_count()
@@ -105,11 +96,9 @@ def optimal_hl_bnb(
     m = d.matrix
     if u is None:
         u = initial_uncovered(d)
-    pairs = list(u)
-    options: list[list[int]] = []
-    for s, t in pairs:
-        member = path_membership(d, s)
-        options.append(sorted(np.flatnonzero(member[:, t]).tolist()))
+    idx = PathIndex(d, u)
+    pairs = idx.pairs(slice(None))
+    options = [idx[i].tolist() for i in range(len(idx))]
     static = sorted(range(len(pairs)), key=lambda i: (len(options[i]), pairs[i]))
 
     fwd: list[set[int]] = [set() for _ in range(n)]
@@ -125,10 +114,7 @@ def optimal_hl_bnb(
     # Incumbents: cheap canonical labelings (covering u as a subset of all
     # pairs) and the set-cover approximation on u itself. Either may be far
     # from optimal; they only prime the pruning, the search proves optimality.
-    participation = [0] * n
-    for i, opts in enumerate(options):
-        for h in opts:
-            participation[h] += 1
+    participation = np.diff(idx.vptr).tolist()
     orders = [
         Order(range(1, n + 1)),
         Order.from_sequence(sorted(range(n), key=lambda v: (-participation[v], v))),

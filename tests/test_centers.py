@@ -3,10 +3,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import hublab as hl
 from hublab import families
+from hublab.centers import PathIndex
 
 from bruteforce import center_weight_sum, gen_random_directed
 from conftest import edge2, seeded_graphs
@@ -123,6 +125,25 @@ def test_profile_key_orders_like_bigint_weight_sums():
             assert (ka > kb) == (wa > wb) and (ka == kb) == (wa == wb)
 
 
+def test_path_index_views_match_shortest_path_vertices():
+    graphs = seeded_graphs(8, 7, 11400) + [gen_random_directed(6, 4, 3, 11500)]
+    for g in graphs:
+        d = hl.all_pairs_distances(g)
+        index = PathIndex(d)
+        assert index.pairs(slice(None)) == list(hl.initial_uncovered(d))
+        through = {v: [] for v in range(g.n)}
+        for pid, (u, w) in enumerate(index.pairs(slice(None))):
+            assert index[pid].tolist() == sorted(hl.shortest_path_vertices(d, u, w))
+            level = hl.pair_level(d.dist(u, w))
+            assert index.level[pid] == (-1 if level == hl.NEG_INF_LEVEL else level)
+            for v in index[pid].tolist():
+                through[v].append(pid)
+            cols = np.array([w, u])  # targets reachable from u, in any order
+            assert (hl.path_membership(d, u, cols) == hl.path_membership(d, u)[:, cols]).all()
+        for v in range(g.n):
+            assert index.through(v).tolist() == through[v]
+
+
 def test_engine_matches_from_scratch_after_random_covers():
     rng = random.Random(7)
     graphs = seeded_graphs(6, 7, 11200) + [gen_random_directed(5, 3, 2, 11300)]
@@ -149,9 +170,12 @@ def test_cover_center_covers_exactly_its_arcs():
     engine = hl.CoverageState(d)
     u_before = set(engine.uncovered_pairs())
     arcs = set(engine.center_graph(0).arcs)
-    covered = {engine.pair(p) for p in engine.cover_center(0)}
+    pids = engine.cover_center(0)
+    covered = {engine.pair(p) for p in pids}
     assert covered == arcs
     assert set(engine.uncovered_pairs()) == u_before - arcs
+    with pytest.raises(ValueError, match="still uncovered"):
+        engine.cover_pairs(pids[:1])
 
 
 def test_engine_rejects_unreachable_pairs():

@@ -86,6 +86,24 @@ def test_build_canonical_with_order_file(tmp_path, capsys):
     assert _json_payload(capsys)["size"] == 9
 
 
+@pytest.mark.parametrize("ids", ["0\n1\n7\n", "0\n-1\n1\n", "0\n1\n1\n"])
+def test_build_canonical_rejects_bad_order_ids(tmp_path, capsys, ids):
+    graph = tmp_path / "p3.gr"
+    graph.write_text(hl.serialize_graph(hl.Graph(False, 3, [(0, 1, 1), (1, 2, 1)])))
+    order = tmp_path / "order.txt"
+    order.write_text(ids)
+    argv = ["build", str(graph), "--algo", "canonical", "--order", str(order)]
+    assert main(argv + ["--out", str(tmp_path / "x.labels")]) == 2
+    assert capsys.readouterr().err.startswith("error: vertex")
+
+
+def test_build_rejects_inexact_distances(tmp_path, capsys):
+    graph = tmp_path / "big.gr"
+    graph.write_text(f"p directed 3 2\na 0 1 {2**60}\na 1 2 2\n")
+    assert main(["build", str(graph), "--algo", "g-hhl", "--out", str(tmp_path / "x")]) == 2
+    assert "2^53" in capsys.readouterr().err
+
+
 def test_build_outputs_are_byte_identical(tmp_path):
     graph = tmp_path / "w.gr"
     graph.write_text(hl.serialize_graph(families.gen_bad_w(2)))

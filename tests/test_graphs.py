@@ -57,6 +57,16 @@ def test_zero_length_cycle_rejected():
     assert hl.all_pairs_distances(g).dist(0, 2) == 0
 
 
+def test_total_arc_length_below_2_pow_53():
+    # float64 distances round above 2^53: 2^60 + 2 would come back as 2^60
+    with pytest.raises(ValueError, match="2\\^53"):
+        hl.Graph(True, 3, [(0, 1, 2**60), (1, 2, 2)])
+    with pytest.raises(hl.GraphFormatError, match="2\\^53"):
+        hl.parse_graph(f"p undirected 3 2\na 0 1 {2**52}\na 1 2 {2**52}\n")
+    g = hl.Graph(False, 3, [(0, 1, 2**52), (1, 2, 2**52 - 1)])
+    assert hl.all_pairs_distances(g).dist(0, 2) == 2**53 - 1
+
+
 def test_parallel_arcs_collapse_to_minimum():
     g = hl.parse_graph("p undirected 2 3\na 0 1 5\na 1 0 2\na 0 1 9\n")
     assert g.arcs == ((0, 1, 2),)

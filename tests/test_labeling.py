@@ -16,6 +16,9 @@ def test_order_validation_and_access():
     assert pi.rank(2) == 1 and pi.by_rank() == [2, 0, 1]
     with pytest.raises(ValueError):
         hl.Order([1, 1, 2])
+    for bad in ([0, 1, 7], [0, -1, 1], [0, 1, 1]):
+        with pytest.raises(ValueError):
+            hl.Order.from_sequence(bad)
 
 
 def test_query_trivial_cases():
