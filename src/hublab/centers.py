@@ -1,10 +1,10 @@
-"""Center graphs over uncovered vertex pairs: edge counts, density, level profiles,
-and the incremental coverage engine that drives the greedy selection loops."""
+"""Center graphs over uncovered vertex pairs: the shortest-path incidence of a
+pair set and the incremental coverage engine that drives the greedy selection
+loops and the set-cover runner."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -15,62 +15,6 @@ NEG_INF_LEVEL = float("-inf")
 
 class EmptyCenterGraphError(ValueError):
     """Density or subgraph selection requested on a center graph with no edges."""
-
-
-def make_pair(directed: bool, u: int, w: int) -> tuple[int, int]:
-    """Canonical pair representation: ordered when directed, min-first otherwise."""
-    return (u, w) if directed or u <= w else (w, u)
-
-
-def pair_level(dist: int) -> int | float:
-    """Level of a pair: floor(log2 dist), with dist 0 mapping to -inf."""
-    return NEG_INF_LEVEL if dist == 0 else dist.bit_length() - 1
-
-
-class UncoveredSet:
-    """Set of still-uncovered vertex pairs; shrinks monotonically over a run."""
-
-    __slots__ = ("directed", "n", "_pairs")
-
-    def __init__(self, directed: bool, n: int, pairs):
-        self.directed = bool(directed)
-        self.n = n
-        norm = set()
-        for u, w in pairs:
-            u, w = int(u), int(w)
-            if not (0 <= u < n and 0 <= w < n):
-                raise ValueError(f"pair ({u},{w}) out of range")
-            norm.add(make_pair(self.directed, u, w))
-        self._pairs = norm
-
-    @property
-    def count(self) -> int:
-        return len(self._pairs)
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __contains__(self, pair) -> bool:
-        u, w = pair
-        return make_pair(self.directed, u, w) in self._pairs
-
-    def __iter__(self):
-        return iter(sorted(self._pairs))
-
-    def discard(self, pair) -> None:
-        u, w = pair
-        self._pairs.discard(make_pair(self.directed, u, w))
-
-    def copy(self) -> "UncoveredSet":
-        return UncoveredSet(self.directed, self.n, self._pairs)
-
-    def __repr__(self) -> str:
-        return f"UncoveredSet(n={self.n}, count={self.count})"
-
-
-def initial_uncovered(d: DistMatrix) -> UncoveredSet:
-    """All reachable pairs, including every [v,v]."""
-    return UncoveredSet(d.directed, d.n, d.reachable_pairs())
 
 
 @dataclass(frozen=True)
@@ -106,58 +50,6 @@ class CenterGraph:
         return len(self.vertices())
 
 
-def build_center_graph(d: DistMatrix, uncovered: UncoveredSet, v: int) -> CenterGraph:
-    """From-scratch center graph of v over the given uncovered pairs."""
-    m = d.matrix
-    arcs = tuple(
-        sorted((u, w) for u, w in uncovered if np.isfinite(m[u, v]) and m[u, v] + m[v, w] == m[u, w])
-    )
-    return CenterGraph(v, d.directed, arcs)
-
-
-def density(cg: CenterGraph) -> Fraction:
-    """Edges over non-isolated vertices, as an exact rational."""
-    if cg.edge_count == 0:
-        raise EmptyCenterGraphError(f"center graph of {cg.center} has no edges")
-    return Fraction(cg.edge_count, cg.nonisolated_count)
-
-
-@dataclass(frozen=True)
-class LevelProfile:
-    """Per-level edge counts of a center graph.
-
-    ``key()`` compares finite levels lexicographically from the top; it orders
-    center graphs exactly like comparing total pair weights n^(2*level), where
-    dist-0 pairs weigh nothing, so the -inf bucket is excluded from the key.
-    """
-
-    counts: tuple[tuple[int | float, int], ...]
-    top_level: int
-
-    def count(self, level) -> int:
-        return dict(self.counts).get(level, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
-    def key(self) -> tuple[int, ...]:
-        by_level = dict(self.counts)
-        return tuple(by_level.get(i, 0) for i in range(self.top_level, -1, -1))
-
-
-def level_profile(cg: CenterGraph, d: DistMatrix) -> LevelProfile:
-    m = d.matrix
-    counts: dict[int | float, int] = {}
-    for u, w in cg.arcs:
-        lvl = pair_level(int(m[u, w]))
-        counts[lvl] = counts.get(lvl, 0) + 1
-    diam = d.diameter
-    top = diam.bit_length() - 1 if diam >= 1 else -1
-    ordered = tuple(sorted(counts.items(), key=lambda kv: kv[0]))
-    return LevelProfile(ordered, top)
-
-
 class PathIndex:
     """Shortest-path incidence of a sorted pair list, held as two CSR views.
 
@@ -166,21 +58,28 @@ class PathIndex:
     ``through(v)`` the pairs whose shortest paths pass through ``v``, both
     ascending. Built one source row at a time from the column-restricted
     membership predicate, so no table larger than n x (pairs of one source)
-    ever exists. ``pairs`` defaults to every reachable pair; an UncoveredSet
-    yields its pairs canonical and sorted, as the source grouping requires.
+    ever exists. ``pairs`` is any iterable of ``(u, w)`` and defaults to every
+    reachable pair. Undirected pairs are put min-first, duplicates dropped and
+    the list sorted, as the source grouping requires; ids out of range and
+    unreachable pairs raise ``ValueError``.
     """
 
-    def __init__(self, d: DistMatrix, pairs: UncoveredSet | None = None):
-        m = d.matrix
+    def __init__(self, d: DistMatrix, pairs=None):
+        m, n = d.matrix, d.n
         if pairs is None:
             us, ws = d.reachable_arrays()
         else:
-            us, ws = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+            uw = np.array([(u, w) for u, w in pairs], dtype=np.int64).reshape(-1, 2)
+            out = np.flatnonzero(((uw < 0) | (uw >= n)).any(axis=1))
+            if out.size:
+                raise ValueError(f"pair ({uw[out[0], 0]},{uw[out[0], 1]}) out of range")
+            if not d.directed:
+                uw.sort(axis=1)
+            us, ws = np.unique(uw, axis=0).T
             bad = np.flatnonzero(~np.isfinite(m[us, ws]))
             if bad.size:
                 u, w = us[bad[0]], ws[bad[0]]
                 raise ValueError(f"pair ({u},{w}) is unreachable and can never be covered")
-        n = d.n
         self.u, self.w = us.astype(np.int32), ws.astype(np.int32)
         self.level = (np.frexp(m[us, ws])[1] - 1).astype(np.int8)
         self.source_ptr = np.searchsorted(self.u, np.arange(n + 1))
@@ -231,7 +130,7 @@ class CoverageState:
     when directed).
     """
 
-    def __init__(self, d: DistMatrix, pairs: UncoveredSet | None = None):
+    def __init__(self, d: DistMatrix, pairs=None):
         self.n = n = d.n
         self.directed = d.directed
         self.index = PathIndex(d, pairs)
@@ -275,8 +174,9 @@ class CoverageState:
     def pair(self, pid: int) -> tuple[int, int]:
         return int(self.index.u[pid]), int(self.index.w[pid])
 
-    def uncovered_pairs(self) -> UncoveredSet:
-        return UncoveredSet(self.directed, self.n, self.index.pairs(np.flatnonzero(self.uncovered)))
+    def uncovered_pairs(self) -> list[tuple[int, int]]:
+        """Still-uncovered pairs, sorted."""
+        return self.index.pairs(np.flatnonzero(self.uncovered))
 
     def edge_count(self, v: int) -> int:
         return int(self.edges[v])

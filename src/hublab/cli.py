@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import families
 from .cohen import run_cohen_hl
-from .centers import initial_uncovered
 from .graphs import (
     INF,
     GraphFormatError,
@@ -117,7 +116,7 @@ def _build_labeling(g, d, args):
     elif args.algo == "d-hhl":
         order, labeling, trace = run_d_hhl(d)
     elif args.algo == "cohen":
-        labeling, trace = run_cohen_hl(d, initial_uncovered(d), exact_mds=args.exact_mds)
+        labeling, trace = run_cohen_hl(d, exact_mds=args.exact_mds)
         order = None
     elif args.algo == "canonical":
         if not args.order:

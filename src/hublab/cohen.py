@@ -7,72 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .centers import CenterGraph, CoverageState, EmptyCenterGraphError, UncoveredSet
+from .centers import CenterGraph, CoverageState, EmptyCenterGraphError
 from .graphs import DistMatrix
 from .greedy import IterationRecord, RunTrace
 from .labeling import Labeling
-
-
-def _peel_undirected(cg: CenterGraph):
-    adj: dict[int, set[int]] = {}
-    loops: set[int] = set()
-    for u, w in cg.arcs:
-        if u == w:
-            loops.add(u)
-            adj.setdefault(u, set())
-        else:
-            adj.setdefault(u, set()).add(w)
-            adj.setdefault(w, set()).add(u)
-    deg = {v: len(nbrs) + (1 if v in loops else 0) for v, nbrs in adj.items()}
-    m = cg.edge_count
-    best_set: frozenset[int] | None = None
-    best_dens: Fraction | None = None
-    while m > 0:
-        alive = [v for v, dv in deg.items() if dv > 0]
-        dens = Fraction(m, len(alive))
-        if best_dens is None or dens > best_dens:
-            best_dens = dens
-            best_set = frozenset(alive)
-        drop = min(alive, key=lambda v: (deg[v], v))
-        for nbr in adj[drop]:
-            adj[nbr].discard(drop)
-            deg[nbr] -= 1
-            m -= 1
-        if drop in loops:
-            loops.discard(drop)
-            m -= 1
-        deg[drop] = 0
-        adj[drop] = set()
-    return (best_set,), best_dens
-
-
-def _peel_directed(cg: CenterGraph):
-    # Bipartite peel over side-tagged nodes; ties break by (degree, id, tail side).
-    adj: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for u, w in cg.arcs:
-        a, b = (0, u), (1, w)
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    deg = {node: len(nbrs) for node, nbrs in adj.items()}
-    m = cg.edge_count
-    best_set: frozenset | None = None
-    best_dens: Fraction | None = None
-    while m > 0:
-        alive = [node for node, dv in deg.items() if dv > 0]
-        dens = Fraction(m, len(alive))
-        if best_dens is None or dens > best_dens:
-            best_dens = dens
-            best_set = frozenset(alive)
-        drop = min(alive, key=lambda node: (deg[node], node[1], node[0]))
-        for nbr in adj[drop]:
-            adj[nbr].discard(drop)
-            deg[nbr] -= 1
-            m -= 1
-        deg[drop] = 0
-        adj[drop] = set()
-    tails = frozenset(v for side, v in best_set if side == 0)
-    heads = frozenset(v for side, v in best_set if side == 1)
-    return (tails, heads), best_dens
 
 
 def mds_peel(cg: CenterGraph):
@@ -87,28 +25,55 @@ def mds_peel(cg: CenterGraph):
     """
     if cg.edge_count == 0:
         raise EmptyCenterGraphError(f"center graph of {cg.center} has no edges")
-    return _peel_directed(cg) if cg.directed else _peel_undirected(cg)
+    # Nodes are (side, v): tails on side 0, heads on side 1 when directed and on
+    # side 0 otherwise, where the pair [v, v] becomes a loop on (0, v).
+    head_side = 1 if cg.directed else 0
+    adj: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    loops: set[tuple[int, int]] = set()
+    for u, w in cg.arcs:
+        a, b = (0, u), (head_side, w)
+        if a == b:
+            loops.add(a)
+            adj.setdefault(a, set())
+        else:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    deg = {node: len(nbrs) + (node in loops) for node, nbrs in adj.items()}
+    m = cg.edge_count
+    best_set: list[tuple[int, int]] = []
+    best_dens: Fraction | None = None
+    while m > 0:
+        alive = [node for node, dv in deg.items() if dv > 0]
+        dens = Fraction(m, len(alive))
+        if best_dens is None or dens > best_dens:
+            best_dens, best_set = dens, alive
+        drop = min(alive, key=lambda node: (deg[node], node[1], node[0]))
+        for nbr in adj[drop]:
+            adj[nbr].discard(drop)
+            deg[nbr] -= 1
+            m -= 1
+        if drop in loops:
+            loops.discard(drop)
+            m -= 1
+        deg[drop] = 0
+        adj[drop] = set()
+    sides = tuple(frozenset(v for side, v in best_set if side == s) for s in range(head_side + 1))
+    return sides, best_dens
 
 
-def run_cohen_hl(
-    d: DistMatrix,
-    u0: UncoveredSet,
-    exact_mds: bool = False,
-    mds_limit: int = 20,
-) -> tuple[Labeling, RunTrace]:
-    """Greedy set cover for an arbitrary target pair set ``u0``.
+def run_cohen_hl(d: DistMatrix, pairs=None, exact_mds: bool = False) -> tuple[Labeling, RunTrace]:
+    """Greedy set cover for an arbitrary target pair set ``pairs``.
 
-    Each iteration picks, over all centers v, the (approximately) densest
+    ``pairs`` is any iterable of ``(u, w)``; ``None`` means every reachable
+    pair. Each iteration picks, over all centers v, the (approximately) densest
     subgraph of v's center graph restricted to the uncovered target pairs, adds
     v to the corresponding labels, and removes the newly covered pairs. Ties go
-    to the lowest center id. The output covers exactly ``u0`` and is not
-    hierarchical in general.
+    to the lowest center id. The output covers exactly the target pairs and is
+    not hierarchical in general.
     """
     from . import oracles  # local import; oracles also serves other callers
 
-    if not isinstance(u0, UncoveredSet):
-        u0 = UncoveredSet(d.directed, d.n, u0)
-    engine = CoverageState(d, u0)
+    engine = CoverageState(d, pairs)
     n = d.n
     m = d.matrix
     fwd: list[dict[int, int]] = [dict() for _ in range(n)]
@@ -122,7 +87,7 @@ def run_cohen_hl(
         for v in np.flatnonzero(engine.edges).tolist():
             cg = engine.center_graph(v)
             if exact_mds:
-                sets, dens = oracles.exact_mds(cg, mds_limit)
+                sets, dens = oracles.exact_mds(cg)
             else:
                 sets, dens = mds_peel(cg)
             if best is None or dens > best[0]:

@@ -12,6 +12,8 @@ INF = math.inf
 # 2^53 every distance is exact in float64, and a sum of two distances is either
 # exact or at least 2^53, so a membership test never matches by rounding.
 MAX_TOTAL_LENGTH = 2**53
+# The all-pairs matrix holds n^2 float64 cells: 3.2 GB at this vertex count.
+MAX_VERTICES = 20_000
 
 
 class GraphFormatError(ValueError):
@@ -22,6 +24,10 @@ class GraphFormatError(ValueError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+class TooLargeError(ValueError):
+    """Instance exceeds a size limit: the vertex bound or a brute-force limit."""
 
 
 class UnreachablePairError(ValueError):
@@ -73,7 +79,8 @@ class Graph:
     Undirected graphs store each edge once and treat it symmetrically.
     Parallel arcs collapse to the minimum length, self-loops are rejected,
     and zero-length cycles and total arc lengths of 2^53 or more are refused
-    at construction time.
+    at construction time. More than ``MAX_VERTICES`` vertices raise
+    ``TooLargeError`` before anything is allocated for them.
     """
 
     __slots__ = ("directed", "n", "arcs", "_adj", "_len")
@@ -81,6 +88,8 @@ class Graph:
     def __init__(self, directed: bool, n: int, arcs):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        if n > MAX_VERTICES:
+            raise TooLargeError(f"n={n} exceeds the vertex limit {MAX_VERTICES}")
         first_pos: dict[tuple[int, int], int] = {}
         kept: list[list[int]] = []
         for tail, head, length in arcs:
@@ -208,7 +217,7 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(f"expected {m} arc lines, found {len(arcs)}")
     try:
         return Graph(directed, n, arcs)
-    except GraphFormatError:
+    except (GraphFormatError, TooLargeError):
         raise
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None

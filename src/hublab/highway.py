@@ -5,6 +5,7 @@ construction, plus the per-level label audit for distance-greedy runs."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,29 +50,34 @@ def _all_shortest_paths(g: Graph, d: DistMatrix, cap: int) -> list[tuple[int, ..
     m = d.matrix
     adj = g.adjacency
     out: list[tuple[int, ...]] = [(v,) for v in range(g.n)]
-    budget = cap - len(out)
-    if budget < 0:
+    if len(out) > cap:
         raise CapExceededError(f"more than {cap} shortest paths")
-
-    def extend(u: int, prefix: list[int], remaining: float):
-        nonlocal budget
-        tip = prefix[-1]
-        if tip == u and remaining == 0:
-            budget -= 1
-            if budget < 0:
-                raise CapExceededError(f"more than {cap} shortest paths")
-            out.append(tuple(reversed(prefix)))
-            return
-        for x, ln in adj[tip]:
-            if m[u, x] + ln == remaining:
-                prefix.append(x)
-                extend(u, prefix, remaining - ln)
-                prefix.pop()
-
     for u in range(g.n):
         for w in range(u + 1, g.n):
-            if math.isfinite(m[u, w]):
-                extend(u, [w], m[u, w])
+            if not math.isfinite(m[u, w]):
+                continue
+            # Depth-first from w back to u over arcs that stay on a shortest path.
+            # Frames are (tip, distance left to u, unread neighbours of tip); an
+            # explicit stack, so a path may outgrow the interpreter's recursion
+            # limit. Paths stay simple: a zero-length edge would otherwise be
+            # walked back and forth forever.
+            stack, on_path = [(w, m[u, w], iter(adj[w]))], {w}
+            while stack:
+                tip, left, nbrs = stack[-1]
+                for x, ln in nbrs:
+                    if x not in on_path and m[u, x] + ln == left:
+                        break
+                else:
+                    stack.pop()
+                    on_path.discard(tip)
+                    continue
+                if x == u:
+                    out.append((u, *(t for t, _, _ in reversed(stack))))
+                    if len(out) > cap:
+                        raise CapExceededError(f"more than {cap} shortest paths")
+                else:
+                    stack.append((x, left - ln, iter(adj[x])))
+                    on_path.add(x)
     return out
 
 
@@ -205,15 +211,14 @@ class MultiscaleSPHS:
         return tuple(reversed(out))
 
 
-def _greedy_hitting_set(path_sets: list[frozenset[int]], n: int) -> set[int]:
-    unhit = list(path_sets)
+def _greedy_hitting_set(sets) -> set[int]:
+    """Greedy hitting set of non-empty vertex sets: repeatedly take the lowest-id
+    vertex that hits the most sets not yet hit."""
+    unhit = list(sets)
     hit: set[int] = set()
     while unhit:
-        counts = [0] * n
-        for s in unhit:
-            for v in s:
-                counts[v] += 1
-        best = max(range(n), key=lambda v: (counts[v], -v))
+        counts = Counter(v for s in unhit for v in s)
+        best = min(counts, key=lambda v: (-counts[v], v))
         hit.add(best)
         unhit = [s for s in unhit if best not in s]
     return hit
@@ -243,7 +248,7 @@ def greedy_multiscale_sphs(g: Graph, d: DistMatrix, cap: int = 10**6) -> Multisc
             for sp in enumerate_significant_paths(g, d, r, cap)
             if sp.length > 0
         ]
-        levels.append(frozenset(_greedy_hitting_set(targets, n)))
+        levels.append(frozenset(_greedy_hitting_set(targets)))
     caps = tuple(_ball_cap(d, levels[i], 2**i) for i in range(top + 1))
     return MultiscaleSPHS(tuple(levels), caps, diam)
 

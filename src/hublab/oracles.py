@@ -8,15 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .centers import CenterGraph, EmptyCenterGraphError, PathIndex, UncoveredSet, initial_uncovered
-from .graphs import DistMatrix, Graph, all_pairs_distances
+from .centers import CenterGraph, EmptyCenterGraphError, PathIndex
+from .graphs import DistMatrix, Graph, TooLargeError, all_pairs_distances
 from .graphs import path_membership  # noqa: F401 -- perfbench/tracing.py patches it here
-from .highway import DirectedInputError, _paths_with_witnesses
+from .highway import DirectedInputError, _greedy_hitting_set, _paths_with_witnesses
 from .labeling import Labeling, Order, canonical_hhl
-
-
-class TooLargeError(ValueError):
-    """Instance exceeds the configured brute-force limit."""
 
 
 def optimal_hhl_bruteforce(d: DistMatrix, limit_n: int = 9) -> tuple[int, Order]:
@@ -83,20 +79,18 @@ class HlBnbResult:
     nodes: int
 
 
-def optimal_hl_bnb(
-    d: DistMatrix, u: UncoveredSet | None = None, budget: int = 1_000_000
-) -> HlBnbResult:
-    """Exact (budget permitting) minimum hub labeling covering the pair set ``u``.
+def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbResult:
+    """Exact (budget permitting) minimum hub labeling covering ``pairs``.
 
-    Branches over per-pair hub choices; the admissible bound greedily matches
-    slot-disjoint uncovered pairs, each needing a hub entry on every free side.
-    On budget exhaustion the result keeps a valid labeling and honest bounds.
+    ``pairs`` is any iterable of ``(u, w)``; ``None`` means every reachable
+    pair. Branches over per-pair hub choices; the admissible bound greedily
+    matches slot-disjoint uncovered pairs, each needing a hub entry on every
+    free side. On budget exhaustion the result keeps a valid labeling and
+    honest bounds.
     """
     n = d.n
     m = d.matrix
-    if u is None:
-        u = initial_uncovered(d)
-    idx = PathIndex(d, u)
+    idx = PathIndex(d, pairs)
     pairs = idx.pairs(slice(None))
     options = [idx[i].tolist() for i in range(len(idx))]
     static = sorted(range(len(pairs)), key=lambda i: (len(options[i]), pairs[i]))
@@ -111,9 +105,10 @@ def optimal_hl_bnb(
             return Labeling(True, n, lf, lb)
         return Labeling(False, n, lf)
 
-    # Incumbents: cheap canonical labelings (covering u as a subset of all
-    # pairs) and the set-cover approximation on u itself. Either may be far
-    # from optimal; they only prime the pruning, the search proves optimality.
+    # Incumbents: cheap canonical labelings (covering the target as a subset of
+    # all pairs) and the set-cover approximation on the target itself. Either
+    # may be far from optimal; they only prime the pruning, the search proves
+    # optimality.
     participation = np.diff(idx.vptr).tolist()
     orders = [
         Order(range(1, n + 1)),
@@ -122,7 +117,7 @@ def optimal_hl_bnb(
     candidates = [canonical_hhl(d, cand_order) for cand_order in orders]
     from .cohen import run_cohen_hl
 
-    candidates.append(run_cohen_hl(d, u.copy())[0])
+    candidates.append(run_cohen_hl(d, pairs)[0])
     upper = None
     best_f = best_b = None
     for cand in candidates:
@@ -374,18 +369,7 @@ def min_hitting_set(paths, limit: int = 5000) -> frozenset[int]:
     if not minimal:
         return frozenset()
 
-    universe = sorted(set().union(*minimal))
-    greedy: set[int] = set()
-    unhit = list(minimal)
-    while unhit:
-        counts = {v: 0 for v in universe}
-        for s in unhit:
-            for v in s:
-                counts[v] += 1
-        pick = max(universe, key=lambda v: (counts[v], -v))
-        greedy.add(pick)
-        unhit = [s for s in unhit if pick not in s]
-    best: set[int] = set(greedy)
+    best = _greedy_hitting_set(minimal)
 
     def disjoint_bound(remaining) -> int:
         used: set[int] = set()

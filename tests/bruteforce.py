@@ -1,14 +1,16 @@
 """Independent desk-scale oracles used only by the test suite.
 
 Every routine here recomputes its answer from first principles (simple-path
-enumeration, big integers, or a MILP solver) without touching the code paths
-it is used to check.
+enumeration, big integers, a MILP solver, or center graphs rebuilt from the
+distance matrix) without touching the code paths it is used to check.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,6 +63,63 @@ def path_vertices_bruteforce(g: hl.Graph, u: int, w: int) -> set[int]:
 
     dfs(u, 0, [u])
     return out
+
+
+def pair_level(dist: int) -> int | float:
+    """Level of a pair: floor(log2 dist), with dist 0 mapping to -inf."""
+    return hl.NEG_INF_LEVEL if dist == 0 else dist.bit_length() - 1
+
+
+def build_center_graph(d: hl.DistMatrix, pairs, v: int) -> hl.CenterGraph:
+    """From-scratch center graph of v over the given canonical pairs."""
+    m = d.matrix
+    arcs = tuple(
+        sorted((u, w) for u, w in pairs if np.isfinite(m[u, v]) and m[u, v] + m[v, w] == m[u, w])
+    )
+    return hl.CenterGraph(v, d.directed, arcs)
+
+
+def density(cg: hl.CenterGraph) -> Fraction:
+    """Edges over non-isolated vertices, as an exact rational."""
+    if cg.edge_count == 0:
+        raise hl.EmptyCenterGraphError(f"center graph of {cg.center} has no edges")
+    return Fraction(cg.edge_count, cg.nonisolated_count)
+
+
+@dataclass(frozen=True)
+class LevelProfile:
+    """Per-level edge counts of a center graph.
+
+    ``key()`` compares finite levels lexicographically from the top; it orders
+    center graphs exactly like comparing total pair weights n^(2*level), where
+    dist-0 pairs weigh nothing, so the -inf bucket is excluded from the key.
+    """
+
+    counts: tuple[tuple[int | float, int], ...]
+    top_level: int
+
+    def count(self, level) -> int:
+        return dict(self.counts).get(level, 0)
+
+    @property
+    def total(self) -> int:
+        return sum(c for _, c in self.counts)
+
+    def key(self) -> tuple[int, ...]:
+        by_level = dict(self.counts)
+        return tuple(by_level.get(i, 0) for i in range(self.top_level, -1, -1))
+
+
+def level_profile(cg: hl.CenterGraph, d: hl.DistMatrix) -> LevelProfile:
+    m = d.matrix
+    counts: dict[int | float, int] = {}
+    for u, w in cg.arcs:
+        lvl = pair_level(int(m[u, w]))
+        counts[lvl] = counts.get(lvl, 0) + 1
+    diam = d.diameter
+    top = diam.bit_length() - 1 if diam >= 1 else -1
+    ordered = tuple(sorted(counts.items(), key=lambda kv: kv[0]))
+    return LevelProfile(ordered, top)
 
 
 def center_weight_sum(cg: hl.CenterGraph, d: hl.DistMatrix) -> int:

@@ -19,7 +19,7 @@ import pytest
 import hublab as hl
 from hublab import families
 
-from bruteforce import optimal_hl_milp, path_vertices_bruteforce
+from bruteforce import build_center_graph, optimal_hl_milp, path_vertices_bruteforce
 from conftest import edge2, path_graph, star_graph, triangle
 
 
@@ -145,11 +145,11 @@ def labeling_catalog(bad_g_runs, bad_w_runs, reduction_bases, sphs_instances,
         catalog.append((f"sphs-{name}", d, lab))
     g5 = families.gen_bad_g(5)
     d5 = hl.all_pairs_distances(g5)
-    catalog.append(("bad-g-5-cohen", d5, hl.run_cohen_hl(d5, hl.initial_uncovered(d5))[0]))
+    catalog.append(("bad-g-5-cohen", d5, hl.run_cohen_hl(d5, d5.reachable_pairs())[0]))
     for i, g in enumerate(random_graphs_7[:6]):
         d = hl.all_pairs_distances(g)
         for exact in (False, True):
-            lab, _ = hl.run_cohen_hl(d, hl.initial_uncovered(d), exact_mds=exact)
+            lab, _ = hl.run_cohen_hl(d, d.reachable_pairs(), exact_mds=exact)
             catalog.append((f"random7-{i}-cohen-{exact}", d, lab))
     for i, g in enumerate(random_graphs_8[:10]):
         d = hl.all_pairs_distances(g)
@@ -174,10 +174,10 @@ def test_c01_bad_g_greedy_orders_and_initial_counts(bad_g_runs):
                 order = bundle[algo][0]
                 assert order.by_rank() == expected
             d = bundle["dist"]
-            u = hl.initial_uncovered(d)
-            assert hl.build_center_graph(d, u, ids.a[0]).edge_count == (k + 1) ** 2 + 1
-            assert hl.build_center_graph(d, u, ids.b[0]).edge_count == (k + 1) ** 2
-            assert hl.build_center_graph(d, u, ids.c_id(1, 1)).edge_count == k + 2
+            u = d.reachable_pairs()
+            assert build_center_graph(d, u, ids.a[0]).edge_count == (k + 1) ** 2 + 1
+            assert build_center_graph(d, u, ids.b[0]).edge_count == (k + 1) ** 2
+            assert build_center_graph(d, u, ids.c_id(1, 1)).edge_count == k + 2
 
 
 def _bad_g_better_size(bundle, k):
@@ -458,13 +458,13 @@ def test_c09_cohen_bounds(random_graphs_7):
             if not res.complete:
                 continue
             checked += 1
-            lab, _ = hl.run_cohen_hl(d, hl.initial_uncovered(d), exact_mds=True)
+            lab, _ = hl.run_cohen_hl(d, d.reachable_pairs(), exact_mds=True)
             assert lab.size <= (1 + math.log(g.n**2)) * res.upper
-            _, trace = hl.run_cohen_hl(d, hl.initial_uncovered(d))
+            _, trace = hl.run_cohen_hl(d, d.reachable_pairs())
             for rec in trace.iterations:
-                u = hl.UncoveredSet(d.directed, d.n, rec.uncovered_pairs_before)
+                u = rec.uncovered_pairs_before
                 for v in range(g.n):
-                    cg = hl.build_center_graph(d, u, v)
+                    cg = build_center_graph(d, u, v)
                     if cg.edge_count == 0:
                         continue
                     _, peel_dens = hl.mds_peel(cg)

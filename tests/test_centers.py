@@ -10,7 +10,14 @@ import hublab as hl
 from hublab import families
 from hublab.centers import PathIndex
 
-from bruteforce import center_weight_sum, gen_random_directed
+from bruteforce import (
+    build_center_graph,
+    center_weight_sum,
+    density,
+    gen_random_directed,
+    level_profile,
+    pair_level,
+)
 from conftest import edge2, seeded_graphs
 
 
@@ -40,23 +47,46 @@ def _reachable_count_bfs(g: hl.Graph) -> int:
 
 def test_initial_uncovered_counts():
     d1 = hl.all_pairs_distances(hl.Graph(False, 1, []))
-    assert list(hl.initial_uncovered(d1)) == [(0, 0)]
+    assert d1.reachable_pairs() == [(0, 0)]
     d2 = hl.all_pairs_distances(edge2())
-    u2 = hl.initial_uncovered(d2)
-    assert u2.count == 3 and set(u2) == {(0, 0), (0, 1), (1, 1)}
+    u2 = d2.reachable_pairs()
+    assert len(u2) == 3 and set(u2) == {(0, 0), (0, 1), (1, 1)}
     g3 = families.gen_bad_g(3)
     d3 = hl.all_pairs_distances(g3)
-    u3 = hl.initial_uncovered(d3)
-    assert u3.count == _reachable_count_bfs(g3) == 79
+    u3 = d3.reachable_pairs()
+    assert len(u3) == _reachable_count_bfs(g3) == 79
 
 
-def test_uncovered_set_semantics():
-    u = hl.UncoveredSet(False, 3, [(2, 1), (0, 0)])
-    assert (1, 2) in u and (2, 1) in u
-    u.discard((1, 2))
-    assert u.count == 1
-    with pytest.raises(ValueError):
-        hl.UncoveredSet(False, 2, [(0, 5)])
+def _same_index(a: PathIndex, b: PathIndex) -> bool:
+    fields = ("u", "w", "level", "source_ptr", "verts", "ptr", "vpairs", "vptr")
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
+
+
+def test_path_index_canonicalizes_caller_pairs():
+    # Undirected pairs are put min-first, duplicates dropped and the list sorted,
+    # so any spelling of a pair set yields the index of its canonical list.
+    rng = random.Random(3)
+    for g in seeded_graphs(3, 8, 11600) + [gen_random_directed(6, 4, 3, 11700)]:
+        d = hl.all_pairs_distances(g)
+        canon = d.reachable_pairs()
+        assert _same_index(PathIndex(d), PathIndex(d, canon))
+        spelled = [(w, u) if not g.directed and rng.random() < 0.5 else (u, w) for u, w in canon]
+        spelled += rng.sample(spelled, len(spelled) // 3)
+        rng.shuffle(spelled)
+        assert _same_index(PathIndex(d, spelled), PathIndex(d, canon))
+        part = canon[::2]
+        assert PathIndex(d, reversed(part)).pairs(slice(None)) == part
+    d = hl.all_pairs_distances(edge2())
+    index = PathIndex(d, [(1, 0), (0, 1), (1, 1)])
+    assert index.pairs(slice(None)) == [(0, 1), (1, 1)]
+    assert len(PathIndex(d, [])) == 0
+    for bad in ([(0, 5)], [(-1, 0)], [(0, 0), (2, 1)]):
+        with pytest.raises(ValueError, match="out of range"):
+            PathIndex(d, bad)
+    dg = hl.all_pairs_distances(families.gen_bad_g(2))
+    ids = families.bad_g_ids(2)
+    with pytest.raises(ValueError, match="unreachable"):
+        PathIndex(dg, [(ids.a[0], ids.a[0]), (ids.c_id(1, 1), ids.a[0])])
 
 
 def test_center_graph_bad_g_initial_counts():
@@ -64,35 +94,34 @@ def test_center_graph_bad_g_initial_counts():
     g = families.gen_bad_g(k)
     ids = families.bad_g_ids(k)
     d = hl.all_pairs_distances(g)
-    u = hl.initial_uncovered(d)
-    assert hl.build_center_graph(d, u, ids.a[0]).edge_count == (k + 1) ** 2 + 1 == 17
-    assert hl.build_center_graph(d, u, ids.b[0]).edge_count == (k + 1) ** 2 == 16
-    assert hl.build_center_graph(d, u, ids.c_id(1, 1)).edge_count == k + 2 == 5
+    u = d.reachable_pairs()
+    assert build_center_graph(d, u, ids.a[0]).edge_count == (k + 1) ** 2 + 1 == 17
+    assert build_center_graph(d, u, ids.b[0]).edge_count == (k + 1) ** 2 == 16
+    assert build_center_graph(d, u, ids.c_id(1, 1)).edge_count == k + 2 == 5
 
 
 def test_center_graph_empty_after_everything_covered():
     d = hl.all_pairs_distances(edge2())
-    empty = hl.UncoveredSet(False, 2, [])
-    cg = hl.build_center_graph(d, empty, 0)
+    cg = build_center_graph(d, [], 0)
     assert cg.edge_count == 0
     with pytest.raises(hl.EmptyCenterGraphError):
-        hl.density(cg)
+        density(cg)
 
 
 def test_density_examples():
     loop = hl.CenterGraph(0, False, ((0, 0),))
-    assert hl.density(loop) == Fraction(1, 1)
+    assert density(loop) == Fraction(1, 1)
     k = 2
     w = families.gen_bad_w(k)
     dw = hl.all_pairs_distances(w)
-    uw = hl.initial_uncovered(dw)
+    uw = dw.reachable_pairs()
     for v in (0, 1, 5):
-        assert hl.build_center_graph(dw, uw, v).nonisolated_count == w.n
+        assert build_center_graph(dw, uw, v).nonisolated_count == w.n
     g = families.gen_bad_g(3)
     dg = hl.all_pairs_distances(g)
-    ug = hl.initial_uncovered(dg)
-    cg_a1 = hl.build_center_graph(dg, ug, 0)
-    assert hl.density(cg_a1) == Fraction(17, 18)
+    ug = dg.reachable_pairs()
+    cg_a1 = build_center_graph(dg, ug, 0)
+    assert density(cg_a1) == Fraction(17, 18)
 
 
 def test_level_profile_examples():
@@ -100,14 +129,14 @@ def test_level_profile_examples():
     g = families.gen_bad_g(k)
     ids = families.bad_g_ids(k)
     d = hl.all_pairs_distances(g)
-    u = hl.initial_uncovered(d)
-    p_a = hl.level_profile(hl.build_center_graph(d, u, ids.a[0]), d)
+    u = d.reachable_pairs()
+    p_a = level_profile(build_center_graph(d, u, ids.a[0]), d)
     assert p_a.count(1) == k * (k + 1) == 12
-    p_b = hl.level_profile(hl.build_center_graph(d, u, ids.b[0]), d)
+    p_b = level_profile(build_center_graph(d, u, ids.b[0]), d)
     assert p_b.count(1) == k * k == 9
     loop = hl.CenterGraph(0, False, ((0, 0),))
     d1 = hl.all_pairs_distances(hl.Graph(False, 1, []))
-    p_loop = hl.level_profile(loop, d1)
+    p_loop = level_profile(loop, d1)
     assert p_loop.counts == ((hl.NEG_INF_LEVEL, 1),)
     assert p_a.total == 17 and p_b.total == 16
 
@@ -116,11 +145,11 @@ def test_profile_key_orders_like_bigint_weight_sums():
     graphs = seeded_graphs(10, 8, 11000) + [gen_random_directed(6, 4, 3, 11100)]
     for g in graphs:
         d = hl.all_pairs_distances(g)
-        u = hl.initial_uncovered(d)
+        u = d.reachable_pairs()
         scored = []
         for v in range(g.n):
-            cg = hl.build_center_graph(d, u, v)
-            scored.append((hl.level_profile(cg, d).key(), center_weight_sum(cg, d)))
+            cg = build_center_graph(d, u, v)
+            scored.append((level_profile(cg, d).key(), center_weight_sum(cg, d)))
         for (ka, wa), (kb, wb) in zip(scored, scored[1:]):
             assert (ka > kb) == (wa > wb) and (ka == kb) == (wa == wb)
 
@@ -130,11 +159,11 @@ def test_path_index_views_match_shortest_path_vertices():
     for g in graphs:
         d = hl.all_pairs_distances(g)
         index = PathIndex(d)
-        assert index.pairs(slice(None)) == list(hl.initial_uncovered(d))
+        assert index.pairs(slice(None)) == d.reachable_pairs()
         through = {v: [] for v in range(g.n)}
         for pid, (u, w) in enumerate(index.pairs(slice(None))):
             assert index[pid].tolist() == sorted(hl.shortest_path_vertices(d, u, w))
-            level = hl.pair_level(d.dist(u, w))
+            level = pair_level(d.dist(u, w))
             assert index.level[pid] == (-1 if level == hl.NEG_INF_LEVEL else level)
             for v in index[pid].tolist():
                 through[v].append(pid)
@@ -156,11 +185,11 @@ def test_engine_matches_from_scratch_after_random_covers():
             engine.cover_center(v)
             u = engine.uncovered_pairs()
             for x in range(g.n):
-                cg = hl.build_center_graph(d, u, x)
+                cg = build_center_graph(d, u, x)
                 assert engine.center_graph(x) == cg
                 assert engine.edge_count(x) == cg.edge_count
                 assert engine.nonisolated_count(x) == cg.nonisolated_count
-                prof = hl.level_profile(cg, d)
+                prof = level_profile(cg, d)
                 assert engine.profile_key(x) == prof.key()
 
 
@@ -182,7 +211,7 @@ def test_engine_rejects_unreachable_pairs():
     g = families.gen_bad_g(2)
     d = hl.all_pairs_distances(g)
     ids = families.bad_g_ids(2)
-    bad = hl.UncoveredSet(True, g.n, [(ids.c_id(1, 1), ids.a[0])])
+    bad = [(ids.c_id(1, 1), ids.a[0])]
     with pytest.raises(ValueError, match="unreachable"):
         hl.CoverageState(d, bad)
 
@@ -191,8 +220,8 @@ def test_directed_density_counts_side_occurrences():
     # the directed self pair puts its vertex on both sides
     g = hl.Graph(True, 2, [(0, 1, 1)])
     d = hl.all_pairs_distances(g)
-    u = hl.initial_uncovered(d)
-    cg0 = hl.build_center_graph(d, u, 0)
+    u = d.reachable_pairs()
+    cg0 = build_center_graph(d, u, 0)
     assert set(cg0.arcs) == {(0, 0), (0, 1)}
     assert cg0.nonisolated_count == 3  # tails {0}, heads {0, 1}
-    assert hl.density(cg0) == Fraction(2, 3)
+    assert density(cg0) == Fraction(2, 3)

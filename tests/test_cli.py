@@ -174,6 +174,13 @@ def test_compare_oracle_too_large_exits_3(tmp_path):
     assert main(["compare", str(graph), "--oracle"]) == 3
 
 
+def test_oversize_header_exits_3(tmp_path, capsys):
+    graph = tmp_path / "huge.gr"
+    graph.write_text("p undirected 1000000000 0\n")
+    assert main(["build", str(graph), "--algo", "g-hhl", "--out", str(tmp_path / "x")]) == 3
+    assert "vertex limit" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.gr"
     bad.write_text("p undirected 2 1\na 0 1 -1\n")

@@ -8,6 +8,7 @@ import pytest
 import hublab as hl
 from hublab import families
 
+from bruteforce import build_center_graph
 from conftest import complete_graph, edge2, seeded_graphs, star_graph
 
 
@@ -37,9 +38,9 @@ def test_mds_peel_directed_bipartite():
 def test_peel_within_half_of_exact_on_encountered_graphs():
     for g in seeded_graphs(12, 8, 13000):
         d = hl.all_pairs_distances(g)
-        u = hl.initial_uncovered(d)
+        u = d.reachable_pairs()
         for v in range(g.n):
-            cg = hl.build_center_graph(d, u, v)
+            cg = build_center_graph(d, u, v)
             if cg.edge_count == 0:
                 continue
             _, peel_dens = hl.mds_peel(cg)
@@ -49,21 +50,21 @@ def test_peel_within_half_of_exact_on_encountered_graphs():
 
 def test_cohen_two_vertex_edge_matches_optimum():
     d = hl.all_pairs_distances(edge2())
-    lab, trace = hl.run_cohen_hl(d, hl.initial_uncovered(d))
+    lab, trace = hl.run_cohen_hl(d, d.reachable_pairs())
     assert lab.size == 3 == hl.optimal_hl_bnb(d).upper
     assert hl.verify_cover(lab, d).valid
 
 
 def test_cohen_empty_target():
     d = hl.all_pairs_distances(edge2())
-    lab, trace = hl.run_cohen_hl(d, hl.UncoveredSet(False, 2, []))
+    lab, trace = hl.run_cohen_hl(d, [])
     assert lab.size == 0 and not trace.iterations
 
 
 def test_cohen_beats_g_hhl_on_bad_g():
     g = families.gen_bad_g(5)
     d = hl.all_pairs_distances(g)
-    clab, _ = hl.run_cohen_hl(d, hl.initial_uncovered(d))
+    clab, _ = hl.run_cohen_hl(d, d.reachable_pairs())
     _, glab, _ = hl.run_g_hhl(d)
     assert clab.size < glab.size
     assert hl.verify_cover(clab, d).valid
@@ -72,7 +73,7 @@ def test_cohen_beats_g_hhl_on_bad_g():
 def test_cohen_restricted_target_covers_exactly_it():
     g = star_graph(4)
     d = hl.all_pairs_distances(g)
-    target = hl.UncoveredSet(False, g.n, [(1, 2), (1, 3)])
+    target = [(1, 2), (1, 3)]
     lab, _ = hl.run_cohen_hl(d, target)
     assert hl.verify_cover(lab, d, pairs=[(1, 2), (1, 3)]).valid
     # pairs outside the target may stay uncovered
@@ -83,7 +84,7 @@ def test_cohen_monotone_progress_and_exact_mode():
     for g in seeded_graphs(6, 6, 13100) + [complete_graph(4)]:
         d = hl.all_pairs_distances(g)
         for exact in (False, True):
-            lab, trace = hl.run_cohen_hl(d, hl.initial_uncovered(d), exact_mds=exact)
+            lab, trace = hl.run_cohen_hl(d, d.reachable_pairs(), exact_mds=exact)
             assert hl.verify_cover(lab, d).valid
             for rec in trace.iterations:
                 assert rec.covered >= 1
@@ -96,13 +97,13 @@ def test_cohen_exact_mode_within_set_cover_bound():
         res = hl.optimal_hl_bnb(d, budget=300_000)
         if not res.complete:
             continue
-        lab, _ = hl.run_cohen_hl(d, hl.initial_uncovered(d), exact_mds=True)
+        lab, _ = hl.run_cohen_hl(d, d.reachable_pairs(), exact_mds=True)
         assert lab.size <= (1 + math.log(g.n**2)) * res.upper
 
 
 def test_cohen_directed():
     g = families.gen_bad_g(2)
     d = hl.all_pairs_distances(g)
-    lab, trace = hl.run_cohen_hl(d, hl.initial_uncovered(d))
+    lab, trace = hl.run_cohen_hl(d, d.reachable_pairs())
     assert hl.verify_cover(lab, d).valid
     assert trace.order is None

@@ -40,7 +40,7 @@ def _sha(text: str) -> str:
 def _run(name: str, algo: str) -> tuple[str, str]:
     d = hl.all_pairs_distances(INSTANCES[name]())
     if algo.startswith("cohen"):
-        lab, trace = hl.run_cohen_hl(d, hl.initial_uncovered(d), exact_mds=algo == "cohen-exact")
+        lab, trace = hl.run_cohen_hl(d, exact_mds=algo == "cohen-exact")
     else:
         runner = {"g-hhl": hl.run_g_hhl, "w-hhl": hl.run_w_hhl, "d-hhl": hl.run_d_hhl}[algo]
         _, lab, trace = runner(d)

@@ -67,6 +67,14 @@ def test_total_arc_length_below_2_pow_53():
     assert hl.all_pairs_distances(g).dist(0, 2) == 2**53 - 1
 
 
+def test_vertex_count_above_limit_refused_before_allocating():
+    # n^2 distance cells would be 8e18 bytes; the header alone must be refused
+    with pytest.raises(hl.TooLargeError, match="vertex limit"):
+        hl.Graph(False, 10**9, [])
+    with pytest.raises(hl.TooLargeError, match="vertex limit"):
+        hl.parse_graph("p undirected 1000000000 0\n")
+
+
 def test_parallel_arcs_collapse_to_minimum():
     g = hl.parse_graph("p undirected 2 3\na 0 1 5\na 1 0 2\na 0 1 9\n")
     assert g.arcs == ((0, 1, 2),)

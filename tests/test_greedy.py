@@ -5,6 +5,7 @@ import pytest
 import hublab as hl
 from hublab import families
 
+from bruteforce import build_center_graph, level_profile
 from conftest import complete_graph, edge2, seeded_graphs
 
 
@@ -75,8 +76,8 @@ def test_d_hhl_bad_g_matches_g_hhl():
     first = trace.iterations[0]
     assert first.vertex in families.bad_g_ids(3).a
     assert first.score[0] == 12
-    u = hl.initial_uncovered(d)
-    p_b = hl.level_profile(hl.build_center_graph(d, u, families.bad_g_ids(3).b[0]), d)
+    u = d.reachable_pairs()
+    p_b = level_profile(build_center_graph(d, u, families.bad_g_ids(3).b[0]), d)
     assert p_b.count(1) == 9
 
 

@@ -40,6 +40,21 @@ def test_cap_exceeded():
         hl.enumerate_significant_paths(g, d, 1, cap=3)
 
 
+def test_path_enumeration_deeper_than_recursion_limit():
+    from hublab.highway import _all_shortest_paths
+
+    n = 1200
+    g = hl.Graph(False, n, [(i, i + 1, 1) for i in range(n - 1)])
+    d = hl.all_pairs_distances(g)
+    # 1,200 trivial paths, then paths from vertex 0 with up to ~1,100 vertices
+    with pytest.raises(hl.CapExceededError):
+        _all_shortest_paths(g, d, cap=2300)
+    # a zero-length edge is crossed once per path, not walked back and forth
+    g0 = hl.Graph(False, 4, [(0, 1, 0), (1, 2, 1), (2, 3, 0)])
+    paths = _all_shortest_paths(g0, hl.all_pairs_distances(g0), cap=100)
+    assert paths[4:] == [(0, 1), (0, 1, 2), (0, 1, 2, 3), (1, 2), (1, 2, 3), (2, 3)]
+
+
 def test_directed_input_rejected():
     g = families.gen_bad_g(2)
     d = hl.all_pairs_distances(g)
