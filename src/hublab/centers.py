@@ -1,6 +1,6 @@
 """Center graphs over uncovered vertex pairs: the shortest-path incidence of a
-pair set and the incremental coverage engine that drives the greedy selection
-loops and the set-cover runner."""
+pair set and the incremental coverage engine that drives the selection loop
+shared by the greedy algorithms and the set-cover runner."""
 
 from __future__ import annotations
 
@@ -123,7 +123,7 @@ class CoverageState:
     """Pair coverage over a :class:`PathIndex` with per-center counters kept current.
 
     Value-equal to rebuilding every center graph from scratch after each update;
-    the greedy loops and the set-cover runner rely on that contract. Per center
+    the selection loop relies on that contract. Per center
     v: ``edges[v]`` uncovered pairs through v, ``noniso[v]`` non-isolated
     vertices (side occurrences when directed), ``lvl_counts[v]`` edges per
     finite level, and ``deg[v]`` edges per endpoint slot (tails, then heads
@@ -171,19 +171,6 @@ class CoverageState:
         flipped = old == 0 if sign > 0 else old == hits
         self.noniso += sign * np.bincount(cells[flipped] // slots, minlength=n)
 
-    def pair(self, pid: int) -> tuple[int, int]:
-        return int(self.index.u[pid]), int(self.index.w[pid])
-
-    def uncovered_pairs(self) -> list[tuple[int, int]]:
-        """Still-uncovered pairs, sorted."""
-        return self.index.pairs(np.flatnonzero(self.uncovered))
-
-    def edge_count(self, v: int) -> int:
-        return int(self.edges[v])
-
-    def nonisolated_count(self, v: int) -> int:
-        return int(self.noniso[v])
-
     def profile_key(self, v: int) -> tuple[int, ...]:
         return tuple(self.lvl_counts[v, ::-1].tolist())
 
@@ -211,9 +198,3 @@ class CoverageState:
         self.uncovered[pids] = False
         self.uncovered_count -= len(pids)
         self._count(pids, -1)
-
-    def cover_center(self, v: int) -> np.ndarray:
-        """Cover every uncovered pair with a shortest path through v; returns their ids."""
-        pids = self.pairs_through(v)
-        self.cover_pairs(pids)
-        return pids

@@ -123,8 +123,8 @@ def _build_labeling(g, d, args):
             raise ValueError("canonical requires --order FILE")
         seq = [
             int(line.split()[0])
-            for line in Path(args.order).read_text(encoding="utf-8").splitlines()
-            if line.strip() and not line.startswith("#")
+            for line in map(str.strip, Path(args.order).read_text(encoding="utf-8").splitlines())
+            if line and not line.startswith("#")
         ]
         order = Order.from_sequence(seq)
         labeling = canonical_hhl(d, order)

@@ -1,5 +1,9 @@
 """Set-cover approximation for hub labels: per-center densest subgraphs chosen
-greedily, with a peeling 2-approximation or the exact enumerator."""
+greedily, with a peeling 2-approximation or the exact enumerator.
+
+The selection loop is :func:`hublab.greedy._select`; this module supplies the
+step that picks a center and its densest subgraph.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ import numpy as np
 
 from .centers import CenterGraph, CoverageState, EmptyCenterGraphError
 from .graphs import DistMatrix
-from .greedy import IterationRecord, RunTrace
+from .greedy import RunTrace, _select
 from .labeling import Labeling
 
 
@@ -74,49 +78,22 @@ def run_cohen_hl(d: DistMatrix, pairs=None, exact_mds: bool = False) -> tuple[La
     from . import oracles  # local import; oracles also serves other callers
 
     engine = CoverageState(d, pairs)
-    n = d.n
-    m = d.matrix
-    fwd: list[dict[int, int]] = [dict() for _ in range(n)]
-    bwd: list[dict[int, int]] = [dict() for _ in range(n)] if d.directed else fwd
-    trace = RunTrace("cohen", d.directed, n)
-
     idx = engine.index
-    while engine.uncovered_count:
-        snapshot = tuple(idx.pairs(np.flatnonzero(engine.uncovered)))
+
+    def step(engine: CoverageState):
         best = None
         for v in np.flatnonzero(engine.edges).tolist():
             cg = engine.center_graph(v)
-            if exact_mds:
-                sets, dens = oracles.exact_mds(cg)
-            else:
-                sets, dens = mds_peel(cg)
+            sets, dens = (oracles.exact_mds if exact_mds else mds_peel)(cg)
             if best is None or dens > best[0]:
                 best = (dens, v, sets)
         dens, v, sets = best
-        # An undirected subgraph is one vertex set playing both sides (bwd is fwd).
+        # An undirected subgraph is one vertex set at both ends of its pairs;
+        # its receivers are all tails (bwd is fwd).
         tails, heads = sets if d.directed else sets * 2
         pids = engine.pairs_through(v)
         covered = pids[np.isin(idx.u[pids], list(tails)) & np.isin(idx.w[pids], list(heads))]
-        for u in tails:
-            fwd[u].setdefault(v, int(m[u, v]))
-        for w in heads:
-            bwd[w].setdefault(v, int(m[v, w]))
-        rec_f, rec_b = tuple(sorted(tails)), (tuple(sorted(heads)) if d.directed else ())
-        if not covered.size:
-            raise AssertionError("selected subgraph covers no uncovered pair")
-        before = engine.uncovered_count
-        engine.cover_pairs(covered)
-        trace.iterations.append(
-            IterationRecord(
-                vertex=v,
-                score=dens,
-                covered=len(covered),
-                uncovered_before=before,
-                uncovered_after=engine.uncovered_count,
-                receivers_fwd=rec_f,
-                receivers_bwd=rec_b,
-                uncovered_pairs_before=snapshot,
-            )
-        )
-    labeling = Labeling(True, n, fwd, bwd) if d.directed else Labeling(False, n, fwd)
-    return labeling, trace
+        rec_b = tuple(sorted(heads)) if d.directed else ()
+        return v, dens, tuple(sorted(tails)), rec_b, covered, None
+
+    return _select(d, engine, "cohen", step)

@@ -1,8 +1,13 @@
 """Deterministic builders for the adversarial instance families and the explicit
-labelings that accompany them."""
+labelings that accompany them.
+
+The instance generators hand ``Graph`` their arcs lazily, so its vertex limit
+refuses an oversize instance before a single arc is built.
+"""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -44,14 +49,10 @@ def gen_bad_g(k: int) -> Graph:
     if k < 2:
         raise InfeasibleParamsError("k must be at least 2")
     ids = bad_g_ids(k)
-    arcs = []
-    for a in ids.a:
-        for b in ids.b:
-            arcs.append((a, b, 1))
-    for i in range(1, k + 2):
-        b = ids.b[i - 1]
-        for j in range(1, k + 1):
-            arcs.append((b, ids.c_id(i, j), 1))
+    arcs = itertools.chain(
+        ((a, b, 1) for a in ids.a for b in ids.b),
+        ((ids.b[i - 1], ids.c_id(i, j), 1) for i in range(1, k + 2) for j in range(1, k + 1)),
+    )
     return Graph(True, 2 * k + 1 + k * (k + 1), arcs)
 
 
@@ -84,15 +85,12 @@ def gen_bad_w(k: int) -> Graph:
     if k < 2:
         raise InfeasibleParamsError("k must be at least 2")
     ids = bad_w_ids(k)
-    arcs = []
-    for i in range(1, k + 1):
-        for j in range(1, ids.l + 1):
-            arcs.append((ids.a, ids.d_id(i, j), 3))
-    for i in range(1, k + 1):
-        arcs.append((ids.b, ids.c[i - 1], 2))
-    for i in range(1, k + 1):
-        for j in range(1, ids.l + 1):
-            arcs.append((ids.c[i - 1], ids.d_id(i, j), 2))
+    rows, cols = range(1, k + 1), range(1, ids.l + 1)
+    arcs = itertools.chain(
+        ((ids.a, ids.d_id(i, j), 3) for i in rows for j in cols),
+        ((ids.b, c, 2) for c in ids.c),
+        ((ids.c[i - 1], ids.d_id(i, j), 2) for i in rows for j in cols),
+    )
     return Graph(False, 2 + k + k * ids.l, arcs)
 
 
@@ -119,16 +117,12 @@ def gen_separator(k: int) -> Graph:
     if k < 2:
         raise InfeasibleParamsError("k must be at least 2")
     ids = separator_ids(k)
-    arcs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            arcs.append((ids.centers[i], ids.centers[j], 1))
-    for star in range(k):
-        for j in range(k - 1):
-            arcs.append((ids.centers[star], ids.leaf_id(star, j), 1))
-    for star in range(k):
-        for j in range(k - 1):
-            arcs.append((ids.s, ids.leaf_id(star, j), 1))
+    centers, leaf = ids.centers, ids.leaf_id
+    arcs = itertools.chain(
+        ((centers[i], centers[j], 1) for i in range(k) for j in range(i + 1, k)),
+        ((centers[star], leaf(star, j), 1) for star in range(k) for j in range(k - 1)),
+        ((ids.s, leaf(star, j), 1) for star in range(k) for j in range(k - 1)),
+    )
     return Graph(False, k * k + 1, arcs)
 
 
@@ -330,14 +324,17 @@ def gen_random(n: int, m: int, maxlen: int, seed: int) -> Graph:
         raise InfeasibleParamsError("maxlen must be at least 1")
     if m < n - 1 or m > n * (n - 1) // 2:
         raise InfeasibleParamsError(f"m={m} infeasible for n={n}")
-    rng = random.Random(seed)
-    edges: list[tuple[int, int]] = []
-    for i in range(1, n):
-        edges.append((rng.randrange(i), i))
-    present = {(min(a, b), max(a, b)) for a, b in edges}
-    candidates = sorted(
-        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present
-    )
-    edges.extend(rng.sample(candidates, m - (n - 1)))
-    arcs = [(u, v, rng.randint(1, maxlen)) for u, v in edges]
-    return Graph(False, n, arcs)
+
+    def arcs():
+        rng = random.Random(seed)
+        edges: list[tuple[int, int]] = []
+        for i in range(1, n):
+            edges.append((rng.randrange(i), i))
+        present = {(min(a, b), max(a, b)) for a, b in edges}
+        candidates = sorted(
+            (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present
+        )
+        edges.extend(rng.sample(candidates, m - (n - 1)))
+        yield from ((u, v, rng.randint(1, maxlen)) for u, v in edges)
+
+    return Graph(False, n, arcs())

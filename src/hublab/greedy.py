@@ -1,5 +1,9 @@
 """Greedy hierarchical-labeling algorithms: most-edges, highest-density, and
-level-weighted selection over center graphs."""
+level-weighted selection over center graphs.
+
+This module owns the selection loop (``_select``) that these algorithms share
+with the set-cover runner in :mod:`hublab.cohen`; each supplies only its step.
+"""
 
 from __future__ import annotations
 
@@ -29,8 +33,6 @@ class IterationRecord:
     receivers_fwd: tuple[int, ...]
     receivers_bwd: tuple[int, ...]
     level: object = None
-    candidate_stats: dict | None = None
-    uncovered_pairs_before: tuple | None = None
 
     @property
     def labels_added(self) -> int:
@@ -80,16 +82,47 @@ class RunTrace:
         }
 
 
-# Each picker returns the best center and its score; candidates are the centers
-# with an edge (a selected center has none left) and ties go to the lowest id.
+def _select(d: DistMatrix, engine: CoverageState, algo: str, step) -> tuple[Labeling, RunTrace]:
+    """Run ``step`` until every pair of ``engine`` is covered; the one selection loop.
+
+    ``step(engine)`` returns ``(center, score, tails, heads, pair ids, level)``.
+    The center joins ``fwd[u]`` of each tail u and ``bwd[w]`` of each head w
+    (an undirected step names every receiver a tail), the given still-uncovered
+    pairs are covered and the step is recorded.
+    """
+    n, m = d.n, d.matrix
+    fwd: list[dict[int, int]] = [dict() for _ in range(n)]
+    bwd: list[dict[int, int]] = [dict() for _ in range(n)] if d.directed else fwd
+    trace = RunTrace(algo, d.directed, n)
+    while engine.uncovered_count:
+        v, score, tails, heads, pids, level = step(engine)
+        if not len(pids):
+            raise AssertionError(f"center {v} covers no uncovered pair")
+        for u in tails:
+            fwd[u][v] = int(m[u, v])
+        for w in heads:
+            bwd[w][v] = int(m[v, w])
+        before = engine.uncovered_count
+        engine.cover_pairs(pids)
+        after = engine.uncovered_count
+        trace.iterations.append(
+            IterationRecord(v, score, len(pids), before, after, tails, heads, level)
+        )
+    labeling = Labeling(True, n, fwd, bwd) if d.directed else Labeling(False, n, fwd)
+    return labeling, trace
 
 
-def _pick_edges(engine: CoverageState) -> tuple[int, int]:
+# Each picker returns the best center, its score and its level (d-HHL only);
+# candidates are the centers with an edge (a selected center has none left) and
+# ties go to the lowest id.
+
+
+def _pick_edges(engine: CoverageState) -> tuple[int, int, None]:
     v = int(np.argmax(engine.edges))
-    return v, int(engine.edges[v])
+    return v, int(engine.edges[v]), None
 
 
-def _pick_density(engine: CoverageState) -> tuple[int, Fraction]:
+def _pick_density(engine: CoverageState) -> tuple[int, Fraction, None]:
     cand = np.flatnonzero(engine.edges)
     e, k = engine.edges[cand], engine.noniso[cand]
     best = int(np.argmax(e / k))
@@ -99,92 +132,55 @@ def _pick_density(engine: CoverageState) -> tuple[int, Fraction]:
         diff = e * k[best] - e[best] * k
         nxt = int(np.argmax(diff))
         if diff[nxt] == 0:
-            return int(cand[nxt]), Fraction(int(e[nxt]), int(k[nxt]))
+            return int(cand[nxt]), Fraction(int(e[nxt]), int(k[nxt])), None
         best = nxt
 
 
-def _pick_profile(engine: CoverageState) -> tuple[int, tuple[int, ...]]:
+def _pick_profile(engine: CoverageState) -> tuple[int, tuple[int, ...], int | float]:
+    level = engine.max_uncovered_level()
     cand = np.flatnonzero(engine.edges)
     for col in engine.lvl_counts.T[::-1]:
         here = col[cand]
         cand = cand[here == here.max()]
     v = int(cand[0])
-    return v, engine.profile_key(v)
+    return v, engine.profile_key(v), level
 
 
 _PICKERS = {"g-hhl": _pick_edges, "w-hhl": _pick_density, "d-hhl": _pick_profile}
 
 
-def _run_hierarchical(
-    d: DistMatrix, algo: str, record_candidates: bool
-) -> tuple[Order, Labeling, RunTrace]:
+def _run_hierarchical(d: DistMatrix, algo: str) -> tuple[Order, Labeling, RunTrace]:
     pick = _PICKERS[algo]
-    engine = CoverageState(d)
-    n = d.n
-    m = d.matrix
-    chosen: list[int] = []
-    chosen_mask = [False] * n
-    fwd: list[dict[int, int]] = [dict() for _ in range(n)]
-    bwd: list[dict[int, int]] = [dict() for _ in range(n)] if d.directed else fwd
 
-    trace = RunTrace(algo, d.directed, n)
-    while engine.uncovered_count:
-        level = engine.max_uncovered_level() if algo == "d-hhl" else None
-        best_v, best_score = pick(engine)
-        stats = None
-        if record_candidates:
-            stats = {
-                v: (engine.edge_count(v), engine.nonisolated_count(v))
-                for v in np.flatnonzero(engine.edges).tolist()
-            }
-        tails, heads = engine.receivers(best_v)
-        for u in tails:
-            fwd[u][best_v] = int(m[u, best_v])
-        for w in heads:
-            bwd[w][best_v] = int(m[best_v, w])
-        before = engine.uncovered_count
-        covered = engine.cover_center(best_v)
-        chosen.append(best_v)
-        chosen_mask[best_v] = True
-        trace.iterations.append(
-            IterationRecord(
-                vertex=best_v,
-                score=best_score,
-                covered=len(covered),
-                uncovered_before=before,
-                uncovered_after=engine.uncovered_count,
-                receivers_fwd=tails,
-                receivers_bwd=heads,
-                level=level,
-                candidate_stats=stats,
-            )
-        )
-    # Every vertex is selected while its own pair is uncovered, so this is a
-    # no-op in practice; kept so partial pair sets cannot break the order.
-    chosen.extend(v for v in range(n) if not chosen_mask[v])
-    order = Order.from_sequence(chosen)
-    trace.order = order
-    labeling = Labeling(True, n, fwd, bwd) if d.directed else Labeling(False, n, fwd)
-    return order, labeling, trace
+    def step(engine: CoverageState):
+        # The picked center takes every uncovered pair through it.
+        v, score, level = pick(engine)
+        return (v, score, *engine.receivers(v), engine.pairs_through(v), level)
+
+    labeling, trace = _select(d, CoverageState(d), algo, step)
+    # Each vertex is picked while its own pair [v, v] is uncovered, so the
+    # picks are a permutation.
+    trace.order = Order.from_sequence(rec.vertex for rec in trace.iterations)
+    return trace.order, labeling, trace
 
 
-def run_g_hhl(d: DistMatrix, record_candidates: bool = False):
+def run_g_hhl(d: DistMatrix):
     """Greedy selection by most center-graph edges; ties go to the lowest id."""
-    return _run_hierarchical(d, "g-hhl", record_candidates)
+    return _run_hierarchical(d, "g-hhl")
 
 
-def run_w_hhl(d: DistMatrix, record_candidates: bool = False):
+def run_w_hhl(d: DistMatrix):
     """Greedy selection by highest center-graph density (exact rationals)."""
-    return _run_hierarchical(d, "w-hhl", record_candidates)
+    return _run_hierarchical(d, "w-hhl")
 
 
-def run_d_hhl(d: DistMatrix, record_candidates: bool = False):
+def run_d_hhl(d: DistMatrix):
     """Greedy selection by level profile, compared lexicographically from the top level.
 
     Equivalent to maximizing the total pair weight n^(2*level) without ever
     materializing the big integers.
     """
-    return _run_hierarchical(d, "d-hhl", record_candidates)
+    return _run_hierarchical(d, "d-hhl")
 
 
 def vertex_levels(trace: RunTrace) -> dict[int, int | float]:

@@ -14,6 +14,8 @@ from .graphs import path_membership  # noqa: F401 -- perfbench/tracing.py patche
 from .highway import DirectedInputError, _greedy_hitting_set, _paths_with_witnesses
 from .labeling import Labeling, Order, canonical_hhl
 
+OPT_HHL_MAX_N = 20  # the subset DP holds up to 2^n memo states and recurses n deep
+
 
 def optimal_hhl_bruteforce(d: DistMatrix, limit_n: int = 9) -> tuple[int, Order]:
     """Minimum canonical labeling size over all n! orders, with a witnessing order.
@@ -22,9 +24,9 @@ def optimal_hhl_bruteforce(d: DistMatrix, limit_n: int = 9) -> tuple[int, Order]
     vertex count of the chosen center graph at selection time, which makes the
     minimum computable by dynamic programming over chosen-vertex subsets.
     """
-    n = d.n
-    if n > limit_n:
-        raise TooLargeError(f"n={n} exceeds limit {limit_n}")
+    n, limit = d.n, min(limit_n, OPT_HHL_MAX_N)
+    if n > limit:
+        raise TooLargeError(f"n={n} exceeds limit {limit}")
     idx = PathIndex(d)
     us, ws = idx.u.tolist(), idx.w.tolist()
     path_mask = [sum(1 << x for x in idx[p].tolist()) for p in range(len(idx))]
@@ -417,7 +419,6 @@ def highway_dimension_bruteforce(
     g: Graph,
     limit_n: int = 24,
     include_trivial_paths: bool = False,
-    hitting_limit: int = 20000,
 ) -> int:
     """Highway dimension: the largest minimum hitting set of any r-neighborhood.
 
@@ -458,7 +459,7 @@ def highway_dimension_bruteforce(
             key = frozenset(sets)
             size = cache.get(key)
             if size is None:
-                size = len(min_hitting_set(sets, hitting_limit))
+                size = len(min_hitting_set(sets, 20_000))
                 cache[key] = size
             if size > best:
                 best = size

@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
+
+import numpy as np
 import pytest
 
 import hublab as hl
@@ -61,7 +63,7 @@ def bad_w_runs():
         g = families.gen_bad_w(k)
         d = hl.all_pairs_distances(g)
         ids = families.bad_w_ids(k)
-        order, lab, trace = hl.run_w_hhl(d, record_candidates=(k == 4))
+        order, lab, trace = hl.run_w_hhl(d)
         better = hl.canonical_hhl(
             d, hl.Order.from_sequence([ids.a, ids.b] + list(ids.c) + list(ids.d))
         )
@@ -267,16 +269,26 @@ def test_c04_bad_w_eq1_eq2_regression(bad_w_runs):
         bundle = bad_w_runs[k]
         ids = bundle["ids"]
         l = ids.l
-        _, _, trace = bundle["run"]
+        d = bundle["dist"]
+        m = d.matrix
+        order, _, trace = bundle["run"]
+        chosen = order.by_rank()
         for step in range(1, k + 1):
             rec = trace.iterations[step]
             t = k - (step - 1)
-            assert rec.vertex == ids.c[k - t]
+            assert rec.vertex == chosen[step] == ids.c[k - t]
+            # A hierarchical run has covered exactly the pairs with a shortest
+            # path through a vertex it chose earlier; the center graphs are
+            # rebuilt from the distance matrix over the rest.
+            blocked = np.zeros(m.shape, dtype=bool)
+            for x in chosen[:step]:
+                blocked |= m[:, x, None] + m[None, x, :] == m
+            uncovered = [(u, w) for u, w in d.reachable_pairs() if not blocked[u, w]]
             eq_b = t * (t - 1) // 2 + t * (t - 1) * l + (1 + t + t * l)
             eq_c = l * (l - 1) // 2 + l * (t - 1) + l + (1 + t + t * l)
-            assert rec.candidate_stats[ids.b][0] == eq_b
+            assert build_center_graph(d, uncovered, ids.b).edge_count == eq_b
             for c in ids.c[k - t:]:
-                assert rec.candidate_stats[c][0] == eq_c
+                assert build_center_graph(d, uncovered, c).edge_count == eq_c
 
 
 def test_c05_optimality_oracles_on_the_4_cycles():
@@ -461,8 +473,12 @@ def test_c09_cohen_bounds(random_graphs_7):
             lab, _ = hl.run_cohen_hl(d, d.reachable_pairs(), exact_mds=True)
             assert lab.size <= (1 + math.log(g.n**2)) * res.upper
             _, trace = hl.run_cohen_hl(d, d.reachable_pairs())
+            # Replay the trace: each pick covers the uncovered pairs through its
+            # vertex with the tail among its forward receivers and the head
+            # among its backward ones (the forward ones when undirected).
+            uncovered = set(d.reachable_pairs())
             for rec in trace.iterations:
-                u = rec.uncovered_pairs_before
+                u = sorted(uncovered)
                 for v in range(g.n):
                     cg = build_center_graph(d, u, v)
                     if cg.edge_count == 0:
@@ -470,6 +486,15 @@ def test_c09_cohen_bounds(random_graphs_7):
                     _, peel_dens = hl.mds_peel(cg)
                     _, exact_dens = hl.exact_mds(cg)
                     assert peel_dens * 2 >= exact_dens
+                heads = rec.receivers_bwd if d.directed else rec.receivers_fwd
+                covered = {
+                    (a, b)
+                    for a, b in build_center_graph(d, u, rec.vertex).arcs
+                    if a in rec.receivers_fwd and b in heads
+                }
+                assert len(covered) == rec.covered
+                uncovered -= covered
+            assert not uncovered
         assert checked >= 25
 
 

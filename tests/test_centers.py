@@ -182,13 +182,13 @@ def test_engine_matches_from_scratch_after_random_covers():
         order = list(range(g.n))
         rng.shuffle(order)
         for v in order[: g.n // 2 + 1]:
-            engine.cover_center(v)
-            u = engine.uncovered_pairs()
+            engine.cover_pairs(engine.pairs_through(v))
+            u = engine.index.pairs(np.flatnonzero(engine.uncovered))
             for x in range(g.n):
                 cg = build_center_graph(d, u, x)
                 assert engine.center_graph(x) == cg
-                assert engine.edge_count(x) == cg.edge_count
-                assert engine.nonisolated_count(x) == cg.nonisolated_count
+                assert engine.edges[x] == cg.edge_count
+                assert engine.noniso[x] == cg.nonisolated_count
                 prof = level_profile(cg, d)
                 assert engine.profile_key(x) == prof.key()
 
@@ -197,12 +197,12 @@ def test_cover_center_covers_exactly_its_arcs():
     g = families.gen_bad_g(2)
     d = hl.all_pairs_distances(g)
     engine = hl.CoverageState(d)
-    u_before = set(engine.uncovered_pairs())
+    u_before = set(engine.index.pairs(np.flatnonzero(engine.uncovered)))
     arcs = set(engine.center_graph(0).arcs)
-    pids = engine.cover_center(0)
-    covered = {engine.pair(p) for p in pids}
-    assert covered == arcs
-    assert set(engine.uncovered_pairs()) == u_before - arcs
+    pids = engine.pairs_through(0)
+    engine.cover_pairs(pids)
+    assert set(engine.index.pairs(pids)) == arcs
+    assert set(engine.index.pairs(np.flatnonzero(engine.uncovered))) == u_before - arcs
     with pytest.raises(ValueError, match="still uncovered"):
         engine.cover_pairs(pids[:1])
 

@@ -8,6 +8,8 @@ import hublab as hl
 from hublab import families
 from hublab.cli import main
 
+from conftest import path_graph
+
 
 def _json_payload(capsys) -> dict:
     out = capsys.readouterr().out
@@ -84,6 +86,13 @@ def test_build_canonical_with_order_file(tmp_path, capsys):
         ["build", str(graph), "--algo", "canonical", "--order", str(order), "--out", str(labels)]
     ) == 0
     assert _json_payload(capsys)["size"] == 9
+    # comment lines may be indented, and ids may carry surrounding blanks
+    order.write_text("# order\n  # note\n0\n 1\n2 \n\t# tab\n3\n")
+    again = tmp_path / "again.labels"
+    assert main(
+        ["build", str(graph), "--algo", "canonical", "--order", str(order), "--out", str(again)]
+    ) == 0
+    assert again.read_bytes() == labels.read_bytes()
 
 
 @pytest.mark.parametrize("ids", ["0\n1\n7\n", "0\n-1\n1\n", "0\n1\n1\n"])
@@ -172,6 +181,9 @@ def test_compare_oracle_too_large_exits_3(tmp_path):
     graph = tmp_path / "w2.gr"
     graph.write_text(hl.serialize_graph(families.gen_bad_w(2)))
     assert main(["compare", str(graph), "--oracle"]) == 3
+    path21 = tmp_path / "p21.gr"
+    path21.write_text(hl.serialize_graph(path_graph(20)))
+    assert main(["compare", str(path21), "--oracle", "--oracle-limit", "5000"]) == 3
 
 
 def test_oversize_header_exits_3(tmp_path, capsys):
@@ -179,6 +191,13 @@ def test_oversize_header_exits_3(tmp_path, capsys):
     graph.write_text("p undirected 1000000000 0\n")
     assert main(["build", str(graph), "--algo", "g-hhl", "--out", str(tmp_path / "x")]) == 3
     assert "vertex limit" in capsys.readouterr().err
+
+
+def test_generate_oversize_family_exits_3(tmp_path, capsys):
+    out = tmp_path / "huge.gr"
+    assert main(["generate", "bad-g", "--k", "100000", "--out", str(out)]) == 3
+    assert "vertex limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

@@ -228,3 +228,20 @@ def test_gen_random_determinism_and_shapes():
 def test_gen_random_infeasible(kwargs):
     with pytest.raises(families.InfeasibleParamsError):
         families.gen_random(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "gen, args",
+    [
+        (families.gen_bad_g, (10**5,)),
+        (families.gen_bad_w, (10**4,)),
+        (families.gen_separator, (10**6,)),
+        (families.gen_random, (10**6, 2 * 10**6, 10, 0)),
+    ],
+    ids=["bad-g", "bad-w", "separator", "random"],
+)
+def test_generators_refuse_oversize_before_building_arcs(gen, args):
+    # Each instance has at least 10^10 arcs or candidate edges, so only a
+    # refusal taken from the vertex count alone returns at all.
+    with pytest.raises(hl.TooLargeError, match="vertex limit"):
+        gen(*args)

@@ -44,20 +44,10 @@ def test_w_hhl_bad_w_order_and_size():
     g = families.gen_bad_w(k)
     ids = families.bad_w_ids(k)
     d = hl.all_pairs_distances(g)
-    order, lab, trace = hl.run_w_hhl(d, record_candidates=True)
+    order, lab, _ = hl.run_w_hhl(d)
     assert order.by_rank() == [ids.a] + list(ids.c) + [ids.b] + list(ids.d)
     l = ids.l
     assert lab.size == g.n + sum(1 + t + t * l for t in range(1, k + 1)) + 1 + k * l == 597
-    # center-graph edge counts of b and each remaining c at every c-pick
-    for step in range(1, k + 1):
-        rec = trace.iterations[step]
-        t = k - (step - 1)
-        eq_b = t * (t - 1) // 2 + t * (t - 1) * l + (1 + t + t * l)
-        eq_c = l * (l - 1) // 2 + l * (t - 1) + l + (1 + t + t * l)
-        assert rec.candidate_stats[ids.b][0] == eq_b
-        remaining = [c for c in ids.c if c >= rec.vertex]
-        for c in remaining:
-            assert rec.candidate_stats[c][0] == eq_c
 
 
 def test_w_hhl_single_vertex():

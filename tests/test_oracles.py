@@ -37,6 +37,10 @@ def test_optimal_hhl_too_large():
     d = hl.all_pairs_distances(families.gen_bad_w(2))
     with pytest.raises(hl.TooLargeError):
         hl.optimal_hhl_bruteforce(d)
+    # the subset DP has a ceiling of 20 vertices whatever limit_n says
+    d21 = hl.all_pairs_distances(path_graph(20))
+    with pytest.raises(hl.TooLargeError, match="exceeds limit 20"):
+        hl.optimal_hhl_bruteforce(d21, limit_n=5000)
 
 
 @pytest.mark.parametrize("seed", range(4))
