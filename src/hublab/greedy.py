@@ -158,9 +158,11 @@ def _run_hierarchical(d: DistMatrix, algo: str) -> tuple[Order, Labeling, RunTra
         return (v, score, *engine.receivers(v), engine.pairs_through(v), level)
 
     labeling, trace = _select(d, CoverageState(d), algo, step)
-    # Each vertex is picked while its own pair [v, v] is uncovered, so the
-    # picks are a permutation.
-    trace.order = Order.from_sequence(rec.vertex for rec in trace.iterations)
+    # A zero-length edge puts u on a shortest path of [v, v], so picking u may
+    # cover v's own pair and v is never picked; unpicked vertices go last.
+    picked = [rec.vertex for rec in trace.iterations]
+    rest = set(range(d.n)).difference(picked)
+    trace.order = Order.from_sequence(picked + sorted(rest))
     return trace.order, labeling, trace
 
 

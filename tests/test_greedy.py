@@ -28,6 +28,24 @@ def test_g_hhl_single_vertex():
     assert len(trace.iterations) == 1
 
 
+@pytest.mark.parametrize("algo", ["g-hhl", "w-hhl", "d-hhl"])
+@pytest.mark.parametrize(
+    "text, picked",
+    [("p undirected 2 1\na 0 1 0\n", [0]), ("p undirected 3 2\na 0 1 0\na 1 2 1\n", [0, 2])],
+    ids=["edge", "path"],
+)
+def test_zero_length_edge_order_is_full(algo, text, picked):
+    # d(0, 1) = 0 puts 1 on a shortest path of [0, 0], so picking 0 covers [1, 1]
+    # and 1 is never picked; it still gets a rank, after the picks.
+    d = hl.all_pairs_distances(hl.parse_graph(text))
+    run = {"g-hhl": hl.run_g_hhl, "w-hhl": hl.run_w_hhl, "d-hhl": hl.run_d_hhl}[algo]
+    order, lab, trace = run(d)
+    assert [rec.vertex for rec in trace.iterations] == picked
+    assert order.n == d.n and order.by_rank() == picked + [1]
+    assert trace.order is order
+    assert hl.verify_cover(lab, d).valid
+
+
 def test_g_hhl_two_vertex_edge():
     d = hl.all_pairs_distances(edge2())
     order, lab, trace = hl.run_g_hhl(d)
