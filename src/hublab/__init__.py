@@ -19,13 +19,10 @@ from .graphs import (
     DistMatrix,
     Graph,
     GraphFormatError,
-    UnreachablePairError,
     all_pairs_distances,
-    on_shortest_path,
     parse_graph,
     path_membership,
     serialize_graph,
-    shortest_path_vertices,
     undirect,
 )
 from .greedy import (
@@ -102,7 +99,6 @@ __all__ = [
     "SignificantPath",
     "TooLargeError",
     "TraceNotFromDHHLError",
-    "UnreachablePairError",
     "all_pairs_distances",
     "audit_dhhl_levels",
     "ball",
@@ -119,7 +115,6 @@ __all__ = [
     "min_hitting_set",
     "min_vertex_cover",
     "neighborhood_S",
-    "on_shortest_path",
     "optimal_hhl_bruteforce",
     "optimal_hl_bnb",
     "parse_graph",
@@ -132,7 +127,6 @@ __all__ = [
     "run_w_hhl",
     "serialize_graph",
     "serialize_labeling",
-    "shortest_path_vertices",
     "sphs_to_hhl",
     "undirect",
     "verify_cover",

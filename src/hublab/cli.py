@@ -151,6 +151,8 @@ def _cmd_build(args) -> int:
         "labels": str(out),
         "size": labeling.size,
         "valid": report.valid,
+        "wrong_distance": len(report.wrong_distance),
+        "uncovered": len(report.uncovered),
     }
     if order is not None:
         payload["order"] = order.by_rank()
@@ -182,11 +184,15 @@ def _cmd_verify(args) -> int:
         ("valid", report.valid),
         ("size", labeling.size),
         ("violations", len(report.violations)),
+        ("wrong_distance", len(report.wrong_distance)),
+        ("uncovered", len(report.uncovered)),
     ]
     payload = {
         "valid": report.valid,
         "size": labeling.size,
         "violations": [list(p) for p in report.violations[:100]],
+        "wrong_distance": len(report.wrong_distance),
+        "uncovered": len(report.uncovered),
     }
     _emit(lines, payload)
     return EXIT_OK if report.valid else EXIT_INVALID

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graphs import Graph, all_pairs_distances
@@ -315,6 +317,33 @@ def construct_reduction_labeling_directed(gp: Graph, vc) -> Labeling:
     return Labeling(True, n, fwd, bwd)
 
 
+class _NonTreePairs(Sequence):
+    """The pairs u < v of 0..n-1 other than the given tree edges, in lexicographic
+    order, each computed on access; ``random.sample`` needs only length and index."""
+
+    def __init__(self, n: int, tree):
+        self._n = n
+        ranks = sorted(self._start(a) + b - a - 1 for a, b in tree)
+        # Non-tree pairs ranked below the j-th tree edge: the i-th non-tree pair
+        # passes exactly the tree edges whose count is <= i.
+        self._below = [r - j for j, r in enumerate(ranks)]
+        self._len = n * (n - 1) // 2 - len(ranks)
+
+    def _start(self, u: int) -> int:
+        """Lexicographic rank of the pair (u, u + 1)."""
+        return u * (2 * self._n - u - 1) // 2
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        if not 0 <= i < self._len:
+            raise IndexError(i)
+        r = i + bisect_right(self._below, i)
+        u = bisect_right(range(self._n), r, key=self._start) - 1
+        return (u, u + 1 + r - self._start(u))
+
+
 def gen_random(n: int, m: int, maxlen: int, seed: int) -> Graph:
     """Seeded connected undirected graph: random attachment tree plus sampled
     extra edges, lengths uniform in 1..maxlen."""
@@ -330,11 +359,7 @@ def gen_random(n: int, m: int, maxlen: int, seed: int) -> Graph:
         edges: list[tuple[int, int]] = []
         for i in range(1, n):
             edges.append((rng.randrange(i), i))
-        present = {(min(a, b), max(a, b)) for a, b in edges}
-        candidates = sorted(
-            (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present
-        )
-        edges.extend(rng.sample(candidates, m - (n - 1)))
+        edges.extend(rng.sample(_NonTreePairs(n, edges), m - (n - 1)))
         yield from ((u, v, rng.randint(1, maxlen)) for u, v in edges)
 
     return Graph(False, n, arcs())

@@ -1,4 +1,4 @@
-"""Weighted graphs, file parsing, exact all-pairs distances, and shortest-path predicates."""
+"""Weighted graphs, file parsing, exact all-pairs distances, and the shortest-path predicate."""
 
 from __future__ import annotations
 
@@ -28,10 +28,6 @@ class GraphFormatError(ValueError):
 
 class TooLargeError(ValueError):
     """Instance exceeds a size limit: the vertex bound or a brute-force limit."""
-
-
-class UnreachablePairError(ValueError):
-    """An operation required a finite distance between an unreachable pair."""
 
 
 def _check_zero_cycles(directed: bool, n: int, arcs) -> None:
@@ -321,22 +317,6 @@ def all_pairs_distances(g: Graph) -> DistMatrix:
     for s in range(g.n):
         m[s] = _dijkstra(adj, g.n, s)
     return DistMatrix(g.directed, m)
-
-
-def on_shortest_path(d: DistMatrix, u: int, w: int, v: int) -> bool:
-    """True iff v lies on some shortest u-w path: dist(u,v) + dist(v,w) == dist(u,w)."""
-    m = d.matrix
-    a, b = m[u, v], m[v, w]
-    return bool(math.isfinite(a) and math.isfinite(b) and a + b == m[u, w])
-
-
-def shortest_path_vertices(d: DistMatrix, u: int, w: int) -> set[int]:
-    """The set of all vertices lying on shortest u-w paths."""
-    if not d.finite(u, w):
-        raise UnreachablePairError(f"no path from {u} to {w}")
-    m = d.matrix
-    mask = np.isfinite(m[:, w]) & (m[u, :] + m[:, w] == m[u, w])
-    return set(np.flatnonzero(mask).tolist())
 
 
 def path_membership(d: DistMatrix, u: int, cols=None) -> np.ndarray:

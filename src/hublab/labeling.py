@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .graphs import INF, DistMatrix, path_membership
+from .graphs import INF, MAX_TOTAL_LENGTH, DistMatrix, path_membership
 
 
 class LabelFormatError(ValueError):
@@ -78,6 +79,8 @@ def _normalize_side(n: int, side) -> tuple[tuple[tuple[int, int], ...], ...]:
                 raise ValueError(f"vertex {v}: hub {h} out of range")
             if dd < 0:
                 raise ValueError(f"vertex {v}: negative hub distance")
+            if dd >= MAX_TOTAL_LENGTH:
+                raise ValueError(f"vertex {v}: hub distance reaches 2^53, above any distance")
         out.append(tuple(pairs))
     return tuple(out)
 
@@ -161,54 +164,104 @@ def labeling_size(l: Labeling) -> int:
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Result of cover verification; violations are pairs left without a valid hub."""
+    """Result of cover verification, as two sorted tuples of pairs.
 
-    valid: bool
-    violations: tuple[tuple[int, int], ...]
+    ``wrong_distance`` holds the pairs a stored hub distance claims to certify
+    but gets wrong; ``uncovered`` holds the pairs with no common hub on a
+    shortest path. A pair can be in both.
+    """
+
+    wrong_distance: tuple[tuple[int, int], ...]
+    uncovered: tuple[tuple[int, int], ...]
+
+    @property
+    def violations(self) -> tuple[tuple[int, int], ...]:
+        """Sorted union of both kinds."""
+        return tuple(sorted(set(self.wrong_distance) | set(self.uncovered)))
+
+    @property
+    def valid(self) -> bool:
+        return not (self.wrong_distance or self.uncovered)
+
+
+def _flatten(side) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One label side as CSR arrays: offsets, hubs, stored distances, owner vertices."""
+    counts = np.fromiter(map(len, side), dtype=np.int64, count=len(side))
+    offsets = np.zeros(len(side) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(side)), np.int64).reshape(-1, 2)
+    return offsets, flat[:, 0], flat[:, 1], np.repeat(np.arange(len(side)), counts)
 
 
 def verify_cover(l: Labeling, d: DistMatrix, pairs=None) -> CoverReport:
     """Check the cover property against exact distances.
 
-    A pair [s,t] is violated when no common hub lies on a shortest s-t path.
-    Stored hub distances are audited against ``d`` as well; a wrong entry
-    (h, dd) in a label of v is reported as a violation of the pair it claims
-    to certify. Restricting ``pairs`` checks cover for that subset only.
+    Each stored entry (h, dd) in a label of v is audited against ``d``; a wrong
+    one marks the pair it claims to certify. A pair [s,t] is uncovered when no
+    common hub lies on a shortest s-t path by the distances of ``d``, so a
+    wrong stored distance can neither hide nor fake a cover. Restricting
+    ``pairs`` checks cover for that subset only; unreachable pairs are skipped.
+
+    Per source s, m[s, h] is scattered into a row at the hubs of L_f(s), and
+    one ``minimum.reduceat`` takes min(row[h] + m[h, t]) over each L_b(t).
+    Exact shortest distances make that minimum at least m[s, t], with equality
+    iff a common hub lies on a shortest path; both are INF when unreachable.
     """
     if l.directed != d.directed or l.n != d.n:
         raise ValueError("labeling and distance matrix disagree on shape")
-    m = d.matrix
-    bad: set[tuple[int, int]] = set()
+    n, m = l.n, d.matrix
+    f_off, f_hub, f_dist, f_own = _flatten(l.fwd)
+    bad = m[f_own, f_hub] != f_dist
+    wrong_s, wrong_t = [f_own[bad]], [f_hub[bad]]
+    if l.directed:
+        b_off, b_hub, b_dist, b_own = _flatten(l.bwd)
+        bad = m[b_hub, b_own] != b_dist
+        wrong_s.append(b_hub[bad])
+        wrong_t.append(b_own[bad])
+    else:
+        b_off, b_hub, b_own = f_off, f_hub, f_own
 
-    def pair_of(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if d.directed or a <= b else (b, a)
+    # Each bwd label ends in a sentinel hub n, whose row cell stays INF, so no
+    # reduceat segment is empty and an empty label reduces to INF.
+    slot = np.arange(b_hub.size) + b_own
+    hub_x = np.full(b_hub.size + n, n)
+    hub_x[slot] = b_hub
+    leg_x = np.zeros(b_hub.size + n)
+    leg_x[slot] = m[b_hub, b_own]
+    starts = b_off[:-1] + np.arange(n)
+    row = np.full(n + 1, INF)
 
-    for v in range(l.n):
-        for h, dd in l.fwd[v]:
-            if m[v, h] != dd:
-                bad.add(pair_of(v, h))
-        if l.directed:
-            for h, dd in l.bwd[v]:
-                if m[h, v] != dd:
-                    bad.add(pair_of(h, v))
-
-    fwd_maps = [dict(lst) for lst in l.fwd]
-    bwd_maps = fwd_maps if not l.directed else [dict(lst) for lst in l.bwd]
-    if pairs is None:
-        pairs = d.reachable_pairs()
-    for s, t in pairs:
-        target = m[s, t]
-        if not np.isfinite(target):
-            continue
-        a, b = fwd_maps[s], bwd_maps[t]
-        if len(b) < len(a):
-            covered = any(h in a and m[s, h] + m[h, t] == target for h in b)
+    by_source = None
+    if pairs is not None:
+        by_source = {}
+        for s, t in pairs:
+            by_source.setdefault(int(s), []).append(int(t))
+    unc_s, unc_t = [], []
+    for s in range(n) if by_source is None else by_source:
+        lo = s if by_source is None and not l.directed else 0
+        hubs = f_hub[f_off[s] : f_off[s + 1]]
+        row[hubs] = m[s, hubs]
+        a = starts[lo]
+        best = np.minimum.reduceat(row[hub_x[a:]] + leg_x[a:], starts[lo:] - a)
+        row[hubs] = INF
+        if by_source is None:
+            ts = np.flatnonzero(best != m[s, lo:]) + lo
         else:
-            covered = any(h in b and m[s, h] + m[h, t] == target for h in a)
-        if not covered:
-            bad.add(pair_of(s, t))
-    violations = tuple(sorted(bad))
-    return CoverReport(not violations, violations)
+            ts = np.array(by_source[s])
+            ts = ts[best[ts] != m[s, ts]]
+        unc_s.append(np.full(ts.size, s))
+        unc_t.append(ts)
+    return CoverReport(
+        _sorted_pairs(l.directed, wrong_s, wrong_t), _sorted_pairs(l.directed, unc_s, unc_t)
+    )
+
+
+def _sorted_pairs(directed: bool, us, ws) -> tuple[tuple[int, int], ...]:
+    """Distinct pairs from chunks of sources and targets, canonical u <= w when undirected."""
+    us, ws = (np.concatenate([np.empty(0, np.int64), *x]) for x in (us, ws))
+    if not directed:
+        us, ws = np.minimum(us, ws), np.maximum(us, ws)
+    return tuple(map(tuple, np.unique(np.stack([us, ws], axis=1), axis=0).tolist()))
 
 
 def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:

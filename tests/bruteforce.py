@@ -65,6 +65,64 @@ def path_vertices_bruteforce(g: hl.Graph, u: int, w: int) -> set[int]:
     return out
 
 
+class UnreachablePairError(ValueError):
+    """An operation required a finite distance between an unreachable pair."""
+
+
+def on_shortest_path(d: hl.DistMatrix, u: int, w: int, v: int) -> bool:
+    """True iff v lies on some shortest u-w path: dist(u,v) + dist(v,w) == dist(u,w)."""
+    m = d.matrix
+    a, b = m[u, v], m[v, w]
+    return bool(math.isfinite(a) and math.isfinite(b) and a + b == m[u, w])
+
+
+def shortest_path_vertices(d: hl.DistMatrix, u: int, w: int) -> set[int]:
+    """The set of all vertices lying on shortest u-w paths."""
+    if not d.finite(u, w):
+        raise UnreachablePairError(f"no path from {u} to {w}")
+    m = d.matrix
+    mask = np.isfinite(m[:, w]) & (m[u, :] + m[:, w] == m[u, w])
+    return set(np.flatnonzero(mask).tolist())
+
+
+def verify_cover_loop(l: hl.Labeling, d: hl.DistMatrix, pairs=None) -> hl.CoverReport:
+    """Pair-by-pair cover check with a dict per label: the reference for ``verify_cover``."""
+    if l.directed != d.directed or l.n != d.n:
+        raise ValueError("labeling and distance matrix disagree on shape")
+    m = d.matrix
+    wrong: set[tuple[int, int]] = set()
+    uncovered: set[tuple[int, int]] = set()
+
+    def pair_of(a: int, b: int) -> tuple[int, int]:
+        return (a, b) if d.directed or a <= b else (b, a)
+
+    for v in range(l.n):
+        for h, dd in l.fwd[v]:
+            if m[v, h] != dd:
+                wrong.add(pair_of(v, h))
+        if l.directed:
+            for h, dd in l.bwd[v]:
+                if m[h, v] != dd:
+                    wrong.add(pair_of(h, v))
+
+    fwd_maps = [dict(lst) for lst in l.fwd]
+    bwd_maps = fwd_maps if not l.directed else [dict(lst) for lst in l.bwd]
+    if pairs is None:
+        pairs = d.reachable_pairs()
+    for s, t in pairs:
+        target = m[s, t]
+        if not np.isfinite(target):
+            continue
+        a, b = fwd_maps[s], bwd_maps[t]
+        if len(b) < len(a):
+            covered = any(h in a and m[s, h] + m[h, t] == target for h in b)
+        else:
+            covered = any(h in b and m[s, h] + m[h, t] == target for h in a)
+        if not covered:
+            uncovered.add(pair_of(s, t))
+    return hl.CoverReport(tuple(sorted(wrong)), tuple(sorted(uncovered)))
+
+
 def pair_level(dist: int) -> int | float:
     """Level of a pair: floor(log2 dist), with dist 0 mapping to -inf."""
     return hl.NEG_INF_LEVEL if dist == 0 else dist.bit_length() - 1

@@ -17,6 +17,7 @@ from bruteforce import (
     gen_random_directed,
     level_profile,
     pair_level,
+    shortest_path_vertices,
 )
 from conftest import edge2, seeded_graphs
 
@@ -162,7 +163,7 @@ def test_path_index_views_match_shortest_path_vertices():
         assert index.pairs(slice(None)) == d.reachable_pairs()
         through = {v: [] for v in range(g.n)}
         for pid, (u, w) in enumerate(index.pairs(slice(None))):
-            assert index[pid].tolist() == sorted(hl.shortest_path_vertices(d, u, w))
+            assert index[pid].tolist() == sorted(shortest_path_vertices(d, u, w))
             level = pair_level(d.dist(u, w))
             assert index.level[pid] == (-1 if level == hl.NEG_INF_LEVEL else level)
             for v in index[pid].tolist():

@@ -70,10 +70,13 @@ def test_build_and_verify_g_hhl(tmp_path, capsys):
     assert code == 0
     payload = _json_payload(capsys)
     assert payload["size"] == 98 and payload["valid"]
+    assert payload["wrong_distance"] == 0 and payload["uncovered"] == 0
     assert payload["order"][:3] == [0, 1, 2]
     blob = json.loads(trace.read_text())
     assert blob["algo"] == "g-hhl"
     assert main(["verify", str(graph), str(labels)]) == 0
+    out = capsys.readouterr().out
+    assert "wrong_distance: 0\nuncovered: 0\n" in out
 
 
 def test_build_canonical_with_order_file(tmp_path, capsys):
@@ -140,7 +143,34 @@ def test_verify_detects_broken_labels(tmp_path, capsys):
     labels = tmp_path / "broken.labels"
     labels.write_text("\n".join(broken) + "\n")
     assert main(["verify", str(graph), str(labels)]) == 1
-    assert _json_payload(capsys)["violations"]
+    payload = _json_payload(capsys)
+    assert payload["violations"]
+    assert payload["wrong_distance"] == 0
+    assert payload["uncovered"] == len(payload["violations"])
+
+
+@pytest.mark.parametrize("dd", [2**53, 10**400], ids=["2^53", "10^400"])
+def test_verify_refuses_impossible_hub_distances(tmp_path, capsys, dd):
+    graph = tmp_path / "edge.gr"
+    graph.write_text("p undirected 2 1\na 0 1 1\n")
+    labels = tmp_path / "huge.labels"
+    labels.write_text(f"l 0 0:0\nl 1 0:{dd} 1:0\n")
+    assert main(["verify", str(graph), str(labels)]) == 2
+    err = capsys.readouterr().err
+    assert "2^53" in err and "Traceback" not in err
+
+
+def test_verify_reports_largest_accepted_hub_distance_as_wrong(tmp_path, capsys):
+    graph = tmp_path / "edge.gr"
+    graph.write_text("p undirected 2 1\na 0 1 1\n")
+    labels = tmp_path / "big.labels"
+    labels.write_text(f"l 0 0:0\nl 1 0:{2**53 - 1} 1:0\n")
+    assert main(["verify", str(graph), str(labels)]) == 1
+    out = capsys.readouterr().out
+    assert "violations: 1\nwrong_distance: 1\nuncovered: 0\n" in out
+    payload = json.loads(out.splitlines()[-1][len("@json "):])
+    assert payload["violations"] == [[0, 1]]
+    assert (payload["wrong_distance"], payload["uncovered"]) == (1, 0)
 
 
 def test_verify_rejects_mismatched_labels(tmp_path):

@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import os
+import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +221,78 @@ def test_gen_random_determinism_and_shapes():
     expect = all_pairs_bruteforce(a)
     assert all(d.finite(0, v) for v in range(a.n))  # connected
     assert all(d.dist(0, v) == expect[0][v] for v in range(a.n))
+
+
+# sha256 of serialize_graph(gen_random(n, m, maxlen, seed)), seeds 0-2, as the
+# generator gave them when it sampled from an explicit sorted candidate list.
+GEN_RANDOM_DIGESTS = {
+    (7, 10, 3): (
+        "d206095f626f703f1d12261555f3fdc8338a5d584a423f6e73644edf8620f108",
+        "e4fcca45c36d52f4971b4225609126cd3df609c7efba0ccf36b817b56c2c3642",
+        "674e2e032b7e6f0c10c3fe83ada696c4ab77f3f37e85727710319dbe9db980ee",
+    ),
+    (25, 300, 5): (
+        "11c6f6c89cce80d67677fe4b2a1ed50992d96999fd15b849319bbe260b042b46",
+        "c91e03cb76eba3c927cecc2f531d1c4d583794e2839ca51ff69d8b695e5d8a66",
+        "ad956a108a783192dbb2c72f2c4c4e9ac3e479e7a6258093f83bc8e4d113841c",
+    ),
+    (40, 80, 4): (
+        "3bbede462722b0cb3e3621bca4ea13b43ffa9523c50ffba89bb92bcb675a5727",
+        "8c62a97077e2623f41f4f3ebd9e94b334d033be654cb098d996a04359c2d173d",
+        "86e426a2bb5b071d493d9ee54b30a501bd5f8620bf931b327c82a6ce41a60d07",
+    ),
+    (60, 120, 10): (
+        "732584a5a9797dffd2514e5a98723a364203387b0bfb24679a4d049f6d042cf9",
+        "be18b01b3fb10735c15e09240b1c4be9e0075f50b5adc0c336788ce6b83cbd78",
+        "a5fc9c5875b1907e6fe2a1e8b107ddddb23b91d9cde2d07f546e645160ffef43",
+    ),
+    (300, 600, 10): (
+        "f75bfa25aff865fe3accaa175b2f5b9cc1fcb5d832670330a0d3ce0c75a99f31",
+        "a3343a67bb948621aaaad0e89200315ad588a4341858f7bd7e55da2a0cfc547b",
+        "3ed3b2edd053aba9c4e6b0f5fc9bf5f8565fa4506efcc577b29376cbb73f7e02",
+    ),
+}
+
+
+@pytest.mark.parametrize("size", sorted(GEN_RANDOM_DIGESTS))
+def test_gen_random_graphs_unchanged(size):
+    for seed, digest in enumerate(GEN_RANDOM_DIGESTS[size]):
+        text = hl.serialize_graph(families.gen_random(*size, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_non_tree_pairs_view_matches_sorted_list():
+    for n in range(1, 30):
+        rng = random.Random(n)
+        tree = [(rng.randrange(i), i) for i in range(1, n)]
+        present = set(tree)
+        expect = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
+        view = families._NonTreePairs(n, tree)
+        assert len(view) == len(expect)
+        assert list(view) == expect
+        assert [view[i] for i in range(len(view))] == expect
+        with pytest.raises(IndexError):
+            view[len(view)]
+
+
+def test_generate_random_at_vertex_limit_under_memory_cap(tmp_path):
+    # 2*10^8 candidate pairs: listing them exceeds the cap, sampling a view does not.
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(hl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = tmp_path / "big.gr"
+    cmd = [sys.executable, "-m", "hublab.cli", "generate", "random", "--n", "20000"]
+    cmd += ["--m", "40000", "--out", str(out)]
+    res = subprocess.run(cmd, env=env, preexec_fn=limit, capture_output=True, text=True)
+    assert res.returncode in (0, 3), res.stderr
+    assert "Traceback" not in res.stderr
+    if res.returncode == 0:
+        g = hl.parse_graph(out.read_text())
+        assert (g.n, g.m) == (20000, 40000)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 import hublab as hl
 from hublab import families
 
-from bruteforce import all_pairs_bruteforce, gen_random_directed, path_vertices_bruteforce
+from bruteforce import (
+    UnreachablePairError,
+    all_pairs_bruteforce,
+    gen_random_directed,
+    on_shortest_path,
+    path_vertices_bruteforce,
+    shortest_path_vertices,
+)
 from conftest import edge2, path_graph, seeded_graphs
 
 
@@ -141,26 +148,26 @@ def test_on_shortest_path_examples():
     g3 = families.gen_bad_g(3)
     ids = families.bad_g_ids(3)
     d = hl.all_pairs_distances(g3)
-    assert hl.on_shortest_path(d, 0, 0, 0)
-    assert hl.on_shortest_path(d, ids.a[0], ids.c_id(1, 1), ids.b[0])
-    assert not hl.on_shortest_path(d, ids.a[0], ids.c_id(1, 1), ids.a[1])
+    assert on_shortest_path(d, 0, 0, 0)
+    assert on_shortest_path(d, ids.a[0], ids.c_id(1, 1), ids.b[0])
+    assert not on_shortest_path(d, ids.a[0], ids.c_id(1, 1), ids.a[1])
 
 
 def test_shortest_path_vertices_examples():
     g3 = families.gen_bad_g(3)
     ids = families.bad_g_ids(3)
     d = hl.all_pairs_distances(g3)
-    assert hl.shortest_path_vertices(d, 5, 5) == {5}
-    assert hl.shortest_path_vertices(d, ids.a[0], ids.c_id(1, 1)) == {
+    assert shortest_path_vertices(d, 5, 5) == {5}
+    assert shortest_path_vertices(d, ids.a[0], ids.c_id(1, 1)) == {
         ids.a[0],
         ids.b[0],
         ids.c_id(1, 1),
     }
     c4 = families.gen_cycle4(False)
     dc = hl.all_pairs_distances(c4)
-    assert hl.shortest_path_vertices(dc, 0, 2) == {0, 1, 2, 3}
-    with pytest.raises(hl.UnreachablePairError):
-        hl.shortest_path_vertices(d, ids.c_id(1, 1), ids.a[0])
+    assert shortest_path_vertices(dc, 0, 2) == {0, 1, 2, 3}
+    with pytest.raises(UnreachablePairError):
+        shortest_path_vertices(d, ids.c_id(1, 1), ids.a[0])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -172,7 +179,7 @@ def test_shortest_path_vertices_matches_bruteforce(seed):
     for u in range(g.n):
         for w in range(g.n):
             if d.finite(u, w):
-                assert hl.shortest_path_vertices(d, u, w) == path_vertices_bruteforce(g, u, w)
+                assert shortest_path_vertices(d, u, w) == path_vertices_bruteforce(g, u, w)
 
 
 @settings(max_examples=25, deadline=None)
@@ -186,9 +193,9 @@ def test_prefix_closure(seed):
         for w in range(g.n):
             if not d.finite(u, w):
                 continue
-            for v in hl.shortest_path_vertices(d, u, w):
-                for x in hl.shortest_path_vertices(d, u, v):
-                    assert hl.on_shortest_path(d, u, v, x)
+            for v in shortest_path_vertices(d, u, w):
+                for x in shortest_path_vertices(d, u, v):
+                    assert on_shortest_path(d, u, v, x)
 
 
 def test_undirect():

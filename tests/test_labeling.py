@@ -7,7 +7,7 @@ import pytest
 import hublab as hl
 from hublab import families
 
-from bruteforce import gen_random_directed, path_vertices_bruteforce
+from bruteforce import gen_random_directed, path_vertices_bruteforce, verify_cover_loop
 from conftest import edge2, seeded_graphs
 
 
@@ -68,6 +68,9 @@ def test_verify_cover_flags_wrong_stored_distance():
     report = hl.verify_cover(lab, d)
     assert not report.valid
     assert (0, 1) in report.violations
+    # Hub 0 still covers (0, 1) on the matrix's distances.
+    assert (0, 1) in report.wrong_distance
+    assert (0, 1) not in report.uncovered
 
 
 def test_verify_cover_drop_one_hub_breaks_minimal_labeling():
@@ -75,7 +78,87 @@ def test_verify_cover_drop_one_hub_breaks_minimal_labeling():
     lab = hl.Labeling(False, 2, [[(0, 0)], [(0, 1), (1, 0)]])
     assert hl.verify_cover(lab, d).valid
     dropped = hl.Labeling(False, 2, [[(0, 0)], [(1, 0)]])
-    assert not hl.verify_cover(dropped, d).valid
+    report = hl.verify_cover(dropped, d)
+    assert not report.valid
+    assert (0, 1) in report.uncovered
+    assert (0, 1) not in report.wrong_distance
+
+
+def test_hub_distance_of_2_pow_53_refused():
+    assert hl.Labeling(False, 1, [[(0, 2**53 - 1)]]).fwd == (((0, 2**53 - 1),),)
+    for dd in (2**53, 10**400):
+        with pytest.raises(ValueError, match="2\\^53"):
+            hl.Labeling(False, 1, [[(0, dd)]])
+
+
+def _mutants(lab: hl.Labeling, d: hl.DistMatrix, rng: random.Random, count: int):
+    """Copies of ``lab`` with dropped entries, stored distances off by one and extra hubs."""
+    m = d.matrix
+    for _ in range(count):
+        sides = [[list(x) for x in lab.fwd]]
+        if lab.directed:
+            sides.append([list(x) for x in lab.bwd])
+        for _ in range(rng.randint(1, 3)):
+            side = rng.randrange(len(sides))
+            v = rng.randrange(lab.n)
+            entries = sides[side][v]
+            kind = rng.randrange(3)
+            if kind == 0 and entries:
+                entries.pop(rng.randrange(len(entries)))
+            elif kind == 1 and entries:
+                i = rng.randrange(len(entries))
+                h, dd = entries[i]
+                entries[i] = (h, dd + 1 if dd == 0 or rng.random() < 0.5 else dd - 1)
+            else:
+                h = rng.randrange(lab.n)
+                if h not in {x for x, _ in entries}:
+                    true = m[h, v] if side else m[v, h]
+                    entries.append((h, int(true) if true != hl.INF else rng.randint(0, 5)))
+        yield hl.Labeling(lab.directed, lab.n, *sides)
+
+
+def _differential_graphs() -> list[hl.Graph]:
+    return (
+        seeded_graphs(8, 8, 30000)
+        + [gen_random_directed(n, n, 3, 30100 + n) for n in (3, 5, 7, 9)]
+        + [
+            hl.Graph(False, 0, []),
+            hl.Graph(True, 0, []),
+            hl.Graph(False, 1, []),
+            hl.Graph(True, 1, []),
+            hl.Graph(False, 5, [(0, 1, 0), (1, 2, 1), (2, 3, 0)]),  # zero length, vertex 4 apart
+            hl.Graph(True, 4, [(0, 1, 0), (1, 2, 0), (2, 3, 2), (3, 0, 1)]),
+            hl.Graph(False, 6, [(0, 1, 1), (2, 3, 2), (3, 4, 0)]),
+            hl.Graph(True, 5, [(0, 1, 1), (1, 2, 1), (0, 3, 5), (4, 3, 0)]),
+        ]
+    )
+
+
+@pytest.mark.parametrize("index", range(len(_differential_graphs())))
+def test_verify_cover_matches_pair_loop(index):
+    g = _differential_graphs()[index]
+    d = hl.all_pairs_distances(g)
+    rng = random.Random(31000 + index)
+    n = g.n
+    order = list(range(n))
+    rng.shuffle(order)
+    valid = [hl.canonical_hhl(d, hl.Order.from_sequence(order)), hl.run_g_hhl(d)[1]]
+    empty = hl.Labeling(g.directed, n, [[]] * n, [[]] * n if g.directed else None)
+    labelings = valid + [empty]
+    for lab in valid if n else ():
+        labelings.extend(_mutants(lab, d, rng, 12))
+    every = [(s, t) for s in range(n) for t in range(n)]
+    subsets = [None, [], rng.sample(every, len(every) // 3), every]
+    for lab in labelings:
+        for pairs in subsets:
+            got = hl.verify_cover(lab, d, pairs)
+            want = verify_cover_loop(lab, d, pairs)
+            assert got.wrong_distance == want.wrong_distance
+            assert got.uncovered == want.uncovered
+            assert got.violations == want.violations
+            assert got.valid == want.valid
+            assert got == want
+    assert all(hl.verify_cover(lab, d).valid for lab in valid)
 
 
 def test_canonical_c4():
@@ -213,6 +296,7 @@ def test_label_file_round_trip():
         "l 0\nl 2\n",              # gap in vertex ids
         "f 0\n",                   # missing backward side
         "l 0 5:1\n",               # hub out of range
+        "l 0 0:9007199254740992\n",  # hub distance 2^53
         "x 0\n",                   # unknown tag
         "",                        # empty
     ],
