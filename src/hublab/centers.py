@@ -86,12 +86,14 @@ class PathIndex:
         rows, lens = [np.zeros(0, np.int32)], [np.zeros(1, np.int64)]
         for s in self.sources():
             member = path_membership(d, s, self.w[self.source_ptr[s] : self.source_ptr[s + 1]])
-            lens.append(member.sum(axis=0))
-            rows.append((np.flatnonzero(member.T.ravel()) % n).astype(np.int32))
+            at, vs = np.divmod(np.flatnonzero(member), n)
+            lens.append(np.bincount(at, minlength=len(member)))
+            rows.append(vs.astype(np.int32))
         self.verts = np.concatenate(rows)
         self.ptr = np.cumsum(np.concatenate(lens))
         owner = np.repeat(np.arange(len(self.u), dtype=np.int32), np.diff(self.ptr))
-        self.vpairs = owner[np.argsort(self.verts, kind="stable")]
+        # A stable sort on ids of at most 16 bits is a radix sort.
+        self.vpairs = owner[np.argsort(self.verts.astype(np.min_scalar_type(n)), kind="stable")]
         self.vptr = np.concatenate(([0], np.cumsum(np.bincount(self.verts, minlength=n))))
 
     def __len__(self) -> int:
@@ -142,9 +144,11 @@ class CoverageState:
         self.lvl_counts = np.zeros((n, width), np.int64)
         self.global_lvl = np.zeros(width, np.int64)
         self.deg = np.zeros((n, 2 * n if self.directed else n), np.int32)
-        ptr = self.index.source_ptr
-        for s in self.index.sources():
-            self._count(np.arange(ptr[s], ptr[s + 1]), 1)
+        # Seed in blocks of about n x slots entries, where a dense bincount beats a sort.
+        ptr, block = self.index.ptr, max(self.deg.size, 1)
+        cuts = np.searchsorted(ptr, np.arange(block, ptr[-1], block))
+        for lo, hi in zip([0, *cuts], [*cuts, len(self.index)]):
+            self._count(np.arange(lo, hi), 1)
 
     pair_path = property(lambda self: self.index, doc="Path vertices indexed by pair id.")
 
@@ -164,8 +168,13 @@ class CoverageState:
         head = idx.w[pids][owner] + (n if self.directed else 0)
         both = head != tail  # an undirected self pair fills a single slot
         keys = np.concatenate((xs * slots + tail, (xs * slots + head)[both]))
-        cells, hits = np.unique(keys, return_counts=True)
         flat = self.deg.reshape(-1)
+        if keys.size >= flat.size:  # dense: one bincount over every cell, no sort
+            hits = np.bincount(keys, minlength=flat.size)
+            cells = np.flatnonzero(hits)
+            hits = hits[cells]
+        else:
+            cells, hits = np.unique(keys, return_counts=True)
         old = flat[cells]
         flat[cells] = old + sign * hits
         flipped = old == 0 if sign > 0 else old == hits
@@ -191,9 +200,10 @@ class CoverageState:
         return CenterGraph(v, self.directed, tuple(self.index.pairs(self.pairs_through(v))))
 
     def cover_pairs(self, pids) -> None:
-        """Mark still-uncovered pairs covered and update every counter."""
+        """Mark still-uncovered pairs covered and update all counters; ascending ids skip a sort."""
         pids = np.asarray(pids, dtype=np.int64)
-        if np.unique(pids).size != pids.size or not self.uncovered[pids].all():
+        distinct = (pids[1:] > pids[:-1]).all() or np.unique(pids).size == pids.size
+        if not distinct or not self.uncovered[pids].all():
             raise ValueError("pair ids must be distinct and still uncovered")
         self.uncovered[pids] = False
         self.uncovered_count -= len(pids)

@@ -297,8 +297,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TooLargeError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TooLargeError, CapExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_LIMIT
     except (GraphFormatError, LabelFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

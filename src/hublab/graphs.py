@@ -253,11 +253,11 @@ def _dijkstra(adj, n: int, source: int) -> list[float]:
 class DistMatrix:
     """All-pairs distances; entries are exact non-negative ints, INF when unreachable.
 
-    Backed by a read-only float64 array (integer-valued where finite), which keeps
-    desk-scale arithmetic exact and makes membership predicates vectorizable.
+    Backed by a read-only float64 array (integer-valued where finite); the
+    membership kernel compares on its exact integer copy, ``exact()``.
     """
 
-    __slots__ = ("directed", "n", "_m", "_diam")
+    __slots__ = ("directed", "n", "_m", "_diam", "_exact")
 
     def __init__(self, directed: bool, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -268,6 +268,7 @@ class DistMatrix:
         self.n = matrix.shape[0]
         self._m = matrix
         self._diam = None
+        self._exact = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -284,9 +285,22 @@ class DistMatrix:
     def diameter(self) -> int:
         """Largest finite entry (0 for an empty or single-vertex graph)."""
         if self._diam is None:
-            finite = self._m[np.isfinite(self._m)]
-            self._diam = int(finite.max()) if finite.size else 0
+            self._diam = int(np.max(self._m, where=np.isfinite(self._m), initial=0))
         return self._diam
+
+    def exact(self) -> np.ndarray:
+        """Exact integer copy of the transposed matrix, [w, v] = dist(v, w); cached.
+
+        Unreachable is D+1 (D the diameter), so no sum with it matches a finite
+        distance. Sums reach 2(D+1): int32 below 2^31, int64 otherwise.
+        """
+        if self._exact is None:
+            cap = self.diameter + 1
+            ints = np.empty(self._m.shape, np.int32 if 2 * cap < 2**31 else np.int64)
+            np.minimum(self._m.T, cap, out=ints, casting="unsafe")
+            ints.setflags(write=False)
+            self._exact = ints
+        return self._exact
 
     def reachable_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Sources and targets of all finite pairs, sorted; canonical u <= w when undirected."""
@@ -319,16 +333,15 @@ def all_pairs_distances(g: Graph) -> DistMatrix:
     return DistMatrix(g.directed, m)
 
 
-def path_membership(d: DistMatrix, u: int, cols=None) -> np.ndarray:
-    """Boolean (v, j) table: v lies on some shortest u-w path, w = ``cols[j]``.
+def path_membership(d: DistMatrix, u: int, cols) -> np.ndarray:
+    """Pair-major boolean (j, v) table: v lies on some shortest u-w path, w = ``cols[j]``.
 
-    Without ``cols`` every w is a column and columns for unreachable w are all
-    False. Given ``cols``, each must be reachable from u; then an infinite
-    distance on either leg can never match the finite target, so no guard is
-    needed and only n x len(cols) cells are computed.
+    Each w must be reachable from u. Compares on ``d.exact()``, where an
+    unreachable leg is D+1 and so never sums to the finite target; row j lists
+    its path vertices in id order, as a CSR row wants them.
     """
-    m = d.matrix
-    row = m[u]
-    if cols is not None:
-        return (row[:, None] + m[:, cols]) == row[cols][None, :]
-    return ((row[:, None] + m) == row[None, :]) & np.isfinite(row)[None, :]
+    into = d.exact()
+    row = np.ascontiguousarray(into[:, u])
+    legs = into[cols]
+    legs += row
+    return legs == row[cols][:, None]

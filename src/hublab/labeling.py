@@ -273,22 +273,27 @@ def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:
     n = d.n
     if pi.n != n:
         raise ValueError("order and distance matrix disagree on n")
-    m = d.matrix
+    m, into = d.matrix, d.exact()
     by_rank = np.array(pi.by_rank(), dtype=np.int64)
-    fwd: list[dict[int, int]] = [dict() for _ in range(n)]
-    bwd: list[dict[int, int]] = [dict() for _ in range(n)] if d.directed else fwd
+    # hub_f[u, h]: h is the hub of a pair [u, .]; hub_b[w, h] of a pair [., w].
+    hub_f = np.zeros((n, n), dtype=bool)
+    hub_b = np.zeros((n, n), dtype=bool) if d.directed else hub_f
     for u in range(n):
         cols = np.flatnonzero(np.isfinite(m[u]))
         if not d.directed:
             cols = cols[cols >= u]
-        # Rows in rank order: the first vertex on a path is its most important one.
-        hubs = by_rank[np.argmax(path_membership(d, u, cols)[by_rank], axis=0)]
-        for w, h in zip(cols.tolist(), hubs.tolist()):
-            fwd[u][h] = int(m[u, h])
-            bwd[w][h] = int(m[h, w])
-    if d.directed:
-        return Labeling(True, n, fwd, bwd)
-    return Labeling(False, n, fwd)
+        # Columns in rank order: the first vertex on a path is its most important one.
+        hubs = by_rank[np.argmax(path_membership(d, u, cols)[:, by_rank], axis=1)]
+        hub_f[u, hubs] = True
+        hub_b[cols, hubs] = True
+    sides = (_side(hub_f, into.T), _side(hub_b, into)) if d.directed else (_side(hub_f, into),)
+    return Labeling(d.directed, n, *sides)
+
+
+def _side(hub: np.ndarray, dist: np.ndarray) -> list[list[tuple[int, int]]]:
+    """Label lists from an owner-by-hub table, each entry (h, dist[owner, h])."""
+    rows = map(np.flatnonzero, hub)
+    return [list(zip(hs.tolist(), dist[v, hs].tolist())) for v, hs in enumerate(rows)]
 
 
 def respects_order(l: Labeling, pi: Order) -> bool:

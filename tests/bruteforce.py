@@ -85,6 +85,21 @@ def shortest_path_vertices(d: hl.DistMatrix, u: int, w: int) -> set[int]:
     return set(np.flatnonzero(mask).tolist())
 
 
+def canonical_hhl_loop(d: hl.DistMatrix, pi: hl.Order) -> hl.Labeling:
+    """Pair-by-pair canonical labeling: the reference for ``canonical_hhl``.
+
+    Each reachable pair's hub is the most important vertex on its shortest paths.
+    """
+    n = d.n
+    fwd: list[dict[int, int]] = [{} for _ in range(n)]
+    bwd: list[dict[int, int]] = [{} for _ in range(n)] if d.directed else fwd
+    for u, w in d.reachable_pairs():
+        h = min(shortest_path_vertices(d, u, w), key=pi.rank)
+        fwd[u][h] = d.dist(u, h)
+        bwd[w][h] = d.dist(h, w)
+    return hl.Labeling(True, n, fwd, bwd) if d.directed else hl.Labeling(False, n, fwd)
+
+
 def verify_cover_loop(l: hl.Labeling, d: hl.DistMatrix, pairs=None) -> hl.CoverReport:
     """Pair-by-pair cover check with a dict per label: the reference for ``verify_cover``."""
     if l.directed != d.directed or l.n != d.n:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import hublab as hl
 from hublab import families
@@ -12,10 +14,12 @@ from hublab.centers import PathIndex
 
 from bruteforce import (
     build_center_graph,
+    canonical_hhl_loop,
     center_weight_sum,
     density,
     gen_random_directed,
     level_profile,
+    on_shortest_path,
     pair_level,
     shortest_path_vertices,
 )
@@ -168,10 +172,47 @@ def test_path_index_views_match_shortest_path_vertices():
             assert index.level[pid] == (-1 if level == hl.NEG_INF_LEVEL else level)
             for v in index[pid].tolist():
                 through[v].append(pid)
-            cols = np.array([w, u])  # targets reachable from u, in any order
-            assert (hl.path_membership(d, u, cols) == hl.path_membership(d, u)[:, cols]).all()
+            table = hl.path_membership(d, u, np.array([w, u]))  # reachable targets, any order
+            for j, t in enumerate((w, u)):
+                assert table[j].tolist() == [on_shortest_path(d, u, t, v) for v in range(g.n)]
         for v in range(g.n):
             assert index.through(v).tolist() == through[v]
+
+
+# Zero-length arcs, and lengths near 2^40 so that sums leave int32.
+_LENGTHS = st.one_of(st.just(0), st.integers(1, 4), st.integers(2**40 - 2, 2**40 + 2))
+
+
+@st.composite
+def _graphs(draw):
+    directed, n = draw(st.booleans()), draw(st.integers(1, 6))
+    ends = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(ends, ends, _LENGTHS), max_size=10))
+    try:
+        return hl.Graph(directed, n, [a for a in arcs if a[0] != a[1]])
+    except ValueError:  # a zero-length cycle
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graphs(), st.randoms(use_true_random=False))
+@example(hl.Graph(True, 4, [(0, 1, 2**40), (1, 2, 2**40 + 1), (2, 0, 0)]), random.Random(0))
+@example(hl.Graph(False, 4, [(0, 1, 0), (1, 2, 2**40)]), random.Random(1))
+def test_membership_kernel_matches_bruteforce(g, rnd):
+    d = hl.all_pairs_distances(g)
+    cap = d.diameter + 1
+    into = d.exact()
+    assert into.dtype == (np.int32 if 2 * cap < 2**31 else np.int64)
+    rows = [[d.dist(u, v) if d.finite(u, v) else cap for v in range(g.n)] for u in range(g.n)]
+    assert into.T.tolist() == rows
+    index = PathIndex(d)
+    assert index.pairs(slice(None)) == d.reachable_pairs()
+    for pid, (u, w) in enumerate(index.pairs(slice(None))):
+        assert index[pid].tolist() == sorted(shortest_path_vertices(d, u, w))
+    order = list(range(g.n))
+    rnd.shuffle(order)
+    pi = hl.Order.from_sequence(order)
+    assert hl.canonical_hhl(d, pi) == canonical_hhl_loop(d, pi)
 
 
 def test_engine_matches_from_scratch_after_random_covers():
@@ -206,6 +247,20 @@ def test_cover_center_covers_exactly_its_arcs():
     assert set(engine.index.pairs(np.flatnonzero(engine.uncovered))) == u_before - arcs
     with pytest.raises(ValueError, match="still uncovered"):
         engine.cover_pairs(pids[:1])
+
+
+def test_cover_pairs_rejects_repeated_ids_and_takes_any_order():
+    d = hl.all_pairs_distances(families.gen_bad_g(2))
+    engine, again = hl.CoverageState(d), hl.CoverageState(d)
+    pids = engine.pairs_through(0)
+    for bad in ([pids[0], pids[0]], [pids[1], pids[0], pids[1]]):
+        with pytest.raises(ValueError, match="distinct"):
+            engine.cover_pairs(bad)
+    assert engine.uncovered.all()  # a refused call changes nothing
+    engine.cover_pairs(pids[::-1])
+    again.cover_pairs(pids)
+    assert (engine.uncovered == again.uncovered).all()
+    assert (engine.deg == again.deg).all() and (engine.noniso == again.noniso).all()
 
 
 def test_engine_rejects_unreachable_pairs():

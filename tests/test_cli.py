@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,3 +255,24 @@ def test_generate_random_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     g = hl.parse_graph(out1.read_text())
     assert (g.n, g.m) == (6, 8)
+
+
+def test_build_and_verify_at_vertex_limit_under_memory_cap(tmp_path):
+    # The n x n distance matrix alone is 3.2 GB at 20,000 vertices.
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    graph, labels = tmp_path / "big.gr", tmp_path / "big.lab"
+    graph.write_text("p undirected 20000 0\n")
+    labels.write_text("".join(f"l {v}\n" for v in range(20000)))
+    src = str(Path(hl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    for args in (["build", str(graph), "--algo", "g-hhl", "--out", str(tmp_path / "out.lab")],
+                 ["verify", str(graph), str(labels)]):
+        cmd = [sys.executable, "-m", "hublab.cli", *args]
+        res = subprocess.run(cmd, env=env, preexec_fn=limit, capture_output=True, text=True)
+        assert res.returncode == 3, res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: ")
