@@ -65,7 +65,7 @@ class PathIndex:
     """
 
     def __init__(self, d: DistMatrix, pairs=None):
-        m, n = d.matrix, d.n
+        into, n = d.exact(), d.n
         if pairs is None:
             us, ws = d.reachable_arrays()
         else:
@@ -76,12 +76,12 @@ class PathIndex:
             if not d.directed:
                 uw.sort(axis=1)
             us, ws = np.unique(uw, axis=0).T
-            bad = np.flatnonzero(~np.isfinite(m[us, ws]))
+            bad = np.flatnonzero(into[ws, us] == d.unreachable)
             if bad.size:
                 u, w = us[bad[0]], ws[bad[0]]
                 raise ValueError(f"pair ({u},{w}) is unreachable and can never be covered")
         self.u, self.w = us.astype(np.int32), ws.astype(np.int32)
-        self.level = (np.frexp(m[us, ws])[1] - 1).astype(np.int8)
+        self.level = (np.frexp(into[ws, us])[1] - 1).astype(np.int8)
         self.source_ptr = np.searchsorted(self.u, np.arange(n + 1))
         rows, lens = [np.zeros(0, np.int32)], [np.zeros(1, np.int64)]
         for s in self.sources():

@@ -216,10 +216,9 @@ def _cmd_compare(args) -> int:
         lines.append(("optimal_hl_upper", res.upper))
         payload["optimal_hhl"] = opt_hhl
         payload["optimal_hl"] = {"lower": res.lower, "upper": res.upper, "complete": res.complete}
-        base = res.upper
-        for a, s in rows:
-            lines.append((f"ratio[{a}]", f"{s / base:.4f}"))
-        payload["ratios"] = {a: s / base for a, s in rows}
+        if res.upper:  # only the empty graph has optimum 0, and no ratios
+            lines.extend((f"ratio[{a}]", f"{s / res.upper:.4f}") for a, s in rows)
+        payload["ratios"] = {a: s / res.upper for a, s in rows} if res.upper else None
     _emit(lines, payload)
     return EXIT_OK
 

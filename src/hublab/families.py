@@ -225,27 +225,27 @@ def construct_reduction_labeling_undirected(gp: Graph, vc) -> Labeling:
     for u, v in base_edges:
         if u not in vc and v not in vc:
             raise NotAVertexCoverError(f"edge ({u},{v}) uncovered")
-    m = all_pairs_distances(gp).matrix
+    dist = all_pairs_distances(gp).dist
     s = 3 * n_base
     labels: list[dict[int, int]] = [dict() for _ in range(gp.n)]
     for x in range(gp.n):
         labels[x][x] = 0
-        labels[x][s] = int(m[x, s])
+        labels[x][s] = dist(x, s)
     for v in range(n_base):
         v1, v2, v3 = 3 * v, 3 * v + 1, 3 * v + 2
         if v in vc:
-            labels[v2][v1] = int(m[v2, v1])
-            labels[v3][v1] = int(m[v3, v1])
-            labels[v3][v2] = int(m[v3, v2])
+            labels[v2][v1] = dist(v2, v1)
+            labels[v3][v1] = dist(v3, v1)
+            labels[v3][v2] = dist(v3, v2)
         else:
-            labels[v1][v2] = int(m[v1, v2])
-            labels[v3][v2] = int(m[v3, v2])
+            labels[v1][v2] = dist(v1, v2)
+            labels[v3][v2] = dist(v3, v2)
     for u, v in base_edges:
         x = u if u in vc else v
         y = v if x == u else u
         x1 = 3 * x
         for yj in (3 * y, 3 * y + 1, 3 * y + 2):
-            labels[yj][x1] = int(m[yj, x1])
+            labels[yj][x1] = dist(yj, x1)
     return Labeling(False, gp.n, labels)
 
 
@@ -294,7 +294,7 @@ def construct_reduction_labeling_directed(gp: Graph, vc) -> Labeling:
     for u, v in base_edges:
         if u not in vc and v not in vc:
             raise NotAVertexCoverError(f"edge ({u},{v}) uncovered")
-    m = all_pairs_distances(gp).matrix
+    dist = all_pairs_distances(gp).dist
     n = gp.n
     fwd: list[dict[int, int]] = [dict() for _ in range(n)]
     bwd: list[dict[int, int]] = [dict() for _ in range(n)]
@@ -304,16 +304,16 @@ def construct_reduction_labeling_directed(gp: Graph, vc) -> Labeling:
     e_base = 2 * n_base + 1
     for t, h, _ in gp.arcs:
         if t == 0:
-            fwd[0][h] = int(m[0, h])
+            fwd[0][h] = dist(0, h)
         elif h >= e_base:
-            bwd[h][t] = int(m[t, h])
+            bwd[h][t] = dist(t, h)
         elif t % 2 == 1 and h == t + 1:
-            bwd[h][t] = int(m[t, h])
+            bwd[h][t] = dist(t, h)
         else:
-            fwd[t][h] = int(m[t, h])
+            fwd[t][h] = dist(t, h)
     for v in sorted(vc):
         hub = 2 + 2 * v
-        fwd[0][hub] = int(m[0, hub])
+        fwd[0][hub] = dist(0, hub)
     return Labeling(True, n, fwd, bwd)
 
 

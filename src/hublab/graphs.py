@@ -7,12 +7,14 @@ import math
 
 import numpy as np
 
+# What ``DistMatrix.dist`` and ``Labeling.query`` return for an unreachable pair.
 INF = math.inf
 # Shortest paths are simple, so no distance exceeds the total arc length. Below
-# 2^53 every distance is exact in float64, and a sum of two distances is either
-# exact or at least 2^53, so a membership test never matches by rounding.
+# 2^53 every distance is exact in the float64 export ``DistMatrix.matrix``, and
+# label distances are refused from 2^53 on, above any distance.
 MAX_TOTAL_LENGTH = 2**53
-# The all-pairs matrix holds n^2 float64 cells: 3.2 GB at this vertex count.
+# The all-pairs array holds n^2 int32 cells, 1.6 GB at this vertex count; int64
+# (3.2 GB) only when the diameter reaches about 2^30.
 MAX_VERTICES = 20_000
 
 
@@ -234,103 +236,103 @@ def undirect(g: Graph) -> Graph:
     return Graph(False, g.n, g.arcs)
 
 
-def _dijkstra(adj, n: int, source: int) -> list[float]:
-    dist = [INF] * n
+def _dijkstra(adj, source: int, far: int) -> tuple[list[int], int]:
+    """Distances from ``source`` (``far`` where unreached) and the largest of them."""
+    dist = [far] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
+    ecc = 0
     while heap:
         dv, v = heapq.heappop(heap)
         if dv > dist[v]:
             continue
+        ecc = dv
         for w, length in adj[v]:
             nd = dv + length
             if nd < dist[w]:
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
-    return dist
+    return dist, ecc
 
 
 class DistMatrix:
-    """All-pairs distances; entries are exact non-negative ints, INF when unreachable.
+    """All-pairs distances as one exact integer array, target-major.
 
-    Backed by a read-only float64 array (integer-valued where finite); the
-    membership kernel compares on its exact integer copy, ``exact()``.
+    ``exact()[w, v]`` is dist(v, w), or ``unreachable`` = D + 1 (D the
+    diameter) if w is unreachable from v, so no sum with such a leg matches a
+    distance. Sums reach 2(D + 1): int32 below 2^31, int64 otherwise. ``dist``
+    gives INF when unreachable; ``matrix`` is a float64 export, built on demand.
     """
 
-    __slots__ = ("directed", "n", "_m", "_diam", "_exact")
+    __slots__ = ("directed", "n", "diameter", "unreachable", "_into", "_float")
 
-    def __init__(self, directed: bool, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("distance matrix must be square")
-        matrix.setflags(write=False)
+    def __init__(self, directed: bool, into: np.ndarray, diameter: int):
+        into.setflags(write=False)
         self.directed = bool(directed)
-        self.n = matrix.shape[0]
-        self._m = matrix
-        self._diam = None
-        self._exact = None
+        self.n = into.shape[0]
+        self.diameter = diameter
+        self.unreachable = diameter + 1
+        self._into = into
+        self._float = None
+
+    def exact(self) -> np.ndarray:
+        return self._into
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._m
+        """Float64 copy, [u, v] = dist(u, v) and INF when unreachable; cached."""
+        if self._float is None:
+            m = self._into.T.astype(np.float64, order="C")
+            m[m > self.diameter] = INF
+            m.setflags(write=False)
+            self._float = m
+        return self._float
 
     def dist(self, u: int, v: int) -> int | float:
-        x = self._m[u, v]
-        return int(x) if math.isfinite(x) else INF
+        x = int(self._into[v, u])
+        return x if x < self.unreachable else INF
 
     def finite(self, u: int, v: int) -> bool:
-        return bool(math.isfinite(self._m[u, v]))
-
-    @property
-    def diameter(self) -> int:
-        """Largest finite entry (0 for an empty or single-vertex graph)."""
-        if self._diam is None:
-            self._diam = int(np.max(self._m, where=np.isfinite(self._m), initial=0))
-        return self._diam
-
-    def exact(self) -> np.ndarray:
-        """Exact integer copy of the transposed matrix, [w, v] = dist(v, w); cached.
-
-        Unreachable is D+1 (D the diameter), so no sum with it matches a finite
-        distance. Sums reach 2(D+1): int32 below 2^31, int64 otherwise.
-        """
-        if self._exact is None:
-            cap = self.diameter + 1
-            ints = np.empty(self._m.shape, np.int32 if 2 * cap < 2**31 else np.int64)
-            np.minimum(self._m.T, cap, out=ints, casting="unsafe")
-            ints.setflags(write=False)
-            self._exact = ints
-        return self._exact
+        return bool(self._into[v, u] < self.unreachable)
 
     def reachable_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sources and targets of all finite pairs, sorted; canonical u <= w when undirected."""
-        fin = np.isfinite(self._m)
+        """Sources and targets of all reachable pairs, sorted; canonical u <= w when undirected."""
+        fin = self._into.T < self.unreachable
         return np.nonzero(fin if self.directed else np.triu(fin))
 
     def reachable_pairs(self) -> list[tuple[int, int]]:
-        """All finite pairs: ordered (u, w) when directed, canonical u <= w otherwise."""
+        """All reachable pairs: ordered (u, w) when directed, canonical u <= w otherwise."""
         us, ws = self.reachable_arrays()
         return list(zip(us.tolist(), ws.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DistMatrix):
             return NotImplemented
-        return self.directed == other.directed and np.array_equal(self._m, other._m)
+        return self.directed == other.directed and np.array_equal(self._into, other._into)
 
     def __hash__(self) -> int:
-        return hash((self.directed, self.n, self._m.tobytes()))
+        return hash((self.directed, self.n, self._into.tobytes()))
 
     def __repr__(self) -> str:
         return f"DistMatrix(directed={self.directed}, n={self.n}, D={self.diameter})"
 
 
 def all_pairs_distances(g: Graph) -> DistMatrix:
-    """Exact distances via one label-setting search per source."""
-    m = np.full((g.n, g.n), INF, dtype=np.float64)
-    adj = g.adjacency
+    """Exact distances via one label-setting search per source, each filling a column.
+
+    Unreached cells hold the total arc length + 1 until D is known, so the fill
+    dtype follows that bound and narrows to int32 at the end if D allows.
+    """
+    far = sum(ln for _, _, ln in g.arcs) + 1
+    into = np.empty((g.n, g.n), np.int32 if 2 * far < 2**31 else np.int64)
+    diameter = 0
     for s in range(g.n):
-        m[s] = _dijkstra(adj, g.n, s)
-    return DistMatrix(g.directed, m)
+        into[:, s], ecc = _dijkstra(g.adjacency, s, far)
+        diameter = max(diameter, ecc)
+    np.minimum(into, diameter + 1, out=into)
+    if 2 * (diameter + 1) < 2**31:
+        into = into.astype(np.int32, copy=False)
+    return DistMatrix(g.directed, into, diameter)
 
 
 def path_membership(d: DistMatrix, u: int, cols) -> np.ndarray:

@@ -90,7 +90,7 @@ def _select(d: DistMatrix, engine: CoverageState, algo: str, step) -> tuple[Labe
     (an undirected step names every receiver a tail), the given still-uncovered
     pairs are covered and the step is recorded.
     """
-    n, m = d.n, d.matrix
+    n, into = d.n, d.exact()
     fwd: list[dict[int, int]] = [dict() for _ in range(n)]
     bwd: list[dict[int, int]] = [dict() for _ in range(n)] if d.directed else fwd
     trace = RunTrace(algo, d.directed, n)
@@ -99,9 +99,9 @@ def _select(d: DistMatrix, engine: CoverageState, algo: str, step) -> tuple[Labe
         if not len(pids):
             raise AssertionError(f"center {v} covers no uncovered pair")
         for u in tails:
-            fwd[u][v] = int(m[u, v])
+            fwd[u][v] = int(into[v, u])
         for w in heads:
-            bwd[w][v] = int(m[v, w])
+            bwd[w][v] = int(into[w, v])
         before = engine.uncovered_count
         engine.cover_pairs(pids)
         after = engine.uncovered_count

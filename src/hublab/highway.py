@@ -36,10 +36,6 @@ class SignificantPath:
     length: int
 
 
-def _floor(x) -> int:
-    return math.floor(x) if isinstance(x, Fraction) else int(math.floor(x))
-
-
 def _all_shortest_paths(g: Graph, d: DistMatrix, cap: int) -> list[tuple[int, ...]]:
     """Every shortest path between every reachable pair, trivial paths included.
 
@@ -47,25 +43,25 @@ def _all_shortest_paths(g: Graph, d: DistMatrix, cap: int) -> list[tuple[int, ..
     """
     if g.directed:
         raise DirectedInputError("undirected graph required")
-    m = d.matrix
     adj = g.adjacency
     out: list[tuple[int, ...]] = [(v,) for v in range(g.n)]
     if len(out) > cap:
         raise CapExceededError(f"more than {cap} shortest paths")
     for u in range(g.n):
+        du = d.exact()[u].tolist()  # symmetric: dist(u, .) as Python ints
         for w in range(u + 1, g.n):
-            if not math.isfinite(m[u, w]):
+            if du[w] == d.unreachable:
                 continue
             # Depth-first from w back to u over arcs that stay on a shortest path.
             # Frames are (tip, distance left to u, unread neighbours of tip); an
             # explicit stack, so a path may outgrow the interpreter's recursion
             # limit. Paths stay simple: a zero-length edge would otherwise be
             # walked back and forth forever.
-            stack, on_path = [(w, m[u, w], iter(adj[w]))], {w}
+            stack, on_path = [(w, du[w], iter(adj[w]))], {w}
             while stack:
                 tip, left, nbrs = stack[-1]
                 for x, ln in nbrs:
-                    if x not in on_path and m[u, x] + ln == left:
+                    if x not in on_path and du[x] + ln == left:
                         break
                 else:
                     stack.pop()
@@ -85,19 +81,19 @@ def _witnesses(g: Graph, d: DistMatrix, path: tuple[int, ...]):
     """All witness extensions of a shortest path: the path itself and the
     single-vertex extensions per end that remain shortest paths. Returns
     (length, vertices) pairs."""
-    m = d.matrix
+    dist = d.dist  # every vertex here reaches every other: one component
     first, last = path[0], path[-1]
-    length = int(m[first, last])
+    length = dist(first, last)
     pset = set(path)
     pres = [
         (x, ln)
         for x, ln in g.adjacency[first]
-        if x not in pset and ln + length == m[x, last]
+        if x not in pset and ln + length == dist(x, last)
     ]
     posts = [
         (y, ln)
         for y, ln in g.adjacency[last]
-        if y not in pset and length + ln == m[first, y]
+        if y not in pset and length + ln == dist(first, y)
     ]
     out = [(length, path)]
     for x, lx in pres:
@@ -106,7 +102,7 @@ def _witnesses(g: Graph, d: DistMatrix, path: tuple[int, ...]):
         out.append((length + ly, path + (y,)))
     for x, lx in pres:
         for y, ly in posts:
-            if x != y and lx + length + ly == m[x, y]:
+            if x != y and lx + length + ly == dist(x, y):
                 out.append((lx + length + ly, (x,) + path + (y,)))
     return out
 
@@ -122,11 +118,10 @@ def enumerate_significant_paths(
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
-    m = d.matrix
     out = []
     for p, wits in _paths_with_witnesses(g, d, cap):
         if any(wlen > r for wlen, _ in wits):
-            out.append(SignificantPath(p, int(m[p[0], p[-1]])))
+            out.append(SignificantPath(p, d.dist(p[0], p[-1])))
     return sorted(out, key=lambda sp: (len(sp.vertices), sp.vertices))
 
 
@@ -138,24 +133,24 @@ def neighborhood_S(
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
-    thr = _floor(2 * r)
-    m = d.matrix
+    thr = min(math.floor(2 * r), d.diameter)  # above D only unreachable entries
+    near = d.exact()[:, v]  # dist(v, .)
     out = []
     for p, wits in _paths_with_witnesses(g, d, cap):
         close = False
         for wlen, wverts in wits:
-            if wlen > r and min(m[v, x] for x in wverts) <= thr:
+            if wlen > r and near[list(wverts)].min() <= thr:
                 close = True
                 break
         if close:
-            out.append(SignificantPath(p, int(m[p[0], p[-1]])))
+            out.append(SignificantPath(p, d.dist(p[0], p[-1])))
     return sorted(out, key=lambda sp: (len(sp.vertices), sp.vertices))
 
 
 def ball(d: DistMatrix, v: int, r) -> set[int]:
     """Vertices within distance r of v (exact for rational r: dist <= floor(r))."""
-    thr = _floor(Fraction(r)) if not isinstance(r, int) else r
-    return set(np.flatnonzero(d.matrix[v] <= thr).tolist())
+    thr = min(math.floor(Fraction(r)), d.diameter)
+    return set(np.flatnonzero(d.exact()[:, v] <= thr).tolist())
 
 
 def is_sphs(g: Graph, d: DistMatrix, c, h: int, r, cap: int = 10**6) -> bool:
@@ -173,9 +168,9 @@ def is_sphs(g: Graph, d: DistMatrix, c, h: int, r, cap: int = 10**6) -> bool:
             return False
     if not cset:
         return True
-    thr = _floor(2 * Fraction(r))
+    thr = min(math.floor(2 * Fraction(r)), d.diameter)
     carr = np.array(sorted(cset), dtype=np.int64)
-    counts = (d.matrix[:, carr] <= thr).sum(axis=1)
+    counts = (d.exact()[carr] <= thr).sum(axis=0)
     return bool(counts.max() <= h)
 
 
@@ -228,7 +223,7 @@ def _ball_cap(d: DistMatrix, members: frozenset[int], radius: int) -> int:
     if not members:
         return 0
     carr = np.array(sorted(members), dtype=np.int64)
-    return int((d.matrix[:, carr] <= radius).sum(axis=1).max())
+    return int((d.exact()[carr] <= min(radius, d.diameter)).sum(axis=0).max())
 
 
 def greedy_multiscale_sphs(g: Graph, d: DistMatrix, cap: int = 10**6) -> MultiscaleSPHS:
@@ -275,16 +270,16 @@ def sphs_to_hhl(g: Graph, d: DistMatrix, ms: MultiscaleSPHS):
     vlevel = [ms.vertex_level(v) for v in range(n)]
     by_importance = sorted(range(n), key=lambda v: (-vlevel[v], v))
     order = Order.from_sequence(by_importance)
-    m = d.matrix
     labels: list[dict[int, int]] = [dict() for _ in range(n)]
     for v in range(n):
         labels[v][v] = 0
         rv = order.rank(v)
+        dv = d.exact()[v].tolist()
         for j, members in enumerate(ms.levels):
-            thr = 2**j
+            thr = min(2**j, d.diameter)
             for w in members:
-                if order.rank(w) < rv and m[v, w] <= thr:
-                    labels[v][w] = int(m[v, w])
+                if order.rank(w) < rv and dv[w] <= thr:
+                    labels[v][w] = dv[w]
     return order, Labeling(False, n, labels)
 
 

@@ -197,39 +197,41 @@ def verify_cover(l: Labeling, d: DistMatrix, pairs=None) -> CoverReport:
     """Check the cover property against exact distances.
 
     Each stored entry (h, dd) in a label of v is audited against ``d``; a wrong
-    one marks the pair it claims to certify. A pair [s,t] is uncovered when no
-    common hub lies on a shortest s-t path by the distances of ``d``, so a
-    wrong stored distance can neither hide nor fake a cover. Restricting
-    ``pairs`` checks cover for that subset only; unreachable pairs are skipped.
+    one, or one for an unreachable pair, marks the pair it claims to certify. A
+    pair [s,t] is uncovered when no common hub lies on a shortest s-t path by
+    the distances of ``d``, so a wrong stored distance can neither hide nor
+    fake a cover. Restricting ``pairs`` checks cover for that subset only;
+    unreachable pairs are skipped.
 
-    Per source s, m[s, h] is scattered into a row at the hubs of L_f(s), and
-    one ``minimum.reduceat`` takes min(row[h] + m[h, t]) over each L_b(t).
-    Exact shortest distances make that minimum at least m[s, t], with equality
-    iff a common hub lies on a shortest path; both are INF when unreachable.
+    Per source s, dist(s, h) is scattered into a row of ``far`` = D + 1 at the
+    hubs of L_f(s), and one ``minimum.reduceat`` takes min(row[h] + dist(h, t))
+    over each L_b(t), capped at ``far``. That is at least dist(s, t), with
+    equality iff a common hub lies on a shortest path; both are ``far`` when t
+    is unreachable.
     """
     if l.directed != d.directed or l.n != d.n:
         raise ValueError("labeling and distance matrix disagree on shape")
-    n, m = l.n, d.matrix
+    n, into, far = l.n, d.exact(), d.unreachable
     f_off, f_hub, f_dist, f_own = _flatten(l.fwd)
-    bad = m[f_own, f_hub] != f_dist
+    bad = (into[f_hub, f_own] != f_dist) | (f_dist >= far)
     wrong_s, wrong_t = [f_own[bad]], [f_hub[bad]]
     if l.directed:
         b_off, b_hub, b_dist, b_own = _flatten(l.bwd)
-        bad = m[b_hub, b_own] != b_dist
+        bad = (into[b_own, b_hub] != b_dist) | (b_dist >= far)
         wrong_s.append(b_hub[bad])
         wrong_t.append(b_own[bad])
     else:
         b_off, b_hub, b_own = f_off, f_hub, f_own
 
-    # Each bwd label ends in a sentinel hub n, whose row cell stays INF, so no
-    # reduceat segment is empty and an empty label reduces to INF.
+    # Each bwd label ends in a sentinel hub n, whose row cell stays far, so no
+    # reduceat segment is empty and an empty label reduces to far.
     slot = np.arange(b_hub.size) + b_own
     hub_x = np.full(b_hub.size + n, n)
     hub_x[slot] = b_hub
-    leg_x = np.zeros(b_hub.size + n)
-    leg_x[slot] = m[b_hub, b_own]
+    leg_x = np.zeros(b_hub.size + n, into.dtype)
+    leg_x[slot] = into[b_own, b_hub]
     starts = b_off[:-1] + np.arange(n)
-    row = np.full(n + 1, INF)
+    row = np.full(n + 1, far, into.dtype)
 
     by_source = None
     if pairs is not None:
@@ -240,15 +242,16 @@ def verify_cover(l: Labeling, d: DistMatrix, pairs=None) -> CoverReport:
     for s in range(n) if by_source is None else by_source:
         lo = s if by_source is None and not l.directed else 0
         hubs = f_hub[f_off[s] : f_off[s + 1]]
-        row[hubs] = m[s, hubs]
+        row[hubs] = into[hubs, s]
         a = starts[lo]
         best = np.minimum.reduceat(row[hub_x[a:]] + leg_x[a:], starts[lo:] - a)
-        row[hubs] = INF
+        np.minimum(best, far, out=best)
+        row[hubs] = far
         if by_source is None:
-            ts = np.flatnonzero(best != m[s, lo:]) + lo
+            ts = np.flatnonzero(best != into[lo:, s]) + lo
         else:
             ts = np.array(by_source[s])
-            ts = ts[best[ts] != m[s, ts]]
+            ts = ts[best[ts] != into[ts, s]]
         unc_s.append(np.full(ts.size, s))
         unc_t.append(ts)
     return CoverReport(
@@ -273,13 +276,13 @@ def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:
     n = d.n
     if pi.n != n:
         raise ValueError("order and distance matrix disagree on n")
-    m, into = d.matrix, d.exact()
+    into = d.exact()
     by_rank = np.array(pi.by_rank(), dtype=np.int64)
     # hub_f[u, h]: h is the hub of a pair [u, .]; hub_b[w, h] of a pair [., w].
     hub_f = np.zeros((n, n), dtype=bool)
     hub_b = np.zeros((n, n), dtype=bool) if d.directed else hub_f
     for u in range(n):
-        cols = np.flatnonzero(np.isfinite(m[u]))
+        cols = np.flatnonzero(into[:, u] < d.unreachable)
         if not d.directed:
             cols = cols[cols >= u]
         # Columns in rank order: the first vertex on a path is its most important one.

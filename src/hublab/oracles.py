@@ -90,8 +90,7 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
     free side. On budget exhaustion the result keeps a valid labeling and
     honest bounds.
     """
-    n = d.n
-    m = d.matrix
+    n, into = d.n, d.exact()
     idx = PathIndex(d, pairs)
     pairs = idx.pairs(slice(None))
     options = [idx[i].tolist() for i in range(len(idx))]
@@ -101,9 +100,9 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
     bwd: list[set[int]] = [set() for _ in range(n)] if d.directed else fwd
 
     def labeling_from(sol_f, sol_b) -> Labeling:
-        lf = [{h: int(m[v, h]) for h in sol_f[v]} for v in range(n)]
+        lf = [{h: int(into[h, v]) for h in sol_f[v]} for v in range(n)]
         if d.directed:
-            lb = [{h: int(m[h, v]) for h in sol_b[v]} for v in range(n)]
+            lb = [{h: int(into[v, h]) for h in sol_b[v]} for v in range(n)]
             return Labeling(True, n, lf, lb)
         return Labeling(False, n, lf)
 
@@ -403,8 +402,7 @@ def min_hitting_set(paths, limit: int = 5000) -> frozenset[int]:
 def _candidate_radii(d: DistMatrix) -> list[Fraction]:
     """Exact discretization of r > 0: every distinct path length and half-length,
     plus midpoints of consecutive breakpoints and a point below the smallest."""
-    finite = d.matrix[np.isfinite(d.matrix)]
-    lengths = sorted({int(x) for x in finite if x > 0})
+    lengths = [x for x in np.unique(d.exact()).tolist() if 0 < x < d.unreachable]
     if not lengths:
         return []
     breaks = sorted({Fraction(x) for x in lengths} | {Fraction(x, 2) for x in lengths})
@@ -433,15 +431,14 @@ def highway_dimension_bruteforce(
     if g.n > limit_n:
         raise TooLargeError(f"n={g.n} exceeds limit {limit_n}")
     d = all_pairs_distances(g)
-    if g.n and not np.isfinite(d.matrix).all():
+    if (d.exact() == d.unreachable).any():
         raise ValueError("connected graph required")
-    m = d.matrix
     paths = _paths_with_witnesses(g, d, cap=10**6)
     witness_dist: dict[tuple[int, ...], np.ndarray] = {}
     for _, wits in paths:
         for _, wverts in wits:
             if wverts not in witness_dist:
-                witness_dist[wverts] = m[list(wverts), :].min(axis=0)
+                witness_dist[wverts] = d.exact()[list(wverts)].min(axis=0)
 
     best = 0
     cache: dict[frozenset[frozenset[int]], int] = {}

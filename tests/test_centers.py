@@ -270,6 +270,10 @@ def test_engine_rejects_unreachable_pairs():
     bad = [(ids.c_id(1, 1), ids.a[0])]
     with pytest.raises(ValueError, match="unreachable"):
         hl.CoverageState(d, bad)
+    # D = 3: the unreachable pair (0, 2) is stored as 4, a power of two
+    d4 = hl.all_pairs_distances(hl.parse_graph("p undirected 4 1\na 0 1 3\n"))
+    with pytest.raises(ValueError, match="unreachable"):
+        PathIndex(d4, [(0, 2)])
 
 
 def test_directed_density_counts_side_occurrences():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,3 +214,12 @@ def test_dist_matrix_reachable_pairs():
     assert d.reachable_pairs() == [(0, 0), (0, 1), (1, 1)]
     d3 = hl.all_pairs_distances(path_graph(2))
     assert len(d3.reachable_pairs()) == 6
+
+
+def test_dist_matrix_equal_whatever_the_arc_lengths_sum_to():
+    # The redundant 2^40 edge makes the search fill int64; D = 2 narrows it to int32.
+    arcs = [(0, 1, 1), (1, 2, 1)]
+    a = hl.all_pairs_distances(hl.Graph(False, 3, arcs))
+    b = hl.all_pairs_distances(hl.Graph(False, 3, arcs + [(0, 2, 2**40)]))
+    assert a == b and hash(a) == hash(b)
+    assert a.exact().dtype == b.exact().dtype == np.int32

@@ -124,6 +124,9 @@ def test_ball_examples():
     dw = hl.all_pairs_distances(w)
     assert hl.ball(dw, idw.a, 3) == {idw.a} | set(idw.d)
     assert hl.ball(dw, idw.a, Fraction(5, 2)) == {idw.a}
+    # D = 3, so a radius of 4 meets the stored value of unreachable pairs
+    d4 = hl.all_pairs_distances(hl.parse_graph("p undirected 4 1\na 0 1 3\n"))
+    assert hl.ball(d4, 0, 4) == {0, 1}
 
 
 def test_is_sphs_examples():
