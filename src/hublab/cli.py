@@ -24,6 +24,7 @@ from .graphs import (
 from .greedy import run_d_hhl, run_g_hhl, run_w_hhl
 from .highway import CapExceededError, greedy_multiscale_sphs, sphs_to_hhl
 from .labeling import (
+    Labeling,
     LabelFormatError,
     Order,
     canonical_hhl,
@@ -47,6 +48,18 @@ def _emit(lines: list[tuple[str, object]], payload: dict) -> None:
 
 def _read_graph(path: str):
     return parse_graph(Path(path).read_text(encoding="utf-8"))
+
+
+def _read_labeling(path: str, g) -> Labeling:
+    """The labeling in ``path``, checked against g. With no vertices in g, a file
+    with no label lines is g's empty labeling: such a file cannot name its kind."""
+    text = Path(path).read_text(encoding="utf-8")
+    if g.n == 0 and all(ln.strip()[:1] in ("", "#") for ln in text.splitlines()):
+        return Labeling(g.directed, 0, [], [] if g.directed else None)
+    labeling = parse_labeling(text)
+    if labeling.n != g.n or labeling.directed != g.directed:
+        raise ValueError("labeling does not match the graph (n or directedness)")
+    return labeling
 
 
 def _cmd_generate(args) -> int:
@@ -175,9 +188,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.graph)
-    labeling = parse_labeling(Path(args.labels).read_text(encoding="utf-8"))
-    if labeling.n != g.n or labeling.directed != g.directed:
-        raise ValueError("labeling does not match the graph (n or directedness)")
+    labeling = _read_labeling(args.labels, g)
     d = all_pairs_distances(g)
     report = verify_cover(labeling, d)
     lines = [
@@ -225,9 +236,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_query(args) -> int:
     g = _read_graph(args.graph)
-    labeling = parse_labeling(Path(args.labels).read_text(encoding="utf-8"))
-    if labeling.n != g.n or labeling.directed != g.directed:
-        raise ValueError("labeling does not match the graph (n or directedness)")
+    labeling = _read_labeling(args.labels, g)
     if not (0 <= args.s < g.n and 0 <= args.t < g.n):
         raise ValueError("vertex id out of range")
     dist = labeling.query(args.s, args.t)

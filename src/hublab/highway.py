@@ -28,12 +28,15 @@ class InvalidSPHSError(ValueError):
     """A multiscale hitting-set family failed validation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # one per shortest path: no per-instance dict
 class SignificantPath:
-    """A shortest path that extends by at most one vertex per end to a long witness."""
+    """A shortest path and its reach: the length of its longest witness, the path
+    extended by at most one vertex per end to a shortest path. The path is
+    r-significant iff ``reach > r``."""
 
     vertices: tuple[int, ...]
     length: int
+    reach: int
 
 
 def _all_shortest_paths(g: Graph, d: DistMatrix, cap: int) -> list[tuple[int, ...]]:
@@ -77,10 +80,10 @@ def _all_shortest_paths(g: Graph, d: DistMatrix, cap: int) -> list[tuple[int, ..
     return out
 
 
-def _witnesses(g: Graph, d: DistMatrix, path: tuple[int, ...]):
-    """All witness extensions of a shortest path: the path itself and the
-    single-vertex extensions per end that remain shortest paths. Returns
-    (length, vertices) pairs."""
+def _with_witnesses(g: Graph, d: DistMatrix, path: tuple[int, ...]):
+    """A shortest path as a SignificantPath, with all its witness extensions: the
+    path itself and the single-vertex extensions per end that remain shortest
+    paths, as (length, vertices) pairs."""
     dist = d.dist  # every vertex here reaches every other: one component
     first, last = path[0], path[-1]
     length = dist(first, last)
@@ -104,11 +107,27 @@ def _witnesses(g: Graph, d: DistMatrix, path: tuple[int, ...]):
         for y, ly in posts:
             if x != y and lx + length + ly == dist(x, y):
                 out.append((lx + length + ly, (x,) + path + (y,)))
-    return out
+    return SignificantPath(path, length, max(wlen for wlen, _ in out)), out
 
 
 def _paths_with_witnesses(g: Graph, d: DistMatrix, cap: int):
-    return [(p, _witnesses(g, d, p)) for p in _all_shortest_paths(g, d, cap)]
+    """Every shortest path with its witnesses, sorted by vertex count, then ids:
+    the one enumeration that every reader and every scale of this layer filters."""
+    paths = sorted(_all_shortest_paths(g, d, cap), key=lambda p: (len(p), p))
+    return [_with_witnesses(g, d, p) for p in paths]
+
+
+def _within(d: DistMatrix, r) -> int:
+    """Largest distance within radius r: floor(r), capped at D because above D
+    the distance array holds only the unreachable value."""
+    return min(math.floor(Fraction(r)), d.diameter)
+
+
+def _must_hit(sp: SignificantPath, r) -> bool:
+    """Whether a hitting set at scale r must hit ``sp``: it is r-significant and
+    of positive length. A zero-length path is hit only by its own vertices, which
+    would degenerate every hitting measure; the bottom level C_0 = V covers it."""
+    return sp.length > 0 and sp.reach > r
 
 
 def enumerate_significant_paths(
@@ -118,11 +137,7 @@ def enumerate_significant_paths(
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
-    out = []
-    for p, wits in _paths_with_witnesses(g, d, cap):
-        if any(wlen > r for wlen, _ in wits):
-            out.append(SignificantPath(p, d.dist(p[0], p[-1])))
-    return sorted(out, key=lambda sp: (len(sp.vertices), sp.vertices))
+    return [sp for sp, _ in _paths_with_witnesses(g, d, cap) if sp.reach > r]
 
 
 def neighborhood_S(
@@ -133,45 +148,40 @@ def neighborhood_S(
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
-    thr = min(math.floor(2 * r), d.diameter)  # above D only unreachable entries
+    thr = _within(d, 2 * r)
     near = d.exact()[:, v]  # dist(v, .)
-    out = []
-    for p, wits in _paths_with_witnesses(g, d, cap):
-        close = False
-        for wlen, wverts in wits:
-            if wlen > r and near[list(wverts)].min() <= thr:
-                close = True
-                break
-        if close:
-            out.append(SignificantPath(p, d.dist(p[0], p[-1])))
-    return sorted(out, key=lambda sp: (len(sp.vertices), sp.vertices))
+    return [
+        sp
+        for sp, wits in _paths_with_witnesses(g, d, cap)
+        if any(wlen > r and near[list(wverts)].min() <= thr for wlen, wverts in wits)
+    ]
 
 
 def ball(d: DistMatrix, v: int, r) -> set[int]:
     """Vertices within distance r of v (exact for rational r: dist <= floor(r))."""
-    thr = min(math.floor(Fraction(r)), d.diameter)
-    return set(np.flatnonzero(d.exact()[:, v] <= thr).tolist())
+    return set(np.flatnonzero(d.exact()[:, v] <= _within(d, r)).tolist())
+
+
+def _ball_cap(d: DistMatrix, members: set[int] | frozenset[int], radius) -> int:
+    """The most members of ``members`` in any one ball of the given radius."""
+    if not members:
+        return 0
+    carr = np.array(sorted(members), dtype=np.int64)
+    return int((d.exact()[carr] <= _within(d, radius)).sum(axis=0).max())
 
 
 def is_sphs(g: Graph, d: DistMatrix, c, h: int, r, cap: int = 10**6) -> bool:
     """Check the sparse shortest-path hitting set conditions.
 
-    ``c`` must hit every positive-length r-significant path, and every ball of
-    radius 2r may contain at most ``h`` members of ``c``. Zero-length paths are
-    excluded from the hitting requirement: each is hit only by its own vertex,
-    which would degenerate the measure; the multiscale construction covers them
-    with its bottom level instead.
+    ``c`` must hit every r-significant path that ``_must_hit`` names (those of
+    positive length), and every ball of radius 2r may contain at most ``h``
+    members of ``c``.
     """
     cset = set(c)
-    for sp in enumerate_significant_paths(g, d, r, cap):
-        if sp.length > 0 and cset.isdisjoint(sp.vertices):
-            return False
-    if not cset:
-        return True
-    thr = min(math.floor(2 * Fraction(r)), d.diameter)
-    carr = np.array(sorted(cset), dtype=np.int64)
-    counts = (d.exact()[carr] <= thr).sum(axis=0)
-    return bool(counts.max() <= h)
+    paths = enumerate_significant_paths(g, d, r, cap)
+    if any(_must_hit(sp, r) and cset.isdisjoint(sp.vertices) for sp in paths):
+        return False
+    return not cset or _ball_cap(d, cset, 2 * Fraction(r)) <= h
 
 
 @dataclass(frozen=True)
@@ -219,13 +229,6 @@ def _greedy_hitting_set(sets) -> set[int]:
     return hit
 
 
-def _ball_cap(d: DistMatrix, members: frozenset[int], radius: int) -> int:
-    if not members:
-        return 0
-    carr = np.array(sorted(members), dtype=np.int64)
-    return int((d.exact()[carr] <= min(radius, d.diameter)).sum(axis=0).max())
-
-
 def greedy_multiscale_sphs(g: Graph, d: DistMatrix, cap: int = 10**6) -> MultiscaleSPHS:
     """Greedy hitting sets for every scale 2^(i-1), i = 1..ceil(log2 D), C_0 = V."""
     if g.directed:
@@ -235,14 +238,11 @@ def greedy_multiscale_sphs(g: Graph, d: DistMatrix, cap: int = 10**6) -> Multisc
     n = g.n
     diam = d.diameter
     top = 0 if diam <= 1 else (diam - 1).bit_length()
+    # every scale is at least 1: one enumeration at r = 1 holds every level's targets
+    paths = enumerate_significant_paths(g, d, 1, cap) if top >= 1 else []
     levels = [frozenset(range(n))]
     for i in range(1, top + 1):
-        r = 2 ** (i - 1)
-        targets = [
-            frozenset(sp.vertices)
-            for sp in enumerate_significant_paths(g, d, r, cap)
-            if sp.length > 0
-        ]
+        targets = [frozenset(sp.vertices) for sp in paths if _must_hit(sp, 2 ** (i - 1))]
         levels.append(frozenset(_greedy_hitting_set(targets)))
     caps = tuple(_ball_cap(d, levels[i], 2**i) for i in range(top + 1))
     return MultiscaleSPHS(tuple(levels), caps, diam)
@@ -261,12 +261,11 @@ def sphs_to_hhl(g: Graph, d: DistMatrix, ms: MultiscaleSPHS):
     n = g.n
     if ms.levels and ms.levels[0] != frozenset(range(n)):
         raise InvalidSPHSError("bottom level must contain every vertex")
+    paths = enumerate_significant_paths(g, d, 1) if ms.top >= 1 else []
     for i in range(1, ms.top + 1):
         r = 2 ** (i - 1)
-        cset = ms.levels[i]
-        for sp in enumerate_significant_paths(g, d, r):
-            if sp.length > 0 and cset.isdisjoint(sp.vertices):
-                raise InvalidSPHSError(f"level {i} misses a {r}-significant path")
+        if any(_must_hit(sp, r) and ms.levels[i].isdisjoint(sp.vertices) for sp in paths):
+            raise InvalidSPHSError(f"level {i} misses a {r}-significant path")
     vlevel = [ms.vertex_level(v) for v in range(n)]
     by_importance = sorted(range(n), key=lambda v: (-vlevel[v], v))
     order = Order.from_sequence(by_importance)
@@ -276,7 +275,7 @@ def sphs_to_hhl(g: Graph, d: DistMatrix, ms: MultiscaleSPHS):
         rv = order.rank(v)
         dv = d.exact()[v].tolist()
         for j, members in enumerate(ms.levels):
-            thr = min(2**j, d.diameter)
+            thr = _within(d, 2**j)
             for w in members:
                 if order.rank(w) < rv and dv[w] <= thr:
                     labels[v][w] = dv[w]

@@ -11,7 +11,8 @@ import numpy as np
 from .centers import CenterGraph, EmptyCenterGraphError, PathIndex
 from .graphs import DistMatrix, Graph, TooLargeError, all_pairs_distances
 from .graphs import path_membership  # noqa: F401 -- perfbench/tracing.py patches it here
-from .highway import DirectedInputError, _greedy_hitting_set, _paths_with_witnesses
+from .highway import DirectedInputError, _greedy_hitting_set, _must_hit
+from .highway import _paths_with_witnesses, _within
 from .labeling import Labeling, Order, canonical_hhl
 
 OPT_HHL_MAX_N = 20  # the subset DP holds up to 2^n memo states and recurses n deep
@@ -434,30 +435,19 @@ def highway_dimension_bruteforce(
     if (d.exact() == d.unreachable).any():
         raise ValueError("connected graph required")
     paths = _paths_with_witnesses(g, d, cap=10**6)
-    witness_dist: dict[tuple[int, ...], np.ndarray] = {}
-    for _, wits in paths:
-        for _, wverts in wits:
-            if wverts not in witness_dist:
-                witness_dist[wverts] = d.exact()[list(wverts)].min(axis=0)
-
+    wdist = {wv: d.exact()[list(wv)].min(axis=0) for _, wits in paths for _, wv in wits}
     best = 0
     cache: dict[frozenset[frozenset[int]], int] = {}
     for r in _candidate_radii(d):
-        thr = (2 * r).numerator // (2 * r).denominator
+        thr = _within(d, 2 * r)
+        targets = [(sp, wits) for sp, wits in paths if include_trivial_paths or _must_hit(sp, r)]
         for v in range(g.n):
-            sets = set()
-            for p, wits in paths:
-                if len(p) == 1 and not include_trivial_paths:
-                    continue
-                if any(wlen > r and witness_dist[wv][v] <= thr for wlen, wv in wits):
-                    sets.add(frozenset(p))
-            if not sets:
-                continue
-            key = frozenset(sets)
-            size = cache.get(key)
-            if size is None:
-                size = len(min_hitting_set(sets, 20_000))
-                cache[key] = size
-            if size > best:
-                best = size
+            key = frozenset(
+                frozenset(sp.vertices)
+                for sp, wits in targets
+                if any(wlen > r and wdist[wv][v] <= thr for wlen, wv in wits)
+            )
+            if key and key not in cache:
+                cache[key] = len(min_hitting_set(key, 20_000))
+            best = max(best, cache.get(key, 0))
     return best

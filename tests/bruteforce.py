@@ -280,3 +280,39 @@ def gen_random_directed(n: int, extra: int, maxlen: int, seed: int) -> hl.Graph:
         if rng.random() < 0.8:
             arcs.append((h, t, rng.randint(1, maxlen)))
     return hl.Graph(True, n, arcs)
+
+
+def significant_paths_bruteforce(g: hl.Graph, r) -> list[tuple[tuple[int, ...], int, int]]:
+    """(vertices, length, reach) of every r-significant shortest path (n <= 7).
+
+    Every simple path is enumerated; it is a shortest path when its length equals
+    ``all_pairs_bruteforce``. A witness is a shortest path made of the path and at
+    most one extra vertex at each end, and the reach is the longest witness
+    length. Paths run from the smaller endpoint to the larger one.
+    """
+    if g.directed:
+        raise ValueError("undirected graph required")
+    best = all_pairs_bruteforce(g)
+    shortest: set[tuple[int, ...]] = set()
+
+    def dfs(path: list[int], dist: int) -> None:
+        if dist == best[path[0]][path[-1]]:
+            shortest.add(tuple(path))
+        for x, ln in g.adjacency[path[-1]]:
+            if x not in path:
+                path.append(x)
+                dfs(path, dist + ln)
+                path.pop()
+
+    for s in range(g.n):
+        dfs([s], 0)
+    out = []
+    for p in shortest:
+        if p[0] > p[-1]:
+            continue
+        ends = [()] + [(x,) for x in range(g.n) if x not in p]
+        witnesses = [a + p + b for a in ends for b in ends if (a + p + b) in shortest]
+        reach = max(best[w[0]][w[-1]] for w in witnesses)
+        if reach > r:
+            out.append((p, best[p[0]][p[-1]], reach))
+    return sorted(out, key=lambda t: (len(t[0]), t[0]))

@@ -322,9 +322,7 @@ def test_cli_keeps_its_exit_codes_on_small_graphs(data):
             assert code in (0, 2, 3)
             if labels.exists():
                 assert code == 0
-                verified = _run_quiet(["verify", graph, labels])
-                # at n = 0 the label file is empty, which parse_labeling refuses
-                assert verified == 0 or (n == 0 and verified == 2)
+                assert _run_quiet(["verify", graph, labels]) == 0
         assert _run_quiet(["compare", graph, "--oracle", "--budget", "2000"]) in (0, 2, 3)
 
 
@@ -340,6 +338,21 @@ def test_generate_oversize_family_exits_3(tmp_path, capsys):
     assert main(["generate", "bad-g", "--k", "100000", "--out", str(out)]) == 3
     assert "vertex limit" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["undirected", "directed"])
+def test_empty_graph_labels_round_trip(tmp_path, capsys, kind):
+    graph, labels = tmp_path / "empty.gr", tmp_path / "empty.labels"
+    graph.write_text(f"p {kind} 0 0\n")
+    assert main(["build", str(graph), "--algo", "g-hhl", "--out", str(labels)]) == 0
+    assert main(["verify", str(graph), str(labels)]) == 0
+    assert "valid: True" in capsys.readouterr().out
+    assert main(["query", str(graph), str(labels), "0", "0"]) == 2
+    assert "vertex id out of range" in capsys.readouterr().err
+    # a label line at n = 0 still names a vertex the graph does not have
+    labels.write_text("l 0 0:0\n")
+    assert main(["verify", str(graph), str(labels)]) == 2
+    assert "does not match" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

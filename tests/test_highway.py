@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 import hublab as hl
 from hublab import families
 
+from bruteforce import significant_paths_bruteforce
 from conftest import path_graph, seeded_graphs, star_graph
 
 
@@ -31,6 +35,77 @@ def test_significant_paths_three_path():
     assert (1,) in sig             # witnessed by the full path
     assert (0,) not in sig         # extensions add at most one vertex per end
     assert (0, 1) in sig
+
+
+def _graphs_with_zero_length_edges(count: int, seed_base: int) -> list[hl.Graph]:
+    """Seeded undirected graphs with n <= 7 whose zero-length edges form a forest."""
+    out = []
+    for i in range(count):
+        rng = random.Random(seed_base + i)
+        n = 2 + i % 6
+        comp = list(range(n))  # component of each vertex in the zero-length forest
+        edges: dict[tuple[int, int], int] = {}
+        for _ in range(n + i % 4):
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) in edges:
+                continue
+            ln = rng.randint(0, 3)
+            if ln == 0 and comp[u] == comp[v]:
+                ln = 1
+            if ln == 0:
+                old = comp[v]
+                comp = [comp[u] if c == old else c for c in comp]
+            edges[(u, v)] = ln
+        out.append(hl.Graph(False, n, [(u, v, ln) for (u, v), ln in edges.items()]))
+    return out
+
+
+def test_significant_paths_match_simple_path_enumeration():
+    graphs = _graphs_with_zero_length_edges(24, 16000) + seeded_graphs(12, 7, 16100)
+    assert sum(ln == 0 for g in graphs for _, _, ln in g.arcs) >= 10
+    for g in graphs:
+        d = hl.all_pairs_distances(g)
+        for r in (Fraction(1, 2), 1, Fraction(3, 2), 2, 5):
+            got = hl.enumerate_significant_paths(g, d, r)
+            assert [(sp.vertices, sp.length, sp.reach) for sp in got] == (
+                significant_paths_bruteforce(g, r)
+            )
+
+
+# sha256 of repr(MultiscaleSPHS), the order and the label file of sphs_to_hhl,
+# captured when every SPHS level enumerated its own significant paths.
+SPHS_INSTANCES = {
+    **{
+        f"random-{n}-s{s}": (lambda n=n, s=s: families.gen_random(n, 2 * n, 10, s))
+        for n in (20, 40, 60)
+        for s in range(3)
+    },
+    "separator-3": lambda: families.gen_separator(3),
+    "bad-w-2": lambda: families.gen_bad_w(2),
+}
+SPHS_DIGESTS = {
+    "random-20-s0": "8ad62d30759623c5d0f2e6754d1e8011e2ba2c6b2e9b6832ad09df0c6d87492b",
+    "random-20-s1": "ed0017166290e6e9b844fbedec49d40a649724d1a732d4aa8478ada71d781238",
+    "random-20-s2": "74292ab47989f24ceee2e56bd3c2075e0c058aa71f2fa918726bbe02e463561d",
+    "random-40-s0": "862928f53ba968fbc6f5a3c0db0bdd6ebd9a82aaf927848f5ab3c9e483d95527",
+    "random-40-s1": "6dc6bf4ff0ff45430cb8767974afc7dc4a483da3446ef0cd8ea94dfa9c4c75cc",
+    "random-40-s2": "88712901f7119026ba19c99a77d2c0954abc7622f8c2e1a2f87d3080ec3fd98c",
+    "random-60-s0": "79f90a42943a5062c4c503433216fcc7e4fb0937d142a29848c78fceac173328",
+    "random-60-s1": "118897d542aa85f7f5d028bad3b27a17854caf76139432e2ca5859e12084518e",
+    "random-60-s2": "0327da6836906ee3c00f7213fb5c812671c9f12ac293a98df36c8a966cccbd72",
+    "separator-3": "5f0f633136ba3606a5ba0e31d1b4cacc2e0b9fdf3fa57d0a3f14b75b70ccc4d2",
+    "bad-w-2": "2b7f85fa0c4422be32442a5672cf1be151bebcf4e320e31bbe3e531c3d756bcf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPHS_DIGESTS))
+def test_multiscale_sphs_outputs_are_pinned(name):
+    g = SPHS_INSTANCES[name]()
+    d = hl.all_pairs_distances(g)
+    ms = hl.greedy_multiscale_sphs(g, d)
+    order, lab = hl.sphs_to_hhl(g, d, ms)
+    text = repr(ms) + "\n" + json.dumps(order.by_rank()) + "\n" + hl.serialize_labeling(lab)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SPHS_DIGESTS[name]
 
 
 def test_cap_exceeded():
@@ -215,6 +290,14 @@ def test_sphs_to_hhl_rejects_invalid_family():
     )
     with pytest.raises(hl.InvalidSPHSError):
         hl.sphs_to_hhl(p8, dp, no_bottom)
+    # C_2 hits every 2-significant path but misses (0, 1), whose reach is 2 > 1
+    assert (0, 1) in _verts(hl.enumerate_significant_paths(p8, dp, 1))
+    assert ms.levels[2].isdisjoint({0, 1})
+    shifted = hl.MultiscaleSPHS(
+        (ms.levels[0], ms.levels[2]) + ms.levels[2:], ms.ball_caps, ms.diameter
+    )
+    with pytest.raises(hl.InvalidSPHSError, match="^level 1 misses a 1-significant path$"):
+        hl.sphs_to_hhl(p8, dp, shifted)
 
 
 def test_q_sets_partition():

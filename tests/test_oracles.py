@@ -173,6 +173,12 @@ def test_highway_dimension_values():
     assert hl.highway_dimension_bruteforce(path_graph(4)) == 2
     und = hl.undirect(families.gen_bad_g(3))
     assert hl.highway_dimension_bruteforce(und) == 4
+    # a center with four unit spokes, each spoke ending in a zero-length edge:
+    # the zero-length paths (a_i, b_i) are no hitting targets, so the center suffices
+    spokes = [(0, i, 1) for i in range(1, 5)] + [(i, i + 4, 0) for i in range(1, 5)]
+    spoked = hl.Graph(False, 9, spokes)
+    assert hl.is_sphs(spoked, hl.all_pairs_distances(spoked), {0}, 1, Fraction(1, 2))
+    assert hl.highway_dimension_bruteforce(spoked) == 1
     # demanding hits on zero-length paths degenerates the measure
     assert hl.highway_dimension_bruteforce(path_graph(4), include_trivial_paths=True) == 5
     assert hl.highway_dimension_bruteforce(und, include_trivial_paths=True) == und.n

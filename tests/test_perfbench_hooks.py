@@ -46,3 +46,21 @@ def test_traced_cohen_build_records_its_spans(tmp_path, capsys):
     assert metrics["cohen.picks"] > 0 and metrics["oracles.exact_mds_calls"] > 0
     assert metrics["centers.incidence_nnz"] > 0 and metrics["labeling.verify_pairs"] == 16
     assert [s.attrs["exact"] for s in tracer.spans if s.name == "cohen.run"] == [True]
+
+
+def test_traced_sphs_build_enumerates_once_per_call(tmp_path, capsys):
+    tracing = _load_tracing()
+    g = hl.Graph(False, 6, [(i, i + 1, 1) for i in range(5)])
+    assert hl.greedy_multiscale_sphs(g, hl.all_pairs_distances(g)).top == 3  # D = 5
+    graph = tmp_path / "p5.gr"
+    graph.write_text(hl.serialize_graph(g))
+    tracer = tracing.Tracer()
+    with tracer.operation("sphs"):
+        assert main(["build", str(graph), "--algo", "sphs", "--out", str(tmp_path / "x")]) == 0
+    capsys.readouterr()
+    names = {s.idx: s.name for s in tracer.spans}
+    sigpaths = [s for s in tracer.spans if s.name == "highway.sigpaths"]
+    assert [names[s.parent] for s in sigpaths] == ["highway.msphs", "highway.sphs_to_hhl"]
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["highway.msphs_s"] > 0 and metrics["highway.sphs_to_hhl_s"] > 0
+    assert metrics["highway.sigpath_calls"] == 2 and metrics["highway.sigpaths"] > 0
