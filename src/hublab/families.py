@@ -13,8 +13,10 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import Graph, all_pairs_distances
-from .labeling import Labeling
+from .labeling import Labeling, hub_labeling
 
 
 class NotAVertexCoverError(ValueError):
@@ -225,28 +227,20 @@ def construct_reduction_labeling_undirected(gp: Graph, vc) -> Labeling:
     for u, v in base_edges:
         if u not in vc and v not in vc:
             raise NotAVertexCoverError(f"edge ({u},{v}) uncovered")
-    dist = all_pairs_distances(gp).dist
     s = 3 * n_base
-    labels: list[dict[int, int]] = [dict() for _ in range(gp.n)]
-    for x in range(gp.n):
-        labels[x][x] = 0
-        labels[x][s] = dist(x, s)
+    hub = np.eye(gp.n, dtype=bool)
+    hub[:, s] = True
     for v in range(n_base):
         v1, v2, v3 = 3 * v, 3 * v + 1, 3 * v + 2
         if v in vc:
-            labels[v2][v1] = dist(v2, v1)
-            labels[v3][v1] = dist(v3, v1)
-            labels[v3][v2] = dist(v3, v2)
+            hub[v2, v1] = hub[v3, v1] = hub[v3, v2] = True
         else:
-            labels[v1][v2] = dist(v1, v2)
-            labels[v3][v2] = dist(v3, v2)
+            hub[v1, v2] = hub[v3, v2] = True
     for u, v in base_edges:
         x = u if u in vc else v
         y = v if x == u else u
-        x1 = 3 * x
-        for yj in (3 * y, 3 * y + 1, 3 * y + 2):
-            labels[yj][x1] = dist(yj, x1)
-    return Labeling(False, gp.n, labels)
+        hub[[3 * y, 3 * y + 1, 3 * y + 2], 3 * x] = True
+    return hub_labeling(all_pairs_distances(gp), hub)
 
 
 def reduce_vc_directed(g: Graph) -> Graph:
@@ -294,27 +288,18 @@ def construct_reduction_labeling_directed(gp: Graph, vc) -> Labeling:
     for u, v in base_edges:
         if u not in vc and v not in vc:
             raise NotAVertexCoverError(f"edge ({u},{v}) uncovered")
-    dist = all_pairs_distances(gp).dist
     n = gp.n
-    fwd: list[dict[int, int]] = [dict() for _ in range(n)]
-    bwd: list[dict[int, int]] = [dict() for _ in range(n)]
-    for x in range(n):
-        fwd[x][x] = 0
-        bwd[x][x] = 0
+    hub_f, hub_b = np.eye(n, dtype=bool), np.eye(n, dtype=bool)
     e_base = 2 * n_base + 1
     for t, h, _ in gp.arcs:
         if t == 0:
-            fwd[0][h] = dist(0, h)
-        elif h >= e_base:
-            bwd[h][t] = dist(t, h)
-        elif t % 2 == 1 and h == t + 1:
-            bwd[h][t] = dist(t, h)
+            hub_f[0, h] = True
+        elif h >= e_base or (t % 2 == 1 and h == t + 1):
+            hub_b[h, t] = True
         else:
-            fwd[t][h] = dist(t, h)
-    for v in sorted(vc):
-        hub = 2 + 2 * v
-        fwd[0][hub] = dist(0, hub)
-    return Labeling(True, n, fwd, bwd)
+            hub_f[t, h] = True
+    hub_f[0, [2 + 2 * v for v in vc]] = True
+    return hub_labeling(all_pairs_distances(gp), hub_f, hub_b)
 
 
 class _NonTreePairs(Sequence):

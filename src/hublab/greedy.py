@@ -14,7 +14,7 @@ import numpy as np
 
 from .centers import NEG_INF_LEVEL, CoverageState
 from .graphs import DistMatrix
-from .labeling import Labeling, Order
+from .labeling import Labeling, Order, hub_labeling
 
 
 class TraceNotFromDHHLError(ValueError):
@@ -86,30 +86,26 @@ def _select(d: DistMatrix, engine: CoverageState, algo: str, step) -> tuple[Labe
     """Run ``step`` until every pair of ``engine`` is covered; the one selection loop.
 
     ``step(engine)`` returns ``(center, score, tails, heads, pair ids, level)``.
-    The center joins ``fwd[u]`` of each tail u and ``bwd[w]`` of each head w
-    (an undirected step names every receiver a tail), the given still-uncovered
-    pairs are covered and the step is recorded.
+    The center becomes a forward hub of each tail and a backward hub of each
+    head (an undirected step names every receiver a tail), the given
+    still-uncovered pairs are covered and the step is recorded.
     """
-    n, into = d.n, d.exact()
-    fwd: list[dict[int, int]] = [dict() for _ in range(n)]
-    bwd: list[dict[int, int]] = [dict() for _ in range(n)] if d.directed else fwd
+    n = d.n
+    hub_f, hub_b = np.zeros((2, n, n), dtype=bool)  # an undirected step has no heads
     trace = RunTrace(algo, d.directed, n)
     while engine.uncovered_count:
         v, score, tails, heads, pids, level = step(engine)
         if not len(pids):
             raise AssertionError(f"center {v} covers no uncovered pair")
-        for u in tails:
-            fwd[u][v] = int(into[v, u])
-        for w in heads:
-            bwd[w][v] = int(into[w, v])
+        hub_f[list(tails), v] = True
+        hub_b[list(heads), v] = True
         before = engine.uncovered_count
         engine.cover_pairs(pids)
         after = engine.uncovered_count
         trace.iterations.append(
             IterationRecord(v, score, len(pids), before, after, tails, heads, level)
         )
-    labeling = Labeling(True, n, fwd, bwd) if d.directed else Labeling(False, n, fwd)
-    return labeling, trace
+    return hub_labeling(d, hub_f, hub_b if d.directed else None), trace
 
 
 # Each picker returns the best center, its score and its level (d-HHL only);

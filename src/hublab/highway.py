@@ -8,12 +8,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .graphs import DistMatrix, Graph
 from .greedy import RunTrace, TraceNotFromDHHLError
-from .labeling import Labeling, Order
+from .labeling import Order, hub_labeling
 
 
 class CapExceededError(RuntimeError):
@@ -218,13 +219,15 @@ class MultiscaleSPHS:
 
 def _greedy_hitting_set(sets) -> set[int]:
     """Greedy hitting set of non-empty vertex sets: repeatedly take the lowest-id
-    vertex that hits the most sets not yet hit."""
+    vertex that hits the most sets not yet hit. Sets are counted once; a pick
+    subtracts the sets it hits, and a vertex left in none drops out."""
     unhit = list(sets)
+    count = Counter(chain.from_iterable(unhit))
     hit: set[int] = set()
-    while unhit:
-        counts = Counter(v for s in unhit for v in s)
-        best = min(counts, key=lambda v: (-counts[v], v))
+    while count:
+        best = min(count, key=lambda v: (-count[v], v))
         hit.add(best)
+        count -= Counter(chain.from_iterable(s for s in unhit if best in s))
         unhit = [s for s in unhit if best not in s]
     return hit
 
@@ -259,27 +262,23 @@ def sphs_to_hhl(g: Graph, d: DistMatrix, ms: MultiscaleSPHS):
     if g.directed:
         raise DirectedInputError("undirected graph required")
     n = g.n
-    if ms.levels and ms.levels[0] != frozenset(range(n)):
+    if not ms.levels or ms.levels[0] != frozenset(range(n)):
         raise InvalidSPHSError("bottom level must contain every vertex")
+    if any(not level <= ms.levels[0] for level in ms.levels):
+        raise InvalidSPHSError("every level must be a set of vertices of g")
     paths = enumerate_significant_paths(g, d, 1) if ms.top >= 1 else []
     for i in range(1, ms.top + 1):
         r = 2 ** (i - 1)
         if any(_must_hit(sp, r) and ms.levels[i].isdisjoint(sp.vertices) for sp in paths):
             raise InvalidSPHSError(f"level {i} misses a {r}-significant path")
-    vlevel = [ms.vertex_level(v) for v in range(n)]
-    by_importance = sorted(range(n), key=lambda v: (-vlevel[v], v))
+    by_importance = sorted(range(n), key=lambda v: (-ms.vertex_level(v), v))
     order = Order.from_sequence(by_importance)
-    labels: list[dict[int, int]] = [dict() for _ in range(n)]
-    for v in range(n):
-        labels[v][v] = 0
-        rv = order.rank(v)
-        dv = d.exact()[v].tolist()
-        for j, members in enumerate(ms.levels):
-            thr = _within(d, 2**j)
-            for w in members:
-                if order.rank(w) < rv and dv[w] <= thr:
-                    labels[v][w] = dv[w]
-    return order, Labeling(False, n, labels)
+    rank = np.array([order.rank(v) for v in range(n)])
+    hub = np.eye(n, dtype=bool)
+    for j, members in enumerate(ms.levels):
+        cj = np.array(sorted(members), dtype=np.int64)
+        hub[:, cj] |= (d.exact()[:, cj] <= _within(d, 2**j)) & (rank[cj] < rank[:, None])
+    return order, hub_labeling(d, hub)
 
 
 @dataclass(frozen=True)

@@ -289,14 +289,27 @@ def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:
         hubs = by_rank[np.argmax(path_membership(d, u, cols)[:, by_rank], axis=1)]
         hub_f[u, hubs] = True
         hub_b[cols, hubs] = True
-    sides = (_side(hub_f, into.T), _side(hub_b, into)) if d.directed else (_side(hub_f, into),)
-    return Labeling(d.directed, n, *sides)
+    return hub_labeling(d, hub_f, hub_b if d.directed else None)
 
 
-def _side(hub: np.ndarray, dist: np.ndarray) -> list[list[tuple[int, int]]]:
-    """Label lists from an owner-by-hub table, each entry (h, dist[owner, h])."""
+def hub_labeling(d: DistMatrix, hub_f: np.ndarray, hub_b: np.ndarray | None = None) -> Labeling:
+    """Labeling from owner-by-hub boolean tables, each hub at its exact distance:
+    the one reader of label distances from ``d``, which it gives as Python ints.
+
+    ``hub_f[v, h]`` puts h in v's forward label at dist(v, h) and ``hub_b[v, h]``
+    in v's backward label at dist(h, v); an undirected labeling has one table.
+    Every marked hub must be reachable along its side.
+    """
+    into = d.exact()  # into[w, v] = dist(v, w), so into.T[v, h] = dist(v, h)
+    bwd = None if hub_b is None else _side(hub_b, into)
+    return Labeling(d.directed, d.n, _side(hub_f, into.T), bwd)
+
+
+def _side(hub: np.ndarray, dist: np.ndarray) -> list[zip]:
+    """Label rows from an owner-by-hub table, each entry (h, dist[owner, h]); lazy
+    pairs, so no list of tuples exists beside the one ``Labeling`` keeps."""
     rows = map(np.flatnonzero, hub)
-    return [list(zip(hs.tolist(), dist[v, hs].tolist())) for v, hs in enumerate(rows)]
+    return [zip(hs.tolist(), dist[v, hs].tolist()) for v, hs in enumerate(rows)]
 
 
 def respects_order(l: Labeling, pi: Order) -> bool:

@@ -13,7 +13,7 @@ from .graphs import DistMatrix, Graph, TooLargeError, all_pairs_distances
 from .graphs import path_membership  # noqa: F401 -- perfbench/tracing.py patches it here
 from .highway import DirectedInputError, _greedy_hitting_set, _must_hit
 from .highway import _paths_with_witnesses, _within
-from .labeling import Labeling, Order, canonical_hhl
+from .labeling import Labeling, Order, canonical_hhl, hub_labeling
 
 OPT_HHL_MAX_N = 20  # the subset DP holds up to 2^n memo states and recurses n deep
 
@@ -91,7 +91,7 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
     free side. On budget exhaustion the result keeps a valid labeling and
     honest bounds.
     """
-    n, into = d.n, d.exact()
+    n = d.n
     idx = PathIndex(d, pairs)
     pairs = idx.pairs(slice(None))
     options = [idx[i].tolist() for i in range(len(idx))]
@@ -99,13 +99,6 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
 
     fwd: list[set[int]] = [set() for _ in range(n)]
     bwd: list[set[int]] = [set() for _ in range(n)] if d.directed else fwd
-
-    def labeling_from(sol_f, sol_b) -> Labeling:
-        lf = [{h: int(into[h, v]) for h in sol_f[v]} for v in range(n)]
-        if d.directed:
-            lb = [{h: int(into[v, h]) for h in sol_b[v]} for v in range(n)]
-            return Labeling(True, n, lf, lb)
-        return Labeling(False, n, lf)
 
     # Incumbents: cheap canonical labelings (covering the target as a subset of
     # all pairs) and the set-cover approximation on the target itself. Either
@@ -220,14 +213,21 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
     dfs(static, forced_cost)
     complete = exhausted_lb is None
     lower = upper if complete else min(upper, exhausted_lb)
-    return HlBnbResult(lower, upper, labeling_from(best_f, best_b), complete, nodes)
+    hub_f, hub_b = np.zeros((2, n, n), dtype=bool)
+    for v in range(n):
+        hub_f[v, list(best_f[v])] = hub_b[v, list(best_b[v])] = True
+    labeling = hub_labeling(d, hub_f, hub_b if d.directed else None)
+    return HlBnbResult(lower, upper, labeling, complete, nodes)
 
 
 def exact_mds(cg: CenterGraph, limit: int = 20):
     """Exact maximum-density subgraph by subset enumeration.
 
-    Ties prefer fewer vertices, then the lexicographically smallest vertex set.
-    Returns the same (sets, density) shape as the peeling heuristic.
+    Ties prefer fewer vertices (side occurrences when directed), then, when
+    undirected, the lexicographically smallest vertex set and, when directed,
+    the smallest (tail mask, head mask) compared as integers, bit i of a mask
+    marking the i-th smallest tail (head) id. Returns the same (sets, density)
+    shape as the peeling heuristic.
     """
     if cg.edge_count == 0:
         raise EmptyCenterGraphError(f"center graph of {cg.center} has no edges")

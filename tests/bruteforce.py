@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -316,3 +317,16 @@ def significant_paths_bruteforce(g: hl.Graph, r) -> list[tuple[tuple[int, ...], 
         if reach > r:
             out.append((p, best[p[0]][p[-1]], reach))
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
+
+
+def greedy_hitting_set_loop(sets) -> set[int]:
+    """Greedy hitting set that recounts every unhit set after each pick: the
+    lowest-id vertex in the most unhit sets joins until every set is hit."""
+    unhit = list(sets)
+    hit: set[int] = set()
+    while unhit:
+        counts = Counter(v for s in unhit for v in s)
+        best = min(counts, key=lambda v: (-counts[v], v))
+        hit.add(best)
+        unhit = [s for s in unhit if best not in s]
+    return hit

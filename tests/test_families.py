@@ -161,6 +161,96 @@ def test_construct_reduction_labeling_directed():
         families.construct_reduction_labeling_directed(gp3, set())
 
 
+def _cycle(n: int) -> hl.Graph:
+    return hl.Graph(False, n, [(i, (i + 1) % n, 1) for i in range(n)])
+
+
+REDUCTION_BASES = {
+    "K2": edge2,
+    "P3": lambda: path_graph(2),
+    "triangle": triangle,
+    "C4": lambda: _cycle(4),
+    "C5": lambda: _cycle(5),
+}
+
+# sha256 of serialize_labeling for (base, cover): the undirected construction
+# without and with unique shortest paths, then the directed one. The cover is
+# min_vertex_cover(base) or every base vertex. Captured when each construction
+# looked up every hub distance itself.
+REDUCTION_DIGESTS = {
+    ("K2", "min"): (
+        "609904d8bf22330371226c1157e6fc15074542504ffc5a98f25d3913e45d5de3",
+        "990b9be705393ca5a44af420d5f5f235b721c0b0fb33741bdc16bfaac47097be",
+        "0d87e26f8d1338eaba4035591aa381f1b6fe6396c352b6065691eae98bbc85e7",
+    ),
+    ("K2", "all"): (
+        "faee447bbd0c81c3352bfb1499080df98e999d4dae6cc401db510a2fc80258e4",
+        "4fe8b90311b913677c9dd7ec7537ed2bb6374bca72b11f26bf002883a2a020c6",
+        "31882b23db3e1f322d92deb65938880623572e5c974d3676f11d8fa4ce8d3103",
+    ),
+    ("P3", "min"): (
+        "f8f04f4dcfa027824a1f02d68534552c51d6bc396b285e2acdcfebdb9ece44c4",
+        "fadf43899896cd7d56286a1ad23f9bdecbf9c83b46fbc7dde54580b67eeb56b1",
+        "83d942ac06601b92b7d68885b1dc6b224829cb845fa847722e432a2d3308bbf3",
+    ),
+    ("P3", "all"): (
+        "9b23fddda8895dcea3d26de5a60d546a9bd5ad42a804421422e66a5af820dc83",
+        "9e09a5510e43277ab7d6f7bc641e2f9b40abc01e3bd6762f717986b8fd6fabea",
+        "adb4c0e679f4e278ed2fa6c8868f149fa381663516228137165292977bc466d8",
+    ),
+    ("triangle", "min"): (
+        "5097848bed2a037ec4e880d9084b235f2b6da65104077d5169300f7aba768e2c",
+        "4cf082ef1c4052465ca7d273d4a3131236342a5d4b5c51e717444447256ac4ab",
+        "ec8a4de84ee4ca0dae5c6b03125e85f7b2d10325204c48a7c43930c690c094ec",
+    ),
+    ("triangle", "all"): (
+        "9ad635e487f36151d4af406c57db7a364e6d529add921b16b04218f48d31e686",
+        "b0fba968613844f2b9d1b89947383c6ae44128d4f822196f2d470e2b76173e8e",
+        "13e6c8f2983caf8c4ec4ad4144ad5c379d7bb8ed4168d50bc99549ac5401f368",
+    ),
+    ("C4", "min"): (
+        "44783ec92004d370e1e4192597cea8c5e832260b00ae051c26c50b110cb1285d",
+        "dfe8eb201704c2f8dd9c6a2d852ce30fd30a0f12d7125991d48d1b5d0514405a",
+        "7b80ae433ca65c45e34c0c6840c2d1ddc528fd04c789886fe15e265954e4b5a0",
+    ),
+    ("C4", "all"): (
+        "be0d3ce8ac46e8d3b0031c00347a1a9475a6e357f1dfc2494b3d3c8eb2f1c1a0",
+        "3566b1aa1cfce6374468bbc34bc2d5664c54b3e60754944aa43818c64918ba6e",
+        "e1a94f1483aa4f8d46d89faab871956d5f82a8a338a476d70f5542f39ff70d50",
+    ),
+    ("C5", "min"): (
+        "b4c96f46569528583c557457fac268ca70ff6e470a7ec0dee9d72e8ad1ccbf1b",
+        "39a5fcb4408e30112179b6b8638d9b5b160f090cf05f512bdb01c851862e22a9",
+        "6d1b338ec33633ab22c9ce1e17269bb1cc8a14134739c52f05e3eddce20535c3",
+    ),
+    ("C5", "all"): (
+        "26ecc1ea1778bcd4babbc71a9875cf83fe308223181f3f1872e00c3935a6fd87",
+        "865dbcb85887dc5e285ecb10a6b4b5f9a4e69a6d94f268aa37073e7bfaed5047",
+        "3c14b5ff579ab18f321661665567939516034619480276177a2ecc2cf791dbe2",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REDUCTION_DIGESTS))
+def test_reduction_labelings_unchanged(key):
+    name, cover = key
+    base = REDUCTION_BASES[name]()
+    vc = hl.min_vertex_cover(base) if cover == "min" else range(base.n)
+    labelings = [
+        families.construct_reduction_labeling_undirected(
+            families.reduce_vc_undirected(base, unique), vc
+        )
+        for unique in (False, True)
+    ]
+    labelings.append(
+        families.construct_reduction_labeling_directed(families.reduce_vc_directed(base), vc)
+    )
+    digests = tuple(
+        hashlib.sha256(hl.serialize_labeling(lab).encode()).hexdigest() for lab in labelings
+    )
+    assert digests == REDUCTION_DIGESTS[key]
+
+
 def test_construct_separator_hl():
     for k in (3, 4):
         lab = families.construct_separator_hl(k)

@@ -11,7 +11,7 @@ import pytest
 import hublab as hl
 from hublab import families
 
-from bruteforce import significant_paths_bruteforce
+from bruteforce import greedy_hitting_set_loop, significant_paths_bruteforce
 from conftest import path_graph, seeded_graphs, star_graph
 
 
@@ -298,6 +298,38 @@ def test_sphs_to_hhl_rejects_invalid_family():
     )
     with pytest.raises(hl.InvalidSPHSError, match="^level 1 misses a 1-significant path$"):
         hl.sphs_to_hhl(p8, dp, shifted)
+    # Members must be vertices of g: 7 is out of range and -1 would index vertex 2
+    # from the end. Both levels hit every path of P3 through vertex 1.
+    p3 = path_graph(2)
+    d3 = hl.all_pairs_distances(p3)
+    for stray in (frozenset({0, 1, 7}), frozenset({-1, 1})):
+        bad = hl.MultiscaleSPHS((frozenset(range(3)), stray), (3, 1), 2)
+        with pytest.raises(hl.InvalidSPHSError, match="^every level must be a set of vertices"):
+            hl.sphs_to_hhl(p3, d3, bad)
+    with pytest.raises(hl.InvalidSPHSError, match="^bottom level must contain every vertex$"):
+        hl.sphs_to_hhl(p3, d3, hl.MultiscaleSPHS((), (), 2))
+
+
+def test_greedy_hitting_set_matches_recounting_loop():
+    # Significant-path families of seeded graphs at every SPHS scale, and random
+    # set families over few vertices, where count ties are common.
+    from hublab.highway import _greedy_hitting_set, _must_hit
+
+    set_families = []
+    for g in seeded_graphs(12, 9, 5100) + [families.gen_random(30, 60, 6, 5200)]:
+        d = hl.all_pairs_distances(g)
+        paths = hl.enumerate_significant_paths(g, d, 1)
+        for i in range(1, max(d.diameter - 1, 0).bit_length() + 1):
+            targets = [frozenset(sp.vertices) for sp in paths if _must_hit(sp, 2 ** (i - 1))]
+            set_families.append(targets)
+    rng = random.Random(5300)
+    for _ in range(60):
+        k = rng.randint(1, 9)
+        set_families.append(
+            [frozenset(rng.sample(range(k), rng.randint(1, k))) for _ in range(rng.randint(0, 25))]
+        )
+    for sets in set_families:
+        assert _greedy_hitting_set(sets) == greedy_hitting_set_loop(sets)
 
 
 def test_q_sets_partition():

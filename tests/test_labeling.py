@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 import hublab as hl
 from hublab import families
+from hublab.labeling import hub_labeling
 
-from bruteforce import gen_random_directed, path_vertices_bruteforce, verify_cover_loop
+from bruteforce import (
+    all_pairs_bruteforce,
+    gen_random_directed,
+    path_vertices_bruteforce,
+    verify_cover_loop,
+)
 from conftest import edge2, seeded_graphs
 
 
@@ -206,6 +214,33 @@ def test_canonical_matches_independent_hub_rule():
             expect[u][hub] = d.dist(u, hub)
             expect[w][hub] = d.dist(w, hub)
     assert lab == hl.Labeling(False, g.n, expect)
+
+
+def test_hub_labeling_reads_each_side_the_right_way():
+    # Random tables over reachable cells: a forward entry of v at hub h must hold
+    # dist(v, h) and a backward one dist(h, v), as a Python int. The directed
+    # draws must include hubs with dist(v, h) != dist(h, v), or reading one
+    # side with the other's orientation would go unnoticed.
+    graphs = [gen_random_directed(n, 3, 5, 4200 + n) for n in range(3, 9)]
+    graphs += seeded_graphs(6, 7, 4300)
+    rng = np.random.default_rng(4400)
+    asymmetric = 0
+    for g in graphs:
+        d = hl.all_pairs_distances(g)
+        best = all_pairs_bruteforce(g)
+        reach = np.array(best) < math.inf  # [v, h]: h reachable from v
+        hub_f = reach & (rng.random(reach.shape) < 0.5)
+        hub_b = reach.T & (rng.random(reach.shape) < 0.5) if g.directed else None
+        lab = hub_labeling(d, hub_f, hub_b)
+        assert lab.directed == g.directed
+        for v in range(g.n):
+            assert [h for h, _ in lab.fwd[v]] == np.flatnonzero(hub_f[v]).tolist()
+            assert all(type(dd) is int and dd == best[v][h] for h, dd in lab.fwd[v])
+            if g.directed:
+                assert [h for h, _ in lab.bwd[v]] == np.flatnonzero(hub_b[v]).tolist()
+                assert all(type(dd) is int and dd == best[h][v] for h, dd in lab.bwd[v])
+                asymmetric += sum(best[v][h] != best[h][v] for h, _ in lab.fwd[v])
+    assert asymmetric > 0
 
 
 def test_respects_order():

@@ -130,6 +130,12 @@ def test_exact_mds_directed():
     (tails, heads), dens = hl.exact_mds(cg)
     assert dens == Fraction(4, 4)
     assert tails == frozenset({0, 1}) and heads == frozenset({0, 1})
+    # Both ({0, 4}, {10}) and ({2, 3}, {11}) have density 2/3 on three side
+    # occurrences; the tail masks over [0, 2, 3, 4] are 0b1001 and 0b0110.
+    cg = hl.CenterGraph(0, True, ((0, 10), (2, 11), (3, 11), (4, 10)))
+    (tails, heads), dens = hl.exact_mds(cg)
+    assert dens == Fraction(2, 3)
+    assert tails == frozenset({2, 3}) and heads == frozenset({11})
 
 
 def test_min_vertex_cover_examples():
