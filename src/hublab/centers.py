@@ -49,6 +49,35 @@ class CenterGraph:
             return len(self.tails()) + len(self.heads())
         return len(self.vertices())
 
+    def side_nodes(self) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+        """The graph on side nodes ``(side, v)``: the nodes, and per node an
+        adjacency bitmask (bit i stands for node i) and a self-loop flag.
+
+        Undirected: one node (0, v) per non-isolated vertex, in id order, and the
+        pair [v, v] is a loop. Directed: the heads (1, w), then the tails (0, u),
+        each in id order, so a smaller integer mask is a smaller (tail mask,
+        head mask), bit i of those marking the i-th smallest tail (head) id.
+        """
+        if self.directed:
+            nodes = [(1, w) for w in sorted(self.heads())] + [(0, u) for u in sorted(self.tails())]
+        else:
+            nodes = [(0, v) for v in sorted(self.vertices())]
+        at = {node: i for i, node in enumerate(nodes)}
+        adj, loop = [0] * len(nodes), [0] * len(nodes)
+        for u, w in self.arcs:
+            a, b = at[0, u], at[int(self.directed), w]
+            if a == b:
+                loop[a] = 1
+            else:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        return nodes, adj, loop
+
+    def sides(self, nodes: list[tuple[int, int]], mask: int) -> tuple[frozenset[int], ...]:
+        """Vertices of the side nodes in ``mask``: (members,), or (tails, heads) when directed."""
+        picked = [node for i, node in enumerate(nodes) if mask >> i & 1]
+        return tuple(frozenset(v for s, v in picked if s == k) for k in range(1 + self.directed))
+
 
 class PathIndex:
     """Shortest-path incidence of a sorted pair list, held as two CSR views.

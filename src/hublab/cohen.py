@@ -12,57 +12,48 @@ from fractions import Fraction
 import numpy as np
 
 from .centers import CenterGraph, CoverageState, EmptyCenterGraphError
-from .graphs import DistMatrix
+from .graphs import DistMatrix, TooLargeError
 from .greedy import RunTrace, _select
 from .labeling import Labeling
 
+# Subsets an exact run may enumerate over all its exact_mds calls. vc-dir on
+# the 5-cycle, the largest exact run in the tests and the benchmark, takes about
+# 168k and bad-g k=3 about 844k; one call on 20 side nodes takes 2^20.
+EXACT_MDS_SUBSETS = 1 << 22
+
 
 def mds_peel(cg: CenterGraph):
-    """Densest-subgraph 2-approximation by repeatedly removing a minimum-degree vertex.
-
-    Each removal rescans the live vertices, so a peel is quadratic, not linear.
-
-    Returns (sets, density): one vertex set for undirected center graphs, a
-    (tails, heads) pair for directed ones. Among equal-density prefixes the
-    largest (earliest) subgraph is kept. The returned density is at least half
-    the exact maximum density.
+    """Densest-subgraph 2-approximation (Charikar): peel the side-node form
+    (:meth:`CenterGraph.side_nodes`), dropping the live node least by (degree,
+    vertex id, side), tails on side 0; a node left without edges leaves too.
+    Each drop scans every node, so a peel is quadratic. Among equal-density
+    prefixes the largest (earliest) is kept; its density is at least half the
+    maximum. Returns (sets, density): one vertex set when undirected, (tails,
+    heads) when directed.
     """
     if cg.edge_count == 0:
         raise EmptyCenterGraphError(f"center graph of {cg.center} has no edges")
-    # Nodes are (side, v): tails on side 0, heads on side 1 when directed and on
-    # side 0 otherwise, where the pair [v, v] becomes a loop on (0, v).
-    head_side = 1 if cg.directed else 0
-    adj: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    loops: set[tuple[int, int]] = set()
-    for u, w in cg.arcs:
-        a, b = (0, u), (head_side, w)
-        if a == b:
-            loops.add(a)
-            adj.setdefault(a, set())
-        else:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-    deg = {node: len(nbrs) + (node in loops) for node, nbrs in adj.items()}
-    m = cg.edge_count
-    best_set: list[tuple[int, int]] = []
-    best_dens: Fraction | None = None
+    nodes, adj, loop = cg.side_nodes()
+    by_id = sorted(range(len(nodes)), key=lambda i: nodes[i][::-1])
+    deg = [a.bit_count() + lp for a, lp in zip(adj, loop)]
+    alive = best = (1 << len(nodes)) - 1
+    m = best_e = (sum(deg) + sum(loop)) // 2  # distinct edges: two ends each, a loop one
+    best_k, dead = len(nodes), len(nodes) + 1  # dead: above any live degree
     while m > 0:
-        alive = [node for node, dv in deg.items() if dv > 0]
-        dens = Fraction(m, len(alive))
-        if best_dens is None or dens > best_dens:
-            best_dens, best_set = dens, alive
-        drop = min(alive, key=lambda node: (deg[node], node[1], node[0]))
-        for nbr in adj[drop]:
-            adj[nbr].discard(drop)
-            deg[nbr] -= 1
-            m -= 1
-        if drop in loops:
-            loops.discard(drop)
-            m -= 1
-        deg[drop] = 0
-        adj[drop] = set()
-    sides = tuple(frozenset(v for side, v in best_set if side == s) for s in range(head_side + 1))
-    return sides, best_dens
+        drop = min(by_id, key=deg.__getitem__)
+        if deg[drop]:  # else an isolated node goes first, outside every prefix
+            k = alive.bit_count()
+            if m * best_k > best_e * k:
+                best, best_e, best_k = alive, m, k
+        alive ^= 1 << drop
+        deg[drop] = dead
+        nbrs = adj[drop] & alive
+        m -= nbrs.bit_count() + loop[drop]
+        while nbrs:
+            low = nbrs & -nbrs
+            deg[low.bit_length() - 1] -= 1
+            nbrs ^= low
+    return cg.sides(nodes, best), Fraction(best_e, best_k)
 
 
 def run_cohen_hl(d: DistMatrix, pairs=None, exact_mds: bool = False) -> tuple[Labeling, RunTrace]:
@@ -73,17 +64,24 @@ def run_cohen_hl(d: DistMatrix, pairs=None, exact_mds: bool = False) -> tuple[La
     subgraph of v's center graph restricted to the uncovered target pairs, adds
     v to the corresponding labels, and removes the newly covered pairs. Ties go
     to the lowest center id. The output covers exactly the target pairs and is
-    not hierarchical in general.
+    not hierarchical in general. An exact run raises ``TooLargeError`` (exit 3)
+    before the subsets it enumerates in all would pass ``EXACT_MDS_SUBSETS``.
     """
     from . import oracles  # local import; oracles also serves other callers
 
     engine = CoverageState(d, pairs)
     idx = engine.index
+    subsets = 0
 
     def step(engine: CoverageState):
+        nonlocal subsets
         best = None
         for v in np.flatnonzero(engine.edges).tolist():
             cg = engine.center_graph(v)
+            if exact_mds:
+                subsets += 1 << cg.nonisolated_count
+                if subsets > EXACT_MDS_SUBSETS:
+                    raise TooLargeError(f"exact MDS needs over {EXACT_MDS_SUBSETS} subsets")
             sets, dens = (oracles.exact_mds if exact_mds else mds_peel)(cg)
             if best is None or dens > best[0]:
                 best = (dens, v, sets)

@@ -81,7 +81,7 @@ class Graph:
     ``TooLargeError`` before anything is allocated for them.
     """
 
-    __slots__ = ("directed", "n", "arcs", "_adj", "_len")
+    __slots__ = ("directed", "n", "arcs", "_adj")
 
     def __init__(self, directed: bool, n: int, arcs):
         if n < 0:
@@ -112,7 +112,6 @@ class Graph:
         self.n = n
         self.arcs = tuple((t, h, ln) for t, h, ln in kept)
         self._adj = None
-        self._len = None
 
     @property
     def m(self) -> int:
@@ -129,17 +128,6 @@ class Graph:
                     adj[h].append((t, ln))
             self._adj = adj
         return self._adj
-
-    def arc_length(self, u: int, v: int) -> int | None:
-        """Length of the arc u->v (edge {u,v} when undirected), or None if absent."""
-        if self._len is None:
-            table: dict[tuple[int, int], int] = {}
-            for t, h, ln in self.arcs:
-                table[(t, h)] = ln
-                if not self.directed:
-                    table[(h, t)] = ln
-            self._len = table
-        return self._len.get((u, v))
 
     def _canon(self) -> dict[tuple[int, int], int]:
         out = {}

@@ -4,6 +4,7 @@ construction, plus the per-level label audit for distance-greedy runs."""
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -111,9 +112,11 @@ def _with_witnesses(g: Graph, d: DistMatrix, path: tuple[int, ...]):
     return SignificantPath(path, length, max(wlen for wlen, _ in out)), out
 
 
+@functools.lru_cache(maxsize=1)  # Graph and DistMatrix are immutable and hashable
 def _paths_with_witnesses(g: Graph, d: DistMatrix, cap: int):
     """Every shortest path with its witnesses, sorted by vertex count, then ids:
-    the one enumeration that every reader and every scale of this layer filters."""
+    the one enumeration that every reader and every scale of this layer filters.
+    The last result is kept, so an SPHS build and its check enumerate once."""
     paths = sorted(_all_shortest_paths(g, d, cap), key=lambda p: (len(p), p))
     return [_with_witnesses(g, d, p) for p in paths]
 
@@ -289,9 +292,6 @@ class DhhlLevelAudit:
     label_sizes: dict[int, int]
     max_level_count: int
     bound_ratio: float
-
-    def max_label_size(self) -> int:
-        return max(self.label_sizes.values(), default=0)
 
 
 def audit_dhhl_levels(trace: RunTrace, d: DistMatrix, h: int) -> DhhlLevelAudit:

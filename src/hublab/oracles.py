@@ -221,97 +221,37 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
 
 
 def exact_mds(cg: CenterGraph, limit: int = 20):
-    """Exact maximum-density subgraph by subset enumeration.
+    """Exact maximum-density subgraph by one subset DP over the side-node form
+    (:meth:`CenterGraph.side_nodes`).
 
-    Ties prefer fewer vertices (side occurrences when directed), then, when
-    undirected, the lexicographically smallest vertex set and, when directed,
-    the smallest (tail mask, head mask) compared as integers, bit i of a mask
-    marking the i-th smallest tail (head) id. Returns the same (sets, density)
-    shape as the peeling heuristic.
+    Masks run in increasing order, and a mask's edge count extends that of the
+    mask without its lowest node; densities compare by integer cross-products.
+    Ties prefer fewer side nodes, then, when undirected, the lexicographically
+    smallest vertex list (the mask holding the lowest bit where the two differ)
+    and, when directed, the smallest integer mask: the smallest (tail mask, head
+    mask). More than ``limit`` side nodes raise ``TooLargeError``; Cohen's runner
+    also caps the subsets per run. Returns (sets, density) like the peel.
     """
     if cg.edge_count == 0:
         raise EmptyCenterGraphError(f"center graph of {cg.center} has no edges")
-    if cg.directed:
-        return _exact_mds_directed(cg, limit)
-    return _exact_mds_undirected(cg, limit)
-
-
-def _exact_mds_undirected(cg: CenterGraph, limit: int):
-    verts = sorted(cg.vertices())
-    c = len(verts)
+    nodes, adj, loop = cg.side_nodes()
+    c = len(nodes)
     if c > limit:
-        raise TooLargeError(f"{c} non-isolated vertices exceed limit {limit}")
-    idx = {v: i for i, v in enumerate(verts)}
-    adj = [0] * c
-    loop = [0] * c
-    for u, w in cg.arcs:
-        if u == w:
-            loop[idx[u]] = 1
-        else:
-            adj[idx[u]] |= 1 << idx[w]
-            adj[idx[w]] |= 1 << idx[u]
+        raise TooLargeError(f"{c} side nodes exceed limit {limit}")
     edges = [0] * (1 << c)
-    best_dens: Fraction | None = None
-    best_mask = 0
+    best, best_e, best_k = 0, 0, 1  # density 0: the first mask with an edge beats it
     for mask in range(1, 1 << c):
         low = mask & -mask
         v = low.bit_length() - 1
         rest = mask ^ low
-        e = edges[rest] + (adj[v] & rest).bit_count() + loop[v]
-        edges[mask] = e
-        if e == 0:
-            continue
-        dens = Fraction(e, mask.bit_count())
-        if (
-            best_dens is None
-            or dens > best_dens
-            or (dens == best_dens and _mask_tie_better(mask, best_mask, verts))
+        e = edges[mask] = edges[rest] + (adj[v] & rest).bit_count() + loop[v]
+        k = mask.bit_count()
+        ours, theirs = e * best_k, best_e * k
+        if ours > theirs or ours == theirs and (
+            k < best_k or k == best_k and not cg.directed and mask & (mask ^ best) & -(mask ^ best)
         ):
-            best_dens = dens
-            best_mask = mask
-    members = frozenset(verts[i] for i in range(c) if best_mask >> i & 1)
-    return (members,), best_dens
-
-
-def _mask_tie_better(mask: int, incumbent: int, verts: list[int]) -> bool:
-    a, b = mask.bit_count(), incumbent.bit_count()
-    if a != b:
-        return a < b
-    mine = sorted(verts[i] for i in range(len(verts)) if mask >> i & 1)
-    theirs = sorted(verts[i] for i in range(len(verts)) if incumbent >> i & 1)
-    return mine < theirs
-
-
-def _exact_mds_directed(cg: CenterGraph, limit: int):
-    tails = sorted(cg.tails())
-    heads = sorted(cg.heads())
-    cx, cy = len(tails), len(heads)
-    if cx + cy > limit:
-        raise TooLargeError(f"{cx + cy} side occurrences exceed limit {limit}")
-    ti = {v: i for i, v in enumerate(tails)}
-    hi = {v: i for i, v in enumerate(heads)}
-    outmask = [0] * cx
-    for u, w in cg.arcs:
-        outmask[ti[u]] |= 1 << hi[w]
-    best_dens: Fraction | None = None
-    best = (0, 0)
-    for mx in range(1, 1 << cx):
-        rows = [outmask[i] for i in range(cx) if mx >> i & 1]
-        for my in range(1, 1 << cy):
-            e = sum((row & my).bit_count() for row in rows)
-            if e == 0:
-                continue
-            dens = Fraction(e, mx.bit_count() + my.bit_count())
-            if best_dens is None or dens > best_dens:
-                best_dens, best = dens, (mx, my)
-            elif dens == best_dens:
-                size = mx.bit_count() + my.bit_count()
-                inc_size = best[0].bit_count() + best[1].bit_count()
-                if size < inc_size or (size == inc_size and (mx, my) < best):
-                    best = (mx, my)
-    sp = frozenset(tails[i] for i in range(cx) if best[0] >> i & 1)
-    ss = frozenset(heads[i] for i in range(cy) if best[1] >> i & 1)
-    return (sp, ss), best_dens
+            best, best_e, best_k = mask, e, k
+    return cg.sides(nodes, best), Fraction(best_e, best_k)
 
 
 def min_vertex_cover(g: Graph) -> frozenset[int]:

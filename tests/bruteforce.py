@@ -330,3 +330,152 @@ def greedy_hitting_set_loop(sets) -> set[int]:
         hit.add(best)
         unhit = [s for s in unhit if best not in s]
     return hit
+
+
+def mds_peel_reference(cg: hl.CenterGraph):
+    """Charikar's peel on a dict-of-sets over (side, v) nodes: drop the live node
+    least by (deg, v, side), rescanning every live node per drop, and keep the
+    earliest densest prefix. Same (sets, density) shape as ``hl.mds_peel``."""
+    if cg.edge_count == 0:
+        raise hl.EmptyCenterGraphError(f"center graph of {cg.center} has no edges")
+    head_side = 1 if cg.directed else 0
+    adj: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    loops: set[tuple[int, int]] = set()
+    for u, w in cg.arcs:
+        a, b = (0, u), (head_side, w)
+        if a == b:
+            loops.add(a)
+            adj.setdefault(a, set())
+        else:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    deg = {node: len(nbrs) + (node in loops) for node, nbrs in adj.items()}
+    m = cg.edge_count
+    best_set: list[tuple[int, int]] = []
+    best_dens: Fraction | None = None
+    while m > 0:
+        alive = [node for node, dv in deg.items() if dv > 0]
+        dens = Fraction(m, len(alive))
+        if best_dens is None or dens > best_dens:
+            best_dens, best_set = dens, alive
+        drop = min(alive, key=lambda node: (deg[node], node[1], node[0]))
+        for nbr in adj[drop]:
+            adj[nbr].discard(drop)
+            deg[nbr] -= 1
+            m -= 1
+        if drop in loops:
+            loops.discard(drop)
+            m -= 1
+        deg[drop] = 0
+        adj[drop] = set()
+    sides = tuple(frozenset(v for side, v in best_set if side == s) for s in range(head_side + 1))
+    return sides, best_dens
+
+
+def exact_mds_undirected_reference(cg: hl.CenterGraph):
+    """Densest vertex subset by subset DP with one Fraction per subset; ties go
+    to fewer vertices, then to the lexicographically smallest sorted list."""
+    verts = sorted(cg.vertices())
+    c = len(verts)
+    idx = {v: i for i, v in enumerate(verts)}
+    adj, loop = [0] * c, [0] * c
+    for u, w in cg.arcs:
+        if u == w:
+            loop[idx[u]] = 1
+        else:
+            adj[idx[u]] |= 1 << idx[w]
+            adj[idx[w]] |= 1 << idx[u]
+    edges = [0] * (1 << c)
+    best_dens: Fraction | None = None
+    best_mask = 0
+    for mask in range(1, 1 << c):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        rest = mask ^ low
+        e = edges[rest] + (adj[v] & rest).bit_count() + loop[v]
+        edges[mask] = e
+        if e == 0:
+            continue
+        dens = Fraction(e, mask.bit_count())
+        if (
+            best_dens is None
+            or dens > best_dens
+            or (dens == best_dens and mask_tie_better(mask, best_mask, verts))
+        ):
+            best_dens = dens
+            best_mask = mask
+    members = frozenset(verts[i] for i in range(c) if best_mask >> i & 1)
+    return (members,), best_dens
+
+
+def mask_tie_better(mask: int, incumbent: int, verts: list[int]) -> bool:
+    """Fewer vertices, then the lexicographically smaller sorted vertex list."""
+    a, b = mask.bit_count(), incumbent.bit_count()
+    if a != b:
+        return a < b
+    mine = sorted(verts[i] for i in range(len(verts)) if mask >> i & 1)
+    theirs = sorted(verts[i] for i in range(len(verts)) if incumbent >> i & 1)
+    return mine < theirs
+
+
+def exact_mds_directed_reference(cg: hl.CenterGraph):
+    """Densest (tails, heads) by a nested loop over tail and head subsets; ties
+    go to fewer side occurrences, then to the smallest (tail mask, head mask)."""
+    tails, heads = sorted(cg.tails()), sorted(cg.heads())
+    cx, cy = len(tails), len(heads)
+    ti = {v: i for i, v in enumerate(tails)}
+    hi = {v: i for i, v in enumerate(heads)}
+    outmask = [0] * cx
+    for u, w in cg.arcs:
+        outmask[ti[u]] |= 1 << hi[w]
+    best_dens: Fraction | None = None
+    best = (0, 0)
+    for mx in range(1, 1 << cx):
+        rows = [outmask[i] for i in range(cx) if mx >> i & 1]
+        for my in range(1, 1 << cy):
+            e = sum((row & my).bit_count() for row in rows)
+            if e == 0:
+                continue
+            dens = Fraction(e, mx.bit_count() + my.bit_count())
+            if best_dens is None or dens > best_dens:
+                best_dens, best = dens, (mx, my)
+            elif dens == best_dens:
+                size = mx.bit_count() + my.bit_count()
+                inc_size = best[0].bit_count() + best[1].bit_count()
+                if size < inc_size or (size == inc_size and (mx, my) < best):
+                    best = (mx, my)
+    sp = frozenset(tails[i] for i in range(cx) if best[0] >> i & 1)
+    ss = frozenset(heads[i] for i in range(cy) if best[1] >> i & 1)
+    return (sp, ss), best_dens
+
+
+def exact_mds_reference(cg: hl.CenterGraph):
+    if cg.edge_count == 0:
+        raise hl.EmptyCenterGraphError(f"center graph of {cg.center} has no edges")
+    if cg.directed:
+        return exact_mds_directed_reference(cg)
+    return exact_mds_undirected_reference(cg)
+
+
+def random_center_graph(rng: random.Random, directed: bool, max_nodes: int = 10) -> hl.CenterGraph:
+    """A seeded center graph on scattered ids with at most ``max_nodes`` side nodes.
+
+    Undirected pairs are min-first and may be loops [v, v]; directed pairs may
+    join a tail and a head of the same id. Half the graphs are disjoint copies
+    of one small pattern on shuffled ids, so many subsets tie on density.
+    """
+    ids = rng.sample(range(40), 12)
+    if rng.random() < 0.5:
+        k = rng.randint(1, 3)
+        pattern = [(rng.randrange(3), rng.randrange(3)) for _ in range(rng.randint(1, 4))]
+        pairs = {(ids[3 * c + a], ids[3 * c + b]) for c in range(k) for a, b in pattern}
+    else:
+        pairs = {(rng.choice(ids[:7]), rng.choice(ids[:7])) for _ in range(rng.randint(1, 12))}
+    if not directed:
+        pairs = {(min(u, w), max(u, w)) for u, w in pairs}
+    arcs = sorted(pairs)
+    while True:
+        cg = hl.CenterGraph(0, directed, tuple(arcs))
+        if cg.nonisolated_count <= max_nodes:
+            return cg
+        arcs.pop()

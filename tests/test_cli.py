@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hublab as hl
-from hublab import families
+from hublab import families, highway
 from hublab.cli import main
 
 from conftest import path_graph
@@ -396,3 +397,35 @@ def test_build_and_verify_at_vertex_limit_under_memory_cap(tmp_path):
         assert res.returncode == 3, res.stderr
         assert "Traceback" not in res.stderr
         assert res.stderr.startswith("error: ")
+
+
+def test_exact_cohen_past_its_subset_cap_exits_3_quickly(tmp_path):
+    # Every center graph of bad-w k=2 has 20 side nodes: 2^20 subsets per call.
+    graph = tmp_path / "w2.gr"
+    graph.write_text(hl.serialize_graph(families.gen_bad_w(2)))
+    src = str(Path(hl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "hublab.cli", "build", str(graph), "--algo", "cohen",
+           "--exact-mds", "--out", str(tmp_path / "w2.lab")]
+    start = time.monotonic()
+    res = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=30)
+    assert time.monotonic() - start < 10
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+def test_sphs_build_enumerates_shortest_paths_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    enumerate_paths = highway._all_shortest_paths
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_paths(*args)
+
+    monkeypatch.setattr(highway, "_all_shortest_paths", counted)
+    highway._paths_with_witnesses.cache_clear()
+    graph = tmp_path / "r.gr"
+    graph.write_text(hl.serialize_graph(families.gen_random(12, 20, 4, 5)))
+    assert main(["build", str(graph), "--algo", "sphs", "--out", str(tmp_path / "r.lab")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

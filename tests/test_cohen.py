@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import hublab as hl
 from hublab import families
 
-from bruteforce import build_center_graph
+from bruteforce import build_center_graph, mds_peel_reference, random_center_graph
 from conftest import complete_graph, edge2, seeded_graphs, star_graph
 
 
@@ -33,6 +34,19 @@ def test_mds_peel_directed_bipartite():
     (tails, heads), dens = hl.mds_peel(cg)
     assert tails == frozenset({0, 1}) and heads == frozenset({0, 1})
     assert dens == Fraction(4, 4)
+
+
+def test_mds_peel_matches_reference_on_random_center_graphs():
+    rng = random.Random(17100)
+    for i in range(1000):
+        cg = random_center_graph(rng, directed=i % 2 == 1)
+        assert hl.mds_peel(cg) == mds_peel_reference(cg), cg
+
+
+def test_mds_peel_counts_a_repeated_pair_once():
+    # Both spellings of one undirected edge are one edge, as in exact_mds.
+    cg = hl.CenterGraph(0, False, ((0, 1), (1, 0)))
+    assert hl.mds_peel(cg) == hl.exact_mds(cg) == ((frozenset({0, 1}),), Fraction(1, 2))
 
 
 def test_peel_within_half_of_exact_on_encountered_graphs():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 import hublab as hl
 from hublab import families
 
-from bruteforce import gen_random_directed, optimal_hl_milp
+from bruteforce import exact_mds_reference, gen_random_directed, optimal_hl_milp
+from bruteforce import random_center_graph
 from conftest import edge2, path_graph, seeded_graphs, star_graph, triangle
 
 
@@ -136,6 +138,40 @@ def test_exact_mds_directed():
     (tails, heads), dens = hl.exact_mds(cg)
     assert dens == Fraction(2, 3)
     assert tails == frozenset({2, 3}) and heads == frozenset({11})
+
+
+def test_exact_mds_tie_rules_are_pinned():
+    # Undirected: {0, 3} and {1, 2} tie at 1/2 on two vertices; the list [0, 3]
+    # is lexicographically smaller, the mask of {1, 2} (0b0110) smaller.
+    (members,), dens = hl.exact_mds(hl.CenterGraph(0, False, ((0, 3), (1, 2))))
+    assert dens == Fraction(1, 2) and members == frozenset({0, 3})
+    # Directed: ({0}, {11}) and ({1}, {10}) tie at 1/2 on two side nodes; tail
+    # mask 0b01 beats 0b10, while the undirected rule would take ({1}, {10}),
+    # whose head node (1, 10) is the lowest bit where the two masks differ.
+    (tails, heads), dens = hl.exact_mds(hl.CenterGraph(0, True, ((0, 11), (1, 10))))
+    assert dens == Fraction(1, 2) and (tails, heads) == (frozenset({0}), frozenset({11}))
+
+
+def test_exact_mds_matches_reference_on_random_center_graphs():
+    rng = random.Random(17000)
+    seen_loops = seen_same_ids = 0
+    for i in range(600):
+        cg = random_center_graph(rng, directed=i % 2 == 1)
+        assert hl.exact_mds(cg) == exact_mds_reference(cg), cg
+        same = any(u == w for u, w in cg.arcs)
+        seen_loops += same and not cg.directed
+        seen_same_ids += same and cg.directed
+    assert seen_loops > 50 and seen_same_ids > 50
+
+
+def test_side_nodes_put_heads_before_tails():
+    cg = hl.CenterGraph(0, True, ((0, 11), (1, 10), (1, 1)))
+    nodes, adj, loop = cg.side_nodes()
+    assert nodes == [(1, 1), (1, 10), (1, 11), (0, 0), (0, 1)]
+    assert adj == [0b10000, 0b10000, 0b01000, 0b00100, 0b00011] and loop == [0] * 5
+    assert cg.sides(nodes, 0b01101) == (frozenset({0}), frozenset({1, 11}))
+    nodes, adj, loop = hl.CenterGraph(0, False, ((2, 2), (2, 5))).side_nodes()
+    assert (nodes, adj, loop) == ([(0, 2), (0, 5)], [0b10, 0b01], [1, 0])
 
 
 def test_min_vertex_cover_examples():
