@@ -86,11 +86,28 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
     """Exact (budget permitting) minimum hub labeling covering ``pairs``.
 
     ``pairs`` is any iterable of ``(u, w)``; ``None`` means every reachable
-    pair. Branches over per-pair hub choices; the admissible bound greedily
-    matches slot-disjoint uncovered pairs, each needing a hub entry on every
-    free side. On budget exhaustion the result keeps a valid labeling and
-    honest bounds.
+    pair. Branches over per-pair hub choices, in the style of Babenko,
+    Goldberg, Gupta and Nagarajan (ICALP 2013). Only the first ``budget - 1``
+    nodes may branch; each later node, a sibling still pending, is bounded once
+    and not expanded, so a budget of 0 or 1 keeps the incumbents and the root
+    bound. A negative budget raises ``ValueError``. On budget exhaustion the
+    result keeps a valid labeling and honest bounds.
+
+    Each pair's completion cost, the fewest new entries that would cover it
+    (0, 1 or 2), is kept in ``cost`` instead of being recomputed at every node.
+    Placing hub h at vertex v on one side can only lower the cost of the pairs
+    with v at that end and h among their options; watch lists keyed by (v, h)
+    name them, and undirected both ends share one side and one list. A branch
+    re-prices only those pairs and restores their old costs when it returns.
+    A node drops its covered pairs, bounds by greedily matching slot-disjoint
+    pairs (cost 2 before cost 1, ascending pair id within a cost), each needing
+    an entry on every free slot, and branches on the dearest pair with the
+    fewest options, cheapest hub first. The kept costs equal a recomputation
+    from the current labels, so the nodes and their order are those of the
+    search that recomputes them (``tests/bruteforce.py``).
     """
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     n = d.n
     idx = PathIndex(d, pairs)
     pairs = idx.pairs(slice(None))
@@ -121,40 +138,29 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
             best_f = [set(h for h, _ in cand.fwd[v]) for v in range(n)]
             best_b = [set(h for h, _ in cand.bwd[v]) for v in range(n)]
 
-    def min_completion(i: int) -> int:
-        s, t = pairs[i]
-        # Undirected self pairs cost one entry: both sides are the same list.
-        collapse = not d.directed and s == t
-        best = 3
+    # Undirected self pairs cost one entry: both sides are the same list.
+    collapse = [not d.directed and s == t for s, t in pairs]
+    # A pair's matching slots as bits: (s, fwd) and (t, bwd), one per vertex undirected.
+    slots = [(1 << 2 * s) | (1 << 2 * t + d.directed) for s, t in pairs]
+    cost = [1 if c else 2 for c in collapse]  # no entries placed yet
+    watch_f: dict[int, list[int]] = {}
+    watch_b: dict[int, list[int]] = {} if d.directed else watch_f
+    for i, (s, t) in enumerate(pairs):
         for h in options[i]:
-            if collapse:
-                c = 1 if h not in fwd[s] else 0
-            else:
-                c = (h not in fwd[s]) + (h not in bwd[t])
-            if c < best:
-                best = c
-                if best == 0:
-                    break
-        return best
+            watch_f.setdefault(s * n + h, []).append(i)
+            if not collapse[i]:
+                watch_b.setdefault(t * n + h, []).append(i)
 
-    def lower_bound(uncovered: list[int], current: int) -> int:
-        # Greedy matching of slot-disjoint pairs, most expensive first; disjoint
-        # pairs need disjoint new entries, so the costs add up.
-        costed = sorted(
-            ((min_completion(i), i) for i in uncovered), key=lambda x: (-x[0], x[1])
-        )
-        used: set = set()
-        lb = current
-        for c, i in costed:
-            s, t = pairs[i]
-            sf = (s, 0)
-            sb = (t, 1) if d.directed else (t, 0)
-            if sf in used or sb in used:
-                continue
-            lb += c
-            used.add(sf)
-            used.add(sb)
-        return lb
+    def place(side: list[set[int]], watch: dict[int, list[int]], v: int, h: int, undo) -> None:
+        # Only h's term changes, and it can only fall; ``undo`` keeps the old costs.
+        side[v].add(h)
+        for i in watch.get(v * n + h, ()):
+            if cost[i]:
+                s, t = pairs[i]
+                c = 0 if collapse[i] else (h not in fwd[s]) + (h not in bwd[t])
+                if c < cost[i]:
+                    undo.append((i, cost[i]))
+                    cost[i] = c
 
     nodes = 0
     exhausted_lb: int | None = None
@@ -164,50 +170,63 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
         nonlocal upper, best_f, best_b, nodes, exhausted_lb, budget_left
         nodes += 1
         budget_left -= 1
-        still = [i for i in uncovered if min_completion(i) > 0]
+        still = [i for i in uncovered if cost[i]]
         if not still:
             if current < upper:
                 upper = current
                 best_f = [set(x) for x in fwd]
                 best_b = [set(x) for x in bwd] if d.directed else best_f
             return
-        lb = lower_bound(still, current)
+        # Slot-disjoint pairs need disjoint new entries, so their costs add up.
+        lb, used = current, 0
+        ordered = sorted(still)
+        for c in (2, 1):
+            for i in ordered:
+                if cost[i] == c and not used & slots[i]:
+                    lb += c
+                    used |= slots[i]
         if lb >= upper:
             return
         if budget_left <= 0:
             exhausted_lb = lb if exhausted_lb is None else min(exhausted_lb, lb)
             return
-        pick = max(still, key=lambda i: (min_completion(i), -len(options[i])))
+        # The dearest pair with the fewest options, first in ``still``: since
+        # ``still`` keeps the (option count, pair) order of ``static``, that is
+        # its first pair of cost 2, else its first pair.
+        pick = next((i for i in still if cost[i] == 2), still[0])
         s, t = pairs[pick]
         branches = sorted(
             ((h not in fwd[s]) + (h not in bwd[t]), h) for h in options[pick]
         )
         rest = [i for i in still if i != pick]
         for _, h in branches:
+            undo: list[tuple[int, int]] = []
             added_f = h not in fwd[s]
-            added_b = h not in bwd[t]
             if added_f:
-                fwd[s].add(h)
+                place(fwd, watch_f, s, h, undo)
+            added_b = h not in bwd[t]
             if added_b:
-                bwd[t].add(h)
+                place(bwd, watch_b, t, h, undo)
             dfs(rest, current + added_f + added_b)
             if added_f:
                 fwd[s].discard(h)
             if added_b:
                 bwd[t].discard(h)
+            for i, c in reversed(undo):
+                cost[i] = c
 
-    # Single-option pairs (every self pair, for one) admit exactly one hub in
-    # any solution; place those entries up front.
+    # Single-option pairs (every self pair away from zero-length edges, for one)
+    # admit exactly one hub in any solution; place those entries up front.
     forced_cost = 0
     for i in static:
         if len(options[i]) == 1:
             s, t = pairs[i]
             h = options[i][0]
             if h not in fwd[s]:
-                fwd[s].add(h)
+                place(fwd, watch_f, s, h, [])
                 forced_cost += 1
             if h not in bwd[t]:
-                bwd[t].add(h)
+                place(bwd, watch_b, t, h, [])
                 forced_cost += 1
 
     dfs(static, forced_cost)

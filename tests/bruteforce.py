@@ -17,6 +17,8 @@ import numpy as np
 
 import hublab as hl
 from hublab import families
+from hublab.centers import PathIndex
+from hublab.labeling import hub_labeling
 
 INF = math.inf
 
@@ -268,6 +270,132 @@ def optimal_hl_milp(d: hl.DistMatrix, pairs=None) -> int:
     )
     assert res.status == 0, res.message
     return int(round(res.fun))
+
+
+def optimal_hl_bnb_reference(d: hl.DistMatrix, pairs=None, budget: int = 1_000_000):
+    """The branch and bound that recomputes every completion cost at every node.
+
+    The same search as ``hl.optimal_hl_bnb``, which keeps the costs current
+    instead; the two must agree on every result field and on the labeling.
+    A branch checks the backward side only after placing the forward entry, so
+    an undirected self pair's branch counts its one entry once.
+    """
+    n = d.n
+    idx = PathIndex(d, pairs)
+    pairs = idx.pairs(slice(None))
+    options = [idx[i].tolist() for i in range(len(idx))]
+    static = sorted(range(len(pairs)), key=lambda i: (len(options[i]), pairs[i]))
+
+    fwd: list[set[int]] = [set() for _ in range(n)]
+    bwd: list[set[int]] = [set() for _ in range(n)] if d.directed else fwd
+
+    participation = np.diff(idx.vptr).tolist()
+    orders = [
+        hl.Order(range(1, n + 1)),
+        hl.Order.from_sequence(sorted(range(n), key=lambda v: (-participation[v], v))),
+    ]
+    candidates = [hl.canonical_hhl(d, cand_order) for cand_order in orders]
+    candidates.append(hl.run_cohen_hl(d, pairs)[0])
+    upper = None
+    best_f = best_b = None
+    for cand in candidates:
+        if upper is None or cand.size < upper:
+            upper = cand.size
+            best_f = [set(h for h, _ in cand.fwd[v]) for v in range(n)]
+            best_b = [set(h for h, _ in cand.bwd[v]) for v in range(n)]
+
+    def min_completion(i: int) -> int:
+        s, t = pairs[i]
+        collapse = not d.directed and s == t
+        best = 3
+        for h in options[i]:
+            if collapse:
+                c = 1 if h not in fwd[s] else 0
+            else:
+                c = (h not in fwd[s]) + (h not in bwd[t])
+            if c < best:
+                best = c
+                if best == 0:
+                    break
+        return best
+
+    def lower_bound(uncovered: list[int], current: int) -> int:
+        costed = sorted(
+            ((min_completion(i), i) for i in uncovered), key=lambda x: (-x[0], x[1])
+        )
+        used: set = set()
+        lb = current
+        for c, i in costed:
+            s, t = pairs[i]
+            sf = (s, 0)
+            sb = (t, 1) if d.directed else (t, 0)
+            if sf in used or sb in used:
+                continue
+            lb += c
+            used.add(sf)
+            used.add(sb)
+        return lb
+
+    nodes = 0
+    exhausted_lb: int | None = None
+    budget_left = budget
+
+    def dfs(uncovered: list[int], current: int) -> None:
+        nonlocal upper, best_f, best_b, nodes, exhausted_lb, budget_left
+        nodes += 1
+        budget_left -= 1
+        still = [i for i in uncovered if min_completion(i) > 0]
+        if not still:
+            if current < upper:
+                upper = current
+                best_f = [set(x) for x in fwd]
+                best_b = [set(x) for x in bwd] if d.directed else best_f
+            return
+        lb = lower_bound(still, current)
+        if lb >= upper:
+            return
+        if budget_left <= 0:
+            exhausted_lb = lb if exhausted_lb is None else min(exhausted_lb, lb)
+            return
+        pick = max(still, key=lambda i: (min_completion(i), -len(options[i])))
+        s, t = pairs[pick]
+        branches = sorted(
+            ((h not in fwd[s]) + (h not in bwd[t]), h) for h in options[pick]
+        )
+        rest = [i for i in still if i != pick]
+        for _, h in branches:
+            added_f = h not in fwd[s]
+            if added_f:
+                fwd[s].add(h)
+            added_b = h not in bwd[t]
+            if added_b:
+                bwd[t].add(h)
+            dfs(rest, current + added_f + added_b)
+            if added_f:
+                fwd[s].discard(h)
+            if added_b:
+                bwd[t].discard(h)
+
+    forced_cost = 0
+    for i in static:
+        if len(options[i]) == 1:
+            s, t = pairs[i]
+            h = options[i][0]
+            if h not in fwd[s]:
+                fwd[s].add(h)
+                forced_cost += 1
+            if h not in bwd[t]:
+                bwd[t].add(h)
+                forced_cost += 1
+
+    dfs(static, forced_cost)
+    complete = exhausted_lb is None
+    lower = upper if complete else min(upper, exhausted_lb)
+    hub_f, hub_b = np.zeros((2, n, n), dtype=bool)
+    for v in range(n):
+        hub_f[v, list(best_f[v])] = hub_b[v, list(best_b[v])] = True
+    labeling = hub_labeling(d, hub_f, hub_b if d.directed else None)
+    return hl.HlBnbResult(lower, upper, labeling, complete, nodes)
 
 
 def gen_random_directed(n: int, extra: int, maxlen: int, seed: int) -> hl.Graph:

@@ -398,6 +398,7 @@ def test_c06_reductions_observed(reduction_bases):
             if base.n == 2:
                 res = hl.optimal_hl_bnb(dp, budget=500_000)
                 assert res.complete and res.lower == lab_u.size
+                assert res.nodes == 112_189
 
 
 def test_c07_separator_family():

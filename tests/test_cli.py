@@ -363,6 +363,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing.gr"
     assert main(["verify", str(missing), str(missing)]) == 2
     assert main(["generate", "vc-und", "--out", str(tmp_path / "y.gr")]) == 2
+    c4 = tmp_path / "c4.gr"
+    c4.write_text(hl.serialize_graph(families.gen_cycle4(False)))
+    assert main(["compare", str(c4), "--oracle", "--budget", "-5"]) == 2
+    assert "budget must be non-negative" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["generate", "nonsense", "--out", "z"])
     assert exc.value.code == 2

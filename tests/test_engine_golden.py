@@ -222,3 +222,14 @@ def test_engine_output_is_byte_identical(name, algo):
 @pytest.mark.parametrize("name", sorted(ORACLE_INSTANCES))
 def test_oracle_output_is_byte_identical(name):
     assert _run_oracles(name) == ORACLE_GOLDEN[name]
+
+
+def test_benchmark_branch_and_bound_is_pinned():
+    # The search behind the small-exact benchmark's compare: vc-dir on C4, at
+    # its budget; the digest is the label file that search wrote.
+    c4 = hl.Graph(False, 4, [(i, (i + 1) % 4, 1) for i in range(4)])
+    d = hl.all_pairs_distances(families.reduce_vc_directed(c4))
+    res = hl.optimal_hl_bnb(d, budget=20_000)
+    assert (res.lower, res.upper, res.complete, res.nodes) == (35, 54, False, 20014)
+    labels = "e20d6c4debbe36b13750b8618eca5d5da835a45d28cdaa4a499cb7247dfef0a6"
+    assert _sha(hl.serialize_labeling(res.labeling)) == labels

@@ -9,8 +9,8 @@ import pytest
 import hublab as hl
 from hublab import families
 
-from bruteforce import exact_mds_reference, gen_random_directed, optimal_hl_milp
-from bruteforce import random_center_graph
+from bruteforce import exact_mds_reference, gen_random_directed, optimal_hl_bnb_reference
+from bruteforce import optimal_hl_milp, random_center_graph
 from conftest import edge2, path_graph, seeded_graphs, star_graph, triangle
 
 
@@ -94,6 +94,96 @@ def test_optimal_hl_budget_exhaustion_is_honest():
     assert not res.complete
     assert res.lower <= res.upper
     assert hl.verify_cover(res.labeling, d).valid
+
+
+def _with_zero_arcs(g: hl.Graph, rng: random.Random) -> hl.Graph:
+    """Zero some lengths: directed only forward arcs, undirected a matching, so
+    no zero-length cycle forms."""
+    touched: set[int] = set()
+    arcs = []
+    for t, h, length in g.arcs:
+        if rng.random() < 0.3 and (t < h if g.directed else not {t, h} & touched):
+            touched |= {t, h}
+            length = 0
+        arcs.append((t, h, length))
+    return hl.Graph(g.directed, g.n, arcs)
+
+
+def _seeded_bnb_graph(i: int) -> hl.Graph:
+    """Undirected for even i, directed for odd i, zero lengths for i % 3 == 0."""
+    n, seed = 4 + i % 4, 15000 + i
+    if i % 2:
+        g = gen_random_directed(n, i % 5, 3, seed)
+    else:
+        g = families.gen_random(n, min(n * (n - 1) // 2, n + i % 4), 3, seed)
+    return _with_zero_arcs(g, random.Random(seed)) if i % 3 == 0 else g
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_optimal_hl_bounds_bracket_the_optimum_under_any_budget(seed):
+    d = hl.all_pairs_distances(_seeded_bnb_graph(seed))
+    opt = optimal_hl_milp(d)
+    for budget in (20, 60, 200):
+        res = hl.optimal_hl_bnb(d, budget=budget)
+        assert res.lower <= opt <= res.upper
+        assert res.upper == res.labeling.size
+        assert hl.verify_cover(res.labeling, d).valid
+
+
+def test_optimal_hl_rejects_a_negative_budget():
+    d = hl.all_pairs_distances(families.gen_cycle4(False))
+    with pytest.raises(ValueError, match="budget"):
+        hl.optimal_hl_bnb(d, budget=-5)
+    # budget 0 keeps the incumbents and the root bound
+    res = hl.optimal_hl_bnb(d, budget=0)
+    assert (res.nodes, res.upper, res.upper == res.labeling.size) == (1, 9, True)
+    assert res.lower <= 9
+
+
+def test_optimal_hl_counts_an_undirected_self_pair_entry_once():
+    # Zero-length edges give self pairs two options each; with only these pairs
+    # to cover, the search branches on a self pair, which adds one entry.
+    arcs = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 0), (1, 5, 0), (2, 6, 1)]
+    d = hl.all_pairs_distances(hl.Graph(False, 7, arcs))
+    pairs = [(1, 1), (1, 4), (1, 5), (3, 3), (5, 5)]
+    res = hl.optimal_hl_bnb(d, pairs=pairs)
+    assert res.complete and res.lower == res.upper == res.labeling.size == 4
+    assert optimal_hl_milp(d, pairs) == 4
+    assert hl.verify_cover(res.labeling, d, pairs).valid
+
+
+def _bnb_reference_cases():
+    c4 = hl.Graph(False, 4, [(i, (i + 1) % 4, 1) for i in range(4)])
+    yield "vc-dir-C4", families.reduce_vc_directed(c4), None, 20_000
+    yield "vc-und-K2", families.reduce_vc_undirected(edge2()), None, 3_000
+    yield "vc-und-P3", families.reduce_vc_undirected(path_graph(2)), None, 3_000
+    yield "cycle4", families.gen_cycle4(False), None, 1_000_000
+    yield "cycle4-directed", families.gen_cycle4(True), None, 1_000_000
+    yield "separator-3", families.gen_separator(3), None, 20_000
+    for i in range(24):
+        yield f"seeded-{i}", _seeded_bnb_graph(i), None, (50, 400, 5000)[i % 3]
+    zero = hl.Graph(False, 7, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 0), (1, 5, 0), (2, 6, 1)])
+    yield "self-pairs", zero, [(1, 1), (1, 4), (1, 5), (3, 3), (5, 5)], 1_000_000
+    rng = random.Random(15100)
+    for i in (1, 2, 3):
+        g = _seeded_bnb_graph(i + 20)
+        subset = [p for p in hl.all_pairs_distances(g).reachable_pairs() if rng.random() < 0.5]
+        yield f"subset-{i}", g, subset, 2_000
+
+
+def test_optimal_hl_bnb_matches_the_recomputing_reference():
+    finished = exhausted = 0
+    for name, g, pairs, budget in _bnb_reference_cases():
+        d = hl.all_pairs_distances(g)
+        got = hl.optimal_hl_bnb(d, pairs=pairs, budget=budget)
+        want = optimal_hl_bnb_reference(d, pairs=pairs, budget=budget)
+        assert (got.lower, got.upper, got.complete, got.nodes) == (
+            want.lower, want.upper, want.complete, want.nodes
+        ), name
+        assert hl.serialize_labeling(got.labeling) == hl.serialize_labeling(want.labeling), name
+        finished += got.complete
+        exhausted += not got.complete
+    assert finished >= 10 and exhausted >= 10
 
 
 def test_hl_at_most_hhl():
