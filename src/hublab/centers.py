@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DistMatrix, path_membership
+from .graphs import DistMatrix, path_membership, unique_pairs
 
 NEG_INF_LEVEL = float("-inf")
 
@@ -104,7 +104,7 @@ class PathIndex:
                 raise ValueError(f"pair ({uw[out[0], 0]},{uw[out[0], 1]}) out of range")
             if not d.directed:
                 uw.sort(axis=1)
-            us, ws = np.unique(uw, axis=0).T
+            us, ws = unique_pairs(*uw.T)
             bad = np.flatnonzero(into[ws, us] == d.unreachable)
             if bad.size:
                 u, w = us[bad[0]], ws[bad[0]]

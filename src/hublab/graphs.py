@@ -335,3 +335,18 @@ def path_membership(d: DistMatrix, u: int, cols) -> np.ndarray:
     legs = into[cols]
     legs += row
     return legs == row[cols][:, None]
+
+
+def unique_pairs(us: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs (us[i], ws[i]), sorted by u and then w.
+
+    ``np.unique(..., axis=0)`` gives the same, but numpy 2.4's plain unique asks
+    ``np.ma.is_masked`` and so imports ``numpy.ma``: about 20 ms and 1.3 MB in
+    every process that builds or verifies. A lexsort and an adjacent compare
+    import nothing.
+    """
+    at = np.lexsort((ws, us))
+    us, ws = us[at], ws[at]
+    new = np.ones(us.size, dtype=bool)
+    new[1:] = (us[1:] != us[:-1]) | (ws[1:] != ws[:-1])
+    return us[new], ws[new]

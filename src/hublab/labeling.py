@@ -7,7 +7,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graphs import INF, MAX_TOTAL_LENGTH, DistMatrix, path_membership
+from .graphs import INF, MAX_TOTAL_LENGTH, DistMatrix, path_membership, unique_pairs
 
 
 class LabelFormatError(ValueError):
@@ -264,7 +264,7 @@ def _sorted_pairs(directed: bool, us, ws) -> tuple[tuple[int, int], ...]:
     us, ws = (np.concatenate([np.empty(0, np.int64), *x]) for x in (us, ws))
     if not directed:
         us, ws = np.minimum(us, ws), np.maximum(us, ws)
-    return tuple(map(tuple, np.unique(np.stack([us, ws], axis=1), axis=0).tolist()))
+    return tuple(zip(*(x.tolist() for x in unique_pairs(us, ws))))
 
 
 def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:

@@ -17,7 +17,8 @@ import numpy as np
 
 import hublab as hl
 from hublab import families
-from hublab.centers import PathIndex
+from hublab.centers import CoverageState, PathIndex
+from hublab.greedy import _select
 from hublab.labeling import hub_labeling
 
 INF = math.inf
@@ -585,20 +586,24 @@ def exact_mds_reference(cg: hl.CenterGraph):
     return exact_mds_undirected_reference(cg)
 
 
-def random_center_graph(rng: random.Random, directed: bool, max_nodes: int = 10) -> hl.CenterGraph:
-    """A seeded center graph on scattered ids with at most ``max_nodes`` side nodes.
+def random_center_graph(
+    rng: random.Random, directed: bool, max_nodes: int = 10, width: int = 12
+) -> hl.CenterGraph:
+    """A seeded center graph on ``width`` scattered ids with at most ``max_nodes``
+    side nodes.
 
     Undirected pairs are min-first and may be loops [v, v]; directed pairs may
     join a tail and a head of the same id. Half the graphs are disjoint copies
-    of one small pattern on shuffled ids, so many subsets tie on density.
+    of one small pattern on shuffled ids, so many subsets and degrees tie.
     """
-    ids = rng.sample(range(40), 12)
+    ids = rng.sample(range(max(40, 3 * width)), width)
     if rng.random() < 0.5:
-        k = rng.randint(1, 3)
+        k = rng.randint(1, width // 4)
         pattern = [(rng.randrange(3), rng.randrange(3)) for _ in range(rng.randint(1, 4))]
         pairs = {(ids[3 * c + a], ids[3 * c + b]) for c in range(k) for a, b in pattern}
     else:
-        pairs = {(rng.choice(ids[:7]), rng.choice(ids[:7])) for _ in range(rng.randint(1, 12))}
+        pool, count = ids[: width * 7 // 12], rng.randint(1, width * width // 12)
+        pairs = {(rng.choice(pool), rng.choice(pool)) for _ in range(count)}
     if not directed:
         pairs = {(min(u, w), max(u, w)) for u, w in pairs}
     arcs = sorted(pairs)
@@ -607,3 +612,40 @@ def random_center_graph(rng: random.Random, directed: bool, max_nodes: int = 10)
         if cg.nonisolated_count <= max_nodes:
             return cg
         arcs.pop()
+
+
+def with_zero_arcs(g: hl.Graph, rng: random.Random) -> hl.Graph:
+    """Zero some lengths: directed only forward arcs, undirected a matching, so
+    no zero-length cycle forms."""
+    touched: set[int] = set()
+    arcs = []
+    for t, h, length in g.arcs:
+        if rng.random() < 0.3 and (t < h if g.directed else not {t, h} & touched):
+            touched |= {t, h}
+            length = 0
+        arcs.append((t, h, length))
+    return hl.Graph(g.directed, g.n, arcs)
+
+
+def run_cohen_hl_reference(d: hl.DistMatrix, pairs=None, exact_mds: bool = False):
+    """Cohen's greedy set cover re-solving every live center's densest subgraph
+    on every pick, with no subset cap: the step ``hl.run_cohen_hl`` took before
+    it kept the solves of centers no pick had touched."""
+    engine = CoverageState(d, pairs)
+    idx = engine.index
+    solve = hl.exact_mds if exact_mds else hl.mds_peel
+
+    def step(engine: CoverageState):
+        best = None
+        for v in np.flatnonzero(engine.edges).tolist():
+            sets, dens = solve(engine.center_graph(v))
+            if best is None or dens > best[0]:
+                best = (dens, v, sets)
+        dens, v, sets = best
+        tails, heads = sets if d.directed else sets * 2
+        pids = engine.pairs_through(v)
+        covered = pids[np.isin(idx.u[pids], list(tails)) & np.isin(idx.w[pids], list(heads))]
+        rec_b = tuple(sorted(heads)) if d.directed else ()
+        return v, dens, tuple(sorted(tails)), rec_b, covered, None
+
+    return _select(d, engine, "cohen", step)

@@ -418,6 +418,27 @@ def test_exact_cohen_past_its_subset_cap_exits_3_quickly(tmp_path):
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
+def test_build_verify_and_compare_never_import_numpy_ma(tmp_path):
+    # A plain np.unique imports numpy.ma (numpy 2.4); no child should pay for it.
+    graph, labels = tmp_path / "r.gr", tmp_path / "r.lab"
+    graph.write_text(hl.serialize_graph(families.gen_random(8, 12, 4, 5)))
+    script = (
+        "import sys\n"
+        "from hublab.cli import main\n"
+        "g, lab = sys.argv[1:]\n"
+        "assert main(['build', g, '--algo', 'cohen', '--out', lab]) == 0\n"
+        "assert main(['verify', g, lab]) == 0\n"
+        "assert main(['compare', g, '--oracle', '--budget', '200']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(hl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    cmd = [sys.executable, "-c", script, str(graph), str(labels)]
+    res = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
+
+
 def test_sphs_build_enumerates_shortest_paths_once(tmp_path, monkeypatch, capsys):
     calls = []
     enumerate_paths = highway._all_shortest_paths
@@ -429,7 +450,7 @@ def test_sphs_build_enumerates_shortest_paths_once(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(highway, "_all_shortest_paths", counted)
     highway._paths_with_witnesses.cache_clear()
     graph = tmp_path / "r.gr"
-    graph.write_text(hl.serialize_graph(families.gen_random(12, 20, 4, 5)))
+    graph.write_text(hl.serialize_graph(families.gen_random(8, 12, 4, 5)))
     assert main(["build", str(graph), "--algo", "sphs", "--out", str(tmp_path / "r.lab")]) == 0
     capsys.readouterr()
     assert len(calls) == 1

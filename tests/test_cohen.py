@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 import hublab as hl
-from hublab import families
+from hublab import cohen, families, oracles
 
-from bruteforce import build_center_graph, mds_peel_reference, random_center_graph
+from bruteforce import build_center_graph, gen_random_directed, mds_peel_reference
+from bruteforce import random_center_graph, run_cohen_hl_reference, with_zero_arcs
 from conftest import complete_graph, edge2, seeded_graphs, star_graph
 
 
@@ -40,6 +41,9 @@ def test_mds_peel_matches_reference_on_random_center_graphs():
     rng = random.Random(17100)
     for i in range(1000):
         cg = random_center_graph(rng, directed=i % 2 == 1)
+        assert hl.mds_peel(cg) == mds_peel_reference(cg), cg
+    for i in range(300):  # up to 40 side nodes: long heap peels with many degree ties
+        cg = random_center_graph(rng, directed=i % 2 == 1, max_nodes=40, width=30)
         assert hl.mds_peel(cg) == mds_peel_reference(cg), cg
 
 
@@ -121,3 +125,47 @@ def test_cohen_directed():
     lab, trace = hl.run_cohen_hl(d, d.reachable_pairs())
     assert hl.verify_cover(lab, d).valid
     assert trace.order is None
+
+
+def _cohen_reference_cases():
+    """(name, graph, pairs): seeded graphs of both kinds, half of them with
+    zero-length arcs, two larger ones and explicit pair subsets."""
+    for i, g in enumerate(seeded_graphs(16, 9, 13300)):
+        yield f"und-{i}", with_zero_arcs(g, random.Random(i)) if i % 2 else g, None
+    for i in range(16):
+        g = gen_random_directed(3 + i % 7, i % 6, 3, 13400 + i)
+        yield f"dir-{i}", with_zero_arcs(g, random.Random(i)) if i % 2 else g, None
+    yield "und-30", families.gen_random(30, 60, 10, 13500), None
+    yield "dir-16", gen_random_directed(16, 12, 5, 13501), None
+    rng = random.Random(13600)
+    for i in range(6):
+        g = families.gen_random(8, 12, 3, 13700 + i) if i % 2 else gen_random_directed(7, 5, 3, i)
+        g = with_zero_arcs(g, rng) if i % 3 == 0 else g
+        subset = [p for p in hl.all_pairs_distances(g).reachable_pairs() if rng.random() < 0.4]
+        yield f"subset-{i}", g, subset
+
+
+def test_cohen_matches_the_eager_reference():
+    for name, g, pairs in _cohen_reference_cases():
+        d = hl.all_pairs_distances(g)
+        for exact in (False, True) if g.n <= 8 else (False,):
+            lab, trace = hl.run_cohen_hl(d, pairs, exact_mds=exact)
+            want_lab, want_trace = run_cohen_hl_reference(d, pairs, exact_mds=exact)
+            assert hl.serialize_labeling(lab) == hl.serialize_labeling(want_lab), (name, exact)
+            assert trace.to_dict() == want_trace.to_dict(), (name, exact)
+
+
+def test_cohen_solves_only_the_centers_a_pick_touched(monkeypatch):
+    solves = []
+    peel, exact = cohen.mds_peel, oracles.exact_mds
+    monkeypatch.setattr(cohen, "mds_peel", lambda cg: solves.append(1) or peel(cg))
+    d = hl.all_pairs_distances(families.gen_random(60, 120, 10, 1))
+    _, trace = hl.run_cohen_hl(d)
+    # Re-solving every live center on every pick takes 3,543 peels.
+    assert (len(trace.iterations), len(solves)) == (74, 684)
+    monkeypatch.setattr(oracles, "exact_mds", lambda cg: solves.append(cg) or exact(cg))
+    solves.clear()
+    c5 = hl.Graph(False, 5, [(i, (i + 1) % 5, 1) for i in range(5)])
+    hl.run_cohen_hl(hl.all_pairs_distances(families.reduce_vc_directed(c5)), exact_mds=True)
+    # Eagerly: 151 calls over 168,124 subsets.
+    assert len(solves) == 65 and sum(1 << cg.nonisolated_count for cg in solves) == 164_056

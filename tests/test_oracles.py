@@ -10,7 +10,7 @@ import hublab as hl
 from hublab import families
 
 from bruteforce import exact_mds_reference, gen_random_directed, optimal_hl_bnb_reference
-from bruteforce import optimal_hl_milp, random_center_graph
+from bruteforce import optimal_hl_milp, random_center_graph, with_zero_arcs
 from conftest import edge2, path_graph, seeded_graphs, star_graph, triangle
 
 
@@ -96,19 +96,6 @@ def test_optimal_hl_budget_exhaustion_is_honest():
     assert hl.verify_cover(res.labeling, d).valid
 
 
-def _with_zero_arcs(g: hl.Graph, rng: random.Random) -> hl.Graph:
-    """Zero some lengths: directed only forward arcs, undirected a matching, so
-    no zero-length cycle forms."""
-    touched: set[int] = set()
-    arcs = []
-    for t, h, length in g.arcs:
-        if rng.random() < 0.3 and (t < h if g.directed else not {t, h} & touched):
-            touched |= {t, h}
-            length = 0
-        arcs.append((t, h, length))
-    return hl.Graph(g.directed, g.n, arcs)
-
-
 def _seeded_bnb_graph(i: int) -> hl.Graph:
     """Undirected for even i, directed for odd i, zero lengths for i % 3 == 0."""
     n, seed = 4 + i % 4, 15000 + i
@@ -116,7 +103,7 @@ def _seeded_bnb_graph(i: int) -> hl.Graph:
         g = gen_random_directed(n, i % 5, 3, seed)
     else:
         g = families.gen_random(n, min(n * (n - 1) // 2, n + i % 4), 3, seed)
-    return _with_zero_arcs(g, random.Random(seed)) if i % 3 == 0 else g
+    return with_zero_arcs(g, random.Random(seed)) if i % 3 == 0 else g
 
 
 @pytest.mark.parametrize("seed", range(12))
