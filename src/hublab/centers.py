@@ -171,7 +171,6 @@ class CoverageState:
         self.edges = np.zeros(n, np.int64)
         self.noniso = np.zeros(n, np.int64)
         self.lvl_counts = np.zeros((n, width), np.int64)
-        self.global_lvl = np.zeros(width, np.int64)
         self.deg = np.zeros((n, 2 * n if self.directed else n), np.int32)
         # Seed in blocks of about n x slots entries, where a dense bincount beats a sort.
         ptr, block = self.index.ptr, max(self.deg.size, 1)
@@ -187,12 +186,10 @@ class CoverageState:
         xs, owner = idx.rows(pids)
         xs = xs.astype(np.int64)
         self.edges += sign * np.bincount(xs, minlength=n)
-        lvl = idx.level[pids]
-        lv = lvl[owner]
+        lv = idx.level[pids][owner]
         fin = lv >= 0
         per_level = np.bincount(xs[fin] * width + lv[fin], minlength=n * width)
         self.lvl_counts += sign * per_level.reshape(n, width)
-        self.global_lvl += sign * np.bincount(lvl[lvl >= 0], minlength=width)
         tail = idx.u[pids][owner]
         head = idx.w[pids][owner] + (n if self.directed else 0)
         both = head != tail  # an undirected self pair fills a single slot
@@ -211,10 +208,6 @@ class CoverageState:
 
     def profile_key(self, v: int) -> tuple[int, ...]:
         return tuple(self.lvl_counts[v, ::-1].tolist())
-
-    def max_uncovered_level(self) -> int | float:
-        live = np.flatnonzero(self.global_lvl)
-        return int(live[-1]) if live.size else NEG_INF_LEVEL
 
     def receivers(self, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Non-isolated vertices of G_v as (tails, heads); undirected ones are all tails."""

@@ -142,33 +142,22 @@ def gen_cycle4(directed: bool = False) -> Graph:
 def construct_c4prime_hl() -> Labeling:
     """Size-16 labeling of the directed 4-cycle, completed by the figure's
     reflection pattern; asymmetric (forward and backward lists differ)."""
-    fwd = [{v: 0, 3 - v: 1} for v in range(4)]
-    bwd = [{v: 0, v ^ 1: 1} for v in range(4)]
-    return Labeling(True, 4, fwd, bwd)
+    hub_f, hub_b = np.eye(4, dtype=bool), np.eye(4, dtype=bool)
+    v = np.arange(4)
+    hub_f[v, 3 - v] = hub_b[v, v ^ 1] = True
+    return hub_labeling(all_pairs_distances(gen_cycle4(True)), hub_f, hub_b)
 
 
 def construct_separator_hl(k: int) -> Labeling:
     """Flat labeling of the star-clique family: s everywhere, own center per star
     vertex, and all centers mutually; total size 3k(k-1) + k(k+1) + 1."""
-    if k < 2:
-        raise InfeasibleParamsError("k must be at least 2")
+    g = gen_separator(k)
     ids = separator_ids(k)
-    n = k * k + 1
-    labels: list[dict[int, int]] = [dict() for _ in range(n)]
-    labels[ids.s][ids.s] = 0
-    for star in range(k):
-        c = ids.centers[star]
-        labels[c][c] = 0
-        labels[c][ids.s] = 2
-        for other in range(k):
-            if other != star:
-                labels[c][ids.centers[other]] = 1
-        for j in range(k - 1):
-            leaf = ids.leaf_id(star, j)
-            labels[leaf][leaf] = 0
-            labels[leaf][ids.s] = 1
-            labels[leaf][c] = 1
-    return Labeling(False, n, labels)
+    hub = np.eye(g.n, dtype=bool)
+    hub[:, ids.s] = True
+    hub[np.ix_(ids.centers, ids.centers)] = True
+    hub[ids.leaves, np.repeat(ids.centers, k - 1)] = True  # leaves run star-major
+    return hub_labeling(all_pairs_distances(g), hub)
 
 
 def reduce_vc_undirected(g: Graph, unique_shortest_paths: bool = False) -> Graph:

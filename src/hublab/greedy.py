@@ -133,13 +133,15 @@ def _pick_density(engine: CoverageState) -> tuple[int, Fraction, None]:
 
 
 def _pick_profile(engine: CoverageState) -> tuple[int, tuple[int, ...], int | float]:
-    level = engine.max_uncovered_level()
     cand = np.flatnonzero(engine.edges)
     for col in engine.lvl_counts.T[::-1]:
         here = col[cand]
         cand = cand[here == here.max()]
     v = int(cand[0])
-    return v, engine.profile_key(v), level
+    # A pair at level L counts at every vertex on its paths and the pick tops
+    # every column, so its highest nonzero column is the highest uncovered level.
+    live = np.flatnonzero(engine.lvl_counts[v])
+    return v, engine.profile_key(v), int(live[-1]) if live.size else NEG_INF_LEVEL
 
 
 _PICKERS = {"g-hhl": _pick_edges, "w-hhl": _pick_density, "d-hhl": _pick_profile}

@@ -203,12 +203,6 @@ class MultiscaleSPHS:
     def top(self) -> int:
         return len(self.levels) - 1
 
-    def vertex_level(self, v: int) -> int:
-        for i in range(self.top, -1, -1):
-            if v in self.levels[i]:
-                return i
-        raise ValueError(f"vertex {v} missing from the bottom level")
-
     def q_sets(self) -> tuple[frozenset[int], ...]:
         """Q_i: vertices whose highest level is i (a partition of V)."""
         out = []
@@ -274,8 +268,7 @@ def sphs_to_hhl(g: Graph, d: DistMatrix, ms: MultiscaleSPHS):
         r = 2 ** (i - 1)
         if any(_must_hit(sp, r) and ms.levels[i].isdisjoint(sp.vertices) for sp in paths):
             raise InvalidSPHSError(f"level {i} misses a {r}-significant path")
-    by_importance = sorted(range(n), key=lambda v: (-ms.vertex_level(v), v))
-    order = Order.from_sequence(by_importance)
+    order = Order.from_sequence(v for q in reversed(ms.q_sets()) for v in sorted(q))
     rank = np.array([order.rank(v) for v in range(n)])
     hub = np.eye(n, dtype=bool)
     for j, members in enumerate(ms.levels):

@@ -11,7 +11,7 @@ import numpy as np
 from .centers import CenterGraph, EmptyCenterGraphError, PathIndex
 from .graphs import DistMatrix, Graph, TooLargeError, all_pairs_distances
 from .graphs import path_membership  # noqa: F401 -- perfbench/tracing.py patches it here
-from .highway import DirectedInputError, _greedy_hitting_set, _must_hit
+from .highway import DirectedInputError, _must_hit
 from .highway import _paths_with_witnesses, _within
 from .labeling import Labeling, Order, canonical_hhl, hub_labeling
 
@@ -274,49 +274,19 @@ def exact_mds(cg: CenterGraph, limit: int = 20):
 
 
 def min_vertex_cover(g: Graph) -> frozenset[int]:
-    """Minimum-cardinality vertex cover by branch and bound."""
+    """Minimum-cardinality vertex cover: a minimum hitting set of the edges."""
     if g.directed:
         raise ValueError("vertex cover is defined on undirected graphs")
-    edges = sorted((min(t, h), max(t, h)) for t, h, _ in g.arcs)
-
-    def matching_bound(remaining) -> int:
-        used: set[int] = set()
-        count = 0
-        for a, b in remaining:
-            if a not in used and b not in used:
-                used.add(a)
-                used.add(b)
-                count += 1
-        return count
-
-    greedy: set[int] = set()
-    for a, b in edges:
-        if a not in greedy and b not in greedy:
-            greedy.add(a)
-            greedy.add(b)
-    best: set[int] = set(greedy)
-
-    def dfs(remaining: list[tuple[int, int]], cover: set[int]) -> None:
-        nonlocal best
-        remaining = [(a, b) for a, b in remaining if a not in cover and b not in cover]
-        if not remaining:
-            if len(cover) < len(best):
-                best = set(cover)
-            return
-        if len(cover) + matching_bound(remaining) >= len(best):
-            return
-        a, b = remaining[0]
-        for pick in (a, b):
-            cover.add(pick)
-            dfs(remaining, cover)
-            cover.discard(pick)
-
-    dfs(edges, set())
-    return frozenset(best)
+    return min_hitting_set([(t, h) for t, h, _ in g.arcs], limit=g.m)
 
 
 def min_hitting_set(paths, limit: int = 5000) -> frozenset[int]:
-    """Minimum hitting set for a family of vertex sets, by branch and bound."""
+    """Minimum hitting set for a family of vertex sets, by branch and bound.
+
+    Duplicates and supersets go and the rest sort by size, then ids. A node
+    bounds by a greedy packing of disjoint sets in that order and branches on
+    its first set, lowest id first. The root packing's union is the incumbent:
+    on graph edges, the ends of a greedy matching."""
     fam = [frozenset(p) for p in paths]
     if len(fam) > limit:
         raise TooLargeError(f"{len(fam)} sets exceed limit {limit}")
@@ -327,19 +297,18 @@ def min_hitting_set(paths, limit: int = 5000) -> frozenset[int]:
     for s in fam:
         if not any(t <= s for t in minimal):
             minimal.append(s)
-    if not minimal:
-        return frozenset()
 
-    best = _greedy_hitting_set(minimal)
-
-    def disjoint_bound(remaining) -> int:
+    def packing(remaining) -> tuple[int, set[int]]:
+        # A set the packing skips meets its union, so the union hits them all.
         used: set[int] = set()
         count = 0
         for s in remaining:
             if used.isdisjoint(s):
                 used |= s
                 count += 1
-        return count
+        return count, used
+
+    best = packing(minimal)[1]
 
     def dfs(remaining: list[frozenset[int]], chosen: set[int]) -> None:
         nonlocal best
@@ -347,10 +316,9 @@ def min_hitting_set(paths, limit: int = 5000) -> frozenset[int]:
             if len(chosen) < len(best):
                 best = set(chosen)
             return
-        if len(chosen) + disjoint_bound(remaining) >= len(best):
+        if len(chosen) + packing(remaining)[0] >= len(best):
             return
-        target = min(remaining, key=lambda s: (len(s), sorted(s)))
-        for v in sorted(target):
+        for v in sorted(remaining[0]):  # filtering keeps the sort: the smallest set
             chosen.add(v)
             dfs([s for s in remaining if v not in s], chosen)
             chosen.discard(v)

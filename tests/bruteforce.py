@@ -7,6 +7,7 @@ distance matrix) without touching the code paths it is used to check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -459,6 +460,62 @@ def greedy_hitting_set_loop(sets) -> set[int]:
         hit.add(best)
         unhit = [s for s in unhit if best not in s]
     return hit
+
+
+def min_vertex_cover_reference(g: hl.Graph) -> frozenset[int]:
+    """Minimum vertex cover by its own branch and bound over the sorted edges:
+    a greedy matching's ends as the incumbent, the matching of the edges left
+    as the bound, and a branch on each end of the first edge left."""
+    if g.directed:
+        raise ValueError("vertex cover is defined on undirected graphs")
+    edges = sorted((min(t, h), max(t, h)) for t, h, _ in g.arcs)
+
+    def matching_bound(remaining) -> int:
+        used: set[int] = set()
+        count = 0
+        for a, b in remaining:
+            if a not in used and b not in used:
+                used.add(a)
+                used.add(b)
+                count += 1
+        return count
+
+    greedy: set[int] = set()
+    for a, b in edges:
+        if a not in greedy and b not in greedy:
+            greedy.add(a)
+            greedy.add(b)
+    best: set[int] = set(greedy)
+
+    def dfs(remaining: list[tuple[int, int]], cover: set[int]) -> None:
+        nonlocal best
+        remaining = [(a, b) for a, b in remaining if a not in cover and b not in cover]
+        if not remaining:
+            if len(cover) < len(best):
+                best = set(cover)
+            return
+        if len(cover) + matching_bound(remaining) >= len(best):
+            return
+        a, b = remaining[0]
+        for pick in (a, b):
+            cover.add(pick)
+            dfs(remaining, cover)
+            cover.discard(pick)
+
+    dfs(edges, set())
+    return frozenset(best)
+
+
+def min_hitting_set_bruteforce(sets) -> int:
+    """Size of a minimum hitting set: the smallest k for which some k vertices
+    of the union meet every set."""
+    sets = [set(s) for s in sets]
+    universe = sorted(set().union(*sets))
+    for k in range(len(universe) + 1):
+        for pick in itertools.combinations(universe, k):
+            if all(s.intersection(pick) for s in sets):
+                return k
+    raise ValueError("cannot hit an empty set")
 
 
 def mds_peel_reference(cg: hl.CenterGraph):

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
 import hublab as hl
 from hublab import families
+
+from bruteforce import gen_random_directed, with_zero_arcs
 
 INSTANCES = {
     "bad-g-5": lambda: families.gen_bad_g(5),
@@ -233,3 +236,33 @@ def test_benchmark_branch_and_bound_is_pinned():
     assert (res.lower, res.upper, res.complete, res.nodes) == (35, 54, False, 20014)
     labels = "e20d6c4debbe36b13750b8618eca5d5da835a45d28cdaa4a499cb7247dfef0a6"
     assert _sha(hl.serialize_labeling(res.labeling)) == labels
+
+
+# d-HHL on zero-length arcs: each trace holds finite levels and, once only
+# distance-0 pairs are left, level -inf. Captured before the trace level was
+# read from the picked center's own level counts.
+ZERO_ARC_INSTANCES = {
+    "zero-und": lambda: with_zero_arcs(families.gen_random(14, 24, 4, 5), random.Random(5)),
+    "zero-dir": lambda: with_zero_arcs(gen_random_directed(14, 10, 4, 6), random.Random(6)),
+}
+ZERO_ARC_GOLDEN: dict[str, tuple[str, str]] = {
+    "zero-und": (
+        "c4108a08c2bb97833344093703c90a88b55afc91f1f48142e595a1f31d5cea0e",
+        "c1b657eb26279dc00f0d181dd3b5005accad4ccc70951ce5227963493e4e28ef",
+    ),
+    "zero-dir": (
+        "8d67033b1a8476504b6ccd319f3de0132613b21924d8be61031f6fdd6b561310",
+        "288207f610f781d5a028ecb5212cc082a9c848c3d0fd33579c634ff8631fc89d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_ARC_INSTANCES))
+def test_d_hhl_levels_with_zero_length_arcs_are_pinned(name):
+    g = ZERO_ARC_INSTANCES[name]()
+    assert any(ln == 0 for _, _, ln in g.arcs)
+    _, lab, trace = hl.run_d_hhl(hl.all_pairs_distances(g))
+    levels = {rec.level for rec in trace.iterations}
+    assert hl.NEG_INF_LEVEL in levels and len(levels) > 1
+    text = json.dumps(trace.to_dict(), sort_keys=True)
+    assert (_sha(hl.serialize_labeling(lab)), _sha(text)) == ZERO_ARC_GOLDEN[name]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ import pytest
 import hublab as hl
 from hublab import families
 
-from bruteforce import greedy_hitting_set_loop, significant_paths_bruteforce
+from bruteforce import gen_random_directed, greedy_hitting_set_loop, significant_paths_bruteforce
+from bruteforce import with_zero_arcs
 from conftest import path_graph, seeded_graphs, star_graph
 
 
@@ -360,6 +362,26 @@ def test_audit_bad_g_k3():
     assert k + 2 in audit.label_sizes.values()
     assert audit.label_sizes == {v: len(lab.fwd[v]) for v in range(g.n)}
     assert math.isfinite(audit.bound_ratio)
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4])
+def test_audit_directed_matches_the_labels(seed):
+    # bad-g k=3, then seeded directed graphs with zero-length arcs: every label
+    # entry, forward and backward, is one receiver at its hub's level.
+    if seed is None:
+        g = families.gen_bad_g(3)
+    else:
+        g = with_zero_arcs(gen_random_directed(12, 8, 4, seed), random.Random(seed))
+        assert any(ln == 0 for _, _, ln in g.arcs)
+    d = hl.all_pairs_distances(g)
+    _, lab, trace = hl.run_d_hhl(d)
+    level = hl.vertex_levels(trace)
+    audit = hl.audit_dhhl_levels(trace, d, 2)
+    per = {v: dict(Counter(level[h] for h, _ in lab.fwd[v] + lab.bwd[v])) for v in range(g.n)}
+    assert audit.per_vertex_level == per
+    assert audit.label_sizes == {v: len(lab.fwd[v]) + len(lab.bwd[v]) for v in range(g.n)}
+    assert any(rec.receivers_bwd for rec in trace.iterations)
+    assert audit.max_level_count == max(c for counts in per.values() for c in counts.values())
 
 
 def test_audit_rejects_other_traces():

@@ -10,8 +10,9 @@ import hublab as hl
 from hublab import families
 
 from bruteforce import exact_mds_reference, gen_random_directed, optimal_hl_bnb_reference
+from bruteforce import min_hitting_set_bruteforce, min_vertex_cover_reference
 from bruteforce import optimal_hl_milp, random_center_graph, with_zero_arcs
-from conftest import edge2, path_graph, seeded_graphs, star_graph, triangle
+from conftest import complete_graph, edge2, path_graph, seeded_graphs, star_graph, triangle
 
 
 def test_optimal_hhl_c4_and_single_vertex():
@@ -259,6 +260,59 @@ def test_min_vertex_cover_examples():
     assert len(hl.min_vertex_cover(c5)) == 3
     with pytest.raises(ValueError):
         hl.min_vertex_cover(families.gen_bad_g(2))
+
+
+def _vertex_cover_graphs() -> list[hl.Graph]:
+    """Seeded undirected graphs on at most 10 vertices: edgeless, complete, with
+    isolated vertices, at every density, plus the reduction bases."""
+    rng = random.Random(1401)
+    out = [
+        hl.Graph(False, 4, [(i, (i + 1) % 4, 1) for i in range(4)]),  # C4
+        hl.Graph(False, 5, [(i, (i + 1) % 5, 1) for i in range(5)]),  # C5
+        edge2(),  # K2
+        triangle(),  # K3
+        path_graph(2),  # P3
+    ]
+    for n in range(11):
+        out += [hl.Graph(False, n, []), complete_graph(n)]
+    for i in range(300):
+        n = rng.randint(2, 10)
+        isolated = set(rng.sample(range(n), i % 3))
+        p = rng.random()
+        arcs = [
+            (u, w, 1) if rng.random() < 0.5 else (w, u, 1)
+            for u, w in itertools.combinations(range(n), 2)
+            if not {u, w} & isolated and rng.random() < p
+        ]
+        rng.shuffle(arcs)
+        out.append(hl.Graph(False, n, arcs))
+    return out
+
+
+def test_min_vertex_cover_matches_reference():
+    graphs = _vertex_cover_graphs()
+    assert sum(1 for g in graphs if g.m == 0 and g.n > 1) >= 10
+    touched = [{v for t, h, _ in g.arcs for v in (t, h)} for g in graphs]
+    assert sum(1 for g, ends in zip(graphs, touched) if 0 < len(ends) < g.n) >= 100
+    for g in graphs:
+        assert hl.min_vertex_cover(g) == min_vertex_cover_reference(g), g.arcs
+
+
+def test_min_hitting_set_reaches_the_bruteforce_minimum():
+    rng = random.Random(1402)
+    for i in range(240):
+        universe = rng.randint(1, 9)
+        fam = [
+            frozenset(rng.sample(range(universe), rng.randint(1, universe)))
+            for _ in range(rng.randint(0, 12))
+        ]
+        fam += [frozenset([rng.randrange(universe)]) for _ in range(i % 3)]  # singletons
+        fam += [s | {rng.randrange(universe)} for s in fam[:: 2 + i % 3]]  # supersets
+        fam += fam[:: 3 + i % 2]  # duplicates
+        rng.shuffle(fam)
+        hit = hl.min_hitting_set(fam)
+        assert all(hit & s for s in fam)
+        assert len(hit) == min_hitting_set_bruteforce(fam)
 
 
 def test_min_hitting_set_examples():
