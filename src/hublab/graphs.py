@@ -14,8 +14,13 @@ INF = math.inf
 # label distances are refused from 2^53 on, above any distance.
 MAX_TOTAL_LENGTH = 2**53
 # The all-pairs array holds n^2 int32 cells, 1.6 GB at this vertex count; int64
-# (3.2 GB) only when the diameter reaches about 2^30.
+# (3.2 GB) only when the diameter reaches about 2^30. The pivot loop's n^2
+# temporary exists only up to PIVOT_MAX_N vertices; the searches above it need none.
 MAX_VERTICES = 20_000
+# Largest vertex count whose distances come from the pivot loop. It was no
+# slower than the per-source searches on random graphs, trees and paths up to
+# here; paths of 550 to 800 vertices were up to 1.9x slower, 1,200 2.8x.
+PIVOT_MAX_N = 500
 
 
 class GraphFormatError(ValueError):
@@ -305,22 +310,55 @@ class DistMatrix:
         return f"DistMatrix(directed={self.directed}, n={self.n}, D={self.diameter})"
 
 
-def all_pairs_distances(g: Graph) -> DistMatrix:
-    """Exact distances via one label-setting search per source, each filling a column.
+def _pivot_fill(g: Graph, far: int, dtype) -> tuple[np.ndarray, int]:
+    """Target-major distances (``far`` where unreached) by one vectorized update per pivot.
 
-    Unreached cells hold the total arc length + 1 until D is known, so the fill
-    dtype follows that bound and narrows to int32 at the end if D allows.
+    Floyd–Warshall: pivot k lowers ``into[w, v]`` to ``into[w, k] + into[k, v]``,
+    only on the rows w that k reaches, and not at all when k reaches only
+    itself; sums stay below 2 * ``far``.
     """
-    far = sum(ln for _, _, ln in g.arcs) + 1
-    into = np.empty((g.n, g.n), np.int32 if 2 * far < 2**31 else np.int64)
+    into = np.full((g.n, g.n), far, dtype)
+    if g.arcs:
+        tails, heads, lengths = np.array(g.arcs, dtype=np.int64).T
+        into[heads, tails] = lengths
+        if not g.directed:
+            into[tails, heads] = lengths
+    np.fill_diagonal(into, 0)
+    for k in range(g.n):
+        rows = np.flatnonzero(into[:, k] < far)
+        if 2 * rows.size > g.n:
+            np.minimum(into, into[:, k, None] + into[k], out=into)
+        elif rows.size > 1:
+            into[rows] = np.minimum(into[rows], into[rows, k, None] + into[k])
+    return into, int(into.max(initial=0, where=into < far))
+
+
+def _dijkstra_fill(g: Graph, far: int, dtype) -> tuple[np.ndarray, int]:
+    """Target-major distances (``far`` where unreached), one label-setting search per source."""
+    into = np.empty((g.n, g.n), dtype)
     diameter = 0
     for s in range(g.n):
         into[:, s], ecc = _dijkstra(g.adjacency, s, far)
         diameter = max(diameter, ecc)
+    return into, diameter
+
+
+def _distances(g: Graph, fill) -> DistMatrix:
+    """Exact distances from ``fill``. Unreached cells hold the total arc length + 1
+    until D is known, so the fill dtype follows that bound and narrows to int32
+    at the end if D allows."""
+    far = sum(ln for _, _, ln in g.arcs) + 1
+    into, diameter = fill(g, far, np.int32 if 2 * far < 2**31 else np.int64)
     np.minimum(into, diameter + 1, out=into)
     if 2 * (diameter + 1) < 2**31:
         into = into.astype(np.int32, copy=False)
     return DistMatrix(g.directed, into, diameter)
+
+
+def all_pairs_distances(g: Graph) -> DistMatrix:
+    """Exact all-pairs distances: the pivot loop up to ``PIVOT_MAX_N`` vertices,
+    one label-setting search per source, each filling a column, above."""
+    return _distances(g, _pivot_fill if g.n <= PIVOT_MAX_N else _dijkstra_fill)
 
 
 def path_membership(d: DistMatrix, u: int, cols) -> np.ndarray:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hublab as hl
-from hublab import families
+from hublab import families, graphs
 
 from bruteforce import (
     UnreachablePairError,
@@ -15,6 +17,7 @@ from bruteforce import (
     on_shortest_path,
     path_vertices_bruteforce,
     shortest_path_vertices,
+    with_zero_arcs,
 )
 from conftest import edge2, path_graph, seeded_graphs
 
@@ -223,3 +226,52 @@ def test_dist_matrix_equal_whatever_the_arc_lengths_sum_to():
     b = hl.all_pairs_distances(hl.Graph(False, 3, arcs + [(0, 2, 2**40)]))
     assert a == b and hash(a) == hash(b)
     assert a.exact().dtype == b.exact().dtype == np.int32
+
+
+def _differential_graphs() -> list[hl.Graph]:
+    """Arcless graphs of 0 to 5 vertices, then per seed: an undirected and a
+    directed graph, each again with zero-length arcs, two disjoint copies of
+    the undirected one, and the directed one with lengths near 2^40."""
+    rng = random.Random(15)
+    out = [hl.Graph(directed, n, []) for directed in (False, True) for n in (0, 1, 2, 5)]
+    for i in range(50):
+        n = 2 + i % 19
+        und = families.gen_random(n, min(n * (n - 1) // 2, n - 1 + i % 7), 1 + i % 5, 1500 + i)
+        dig = gen_random_directed(n, i % 7, 1 + i % 5, 1600 + i)
+        twice = und.arcs + tuple((t + n, h + n, ln) for t, h, ln in und.arcs)
+        huge = [(t, h, 2**40 - ln) for t, h, ln in dig.arcs]
+        out += [
+            und,
+            dig,
+            with_zero_arcs(und, rng),
+            with_zero_arcs(dig, rng),
+            hl.Graph(False, 2 * n, twice),
+            hl.Graph(True, n, huge),
+        ]
+    return out
+
+
+def test_pivot_loop_matches_the_per_source_searches():
+    dtypes, unreachable = set(), 0
+    checked = _differential_graphs()
+    assert len(checked) >= 300
+    for g in checked:
+        a = graphs._distances(g, graphs._pivot_fill)
+        b = graphs._distances(g, graphs._dijkstra_fill)
+        assert a.exact().dtype == b.exact().dtype, g
+        assert a.exact().tobytes() == b.exact().tobytes(), g
+        assert a.diameter == b.diameter, g
+        dtypes.add(a.exact().dtype)
+        unreachable += bool((a.exact() == a.unreachable).any())
+    assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
+    assert unreachable >= 100
+
+
+def test_all_pairs_above_the_pivot_cut_runs_the_searches(monkeypatch):
+    n = graphs.PIVOT_MAX_N + 1
+    g = families.gen_random(n, n + 40, 10, 15)
+    expect = graphs._distances(g, graphs._pivot_fill)
+    monkeypatch.setattr(graphs, "_pivot_fill", None)
+    d = hl.all_pairs_distances(g)
+    assert d.exact().dtype == expect.exact().dtype
+    assert d == expect and d.diameter == expect.diameter
