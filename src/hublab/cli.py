@@ -12,17 +12,15 @@ import json
 import sys
 from pathlib import Path
 
-from . import families
-from .cohen import run_cohen_hl
 from .graphs import (
     INF,
+    CapExceededError,
     GraphFormatError,
+    TooLargeError,
     all_pairs_distances,
     parse_graph,
     serialize_graph,
 )
-from .greedy import run_d_hhl, run_g_hhl, run_w_hhl
-from .highway import CapExceededError, greedy_multiscale_sphs, sphs_to_hhl
 from .labeling import (
     Labeling,
     LabelFormatError,
@@ -32,7 +30,24 @@ from .labeling import (
     serialize_labeling,
     verify_cover,
 )
-from .oracles import TooLargeError, min_vertex_cover, optimal_hhl_bruteforce, optimal_hl_bnb
+
+# Every subcommand uses graphs and labeling; these load on first use instead,
+# so a verify or query never imports an algorithm. The handlers reach them as
+# ``_cli.name``: the first access binds the package's object here (never over
+# an existing binding), and every call finds what is bound at call time, which
+# is what lets perfbench/tracing.py patch them by name.
+_LAZY = frozenset(
+    "families run_g_hhl run_w_hhl run_d_hhl run_cohen_hl greedy_multiscale_sphs"
+    " sphs_to_hhl min_vertex_cover optimal_hhl_bruteforce optimal_hl_bnb".split()
+)
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(sys.modules[__package__], name))
+
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -63,7 +78,7 @@ def _read_labeling(path: str, g) -> Labeling:
 
 
 def _cmd_generate(args) -> int:
-    family = args.family
+    families, family = _cli.families, args.family
     labeling = None
     if family == "bad-g":
         g = families.gen_bad_g(args.k)
@@ -91,13 +106,13 @@ def _cmd_generate(args) -> int:
             g = families.reduce_vc_undirected(base, args.unique)
             if args.with_hl:
                 labeling = families.construct_reduction_labeling_undirected(
-                    g, min_vertex_cover(base)
+                    g, _cli.min_vertex_cover(base)
                 )
         else:
             g = families.reduce_vc_directed(base)
             if args.with_hl:
                 labeling = families.construct_reduction_labeling_directed(
-                    g, min_vertex_cover(base)
+                    g, _cli.min_vertex_cover(base)
                 )
         header = f"# hublab {family} base={Path(args.graph).name}"
     elif family == "random":
@@ -121,30 +136,35 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _build_labeling(g, d, args):
+def _read_order(args) -> Order | None:
+    """The ``--order`` of ``--algo canonical``, read before any graph work."""
+    if args.algo != "canonical":
+        return None
+    if not args.order:
+        raise ValueError("canonical requires --order FILE")
+    return Order.from_sequence(
+        int(line.split()[0])
+        for line in map(str.strip, Path(args.order).read_text(encoding="utf-8").splitlines())
+        if line and not line.startswith("#")
+    )
+
+
+def _build_labeling(g, d, args, order: Order | None):
+    """(order, labeling, trace) of ``args.algo``; ``order`` is canonical's input."""
     if args.algo == "g-hhl":
-        order, labeling, trace = run_g_hhl(d)
+        order, labeling, trace = _cli.run_g_hhl(d)
     elif args.algo == "w-hhl":
-        order, labeling, trace = run_w_hhl(d)
+        order, labeling, trace = _cli.run_w_hhl(d)
     elif args.algo == "d-hhl":
-        order, labeling, trace = run_d_hhl(d)
+        order, labeling, trace = _cli.run_d_hhl(d)
     elif args.algo == "cohen":
-        labeling, trace = run_cohen_hl(d, exact_mds=args.exact_mds)
-        order = None
+        labeling, trace = _cli.run_cohen_hl(d, exact_mds=args.exact_mds)
     elif args.algo == "canonical":
-        if not args.order:
-            raise ValueError("canonical requires --order FILE")
-        seq = [
-            int(line.split()[0])
-            for line in map(str.strip, Path(args.order).read_text(encoding="utf-8").splitlines())
-            if line and not line.startswith("#")
-        ]
-        order = Order.from_sequence(seq)
         labeling = canonical_hhl(d, order)
         trace = None
     elif args.algo == "sphs":
-        ms = greedy_multiscale_sphs(g, d)
-        order, labeling = sphs_to_hhl(g, d, ms)
+        ms = _cli.greedy_multiscale_sphs(g, d)
+        order, labeling = _cli.sphs_to_hhl(g, d, ms)
         trace = None
     else:  # pragma: no cover
         raise ValueError(f"unknown algorithm {args.algo}")
@@ -152,9 +172,10 @@ def _build_labeling(g, d, args):
 
 
 def _cmd_build(args) -> int:
+    order = _read_order(args)
     g = _read_graph(args.graph)
     d = all_pairs_distances(g)
-    order, labeling, trace = _build_labeling(g, d, args)
+    order, labeling, trace = _build_labeling(g, d, args, order)
     out = Path(args.out)
     out.write_text(serialize_labeling(labeling), encoding="utf-8")
     report = verify_cover(labeling, d)
@@ -215,13 +236,13 @@ def _cmd_compare(args) -> int:
     rows = []
     for algo in args.algos.split(","):
         ns = argparse.Namespace(algo=algo.strip(), exact_mds=False, order=None)
-        _, labeling, _ = _build_labeling(g, d, ns)
+        _, labeling, _ = _build_labeling(g, d, ns, _read_order(ns))
         rows.append((algo.strip(), labeling.size))
     payload: dict = {"graph": args.graph, "sizes": {a: s for a, s in rows}}
     lines: list[tuple[str, object]] = [(f"size[{a}]", s) for a, s in rows]
     if args.oracle:
-        opt_hhl, _ = optimal_hhl_bruteforce(d, limit_n=args.oracle_limit)
-        res = optimal_hl_bnb(d, budget=args.budget)
+        opt_hhl, _ = _cli.optimal_hhl_bruteforce(d, limit_n=args.oracle_limit)
+        res = _cli.optimal_hl_bnb(d, budget=args.budget)
         lines.append(("optimal_hhl", opt_hhl))
         lines.append(("optimal_hl_lower", res.lower))
         lines.append(("optimal_hl_upper", res.upper))

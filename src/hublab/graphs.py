@@ -37,6 +37,10 @@ class TooLargeError(ValueError):
     """Instance exceeds a size limit: the vertex bound or a brute-force limit."""
 
 
+class CapExceededError(RuntimeError):
+    """Shortest-path enumeration exceeded the configured cap."""
+
+
 def _check_zero_cycles(directed: bool, n: int, arcs) -> None:
     zero = [(t, h) for t, h, length in arcs if length == 0]
     if not zero:

@@ -13,13 +13,9 @@ from itertools import chain
 
 import numpy as np
 
-from .graphs import DistMatrix, Graph
+from .graphs import CapExceededError, DistMatrix, Graph
 from .greedy import RunTrace, TraceNotFromDHHLError
 from .labeling import Order, hub_labeling
-
-
-class CapExceededError(RuntimeError):
-    """Shortest-path enumeration exceeded the configured cap."""
 
 
 class DirectedInputError(ValueError):

@@ -19,11 +19,13 @@ OPT_HHL_MAX_N = 20  # the subset DP holds up to 2^n memo states and recurses n d
 
 
 def optimal_hhl_bruteforce(d: DistMatrix, limit_n: int = 9) -> tuple[int, Order]:
-    """Minimum canonical labeling size over all n! orders, with a witnessing order.
+    """Minimum canonical labeling size over all orders, with a witnessing order.
 
     The canonical size of an order is the sum, over ranks, of the non-isolated
-    vertex count of the chosen center graph at selection time, which makes the
-    minimum computable by dynamic programming over chosen-vertex subsets.
+    vertex count of the chosen center graph at selection time. That count
+    depends only on the vertex and the set chosen before it, so the minimum is a
+    dynamic program over vertex subsets (at most 2^n states), not a search
+    over the n! orders.
     """
     n, limit = d.n, min(limit_n, OPT_HHL_MAX_N)
     if n > limit:

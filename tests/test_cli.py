@@ -454,3 +454,32 @@ def test_sphs_build_enumerates_shortest_paths_once(tmp_path, monkeypatch, capsys
     assert main(["build", str(graph), "--algo", "sphs", "--out", str(tmp_path / "r.lab")]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_canonical_without_order_exits_2_before_reading_the_graph(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("graph work before the argument check")
+
+    monkeypatch.setattr("hublab.cli.parse_graph", refuse)
+    monkeypatch.setattr("hublab.cli.all_pairs_distances", refuse)
+    graph = tmp_path / "p3.gr"
+    graph.write_text(hl.serialize_graph(path_graph(2)))
+    argv = ["build", str(graph), "--algo", "canonical", "--out", str(tmp_path / "x.labels")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: canonical requires --order FILE\n"
+    assert not (tmp_path / "x.labels").exists()
+
+
+def test_sphs_build_past_the_path_cap_exits_3(tmp_path, monkeypatch, capsys):
+    def over_cap(g, d, cap):
+        raise hl.CapExceededError(f"more than {cap} shortest paths")
+
+    monkeypatch.setattr(highway, "_all_shortest_paths", over_cap)
+    highway._paths_with_witnesses.cache_clear()
+    graph = tmp_path / "r.gr"
+    graph.write_text(hl.serialize_graph(families.gen_random(8, 12, 4, 5)))
+    assert main(["build", str(graph), "--algo", "sphs", "--out", str(tmp_path / "r.lab")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: more than ") and err.count("\n") == 1
+    assert "Traceback" not in err
