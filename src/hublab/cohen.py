@@ -80,7 +80,7 @@ def run_cohen_hl(d: DistMatrix, pairs=None, exact_mds: bool = False) -> tuple[La
     covered pair's row holds v. So every pick sees the scores an eager re-solve
     of every center would give, and picks the same center and subgraph.
     """
-    if exact_mds:  # only an exact run loads oracles, and highway through it
+    if exact_mds:  # only an exact run loads oracles
         from . import oracles
 
     engine = CoverageState(d, pairs)

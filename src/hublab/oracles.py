@@ -11,11 +11,17 @@ import numpy as np
 from .centers import CenterGraph, EmptyCenterGraphError, PathIndex
 from .graphs import DistMatrix, Graph, TooLargeError, all_pairs_distances
 from .graphs import path_membership  # noqa: F401 -- perfbench/tracing.py patches it here
-from .highway import DirectedInputError, _must_hit
-from .highway import _paths_with_witnesses, _within
 from .labeling import Labeling, Order, canonical_hhl, hub_labeling
 
-OPT_HHL_MAX_N = 20  # the subset DP holds up to 2^n memo states and recurses n deep
+OPT_HHL_MAX_N = 20  # the subset DP's cost table is n x 2^n bytes: 1 MB at n = 16, 20 MB at 20
+
+
+def _popcounts(c: int) -> np.ndarray:
+    """Bit counts of 0 .. 2^c - 1 as int8, by doubling (``np.bitwise_count`` needs numpy 2)."""
+    pop = np.zeros(1 << c, np.int8)
+    for v in range(c):
+        np.add(pop[: 1 << v], 1, out=pop[1 << v : 2 << v])
+    return pop
 
 
 def optimal_hhl_bruteforce(d: DistMatrix, limit_n: int = 9) -> tuple[int, Order]:
@@ -25,52 +31,55 @@ def optimal_hhl_bruteforce(d: DistMatrix, limit_n: int = 9) -> tuple[int, Order]
     vertex count of the chosen center graph at selection time. That count
     depends only on the vertex and the set chosen before it, so the minimum is a
     dynamic program over vertex subsets (at most 2^n states), not a search
-    over the n! orders.
+    over the n! orders. It runs as numpy passes over all subsets at once.
+
+    ``cost[x, S]`` counts the endpoint slots (tails and heads apart when
+    directed) of the pairs through x whose shortest paths miss S. A pair (s, w)
+    through x has every shortest s-x path inside its own, so slot s is counted
+    exactly when the pair of s and x misses S (likewise for heads). Each pair
+    with x at one end thus adds one to ``cost[x, S]`` for every S inside the
+    complement of its path mask: a histogram summed over supersets, one pass per
+    bit. ``best[S]``, the least size that completes S, is then filled by
+    popcount layers from the full set down, the minimum over x outside S of
+    ``cost[x, S] + best[S | x]``; ``argmin`` keeps the lowest such x.
     """
     n, limit = d.n, min(limit_n, OPT_HHL_MAX_N)
     if n > limit:
         raise TooLargeError(f"n={n} exceeds limit {limit}")
     idx = PathIndex(d)
-    us, ws = idx.u.tolist(), idx.w.tolist()
-    path_mask = [sum(1 << x for x in idx[p].tolist()) for p in range(len(idx))]
-    through = [idx.through(x).tolist() for x in range(n)]
-
     full = (1 << n) - 1
-    memo: dict[int, tuple[int, int]] = {full: (0, -1)}
+    cost = np.zeros((n, 1 << n), np.int8)
+    if len(idx):
+        paths = np.bitwise_or.reduceat(np.left_shift(1, idx.verts, dtype=np.int64), idx.ptr[:-1])
+        u, w = idx.u.astype(np.int64), idx.w.astype(np.int64)
+        ends = np.concatenate((w, u if d.directed else u[u != w]))  # the x of each slot
+        free = full ^ np.concatenate((paths, paths if d.directed else paths[u != w]))
+        np.add.at(cost.reshape(-1), ends << n | free, 1)
+    for i in range(n):
+        half = cost.reshape(n, -1, 2, 1 << i)
+        half[:, :, 0] += half[:, :, 1]
 
-    def cost_of(x: int, chosen: int) -> int:
-        tails = heads = 0
-        for p in through[x]:
-            if path_mask[p] & chosen:
-                continue
-            tails |= 1 << us[p]
-            heads |= 1 << ws[p]
-        if d.directed:
-            return tails.bit_count() + heads.bit_count()
-        return (tails | heads).bit_count()
-
-    def best(chosen: int) -> tuple[int, int]:
-        hit = memo.get(chosen)
-        if hit is not None:
-            return hit
-        best_total, best_x = None, -1
-        for x in range(n):
-            if chosen >> x & 1:
-                continue
-            total = cost_of(x, chosen) + best(chosen | (1 << x))[0]
-            if best_total is None or total < best_total:
-                best_total, best_x = total, x
-        memo[chosen] = (best_total, best_x)
-        return best_total, best_x
-
-    size, _ = best(0)
-    seq = []
-    chosen = 0
-    while chosen != full:
-        _, x = best(chosen)
-        seq.append(x)
-        chosen |= 1 << x
-    return size, Order.from_sequence(seq)
+    states = np.uint16 if n <= 16 else np.uint32
+    pop = _popcounts(n)
+    best = np.zeros(1 << n, np.int16)
+    arg = np.zeros(1 << n, np.int8)
+    xs = np.arange(n)[:, None]
+    bits = (1 << xs).astype(states)
+    step = (1 << 17) // max(n, 1)  # n x step temporaries, at most 8 bytes an entry: 1 MB
+    for k in range(n - 1, -1, -1):
+        layer = np.flatnonzero(pop == k).astype(states)
+        for lo in range(0, len(layer), step):
+            s = layer[lo : lo + step]
+            up = s | bits
+            total = cost[xs, s] + best[up]
+            total[up == s] = np.iinfo(np.int16).max  # x already in S
+            arg[s] = total.argmin(axis=0)
+            best[s] = total.min(axis=0)
+    seq, chosen = [], 0
+    for _ in range(n):
+        seq.append(int(arg[chosen]))
+        chosen |= 1 << seq[-1]
+    return int(best[0]), Order.from_sequence(seq)
 
 
 @dataclass(frozen=True)
@@ -243,15 +252,18 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
 
 def exact_mds(cg: CenterGraph, limit: int = 20):
     """Exact maximum-density subgraph by one subset DP over the side-node form
-    (:meth:`CenterGraph.side_nodes`).
+    (:meth:`CenterGraph.side_nodes`), as numpy passes over all masks.
 
-    Masks run in increasing order, and a mask's edge count extends that of the
-    mask without its lowest node; densities compare by integer cross-products.
-    Ties prefer fewer side nodes, then, when undirected, the lexicographically
-    smallest vertex list (the mask holding the lowest bit where the two differ)
-    and, when directed, the smallest integer mask: the smallest (tail mask, head
-    mask). More than ``limit`` side nodes raise ``TooLargeError``; Cohen's runner
-    also caps the subsets per run. Returns (sets, density) like the peel.
+    A mask's edge count extends that of the mask without its top node:
+    ``edges[2^v : 2^(v+1)] = edges[:2^v] + pop[arange(2^v) & adj[v]] + loop[v]``.
+    The densest masks are found by integer cross-products: from the whole
+    graph, jump to the mask furthest above the current density until none is
+    above it (Dinkelbach). Ties prefer fewer side nodes, then, when undirected,
+    the lexicographically smallest vertex list (the mask holding the lowest bit
+    where the two differ) and, when directed, the smallest integer mask: the
+    smallest (tail mask, head mask). More than ``limit`` side nodes raise
+    ``TooLargeError``; Cohen's runner also caps the subsets per run. Returns
+    (sets, density) like the peel.
     """
     if cg.edge_count == 0:
         raise EmptyCenterGraphError(f"center graph of {cg.center} has no edges")
@@ -259,20 +271,33 @@ def exact_mds(cg: CenterGraph, limit: int = 20):
     c = len(nodes)
     if c > limit:
         raise TooLargeError(f"{c} side nodes exceed limit {limit}")
-    edges = [0] * (1 << c)
-    best, best_e, best_k = 0, 0, 1  # density 0: the first mask with an edge beats it
-    for mask in range(1, 1 << c):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        e = edges[mask] = edges[rest] + (adj[v] & rest).bit_count() + loop[v]
-        k = mask.bit_count()
-        ours, theirs = e * best_k, best_e * k
-        if ours > theirs or ours == theirs and (
-            k < best_k or k == best_k and not cg.directed and mask & (mask ^ best) & -(mask ^ best)
-        ):
-            best, best_e, best_k = mask, e, k
-    return cg.sides(nodes, best), Fraction(best_e, best_k)
+    pop = _popcounts(c)
+    edges = np.zeros(1 << c, np.int16)
+    below = np.arange(1 << c - 1, dtype=np.int32)
+    for v in range(c):
+        top = edges[1 << v : 2 << v]
+        np.add(edges[: 1 << v], pop[below[: 1 << v] & adj[v]], out=top)
+        if loop[v]:
+            top += 1
+    del below  # 2 MB at 20 side nodes, freed before the int32 products
+    e, k = edges[1:], pop[1:]  # masks 1 .. 2^c - 1
+    best_e, best_k = int(edges[-1]), c
+    while True:
+        gain = np.multiply(e, best_k, dtype=np.int32)
+        gain -= np.multiply(k, best_e, dtype=np.int32)
+        j = int(gain.argmax())
+        if gain[j] <= 0:
+            break
+        best_e, best_k = int(e[j]), int(k[j])
+    tied = gain == 0
+    tied &= k == k[tied].min()
+    masks = np.flatnonzero(tied) + 1
+    v = 0
+    while len(masks) > 1 and not cg.directed:  # keep those holding the lowest differing bit
+        held = masks[masks >> v & 1 == 1]
+        masks = held if len(held) else masks
+        v += 1
+    return cg.sides(nodes, int(masks[0])), Fraction(best_e, best_k)
 
 
 def min_vertex_cover(g: Graph) -> frozenset[int]:
@@ -356,6 +381,8 @@ def highway_dimension_bruteforce(
     set ``include_trivial_paths`` to demand them anyway). The r grid covers all
     distinct path lengths, half-lengths, and midpoints, which is exact.
     """
+    from .highway import DirectedInputError, _must_hit, _paths_with_witnesses, _within
+
     if g.directed:
         raise DirectedInputError("undirected graph required")
     if g.n > limit_n:

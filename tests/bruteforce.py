@@ -400,6 +400,55 @@ def optimal_hl_bnb_reference(d: hl.DistMatrix, pairs=None, budget: int = 1_000_0
     return hl.HlBnbResult(lower, upper, labeling, complete, nodes)
 
 
+def optimal_hhl_recursive(d: hl.DistMatrix) -> tuple[int, hl.Order]:
+    """``hl.optimal_hhl_bruteforce`` as a memoized recursion over vertex subsets:
+    a chosen set's completion cost is the least, over the vertices x outside
+    it, of the endpoint slots of the pairs through x whose shortest paths miss
+    the set, plus the completion of the set with x; ties go to the lowest x."""
+    n = d.n
+    idx = PathIndex(d)
+    us, ws = idx.u.tolist(), idx.w.tolist()
+    path_mask = [sum(1 << x for x in idx[p].tolist()) for p in range(len(idx))]
+    through = [idx.through(x).tolist() for x in range(n)]
+
+    full = (1 << n) - 1
+    memo: dict[int, tuple[int, int]] = {full: (0, -1)}
+
+    def cost_of(x: int, chosen: int) -> int:
+        tails = heads = 0
+        for p in through[x]:
+            if path_mask[p] & chosen:
+                continue
+            tails |= 1 << us[p]
+            heads |= 1 << ws[p]
+        if d.directed:
+            return tails.bit_count() + heads.bit_count()
+        return (tails | heads).bit_count()
+
+    def best(chosen: int) -> tuple[int, int]:
+        hit = memo.get(chosen)
+        if hit is not None:
+            return hit
+        best_total, best_x = None, -1
+        for x in range(n):
+            if chosen >> x & 1:
+                continue
+            total = cost_of(x, chosen) + best(chosen | (1 << x))[0]
+            if best_total is None or total < best_total:
+                best_total, best_x = total, x
+        memo[chosen] = (best_total, best_x)
+        return best_total, best_x
+
+    size, _ = best(0)
+    seq = []
+    chosen = 0
+    while chosen != full:
+        _, x = best(chosen)
+        seq.append(x)
+        chosen |= 1 << x
+    return size, hl.Order.from_sequence(seq)
+
+
 def gen_random_directed(n: int, extra: int, maxlen: int, seed: int) -> hl.Graph:
     """Seeded directed graph over a random connected skeleton."""
     rng = random.Random(seed)
@@ -594,6 +643,32 @@ def exact_mds_undirected_reference(cg: hl.CenterGraph):
     return (members,), best_dens
 
 
+def exact_mds_loop(cg: hl.CenterGraph, limit: int = 20):
+    """``hl.exact_mds`` as one Python loop over the side-node masks in increasing
+    order: a mask's edge count extends that of the mask without its lowest node,
+    densities compare by integer cross-products and ties go as in ``hl.exact_mds``."""
+    if cg.edge_count == 0:
+        raise hl.EmptyCenterGraphError(f"center graph of {cg.center} has no edges")
+    nodes, adj, loop = cg.side_nodes()
+    c = len(nodes)
+    if c > limit:
+        raise hl.TooLargeError(f"{c} side nodes exceed limit {limit}")
+    edges = [0] * (1 << c)
+    best, best_e, best_k = 0, 0, 1  # density 0: the first mask with an edge beats it
+    for mask in range(1, 1 << c):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        rest = mask ^ low
+        e = edges[mask] = edges[rest] + (adj[v] & rest).bit_count() + loop[v]
+        k = mask.bit_count()
+        ours, theirs = e * best_k, best_e * k
+        if ours > theirs or ours == theirs and (
+            k < best_k or k == best_k and not cg.directed and mask & (mask ^ best) & -(mask ^ best)
+        ):
+            best, best_e, best_k = mask, e, k
+    return cg.sides(nodes, best), Fraction(best_e, best_k)
+
+
 def mask_tie_better(mask: int, incumbent: int, verts: list[int]) -> bool:
     """Fewer vertices, then the lexicographically smaller sorted vertex list."""
     a, b = mask.bit_count(), incumbent.bit_count()
@@ -669,6 +744,49 @@ def random_center_graph(
         if cg.nonisolated_count <= max_nodes:
             return cg
         arcs.pop()
+
+
+def center_graph_on(rng: random.Random, directed: bool, c: int, shape: str) -> hl.CenterGraph:
+    """A seeded center graph on exactly ``c`` side nodes (``c >= 2`` when
+    directed) with scattered ids; directed tails and heads may share ids.
+
+    ``shape`` "random" gives every node a random partner and adds random pairs
+    (undirected loops too); "regular" is a cycle, or a crown of tails and heads;
+    "cliques" is disjoint equal cliques, or complete bipartite blocks, with the
+    few nodes left over on a path or a loop, so many masks tie.
+    """
+    pool = range(4 * c + 10)
+    if not directed:
+        ids = rng.sample(pool, c)
+        if shape == "random":
+            pairs = {(v, rng.choice(ids)) for v in ids}
+            pairs |= {(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 2 * c))}
+        elif shape == "regular" or c == 1:  # one vertex: a loop
+            pairs = {(ids[i], ids[(i + 1) % c]) for i in range(c)}
+        else:
+            size = min(rng.choice((2, 3, 4)), c)
+            whole = c - c % size
+            pairs = {(ids[i], ids[j]) for i in range(whole) for j in range(i + 1, i - i % size + size)}
+            rest = ids[whole:]
+            pairs |= {(a, b) for a, b in zip(rest, rest[1:])} or {(v, v) for v in rest}
+        return hl.CenterGraph(0, False, tuple(sorted({(min(u, w), max(u, w)) for u, w in pairs})))
+    a = c // 2 if shape != "random" else rng.randint(1, c - 1)
+    tails, heads = rng.sample(pool, a), rng.sample(pool, c - a)
+    if shape == "random":
+        pairs = {(u, rng.choice(heads)) for u in tails} | {(rng.choice(tails), w) for w in heads}
+        pairs |= {(rng.choice(tails), rng.choice(heads)) for _ in range(rng.randint(0, c))}
+    elif shape == "regular":
+        pairs = {(tails[i], heads[j % (c - a)]) for i in range(a) for j in (i, i + 1)}
+    else:
+        side = min(rng.choice((1, 2, 3)), a)
+        blocks = a // side
+        pairs = {
+            (tails[b * side + i], heads[b * side + j])
+            for b in range(blocks) for i in range(side) for j in range(side)
+        }
+        pairs |= {(tails[-1], w) for w in heads[blocks * side :]}
+        pairs |= {(u, heads[-1]) for u in tails[blocks * side :]}
+    return hl.CenterGraph(0, True, tuple(sorted(pairs)))
 
 
 def with_zero_arcs(g: hl.Graph, rng: random.Random) -> hl.Graph:

@@ -257,6 +257,16 @@ def test_compare_oracle_too_large_exits_3(tmp_path):
     assert main(["compare", str(path21), "--oracle", "--oracle-limit", "5000"]) == 3
 
 
+def test_compare_oracle_default_limit_takes_the_13_vertex_k2_reduction(tmp_path, capsys):
+    g = families.reduce_vc_undirected(hl.Graph(False, 2, [(0, 1, 1)]))
+    assert g.n == 13
+    graph = tmp_path / "k2.gr"
+    graph.write_text(hl.serialize_graph(g))
+    assert main(["compare", str(graph), "--oracle", "--budget", "2000"]) == 0
+    payload = _json_payload(capsys)
+    assert payload["optimal_hl"]["lower"] <= payload["optimal_hhl"] == 33
+
+
 def test_compare_oracle_on_the_empty_graph_has_no_ratios(tmp_path, capsys):
     graph = tmp_path / "empty.gr"
     graph.write_text("p undirected 0 0\n")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ import pytest
 import hublab as hl
 from hublab import families
 
-from bruteforce import exact_mds_reference, gen_random_directed, optimal_hl_bnb_reference
+from bruteforce import center_graph_on, exact_mds_loop, exact_mds_reference, gen_random_directed
 from bruteforce import min_hitting_set_bruteforce, min_vertex_cover_reference
+from bruteforce import optimal_hhl_recursive, optimal_hl_bnb_reference
 from bruteforce import optimal_hl_milp, random_center_graph, with_zero_arcs
 from conftest import complete_graph, edge2, path_graph, seeded_graphs, star_graph, triangle
 
@@ -57,6 +59,45 @@ def test_optimal_hhl_matches_permutation_enumeration(seed):
         for perm in itertools.permutations(range(n))
     )
     assert size == best
+
+
+def test_optimal_hhl_matches_the_recursive_dp():
+    rng = random.Random(17200)
+    graphs = [hl.Graph(directed, n, []) for n in (0, 1, 2) for directed in (False, True)]
+    graphs += [hl.Graph(directed, 2, [(0, 1, w)]) for w in (0, 1) for directed in (False, True)]
+    while len(graphs) < 240:
+        directed, n = len(graphs) % 2 == 1, rng.randint(1, 9)
+        arcs = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
+        g = hl.Graph(directed, n, [(t, h, rng.randint(1, 3)) for t, h in sorted(arcs) if t != h])
+        graphs.append(with_zero_arcs(g, rng) if rng.random() < 0.6 else g)
+    unreachable = zero = 0
+    for g in graphs:
+        d = hl.all_pairs_distances(g)
+        size, order = hl.optimal_hhl_bruteforce(d)
+        want_size, want_order = optimal_hhl_recursive(d)
+        assert (size, order.by_rank()) == (want_size, want_order.by_rank()), g.arcs
+        assert hl.canonical_hhl(d, order).size == size
+        unreachable += bool((d.exact() == d.unreachable).any())
+        zero += any(length == 0 for _, _, length in g.arcs)
+    assert unreachable > 50 and zero > 50
+
+
+def test_optimal_hhl_memory_stays_small():
+    d = hl.all_pairs_distances(families.gen_random(16, 32, 4, 1))
+    d21 = hl.all_pairs_distances(path_graph(20))
+    tracemalloc.start()
+    try:
+        assert hl.optimal_hhl_bruteforce(d, limit_n=16)[0] == 64
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(hl.TooLargeError):
+            hl.optimal_hhl_bruteforce(d21, limit_n=5000)
+        refused = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert refused < 1 << 16  # refused before its index or its 2^21-state tables
 
 
 def test_optimal_hl_examples():
@@ -240,6 +281,32 @@ def test_exact_mds_matches_reference_on_random_center_graphs():
         seen_loops += same and not cg.directed
         seen_same_ids += same and cg.directed
     assert seen_loops > 50 and seen_same_ids > 50
+
+
+def test_exact_mds_matches_loop_and_reference_on_1_to_18_side_nodes():
+    rng = random.Random(17300)
+    shapes = ("random", "regular", "cliques")
+    for c in range(1, 19):
+        for directed in (False, True)[: 1 + (c > 1)]:
+            # The references take about a second at 18 side nodes: above 14, one graph each.
+            for shape in shapes if c <= 14 else shapes[c % 3 : c % 3 + 1]:
+                for _ in range(4 if c <= 10 else 1):
+                    cg = center_graph_on(rng, directed, c, shape)
+                    got = hl.exact_mds(cg)
+                    assert got == exact_mds_loop(cg) == exact_mds_reference(cg), cg
+
+
+def test_exact_mds_memory_stays_small():
+    rng = random.Random(17400)
+    for directed in (False, True):
+        cg = center_graph_on(rng, directed, 20, "random")
+        tracemalloc.start()
+        try:
+            hl.exact_mds(cg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 def test_side_nodes_put_heads_before_tails():

@@ -48,6 +48,19 @@ def test_traced_cohen_build_records_its_spans(tmp_path, capsys):
     assert [s.attrs["exact"] for s in tracer.spans if s.name == "cohen.run"] == [True]
 
 
+def test_traced_oracle_compare_records_the_dp_and_the_search(tmp_path, capsys):
+    tracing = _load_tracing()
+    graph = tmp_path / "c4.gr"
+    graph.write_text(hl.serialize_graph(families.gen_cycle4(True)))
+    tracer = tracing.Tracer()
+    with tracer.operation("compare"):
+        assert main(["compare", str(graph), "--oracle", "--budget", "2000"]) == 0
+    capsys.readouterr()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["oracles.opt_hhl_s"] > 0 and metrics["oracles.bnb_nodes"] > 0
+    assert [s.name for s in tracer.spans].count("oracles.opt_hhl") == 1
+
+
 def test_traced_sphs_build_enumerates_once_per_call(tmp_path, capsys):
     tracing = _load_tracing()
     g = hl.Graph(False, 6, [(i, i + 1, 1) for i in range(5)])

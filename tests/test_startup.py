@@ -77,6 +77,18 @@ def test_greedy_and_cohen_builds_load_no_other_algorithm(files, algo, needs, nev
     assert needs <= loaded and not loaded & never
 
 
+@pytest.mark.parametrize(
+    "argv, needs",
+    [
+        (["build", "{graph}", "--algo", "cohen", "--exact-mds", "--out", "{dir}/e.lab"], "cohen"),
+        (["compare", "{graph}", "--oracle", "--budget", "200"], "greedy"),
+    ],
+)
+def test_exact_cohen_and_oracle_compare_load_no_highway(files, argv, needs):
+    loaded = set(_fresh(RUN_CLI, *(a.format(**files) for a in argv)))
+    assert {"oracles", needs} <= loaded and not loaded & {"highway", "families"}
+
+
 def test_generate_random_loads_no_algorithm(files):
     argv = ["generate", "random", "--n", "6", "--m", "8", "--out", str(files["dir"] / "g.gr")]
     loaded = set(_fresh(RUN_CLI, *argv))
