@@ -154,65 +154,82 @@ class CoverageState:
     """Pair coverage over a :class:`PathIndex` with per-center counters kept current.
 
     Value-equal to rebuilding every center graph from scratch after each update;
-    the selection loop relies on that contract. Per center
-    v: ``edges[v]`` uncovered pairs through v, ``noniso[v]`` non-isolated
-    vertices (side occurrences when directed), ``lvl_counts[v]`` edges per
-    finite level, and ``deg[v]`` edges per endpoint slot (tails, then heads
-    when directed).
+    the selection loop relies on that contract. Per center v: ``edges[v]``
+    uncovered pairs through v, always kept, as every picker reads it. Built on
+    first read from the pairs then uncovered, for w-HHL: ``noniso[v]``
+    non-isolated vertices (side occurrences when directed) with ``deg[v]`` edges
+    per endpoint slot (tails, then heads when directed); for d-HHL:
+    ``lvl_counts[v]`` edges per finite level.
     """
 
     def __init__(self, d: DistMatrix, pairs=None):
-        self.n = n = d.n
+        self.n = d.n
         self.directed = d.directed
         self.index = PathIndex(d, pairs)
-        width = d.diameter.bit_length()  # finite levels 0..floor(log2 diameter)
+        self._width = d.diameter.bit_length()  # finite levels 0..floor(log2 diameter)
         self.uncovered = np.ones(len(self.index), dtype=bool)
         self.uncovered_count = len(self.index)
-        self.edges = np.zeros(n, np.int64)
-        self.noniso = np.zeros(n, np.int64)
-        self.lvl_counts = np.zeros((n, width), np.int64)
-        self.deg = np.zeros((n, 2 * n if self.directed else n), np.int32)
-        # Seed in blocks of about n x slots entries, where a dense bincount beats a sort.
-        ptr, block = self.index.ptr, max(self.deg.size, 1)
-        cuts = np.searchsorted(ptr, np.arange(block, ptr[-1], block))
-        for lo, hi in zip([0, *cuts], [*cuts, len(self.index)]):
-            self._count(np.arange(lo, hi), 1)
+        self.edges = np.diff(self.index.vptr)
 
     pair_path = property(lambda self: self.index, doc="Path vertices indexed by pair id.")
 
-    def _count(self, pids: np.ndarray, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) the given pairs in every counter."""
-        idx, n, (_, width), slots = self.index, self.n, self.lvl_counts.shape, self.deg.shape[1]
+    def __getattr__(self, name: str):
+        """Build ``deg`` with ``noniso``, or ``lvl_counts``, on its first read."""
+        if name not in ("deg", "noniso", "lvl_counts"):
+            raise AttributeError(name)
+        n, slots = self.n, 2 * self.n if self.directed else self.n
+        counter = "lvl_counts" if name == "lvl_counts" else "deg"
+        if counter == "deg":
+            self.noniso, self.deg = np.zeros(n, np.int64), np.zeros((n, slots), np.int32)
+        else:
+            self.lvl_counts = np.zeros((n, self._width), np.int64)
+        # Seed in blocks of about n x slots entries, where a dense bincount beats a sort.
+        ptr, block = self.index.ptr, max(n * slots, 1)
+        cuts = np.searchsorted(ptr, np.arange(block, ptr[-1], block))
+        for lo, hi in zip([0, *cuts], [*cuts, len(self.index)]):
+            self._count(lo + np.flatnonzero(self.uncovered[lo:hi]), 1, {counter})
+        return getattr(self, name)
+
+    def _count(self, pids: np.ndarray, sign: int, counters) -> None:
+        """Add (sign 1) or remove (sign -1) the given pairs in the named counters."""
+        idx, n = self.index, self.n
         xs, owner = idx.rows(pids)
         xs = xs.astype(np.int64)
-        self.edges += sign * np.bincount(xs, minlength=n)
-        lv = idx.level[pids][owner]
-        fin = lv >= 0
-        per_level = np.bincount(xs[fin] * width + lv[fin], minlength=n * width)
-        self.lvl_counts += sign * per_level.reshape(n, width)
-        tail = idx.u[pids][owner]
-        head = idx.w[pids][owner] + (n if self.directed else 0)
-        both = head != tail  # an undirected self pair fills a single slot
-        keys = np.concatenate((xs * slots + tail, (xs * slots + head)[both]))
-        flat = self.deg.reshape(-1)
-        if keys.size >= flat.size:  # dense: one bincount over every cell, no sort
-            hits = np.bincount(keys, minlength=flat.size)
-            cells = np.flatnonzero(hits)
-            hits = hits[cells]
-        else:
-            cells, hits = np.unique(keys, return_counts=True)
-        old = flat[cells]
-        flat[cells] = old + sign * hits
-        flipped = old == 0 if sign > 0 else old == hits
-        self.noniso += sign * np.bincount(cells[flipped] // slots, minlength=n)
+        if "edges" in counters:
+            self.edges += sign * np.bincount(xs, minlength=n)
+        if "lvl_counts" in counters:
+            width = self._width
+            lv = idx.level[pids][owner]
+            fin = lv >= 0
+            per_level = np.bincount(xs[fin] * width + lv[fin], minlength=n * width)
+            self.lvl_counts += sign * per_level.reshape(n, width)
+        if "deg" in counters:
+            slots = self.deg.shape[1]
+            tail = idx.u[pids][owner]
+            head = idx.w[pids][owner] + (n if self.directed else 0)
+            both = head != tail  # an undirected self pair fills a single slot
+            keys = np.concatenate((xs * slots + tail, (xs * slots + head)[both]))
+            flat = self.deg.reshape(-1)
+            if keys.size >= flat.size:  # dense: one bincount over every cell, no sort
+                hits = np.bincount(keys, minlength=flat.size)
+                cells = np.flatnonzero(hits)
+                hits = hits[cells]
+            else:
+                cells, hits = np.unique(keys, return_counts=True)
+            old = flat[cells]
+            flat[cells] = old + sign * hits
+            flipped = old == 0 if sign > 0 else old == hits
+            self.noniso += sign * np.bincount(cells[flipped] // slots, minlength=n)
 
     def profile_key(self, v: int) -> tuple[int, ...]:
         return tuple(self.lvl_counts[v, ::-1].tolist())
 
-    def receivers(self, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Non-isolated vertices of G_v as (tails, heads); undirected ones are all tails."""
-        tails, heads = np.flatnonzero(self.deg[v][: self.n]), np.flatnonzero(self.deg[v][self.n :])
-        return tuple(tails.tolist()), tuple(heads.tolist())
+    def receivers(self, pids: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Distinct ends of the given pairs as (tails, heads), ascending; undirected
+        ends are all tails. Of ``pairs_through(v)``, the non-isolated vertices of G_v."""
+        n, u, w = self.n, self.index.u[pids], self.index.w[pids]
+        sides = (u, w) if self.directed else (np.concatenate((u, w)), w[:0])
+        return tuple(tuple(np.flatnonzero(np.bincount(s, minlength=n)).tolist()) for s in sides)
 
     def pairs_through(self, v: int) -> np.ndarray:
         pids = self.index.through(v)
@@ -222,11 +239,12 @@ class CoverageState:
         return CenterGraph(v, self.directed, tuple(self.index.pairs(self.pairs_through(v))))
 
     def cover_pairs(self, pids) -> None:
-        """Mark still-uncovered pairs covered and update all counters; ascending ids skip a sort."""
+        """Mark still-uncovered pairs covered and update the built counters; ascending
+        ids skip a sort."""
         pids = np.asarray(pids, dtype=np.int64)
-        distinct = (pids[1:] > pids[:-1]).all() or np.unique(pids).size == pids.size
+        distinct = (pids[1:] > pids[:-1]).all() or (np.diff(np.sort(pids)) > 0).all()
         if not distinct or not self.uncovered[pids].all():
             raise ValueError("pair ids must be distinct and still uncovered")
         self.uncovered[pids] = False
         self.uncovered_count -= len(pids)
-        self._count(pids, -1)
+        self._count(pids, -1, vars(self).keys() & {"edges", "deg", "lvl_counts"})

@@ -91,20 +91,22 @@ def _select(d: DistMatrix, engine: CoverageState, algo: str, step) -> tuple[Labe
     still-uncovered pairs are covered and the step is recorded.
     """
     n = d.n
-    hub_f, hub_b = np.zeros((2, n, n), dtype=bool)  # an undirected step has no heads
     trace = RunTrace(algo, d.directed, n)
     while engine.uncovered_count:
         v, score, tails, heads, pids, level = step(engine)
         if not len(pids):
             raise AssertionError(f"center {v} covers no uncovered pair")
-        hub_f[list(tails), v] = True
-        hub_b[list(heads), v] = True
         before = engine.uncovered_count
         engine.cover_pairs(pids)
         after = engine.uncovered_count
         trace.iterations.append(
             IterationRecord(v, score, len(pids), before, after, tails, heads, level)
         )
+    # The tables are filled only now, so none exists while a counter is seeded.
+    hub_f, hub_b = np.zeros((2, n, n), dtype=bool)  # an undirected step has no heads
+    for rec in trace.iterations:
+        hub_f[list(rec.receivers_fwd), rec.vertex] = True
+        hub_b[list(rec.receivers_bwd), rec.vertex] = True
     return hub_labeling(d, hub_f, hub_b if d.directed else None), trace
 
 
@@ -153,7 +155,8 @@ def _run_hierarchical(d: DistMatrix, algo: str) -> tuple[Order, Labeling, RunTra
     def step(engine: CoverageState):
         # The picked center takes every uncovered pair through it.
         v, score, level = pick(engine)
-        return (v, score, *engine.receivers(v), engine.pairs_through(v), level)
+        pids = engine.pairs_through(v)
+        return (v, score, *engine.receivers(pids), pids, level)
 
     labeling, trace = _select(d, CoverageState(d), algo, step)
     # A zero-length edge puts u on a shortest path of [v, v], so picking u may

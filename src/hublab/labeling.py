@@ -107,6 +107,13 @@ class Labeling:
                 raise ValueError("undirected labeling stores a single list per vertex")
             self.bwd = self.fwd
 
+    @classmethod
+    def _normal(cls, directed: bool, n: int, fwd: tuple, bwd: tuple | None) -> "Labeling":
+        """Wrap rows already in the form ``__init__`` gives them; nothing is checked."""
+        lab = cls.__new__(cls)
+        lab.directed, lab.n, lab.fwd, lab.bwd = directed, n, fwd, fwd if bwd is None else bwd
+        return lab
+
     @property
     def size(self) -> int:
         total = sum(len(lst) for lst in self.fwd)
@@ -298,18 +305,20 @@ def hub_labeling(d: DistMatrix, hub_f: np.ndarray, hub_b: np.ndarray | None = No
 
     ``hub_f[v, h]`` puts h in v's forward label at dist(v, h) and ``hub_b[v, h]``
     in v's backward label at dist(h, v); an undirected labeling has one table.
-    Every marked hub must be reachable along its side.
+    Every marked hub must be reachable along its side. A side's rows come from
+    one row-major ``nonzero`` (hubs ascending, distinct) and one gather of exact
+    distances, so they are in normal form and ``Labeling`` takes them unchecked.
     """
     into = d.exact()  # into[w, v] = dist(v, w), so into.T[v, h] = dist(v, h)
-    bwd = None if hub_b is None else _side(hub_b, into)
-    return Labeling(d.directed, d.n, _side(hub_f, into.T), bwd)
 
+    def side(hub: np.ndarray, dist: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
+        owners, hubs = np.nonzero(hub)
+        entries = list(zip(hubs.tolist(), dist[owners, hubs].tolist()))
+        ends = np.cumsum(np.bincount(owners, minlength=d.n)).tolist()
+        return tuple(tuple(entries[a:b]) for a, b in zip([0, *ends], ends))
 
-def _side(hub: np.ndarray, dist: np.ndarray) -> list[zip]:
-    """Label rows from an owner-by-hub table, each entry (h, dist[owner, h]); lazy
-    pairs, so no list of tuples exists beside the one ``Labeling`` keeps."""
-    rows = map(np.flatnonzero, hub)
-    return [zip(hs.tolist(), dist[v, hs].tolist()) for v, hs in enumerate(rows)]
+    bwd = None if hub_b is None else side(hub_b, into)
+    return Labeling._normal(d.directed, d.n, side(hub_f, into.T), bwd)
 
 
 def respects_order(l: Labeling, pi: Order) -> bool:

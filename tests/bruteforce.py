@@ -105,6 +105,19 @@ def canonical_hhl_loop(d: hl.DistMatrix, pi: hl.Order) -> hl.Labeling:
     return hl.Labeling(True, n, fwd, bwd) if d.directed else hl.Labeling(False, n, fwd)
 
 
+def hub_labeling_checked(d: hl.DistMatrix, hub_f: np.ndarray, hub_b: np.ndarray | None = None):
+    """Row-by-row assembly through the checked ``Labeling`` constructor, which
+    sorts and validates every row: the reference for ``hub_labeling``."""
+    into = d.exact()  # into[w, v] = dist(v, w)
+
+    def side(hub, dist):
+        rows = map(np.flatnonzero, hub)
+        return [zip(hs.tolist(), dist[v, hs].tolist()) for v, hs in enumerate(rows)]
+
+    bwd = None if hub_b is None else side(hub_b, into)
+    return hl.Labeling(d.directed, d.n, side(hub_f, into.T), bwd)
+
+
 def verify_cover_loop(l: hl.Labeling, d: hl.DistMatrix, pairs=None) -> hl.CoverReport:
     """Pair-by-pair cover check with a dict per label: the reference for ``verify_cover``."""
     if l.directed != d.directed or l.n != d.n:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hublab as hl
-from hublab import families
+from hublab import cohen, families, greedy
 from hublab.centers import PathIndex
 
 from bruteforce import (
@@ -22,6 +26,7 @@ from bruteforce import (
     on_shortest_path,
     pair_level,
     shortest_path_vertices,
+    with_zero_arcs,
 )
 from conftest import edge2, seeded_graphs
 
@@ -261,6 +266,106 @@ def test_cover_pairs_rejects_repeated_ids_and_takes_any_order():
     again.cover_pairs(pids)
     assert (engine.uncovered == again.uncovered).all()
     assert (engine.deg == again.deg).all() and (engine.noniso == again.noniso).all()
+    # Checking distinctness of unsorted ids must not import numpy.ma, as a
+    # plain np.unique does: every build child would pay for it.
+    script = (
+        "import sys\n"
+        "import hublab as hl\n"
+        "from hublab import families\n"
+        "engine = hl.CoverageState(hl.all_pairs_distances(families.gen_bad_g(2)))\n"
+        "pids = engine.pairs_through(0)\n"
+        "print(len(pids) > 1, 'numpy.ma' in sys.modules)\n"
+        "engine.cover_pairs(pids[::-1])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hl.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "False", "False"]
+
+
+def _deg_row(cg: hl.CenterGraph, n: int) -> list[int]:
+    """Edges of a center graph per endpoint slot: tails, then heads when directed."""
+    row = [0] * (2 * n if cg.directed else n)
+    for u, w in cg.arcs:
+        row[u] += 1
+        if cg.directed or w != u:
+            row[w + n * cg.directed] += 1
+    return row
+
+
+def _lazy_cases():
+    rng = random.Random(12100)
+    for i, g in enumerate(seeded_graphs(6, 8, 12000)):
+        yield g if i % 2 else with_zero_arcs(g, rng), None
+    for i in range(6):
+        g = gen_random_directed(4 + i, 2 + i, 3, 12200 + i)
+        yield g if i % 2 else with_zero_arcs(g, rng), None
+    for g in (families.gen_random(8, 12, 3, 12300), gen_random_directed(7, 5, 3, 12400)):
+        reach = hl.all_pairs_distances(g).reachable_pairs()
+        yield g, rng.sample(reach, len(reach) // 2)
+
+
+def test_lazy_counters_match_from_scratch_from_their_first_read():
+    # noniso, deg and lvl_counts exist only from their first read; read first
+    # before any cover, after one, or after about n/2, each must equal the
+    # center graphs rebuilt from scratch then and after every later cover.
+    rng = random.Random(12500)
+    names = ("noniso", "deg", "lvl_counts")
+    for i, (g, pairs) in enumerate(_lazy_cases()):
+        d = hl.all_pairs_distances(g)
+        engine = hl.CoverageState(d, pairs)
+        width = d.diameter.bit_length()  # finite levels 0..floor(log2 diameter)
+        points = (0, 1, max(2, g.n // 2))
+        first = {name: points[(i + j) % 3] for j, name in enumerate(names)}
+        read, covers = set(), 0
+        while True:
+            for name in names:
+                if first[name] == covers or not engine.uncovered_count and name not in read:
+                    built = set(names[:2] if name != "lvl_counts" else names[2:])
+                    assert read & built or not vars(engine).keys() & built
+                    getattr(engine, name)
+                    read |= built
+            live = engine.index.pairs(np.flatnonzero(engine.uncovered))
+            for x in range(g.n):
+                cg = build_center_graph(d, live, x)
+                assert engine.edges[x] == cg.edge_count
+                if "deg" in read:
+                    assert engine.noniso[x] == cg.nonisolated_count
+                    assert engine.deg[x].tolist() == _deg_row(cg, g.n)
+                if "lvl_counts" in read:
+                    prof = level_profile(cg, d)
+                    assert engine.lvl_counts[x].tolist() == [prof.count(lv) for lv in range(width)]
+            if not engine.uncovered_count:
+                break
+            # Cover a random part of one center's pairs, in a shuffled order.
+            v = rng.choice(np.flatnonzero(engine.edges).tolist())
+            pids = engine.pairs_through(v).tolist()
+            rng.shuffle(pids)
+            engine.cover_pairs(pids[: rng.randint(1, len(pids))])
+            covers += 1
+        assert read == set(names)
+
+
+@pytest.mark.parametrize("algo", ["g-hhl", "w-hhl", "d-hhl", "cohen"])
+def test_each_run_builds_only_the_counters_its_picker_reads(algo, monkeypatch):
+    engines = []
+
+    class Recorded(hl.CoverageState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(greedy, "CoverageState", Recorded)
+    monkeypatch.setattr(cohen, "CoverageState", Recorded)
+    run = {"g-hhl": greedy.run_g_hhl, "w-hhl": greedy.run_w_hhl, "d-hhl": greedy.run_d_hhl}
+    run["cohen"] = cohen.run_cohen_hl
+    reads = {"w-hhl": {"deg", "noniso"}, "d-hhl": {"lvl_counts"}}.get(algo, set())
+    for g in (families.gen_random(12, 20, 4, 12600), families.gen_bad_g(2)):
+        run[algo](hl.all_pairs_distances(g))
+        (engine,) = engines
+        assert vars(engine).keys() & {"deg", "noniso", "lvl_counts"} == reads
+        engines.clear()
 
 
 def test_engine_rejects_unreachable_pairs():

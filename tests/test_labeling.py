@@ -13,8 +13,10 @@ from hublab.labeling import hub_labeling
 from bruteforce import (
     all_pairs_bruteforce,
     gen_random_directed,
+    hub_labeling_checked,
     path_vertices_bruteforce,
     verify_cover_loop,
+    with_zero_arcs,
 )
 from conftest import edge2, seeded_graphs
 
@@ -241,6 +243,31 @@ def test_hub_labeling_reads_each_side_the_right_way():
                 assert all(type(dd) is int and dd == best[h][v] for h, dd in lab.bwd[v])
                 asymmetric += sum(best[v][h] != best[h][v] for h, _ in lab.fwd[v])
     assert asymmetric > 0
+
+
+def test_hub_labeling_equals_the_checked_assembly():
+    # Random tables over reachable cells, with whole rows left empty; the rows
+    # handed to Labeling unchecked must equal the checked constructor's to the
+    # byte and hash alike, with every entry a Python int.
+    graphs = [hl.Graph(False, 0, []), hl.Graph(True, 0, []), hl.Graph(False, 1, [])]
+    graphs += [hl.Graph(True, 1, []), edge2(), hl.Graph(True, 2, [(0, 1, 0)])]
+    graphs += [gen_random_directed(n, 4, 5, 4500 + n) for n in range(3, 10)]
+    graphs += seeded_graphs(8, 9, 4600)
+    graphs += [with_zero_arcs(g, random.Random(i)) for i, g in enumerate(graphs[6:])]
+    rng = np.random.default_rng(4700)
+    for g in graphs:
+        d = hl.all_pairs_distances(g)
+        reach = d.exact().T < d.unreachable  # [v, h]: h reachable from v
+        for density in (0.0, 0.3, 1.0):
+            keep = rng.random((g.n, 1)) < 0.7  # the other rows stay empty
+            hub_f = reach & keep & (rng.random(reach.shape) < density)
+            hub_b = reach.T & (rng.random(reach.shape) < density) if g.directed else None
+            lab, ref = hub_labeling(d, hub_f, hub_b), hub_labeling_checked(d, hub_f, hub_b)
+            assert lab == ref and hash(lab) == hash(ref)
+            assert hl.serialize_labeling(lab) == hl.serialize_labeling(ref)
+            sides = (lab.fwd, lab.bwd) if g.directed else (lab.fwd,)
+            assert all(len(side) == g.n for side in sides)
+            assert all(type(x) is int for side in sides for row in side for e in row for x in e)
 
 
 def test_respects_order():
