@@ -241,9 +241,12 @@ def _cmd_compare(args) -> int:
     payload: dict = {"graph": args.graph, "sizes": {a: s for a, s in rows}}
     lines: list[tuple[str, object]] = [(f"size[{a}]", s) for a, s in rows]
     if args.oracle:
-        opt_hhl, _ = _cli.optimal_hhl_bruteforce(d, limit_n=args.oracle_limit)
+        try:  # the subset DP refuses n above --oracle-limit before allocating
+            opt_hhl = _cli.optimal_hhl_bruteforce(d, limit_n=args.oracle_limit)[0]
+        except TooLargeError:
+            opt_hhl = None
         res = _cli.optimal_hl_bnb(d, budget=args.budget)
-        lines.append(("optimal_hhl", opt_hhl))
+        lines.append(("optimal_hhl", "skipped" if opt_hhl is None else opt_hhl))
         lines.append(("optimal_hl_lower", res.lower))
         lines.append(("optimal_hl_upper", res.upper))
         payload["optimal_hhl"] = opt_hhl
@@ -310,7 +313,7 @@ def _parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--algos", default="g-hhl,w-hhl,d-hhl")
     cmp_.add_argument("--oracle", action="store_true")
     # The subset DP on gen_random(n, 2n, 4, 1) takes 0.25 s at n = 19 and 0.48 s at
-    # n = 20 (2-core Xeon); 20-vertex graphs, at the DP's ceiling, stay refused.
+    # n = 20 (2-core Xeon); larger graphs skip it and report branch and bound only.
     cmp_.add_argument("--oracle-limit", type=int, default=19)
     cmp_.add_argument("--budget", type=int, default=1_000_000)
     cmp_.set_defaults(func=_cmd_compare)

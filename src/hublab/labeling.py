@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -175,29 +175,29 @@ class CoverReport:
 
     ``wrong_distance`` holds the pairs a stored hub distance claims to certify
     but gets wrong; ``uncovered`` holds the pairs with no common hub on a
-    shortest path. A pair can be in both.
+    shortest path. A pair can be in both. ``violations``, their sorted union
+    without repeats, is computed once when the report is made and takes no
+    part in equality.
     """
 
     wrong_distance: tuple[tuple[int, int], ...]
     uncovered: tuple[tuple[int, int], ...]
+    violations: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def violations(self) -> tuple[tuple[int, int], ...]:
-        """Sorted union of both kinds."""
-        return tuple(sorted(set(self.wrong_distance) | set(self.uncovered)))
+    def __post_init__(self):
+        union = tuple(sorted(set(self.wrong_distance).union(self.uncovered)))
+        object.__setattr__(self, "violations", union)
 
     @property
     def valid(self) -> bool:
         return not (self.wrong_distance or self.uncovered)
 
 
-def _flatten(side) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One label side as CSR arrays: offsets, hubs, stored distances, owner vertices."""
+def _flatten(side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One label side as flat arrays: hubs, stored distances, owner vertices."""
     counts = np.fromiter(map(len, side), dtype=np.int64, count=len(side))
-    offsets = np.zeros(len(side) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
     flat = np.fromiter(chain.from_iterable(chain.from_iterable(side)), np.int64).reshape(-1, 2)
-    return offsets, flat[:, 0], flat[:, 1], np.repeat(np.arange(len(side)), counts)
+    return flat[:, 0], flat[:, 1], np.repeat(np.arange(len(side)), counts)
 
 
 def verify_cover(l: Labeling, d: DistMatrix, pairs=None) -> CoverReport:
@@ -209,61 +209,83 @@ def verify_cover(l: Labeling, d: DistMatrix, pairs=None) -> CoverReport:
     the distances of ``d``, so a wrong stored distance can neither hide nor
     fake a cover. Restricting ``pairs`` checks cover for that subset only;
     unreachable pairs are skipped.
-
-    Per source s, dist(s, h) is scattered into a row of ``far`` = D + 1 at the
-    hubs of L_f(s), and one ``minimum.reduceat`` takes min(row[h] + dist(h, t))
-    over each L_b(t), capped at ``far``. That is at least dist(s, t), with
-    equality iff a common hub lies on a shortest path; both are ``far`` when t
-    is unreachable.
     """
     if l.directed != d.directed or l.n != d.n:
         raise ValueError("labeling and distance matrix disagree on shape")
-    n, into, far = l.n, d.exact(), d.unreachable
-    f_off, f_hub, f_dist, f_own = _flatten(l.fwd)
+    into, far = d.exact(), d.unreachable
+    f_hub, f_dist, f_own = _flatten(l.fwd)
     bad = (into[f_hub, f_own] != f_dist) | (f_dist >= far)
     wrong_s, wrong_t = [f_own[bad]], [f_hub[bad]]
     if l.directed:
-        b_off, b_hub, b_dist, b_own = _flatten(l.bwd)
+        b_hub, b_dist, b_own = _flatten(l.bwd)
         bad = (into[b_own, b_hub] != b_dist) | (b_dist >= far)
         wrong_s.append(b_hub[bad])
         wrong_t.append(b_own[bad])
     else:
-        b_off, b_hub, b_own = f_off, f_hub, f_own
-
-    # Each bwd label ends in a sentinel hub n, whose row cell stays far, so no
-    # reduceat segment is empty and an empty label reduces to far.
-    slot = np.arange(b_hub.size) + b_own
-    hub_x = np.full(b_hub.size + n, n)
-    hub_x[slot] = b_hub
-    leg_x = np.zeros(b_hub.size + n, into.dtype)
-    leg_x[slot] = into[b_own, b_hub]
-    starts = b_off[:-1] + np.arange(n)
-    row = np.full(n + 1, far, into.dtype)
-
-    by_source = None
-    if pairs is not None:
-        by_source = {}
-        for s, t in pairs:
-            by_source.setdefault(int(s), []).append(int(t))
-    unc_s, unc_t = [], []
-    for s in range(n) if by_source is None else by_source:
-        lo = s if by_source is None and not l.directed else 0
-        hubs = f_hub[f_off[s] : f_off[s + 1]]
-        row[hubs] = into[hubs, s]
-        a = starts[lo]
-        best = np.minimum.reduceat(row[hub_x[a:]] + leg_x[a:], starts[lo:] - a)
-        np.minimum(best, far, out=best)
-        row[hubs] = far
-        if by_source is None:
-            ts = np.flatnonzero(best != into[lo:, s]) + lo
-        else:
-            ts = np.array(by_source[s])
-            ts = ts[best[ts] != into[ts, s]]
-        unc_s.append(np.full(ts.size, s))
-        unc_t.append(ts)
+        b_hub, b_own = f_hub, f_own
+    unc_s, unc_t = _uncovered(l.directed, into, far, f_hub, f_own, b_hub, b_own, pairs)
     return CoverReport(
-        _sorted_pairs(l.directed, wrong_s, wrong_t), _sorted_pairs(l.directed, unc_s, unc_t)
+        _sorted_pairs(l.directed, wrong_s, wrong_t), _sorted_pairs(l.directed, [unc_s], [unc_t])
     )
+
+
+def _uncovered(directed: bool, into: np.ndarray, far: int, f_hub, f_own, b_hub, b_own, pairs):
+    """Sources and targets of the uncovered pairs, by a join of the two sides on their hubs.
+
+    Both sides are sorted by hub, and each forward entry (s, h) meets every
+    backward entry (h, t) of its hub; undirected, the one side meets itself
+    from its own position on, so t >= s. A triple covers [s, t] when
+    dist(s, h) + dist(h, t) == dist(s, t), all three read from ``into``; a
+    leg to an unreachable hub is ``far`` and matches no distance. ``hit[t, s]``,
+    one n x n bool seeded with the unreachable pairs, collects the covers, and
+    the pairs left unhit are the uncovered ones.
+
+    There are J = sum over hubs of |F_h| |B_h| triples, and since a hub has at
+    most n owners, J <= n (B + n), B the backward entries: the cells a scan of
+    every backward label per source would gather. The triples go in blocks of
+    about B + n int32 indices (an entry's partners, at most n, stay in one
+    block), so the join takes at most n blocks and its temporaries stay near
+    the size of one such scan's row; flat cells t * n + s fit since
+    n^2 < 2^31.
+    """
+    n = into.shape[0]
+    fo = np.argsort(f_hub, kind="stable")  # hub order, owners ascending within a hub
+    bo = np.argsort(b_hub, kind="stable") if directed else fo
+    s_of, fh = f_own[fo].astype(np.int32), f_hub[fo]
+    t_of, bh = b_own[bo].astype(np.int32), b_hub[bo]
+    leg_f, leg_b = into[fh, s_of], into[t_of, bh]  # dist(s, h), dist(h, t)
+    t_row = t_of * np.int32(n)
+    sizes = np.bincount(bh, minlength=n)
+    group_end = np.cumsum(sizes)
+    # Per forward entry: its first partner among the sorted backward entries,
+    # and how many it has.
+    first = group_end[fh] - sizes[fh] if directed else np.arange(fo.size)
+    count = group_end[fh] - first
+    start = np.cumsum(count) - count  # each entry's first triple
+    # Block k takes the entries whose triples start in [k, k + 1) * block.
+    block = max(b_hub.size + n, 1)
+    cuts = np.searchsorted(start, np.arange(block, count.sum(), block)).tolist()
+    hit = into >= far
+    flat_hit, flat_into = hit.reshape(-1), into.reshape(-1)
+    for a, z in zip([0, *cuts], [*cuts, fo.size]):
+        if z == a:
+            continue
+        reps = count[a:z]
+        # Triple k of the block meets partner first + k - (the entry's start in the block).
+        shift = (first[a:z] - (start[a:z] - start[a])).astype(np.int32)
+        j = np.repeat(shift, reps)
+        j += np.arange(j.size, dtype=np.int32)
+        cell = t_row[j] + np.repeat(s_of[a:z], reps)
+        on_path = np.repeat(leg_f[a:z], reps) + leg_b[j] == flat_into[cell]
+        flat_hit[cell[on_path]] = True
+    np.logical_not(hit, out=hit)  # now reachable and uncovered
+    if pairs is None:
+        ts, ss = np.nonzero(hit)
+        keep = ts >= ss if not directed else slice(None)
+    else:
+        ss, ts = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+        keep = hit[ts, ss] if directed else hit[np.maximum(ss, ts), np.minimum(ss, ts)]
+    return ss[keep], ts[keep]
 
 
 def _sorted_pairs(directed: bool, us, ws) -> tuple[tuple[int, int], ...]:

@@ -248,13 +248,43 @@ def test_compare_with_oracle(tmp_path, capsys):
     assert payload["sizes"]["g-hhl"] == 9
 
 
-def test_compare_oracle_too_large_exits_3(tmp_path):
+def test_compare_oracle_above_the_limit_skips_the_dp(tmp_path, capsys):
+    # bad-w 2 has 20 vertices, above the default limit of 19; the 21-vertex path
+    # is above the DP's ceiling of 20 whatever the limit says.
     graph = tmp_path / "w2.gr"
     graph.write_text(hl.serialize_graph(families.gen_bad_w(2)))
-    assert main(["compare", str(graph), "--oracle"]) == 3
     path21 = tmp_path / "p21.gr"
     path21.write_text(hl.serialize_graph(path_graph(20)))
-    assert main(["compare", str(path21), "--oracle", "--oracle-limit", "5000"]) == 3
+    for argv in ([str(graph)], [str(path21), "--oracle-limit", "5000"]):
+        assert main(["compare", *argv, "--oracle", "--budget", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert "optimal_hhl: skipped\n" in out
+        payload = json.loads(out.splitlines()[-1][len("@json "):])
+        assert payload["optimal_hhl"] is None
+        assert 0 < payload["optimal_hl"]["lower"] <= payload["optimal_hl"]["upper"]
+        assert set(payload["ratios"]) == {"g-hhl", "w-hhl", "d-hhl"}
+
+
+def test_compare_oracle_on_20_random_vertices_runs_branch_and_bound(tmp_path, capsys):
+    graph = tmp_path / "r20.gr"
+    gen = ["generate", "random", "--n", "20", "--m", "40", "--maxlen", "4", "--seed", "1"]
+    assert main([*gen, "--out", str(graph)]) == 0
+    capsys.readouterr()
+    compare = ["compare", str(graph), "--oracle", "--budget", "2000"]
+    assert main(compare) == 0
+    skipped = capsys.readouterr().out
+    assert main([*compare, "--oracle-limit", "20"]) == 0
+    ran = capsys.readouterr().out
+    d = hl.all_pairs_distances(hl.parse_graph(graph.read_text()))
+    opt_hhl = hl.optimal_hhl_bruteforce(d, limit_n=20)[0]
+    # Only the DP's line and field differ between the two runs.
+    assert skipped.replace("optimal_hhl: skipped", f"optimal_hhl: {opt_hhl}").replace(
+        '"optimal_hhl": null', f'"optimal_hhl": {opt_hhl}'
+    ) == ran
+    payload = json.loads(skipped.splitlines()[-1][len("@json "):])
+    bnb = hl.optimal_hl_bnb(d, budget=2000)
+    assert payload["optimal_hl"] == {"lower": bnb.lower, "upper": bnb.upper, "complete": bnb.complete}
+    assert payload["ratios"] == {a: s / bnb.upper for a, s in payload["sizes"].items()}
 
 
 def test_compare_oracle_default_limit_takes_the_13_vertex_k2_reduction(tmp_path, capsys):

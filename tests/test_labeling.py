@@ -130,7 +130,9 @@ def _mutants(lab: hl.Labeling, d: hl.DistMatrix, rng: random.Random, count: int)
 def _differential_graphs() -> list[hl.Graph]:
     return (
         seeded_graphs(8, 8, 30000)
-        + [gen_random_directed(n, n, 3, 30100 + n) for n in (3, 5, 7, 9)]
+        + [gen_random_directed(n, n, 3, 30100 + n) for n in (3, 5, 7, 9, 16)]
+        + [families.gen_bad_g(k) for k in (2, 3, 4)]
+        + [families.gen_bad_w(2), families.gen_separator(3)]
         + [
             hl.Graph(False, 0, []),
             hl.Graph(True, 0, []),
@@ -169,6 +171,28 @@ def test_verify_cover_matches_pair_loop(index):
             assert got.valid == want.valid
             assert got == want
     assert all(hl.verify_cover(lab, d).valid for lab in valid)
+
+
+def test_cover_report_computes_violations_once():
+    wrong, uncovered = ((0, 1), (2, 2), (3, 0)), ((0, 1), (1, 4), (3, 0), (3, 5))
+    report = hl.CoverReport(wrong, uncovered)
+    assert report.violations == ((0, 1), (1, 4), (2, 2), (3, 0), (3, 5))
+    assert report.violations is report.violations
+    assert hl.CoverReport((), uncovered).violations == uncovered
+    assert hl.CoverReport(wrong, ()).violations == wrong
+    assert hl.CoverReport((), ()).violations == ()
+    # Unsorted or repeated input still gives the sorted union without repeats.
+    assert hl.CoverReport(((3, 0), (0, 1), (3, 0)), [(1, 4), (0, 1)]).violations == (
+        (0, 1),
+        (1, 4),
+        (3, 0),
+    )
+    # The union is derived: equality, hashing and repr see the two tuples only.
+    again = hl.CoverReport(wrong, uncovered)
+    assert again == report and hash(again) == hash(report)
+    assert hash(report) == hash((wrong, uncovered))
+    assert repr(report) == f"CoverReport(wrong_distance={wrong!r}, uncovered={uncovered!r})"
+    assert report != hl.CoverReport(uncovered, wrong)
 
 
 def test_canonical_c4():
