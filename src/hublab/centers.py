@@ -85,12 +85,15 @@ class PathIndex:
     Pair ``p`` is ``(u[p], w[p])`` at ``level[p]`` (floor(log2 dist), -1 for
     dist 0). ``index[p]`` lists the vertices on its shortest paths and
     ``through(v)`` the pairs whose shortest paths pass through ``v``, both
-    ascending. Built one source row at a time from the column-restricted
-    membership predicate, so no table larger than n x (pairs of one source)
-    ever exists. ``pairs`` is any iterable of ``(u, w)`` and defaults to every
-    reachable pair. Undirected pairs are put min-first, duplicates dropped and
-    the list sorted, as the source grouping requires; ids out of range and
-    unreachable pairs raise ``ValueError``.
+    ascending. Vertex ids (``verts``) are uint16, as n <= ``MAX_VERTICES`` <
+    2^16, so readers widen them before arithmetic; pair ids are int32. The
+    level is read by ``frexp``, exact on the int16 distances (as float32) and
+    on wider ones (as float64). Built one source row at a time from the
+    column-restricted membership predicate, so no table larger than n x
+    (pairs of one source) ever exists. ``pairs`` is any iterable of ``(u, w)``
+    and defaults to every reachable pair. Undirected pairs are put min-first,
+    duplicates dropped and the list sorted, as the source grouping requires;
+    ids out of range and unreachable pairs raise ``ValueError``.
     """
 
     def __init__(self, d: DistMatrix, pairs=None):
@@ -112,17 +115,17 @@ class PathIndex:
         self.u, self.w = us.astype(np.int32), ws.astype(np.int32)
         self.level = (np.frexp(into[ws, us])[1] - 1).astype(np.int8)
         self.source_ptr = np.searchsorted(self.u, np.arange(n + 1))
-        rows, lens = [np.zeros(0, np.int32)], [np.zeros(1, np.int64)]
+        rows, lens = [np.zeros(0, np.uint16)], [np.zeros(1, np.int64)]
         for s in self.sources():
             member = path_membership(d, s, self.w[self.source_ptr[s] : self.source_ptr[s + 1]])
             at, vs = np.divmod(np.flatnonzero(member), n)
             lens.append(np.bincount(at, minlength=len(member)))
-            rows.append(vs.astype(np.int32))
+            rows.append(vs.astype(np.uint16))
         self.verts = np.concatenate(rows)
         self.ptr = np.cumsum(np.concatenate(lens))
         owner = np.repeat(np.arange(len(self.u), dtype=np.int32), np.diff(self.ptr))
-        # A stable sort on ids of at most 16 bits is a radix sort.
-        self.vpairs = owner[np.argsort(self.verts.astype(np.min_scalar_type(n)), kind="stable")]
+        # A stable sort on 16-bit ids is a radix sort.
+        self.vpairs = owner[np.argsort(self.verts, kind="stable")]
         self.vptr = np.concatenate(([0], np.cumsum(np.bincount(self.verts, minlength=n))))
 
     def __len__(self) -> int:

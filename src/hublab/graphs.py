@@ -13,9 +13,10 @@ INF = math.inf
 # 2^53 every distance is exact in the float64 export ``DistMatrix.matrix``, and
 # label distances are refused from 2^53 on, above any distance.
 MAX_TOTAL_LENGTH = 2**53
-# The all-pairs array holds n^2 int32 cells, 1.6 GB at this vertex count; int64
-# (3.2 GB) only when the diameter reaches about 2^30. The pivot loop's n^2
-# temporary exists only up to PIVOT_MAX_N vertices; the searches above it need none.
+# The all-pairs array holds n^2 cells: int16 (0.8 GB at this vertex count) while
+# the diameter stays below about 2^14, int32 below 2^30, int64 (3.2 GB) above.
+# The pivot loop's n^2 temporary exists only up to PIVOT_MAX_N vertices; the
+# searches above it need none. Vertex ids fit in uint16.
 MAX_VERTICES = 20_000
 # Largest vertex count whose distances come from the pivot loop. It was no
 # slower than the per-source searches on random graphs, trees and paths up to
@@ -257,7 +258,8 @@ class DistMatrix:
 
     ``exact()[w, v]`` is dist(v, w), or ``unreachable`` = D + 1 (D the
     diameter) if w is unreachable from v, so no sum with such a leg matches a
-    distance. Sums reach 2(D + 1): int32 below 2^31, int64 otherwise. ``dist``
+    distance. Sums reach 2(D + 1), and the dtype is the narrowest that holds
+    them (``_exact_dtype``): int16, int32 or int64. ``dist``
     gives INF when unreachable; ``matrix`` is a float64 export, built on demand.
     """
 
@@ -314,25 +316,40 @@ class DistMatrix:
         return f"DistMatrix(directed={self.directed}, n={self.n}, D={self.diameter})"
 
 
+def _exact_dtype(bound: int):
+    """The narrowest of int16, int32 and int64 in which a sum of two values up to
+    ``bound`` is exact."""
+    return np.int16 if 2 * bound < 2**15 else np.int32 if 2 * bound < 2**31 else np.int64
+
+
 def _pivot_fill(g: Graph, far: int, dtype) -> tuple[np.ndarray, int]:
     """Target-major distances (``far`` where unreached) by one vectorized update per pivot.
 
     Floyd–Warshall: pivot k lowers ``into[w, v]`` to ``into[w, k] + into[k, v]``,
-    only on the rows w that k reaches, and not at all when k reaches only
-    itself; sums stay below 2 * ``far``.
+    only on the rows w that k reaches; sums stay below 2 * ``far``. Only a
+    vertex that can be interior to a simple path is a pivot: directed, one with
+    an in-arc and an out-arc; undirected, one with two neighbours (arcs are
+    distinct and loop-free). A path through any other vertex ends there, so
+    skipping it changes no distance, and every pivot reaches another vertex.
     """
-    into = np.full((g.n, g.n), far, dtype)
+    n = g.n
+    into = np.full((n, n), far, dtype)
+    pivots = []
     if g.arcs:
         tails, heads, lengths = np.array(g.arcs, dtype=np.int64).T
         into[heads, tails] = lengths
-        if not g.directed:
+        if g.directed:
+            inner = (np.bincount(tails, minlength=n) > 0) & (np.bincount(heads, minlength=n) > 0)
+        else:
             into[tails, heads] = lengths
+            inner = np.bincount(np.concatenate((tails, heads)), minlength=n) > 1
+        pivots = np.flatnonzero(inner).tolist()
     np.fill_diagonal(into, 0)
-    for k in range(g.n):
+    for k in pivots:
         rows = np.flatnonzero(into[:, k] < far)
-        if 2 * rows.size > g.n:
+        if 2 * rows.size > n:
             np.minimum(into, into[:, k, None] + into[k], out=into)
-        elif rows.size > 1:
+        else:
             into[rows] = np.minimum(into[rows], into[rows, k, None] + into[k])
     return into, int(into.max(initial=0, where=into < far))
 
@@ -349,14 +366,12 @@ def _dijkstra_fill(g: Graph, far: int, dtype) -> tuple[np.ndarray, int]:
 
 def _distances(g: Graph, fill) -> DistMatrix:
     """Exact distances from ``fill``. Unreached cells hold the total arc length + 1
-    until D is known, so the fill dtype follows that bound and narrows to int32
-    at the end if D allows."""
+    until D is known, so the fill dtype is ``_exact_dtype`` of that bound, and the
+    stored one ``_exact_dtype`` of D + 1, which can only be narrower."""
     far = sum(ln for _, _, ln in g.arcs) + 1
-    into, diameter = fill(g, far, np.int32 if 2 * far < 2**31 else np.int64)
+    into, diameter = fill(g, far, _exact_dtype(far))
     np.minimum(into, diameter + 1, out=into)
-    if 2 * (diameter + 1) < 2**31:
-        into = into.astype(np.int32, copy=False)
-    return DistMatrix(g.directed, into, diameter)
+    return DistMatrix(g.directed, into.astype(_exact_dtype(diameter + 1), copy=False), diameter)
 
 
 def all_pairs_distances(g: Graph) -> DistMatrix:

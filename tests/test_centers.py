@@ -203,11 +203,14 @@ def _graphs(draw):
 @given(_graphs(), st.randoms(use_true_random=False))
 @example(hl.Graph(True, 4, [(0, 1, 2**40), (1, 2, 2**40 + 1), (2, 0, 0)]), random.Random(0))
 @example(hl.Graph(False, 4, [(0, 1, 0), (1, 2, 2**40)]), random.Random(1))
+@example(hl.Graph(True, 4, [(0, 1, 2**14), (1, 2, 0), (2, 3, 2**14)]), random.Random(2))
+@example(hl.Graph(False, 4, [(0, 1, 2**14 - 3), (1, 2, 0), (0, 3, 1)]), random.Random(3))
 def test_membership_kernel_matches_bruteforce(g, rnd):
     d = hl.all_pairs_distances(g)
     cap = d.diameter + 1
     into = d.exact()
-    assert into.dtype == (np.int32 if 2 * cap < 2**31 else np.int64)
+    narrowest = np.int16 if 2 * cap < 2**15 else np.int32 if 2 * cap < 2**31 else np.int64
+    assert into.dtype == narrowest
     rows = [[d.dist(u, v) if d.finite(u, v) else cap for v in range(g.n)] for u in range(g.n)]
     assert into.T.tolist() == rows
     index = PathIndex(d)

@@ -277,14 +277,36 @@ def test_compare_oracle_on_20_random_vertices_runs_branch_and_bound(tmp_path, ca
     ran = capsys.readouterr().out
     d = hl.all_pairs_distances(hl.parse_graph(graph.read_text()))
     opt_hhl = hl.optimal_hhl_bruteforce(d, limit_n=20)[0]
-    # Only the DP's line and field differ between the two runs.
-    assert skipped.replace("optimal_hhl: skipped", f"optimal_hhl: {opt_hhl}").replace(
-        '"optimal_hhl": null', f'"optimal_hhl": {opt_hhl}'
-    ) == ran
-    payload = json.loads(skipped.splitlines()[-1][len("@json "):])
     bnb = hl.optimal_hl_bnb(d, budget=2000)
-    assert payload["optimal_hl"] == {"lower": bnb.lower, "upper": bnb.upper, "complete": bnb.complete}
-    assert payload["ratios"] == {a: s / bnb.upper for a, s in payload["sizes"].items()}
+    sizes = json.loads(ran.splitlines()[-1][len("@json "):])["sizes"]
+    # The search stops above w-HHL's 81 and the DP's 80; each valid labeling
+    # and the HHL optimum bound the HL optimum from above as well.
+    assert (bnb.upper, sizes["w-hhl"], opt_hhl) == (86, 81, 80)
+    for out, dp, upper in ((skipped, None, 81), (ran, opt_hhl, 80)):
+        payload = json.loads(out.splitlines()[-1][len("@json "):])
+        assert payload["optimal_hhl"] == dp
+        assert payload["optimal_hl"] == {"lower": bnb.lower, "upper": upper, "complete": bnb.complete}
+        assert payload["ratios"] == {a: s / upper for a, s in sizes.items()}
+    # Only the DP's line, the upper bound and the ratios differ between the two runs.
+    moved = ("optimal_hhl:", "optimal_hl_upper:", "ratio[", "@json")
+    assert [ln for ln in skipped.splitlines() if not ln.startswith(moved)] == [
+        ln for ln in ran.splitlines() if not ln.startswith(moved)
+    ]
+
+
+def test_compare_oracle_ratios_are_never_below_one(tmp_path, capsys):
+    graph = tmp_path / "r20.gr"
+    gen = ["generate", "random", "--n", "20", "--m", "40", "--maxlen", "4", "--seed", "1"]
+    assert main([*gen, "--out", str(graph)]) == 0
+    capsys.readouterr()
+    compare = ["compare", str(graph), "--oracle", "--budget", "2000"]
+    for limit in ("19", "20"):
+        assert main([*compare, "--oracle-limit", limit]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out.splitlines()[-1][len("@json "):])
+        assert payload["optimal_hl"]["upper"] <= min(payload["sizes"].values())
+        assert min(payload["ratios"].values()) >= 1
+        assert all(float(ln.split(": ")[1]) >= 1 for ln in out.splitlines() if ln.startswith("ratio["))
 
 
 def test_compare_oracle_default_limit_takes_the_13_vertex_k2_reduction(tmp_path, capsys):
@@ -423,8 +445,8 @@ def test_generate_random_deterministic(tmp_path):
 
 
 def test_build_and_verify_at_vertex_limit_under_memory_cap(tmp_path):
-    # The n x n int32 distance array alone is 1.6 GB at 20,000 vertices.
-    cap = 1 << 30
+    # The n x n int16 distance array alone is 0.8 GB at 20,000 vertices.
+    cap = 1 << 29
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -9,14 +10,17 @@ from hypothesis import strategies as st
 
 import hublab as hl
 from hublab import families, graphs
+from hublab.centers import PathIndex
 
 from bruteforce import (
     UnreachablePairError,
     all_pairs_bruteforce,
+    canonical_hhl_loop,
     gen_random_directed,
     on_shortest_path,
     path_vertices_bruteforce,
     shortest_path_vertices,
+    verify_cover_loop,
     with_zero_arcs,
 )
 from conftest import edge2, path_graph, seeded_graphs
@@ -220,18 +224,19 @@ def test_dist_matrix_reachable_pairs():
 
 
 def test_dist_matrix_equal_whatever_the_arc_lengths_sum_to():
-    # The redundant 2^40 edge makes the search fill int64; D = 2 narrows it to int32.
+    # The redundant 2^40 edge makes the search fill int64; D = 2 narrows it to int16.
     arcs = [(0, 1, 1), (1, 2, 1)]
     a = hl.all_pairs_distances(hl.Graph(False, 3, arcs))
     b = hl.all_pairs_distances(hl.Graph(False, 3, arcs + [(0, 2, 2**40)]))
     assert a == b and hash(a) == hash(b)
-    assert a.exact().dtype == b.exact().dtype == np.int32
+    assert a.exact().dtype == b.exact().dtype == np.int16
 
 
 def _differential_graphs() -> list[hl.Graph]:
     """Arcless graphs of 0 to 5 vertices, then per seed: an undirected and a
     directed graph, each again with zero-length arcs, two disjoint copies of
-    the undirected one, and the directed one with lengths near 2^40."""
+    the undirected one, the undirected one with lengths near 2^20 and the
+    directed one with lengths near 2^40; so int16, int32 and int64 arrays."""
     rng = random.Random(15)
     out = [hl.Graph(directed, n, []) for directed in (False, True) for n in (0, 1, 2, 5)]
     for i in range(50):
@@ -239,6 +244,7 @@ def _differential_graphs() -> list[hl.Graph]:
         und = families.gen_random(n, min(n * (n - 1) // 2, n - 1 + i % 7), 1 + i % 5, 1500 + i)
         dig = gen_random_directed(n, i % 7, 1 + i % 5, 1600 + i)
         twice = und.arcs + tuple((t + n, h + n, ln) for t, h, ln in und.arcs)
+        wide = [(t, h, 2**20 + ln) for t, h, ln in und.arcs]
         huge = [(t, h, 2**40 - ln) for t, h, ln in dig.arcs]
         out += [
             und,
@@ -246,6 +252,7 @@ def _differential_graphs() -> list[hl.Graph]:
             with_zero_arcs(und, rng),
             with_zero_arcs(dig, rng),
             hl.Graph(False, 2 * n, twice),
+            hl.Graph(False, n, wide),
             hl.Graph(True, n, huge),
         ]
     return out
@@ -263,7 +270,7 @@ def test_pivot_loop_matches_the_per_source_searches():
         assert a.diameter == b.diameter, g
         dtypes.add(a.exact().dtype)
         unreachable += bool((a.exact() == a.unreachable).any())
-    assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
+    assert dtypes == {np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64)}
     assert unreachable >= 100
 
 
@@ -275,3 +282,123 @@ def test_all_pairs_above_the_pivot_cut_runs_the_searches(monkeypatch):
     d = hl.all_pairs_distances(g)
     assert d.exact().dtype == expect.exact().dtype
     assert d == expect and d.diameter == expect.diameter
+
+
+def _chain(lengths, directed: bool = True) -> hl.Graph:
+    """A path 0-1-...-k with the given arc lengths, then one lone vertex."""
+    arcs = [(i, i + 1, x) for i, x in enumerate(lengths)]
+    return hl.Graph(directed, len(lengths) + 2, arcs)
+
+
+def _shortcut(length: int) -> hl.Graph:
+    """The path 0-1-2 of unit edges beside a redundant edge 0-2: D = 2, total length + 2."""
+    return hl.Graph(False, 3, [(0, 1, 1), (1, 2, 1), (0, 2, length)])
+
+
+# (graph, fill dtype, stored dtype). A fill bound b = total arc length + 1 and a
+# stored bound b = D + 1 take int16 when 2b < 2^15, int32 when 2b < 2^31.
+_DTYPE_CUTS = {
+    "2(D+1) = 2^15 - 2": (_chain([2047, 1, 2047, 1, 12286]), np.int16, np.int16),
+    "2(D+1) = 2^15": (_chain([2047, 1, 2047, 1, 12287]), np.int32, np.int32),
+    "2(D+1) = 2^15, undirected": (_chain([2047, 1, 2047, 1, 12287], False), np.int32, np.int32),
+    "2(D+1) = 2^31 - 2": (_chain([2**29, 2**29 - 2]), np.int32, np.int32),
+    "2(D+1) = 2^31": (_chain([2**29, 2**29 - 1]), np.int64, np.int64),
+    "2 far = 2^15 - 2": (_shortcut(2**14 - 4), np.int16, np.int16),
+    "2 far = 2^15": (_shortcut(2**14 - 3), np.int32, np.int16),
+    "2 far = 2^31 - 2": (_shortcut(2**30 - 4), np.int32, np.int16),
+    "2 far = 2^31": (_shortcut(2**30 - 3), np.int64, np.int16),
+}
+
+
+@pytest.mark.parametrize("g, fill_dtype, dtype", _DTYPE_CUTS.values(), ids=_DTYPE_CUTS.keys())
+def test_distance_dtype_at_its_cuts(g, fill_dtype, dtype):
+    fills = []
+
+    def recorded(fill):
+        def run(g, far, dt):
+            fills.append(np.dtype(dt))
+            return fill(g, far, dt)
+
+        return run
+
+    expect = all_pairs_bruteforce(g)
+    for fill in (graphs._pivot_fill, graphs._dijkstra_fill):
+        d = graphs._distances(g, recorded(fill))
+        assert d.exact().dtype == dtype
+        assert [[d.dist(u, w) for w in range(g.n)] for u in range(g.n)] == expect
+    assert fills == [np.dtype(fill_dtype)] * 2
+    d = hl.all_pairs_distances(g)
+    for u in range(g.n):
+        cols = np.flatnonzero(d.exact()[:, u] < d.unreachable)
+        table = hl.path_membership(d, u, cols)
+        for j, w in enumerate(cols.tolist()):
+            assert set(np.flatnonzero(table[j]).tolist()) == path_vertices_bruteforce(g, u, w)
+    pi = hl.Order.from_sequence(reversed(range(g.n)))
+    labels = hl.canonical_hhl(d, pi)
+    assert labels == canonical_hhl_loop(d, pi)
+    assert hl.verify_cover(labels, d) == verify_cover_loop(labels, d) == hl.CoverReport((), ())
+    # A stored distance of 2^40 is wrong against any of the three arrays; the
+    # cover, read from the exact distances, is unchanged.
+    (h, _), *rest = labels.fwd[0]
+    fwd = [[(h, 2**40), *rest], *labels.fwd[1:]]
+    wrong = hl.Labeling(g.directed, g.n, fwd, labels.bwd if g.directed else None)
+    report = hl.verify_cover(wrong, d)
+    assert report == verify_cover_loop(wrong, d)
+    assert report.wrong_distance == ((0, h),) and not report.uncovered
+
+
+def test_path_index_level_is_floor_log2_across_the_int16_cut():
+    for last, top, dtype in ((12286, 16382, np.int16), (12287, 16383, np.int32)):
+        d = hl.all_pairs_distances(_chain([2047, 1, 2047, 1, last]))
+        assert d.exact().dtype == dtype
+        index = PathIndex(d)
+        dists = [d.dist(u, w) for u, w in index.pairs(slice(None))]
+        assert {2047, 2048, 4095, 4096, top} <= set(dists)
+        assert index.level.tolist() == [math.floor(math.log2(x)) if x else -1 for x in dists]
+
+
+def _few_pivot_graphs() -> list[hl.Graph]:
+    """Graphs where most vertices can end a simple path but not pass one on:
+    stars both ways, layered DAGs, parallel arcs, zero-length arcs, bad-g."""
+    rng = random.Random(20)
+    out = []
+    for k in range(1, 13):
+        lengths = [rng.choice((0, 1, 3, 2**20)) for _ in range(k)]
+        out.append(hl.Graph(False, k + 1, [(0, i + 1, x) for i, x in enumerate(lengths)]))
+        out.append(hl.Graph(True, k + 1, [(0, i + 1, x) for i, x in enumerate(lengths)]))
+        out.append(hl.Graph(True, k + 1, [(i + 1, 0, x) for i, x in enumerate(lengths)]))
+        # Layers of width k: every arc goes one layer down, so only inner layers pass paths on.
+        layers = 2 + k % 3
+        arcs = [
+            (i * k + a, (i + 1) * k + b, rng.choice((0, 1, 2, 5)))
+            for i in range(layers - 1)
+            for a in range(k)
+            for b in range(k)
+            if rng.random() < 0.5
+        ]
+        out.append(hl.Graph(True, layers * k, arcs))
+        # Each leaf's two arcs are parallel, so they collapse to one and the leaf stays an end.
+        doubled = [(0, i, 2) for i in range(1, k + 1)] + [(i, 0, 1) for i in range(1, k + 1)]
+        out.append(hl.Graph(False, k + 1, doubled))
+        out.append(hl.Graph(True, k + 1, doubled[:k] + [(t, h, 1) for t, h, _ in doubled[:k]]))
+    out += [families.gen_bad_g(k) for k in (2, 3, 4, 5)]
+    return out
+
+
+def test_pivot_loop_matches_the_searches_where_few_vertices_are_pivots():
+    with pytest.raises(ValueError, match="self-loop"):  # so no arc makes its own vertex a pivot
+        hl.Graph(True, 2, [(0, 1, 1), (1, 1, 1)])
+    skipped = total = 0
+    for g in _few_pivot_graphs():
+        tails, heads = {t for t, _, _ in g.arcs}, {h for _, h, _ in g.arcs}
+        if g.directed:
+            inner = tails & heads
+        else:
+            inner = {v for v in range(g.n) if len({w for w, _ in g.adjacency[v]}) > 1}
+        skipped, total = skipped + g.n - len(inner), total + g.n
+        a = graphs._distances(g, graphs._pivot_fill)
+        b = graphs._distances(g, graphs._dijkstra_fill)
+        assert a.exact().dtype == b.exact().dtype, g
+        assert a.exact().tobytes() == b.exact().tobytes(), g
+        assert a.diameter == b.diameter, g
+    assert 4 * skipped > 3 * total
