@@ -159,16 +159,22 @@ class CoverageState:
     Value-equal to rebuilding every center graph from scratch after each update;
     the selection loop relies on that contract. Per center v: ``edges[v]``
     uncovered pairs through v, always kept, as every picker reads it. Built on
-    first read from the pairs then uncovered, for w-HHL: ``noniso[v]``
-    non-isolated vertices (side occurrences when directed) with ``deg[v]`` edges
-    per endpoint slot (tails, then heads when directed); for d-HHL:
-    ``lvl_counts[v]`` edges per finite level.
+    first read from the pairs then uncovered: for d-HHL, ``lvl_counts[v]``
+    edges per finite level; for w-HHL, ``noniso[v]`` the non-isolated vertices
+    of G_v, counted as the uncovered pairs with v as an end (directed: tail and
+    head apart, so (v, v) twice; undirected: [v, v] once). Proof: if a picked x
+    covers (s, v) and v is on a shortest s-w path, so is x, and that pick
+    covered (s, w); so G_v's tails are the s with (s, v) uncovered, a pair
+    itself through v, and likewise its heads. This needs the full pair set and
+    covers that take whole centers, as ``greedy._select``'s do, so ``noniso``
+    refuses explicit ``pairs``. ``oracles.optimal_hhl_bruteforce`` uses the same fact.
     """
 
     def __init__(self, d: DistMatrix, pairs=None):
         self.n = d.n
         self.directed = d.directed
         self.index = PathIndex(d, pairs)
+        self._full = pairs is None
         self._width = d.diameter.bit_length()  # finite levels 0..floor(log2 diameter)
         self.uncovered = np.ones(len(self.index), dtype=bool)
         self.uncovered_count = len(self.index)
@@ -177,25 +183,32 @@ class CoverageState:
     pair_path = property(lambda self: self.index, doc="Path vertices indexed by pair id.")
 
     def __getattr__(self, name: str):
-        """Build ``deg`` with ``noniso``, or ``lvl_counts``, on its first read."""
-        if name not in ("deg", "noniso", "lvl_counts"):
-            raise AttributeError(name)
-        n, slots = self.n, 2 * self.n if self.directed else self.n
-        counter = "lvl_counts" if name == "lvl_counts" else "deg"
-        if counter == "deg":
-            self.noniso, self.deg = np.zeros(n, np.int64), np.zeros((n, slots), np.int32)
+        """Build ``noniso`` or ``lvl_counts`` on its first read."""
+        if name == "noniso":
+            if not self._full:
+                raise ValueError("noniso counts pair ends, exact only on the full pair set")
+            self.noniso = self._ends(self.uncovered)
+        elif name == "lvl_counts":
+            self.lvl_counts = np.zeros((self.n, self._width), np.int64)
+            # Seed in blocks of about 2n^2 (directed) or n^2 incidence entries, bounding the rows.
+            ptr, block = self.index.ptr, max(self.n**2 * (1 + self.directed), 1)
+            cuts = np.searchsorted(ptr, np.arange(block, ptr[-1], block))
+            for lo, hi in zip([0, *cuts], [*cuts, len(self.index)]):
+                self._count(lo + np.flatnonzero(self.uncovered[lo:hi]), 1, {"lvl_counts"})
         else:
-            self.lvl_counts = np.zeros((n, self._width), np.int64)
-        # Seed in blocks of about n x slots entries, where a dense bincount beats a sort.
-        ptr, block = self.index.ptr, max(n * slots, 1)
-        cuts = np.searchsorted(ptr, np.arange(block, ptr[-1], block))
-        for lo, hi in zip([0, *cuts], [*cuts, len(self.index)]):
-            self._count(lo + np.flatnonzero(self.uncovered[lo:hi]), 1, {counter})
+            raise AttributeError(name)
         return getattr(self, name)
+
+    def _ends(self, pids) -> np.ndarray:
+        """Per vertex, the given pairs (ids or a mask) with it as an end, as ``noniso`` counts."""
+        u, w = self.index.u[pids], self.index.w[pids]
+        return np.bincount(np.concatenate((u, w if self.directed else w[u != w])), minlength=self.n)
 
     def _count(self, pids: np.ndarray, sign: int, counters) -> None:
         """Add (sign 1) or remove (sign -1) the given pairs in the named counters."""
         idx, n = self.index, self.n
+        if "noniso" in counters:
+            self.noniso += sign * self._ends(pids)
         xs, owner = idx.rows(pids)
         xs = xs.astype(np.int64)
         if "edges" in counters:
@@ -206,23 +219,6 @@ class CoverageState:
             fin = lv >= 0
             per_level = np.bincount(xs[fin] * width + lv[fin], minlength=n * width)
             self.lvl_counts += sign * per_level.reshape(n, width)
-        if "deg" in counters:
-            slots = self.deg.shape[1]
-            tail = idx.u[pids][owner]
-            head = idx.w[pids][owner] + (n if self.directed else 0)
-            both = head != tail  # an undirected self pair fills a single slot
-            keys = np.concatenate((xs * slots + tail, (xs * slots + head)[both]))
-            flat = self.deg.reshape(-1)
-            if keys.size >= flat.size:  # dense: one bincount over every cell, no sort
-                hits = np.bincount(keys, minlength=flat.size)
-                cells = np.flatnonzero(hits)
-                hits = hits[cells]
-            else:
-                cells, hits = np.unique(keys, return_counts=True)
-            old = flat[cells]
-            flat[cells] = old + sign * hits
-            flipped = old == 0 if sign > 0 else old == hits
-            self.noniso += sign * np.bincount(cells[flipped] // slots, minlength=n)
 
     def profile_key(self, v: int) -> tuple[int, ...]:
         return tuple(self.lvl_counts[v, ::-1].tolist())
@@ -250,4 +246,4 @@ class CoverageState:
             raise ValueError("pair ids must be distinct and still uncovered")
         self.uncovered[pids] = False
         self.uncovered_count -= len(pids)
-        self._count(pids, -1, vars(self).keys() & {"edges", "deg", "lvl_counts"})
+        self._count(pids, -1, vars(self).keys() & {"edges", "noniso", "lvl_counts"})

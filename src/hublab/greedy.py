@@ -125,8 +125,8 @@ def _pick_density(engine: CoverageState) -> tuple[int, Fraction, None]:
     e, k = engine.edges[cand], engine.noniso[cand]
     best = int(np.argmax(e / k))
     while True:
-        # Exact in int64 (e <= n^2 and k <= 2n). A positive entry is strictly
-        # denser than ``best``; once none is, argmax finds the first tie.
+        # Exact in int64: e <= n^2 and k <= 2n (uncovered pairs at v's ends). A positive
+        # entry is strictly denser than ``best``; once none is, argmax finds the first tie.
         diff = e * k[best] - e[best] * k
         nxt = int(np.argmax(diff))
         if diff[nxt] == 0:

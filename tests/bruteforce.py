@@ -815,6 +815,20 @@ def with_zero_arcs(g: hl.Graph, rng: random.Random) -> hl.Graph:
     return hl.Graph(g.directed, g.n, arcs)
 
 
+def endpoint_count_graphs(seed: int) -> list[hl.Graph]:
+    """Graphs for checking w-HHL's density counted by pair ends: seeded
+    undirected and directed graphs, each again with zero-length arcs, graphs
+    with unreachable pairs (bad-g 2-5, bad-w 2), and n = 0 and 1 of both kinds."""
+    rng = random.Random(seed)
+    graphs = []
+    for i, (n, extra, maxlen) in enumerate([(3, 1, 2), (5, 3, 3), (6, 5, 1), (7, 6, 4)]):
+        graphs.append(families.gen_random(n, n - 1 + extra, maxlen, seed + i))
+        graphs.append(gen_random_directed(n, extra, maxlen, seed + 10 + i))
+    graphs += [with_zero_arcs(g, rng) for g in graphs]
+    graphs += [families.gen_bad_g(k) for k in (2, 3, 4, 5)] + [families.gen_bad_w(2)]
+    return graphs + [hl.Graph(directed, n, []) for directed in (False, True) for n in (0, 1)]
+
+
 def run_cohen_hl_reference(d: hl.DistMatrix, pairs=None, exact_mds: bool = False):
     """Cohen's greedy set cover re-solving every live center's densest subgraph
     on every pick, with no subset cap: the step ``hl.run_cohen_hl`` took before

@@ -21,6 +21,7 @@ from bruteforce import (
     canonical_hhl_loop,
     center_weight_sum,
     density,
+    endpoint_count_graphs,
     gen_random_directed,
     level_profile,
     on_shortest_path,
@@ -268,7 +269,7 @@ def test_cover_pairs_rejects_repeated_ids_and_takes_any_order():
     engine.cover_pairs(pids[::-1])
     again.cover_pairs(pids)
     assert (engine.uncovered == again.uncovered).all()
-    assert (engine.deg == again.deg).all() and (engine.noniso == again.noniso).all()
+    assert (engine.noniso == again.noniso).all()
     # Checking distinctness of unsorted ids must not import numpy.ma, as a
     # plain np.unique does: every build child would pay for it.
     script = (
@@ -287,16 +288,6 @@ def test_cover_pairs_rejects_repeated_ids_and_takes_any_order():
     assert res.stdout.split() == ["True", "False", "False"]
 
 
-def _deg_row(cg: hl.CenterGraph, n: int) -> list[int]:
-    """Edges of a center graph per endpoint slot: tails, then heads when directed."""
-    row = [0] * (2 * n if cg.directed else n)
-    for u, w in cg.arcs:
-        row[u] += 1
-        if cg.directed or w != u:
-            row[w + n * cg.directed] += 1
-    return row
-
-
 def _lazy_cases():
     rng = random.Random(12100)
     for i, g in enumerate(seeded_graphs(6, 8, 12000)):
@@ -310,44 +301,74 @@ def _lazy_cases():
 
 
 def test_lazy_counters_match_from_scratch_from_their_first_read():
-    # noniso, deg and lvl_counts exist only from their first read; read first
+    # noniso and lvl_counts exist only from their first read; read first
     # before any cover, after one, or after about n/2, each must equal the
     # center graphs rebuilt from scratch then and after every later cover.
+    # Every case covers random parts of one center at a time; on the full pair
+    # set it runs again covering whole centers. noniso counts pair ends, which
+    # equal the non-isolated counts only there, so it is read only in that
+    # second run, and an engine on explicit pairs refuses it.
     rng = random.Random(12500)
-    names = ("noniso", "deg", "lvl_counts")
     for i, (g, pairs) in enumerate(_lazy_cases()):
         d = hl.all_pairs_distances(g)
-        engine = hl.CoverageState(d, pairs)
         width = d.diameter.bit_length()  # finite levels 0..floor(log2 diameter)
         points = (0, 1, max(2, g.n // 2))
-        first = {name: points[(i + j) % 3] for j, name in enumerate(names)}
-        read, covers = set(), 0
-        while True:
-            for name in names:
-                if first[name] == covers or not engine.uncovered_count and name not in read:
-                    built = set(names[:2] if name != "lvl_counts" else names[2:])
-                    assert read & built or not vars(engine).keys() & built
-                    getattr(engine, name)
-                    read |= built
-            live = engine.index.pairs(np.flatnonzero(engine.uncovered))
-            for x in range(g.n):
-                cg = build_center_graph(d, live, x)
-                assert engine.edges[x] == cg.edge_count
-                if "deg" in read:
-                    assert engine.noniso[x] == cg.nonisolated_count
-                    assert engine.deg[x].tolist() == _deg_row(cg, g.n)
-                if "lvl_counts" in read:
-                    prof = level_profile(cg, d)
-                    assert engine.lvl_counts[x].tolist() == [prof.count(lv) for lv in range(width)]
-            if not engine.uncovered_count:
-                break
-            # Cover a random part of one center's pairs, in a shuffled order.
-            v = rng.choice(np.flatnonzero(engine.edges).tolist())
-            pids = engine.pairs_through(v).tolist()
-            rng.shuffle(pids)
-            engine.cover_pairs(pids[: rng.randint(1, len(pids))])
-            covers += 1
-        assert read == set(names)
+        for whole in (False, True) if pairs is None else (False,):
+            engine = hl.CoverageState(d, pairs)
+            if pairs is not None:
+                with pytest.raises(ValueError, match="full pair set"):
+                    engine.noniso
+            names = ("noniso", "lvl_counts") if whole else ("lvl_counts",)
+            first = {"noniso": points[i % 3], "lvl_counts": points[(i + 2) % 3]}
+            read, covers = set(), 0
+            while True:
+                for name in names:
+                    if first[name] == covers or not engine.uncovered_count and name not in read:
+                        assert name in read or name not in vars(engine)
+                        getattr(engine, name)
+                        read.add(name)
+                live = engine.index.pairs(np.flatnonzero(engine.uncovered))
+                for x in range(g.n):
+                    cg = build_center_graph(d, live, x)
+                    assert engine.edges[x] == cg.edge_count
+                    if "noniso" in read:
+                        assert engine.noniso[x] == cg.nonisolated_count
+                    if "lvl_counts" in read:
+                        prof = level_profile(cg, d)
+                        assert engine.lvl_counts[x].tolist() == [
+                            prof.count(lv) for lv in range(width)
+                        ]
+                if not engine.uncovered_count:
+                    break
+                # Cover one center's pairs, or a random part of them, in a shuffled order.
+                v = rng.choice(np.flatnonzero(engine.edges).tolist())
+                pids = engine.pairs_through(v).tolist()
+                rng.shuffle(pids)
+                engine.cover_pairs(pids if whole else pids[: rng.randint(1, len(pids))])
+                covers += 1
+            assert read == set(names)
+
+
+def test_noniso_is_the_nonisolated_count_after_whole_center_covers():
+    # The endpoint form of w-HHL's denominator against the center graphs
+    # rebuilt from scratch, after every cover of a whole center, in a shuffled
+    # order and in w-HHL's own pick order, first read before any cover and
+    # after about half of them.
+    rng = random.Random(12700)
+    for g in endpoint_count_graphs(12800):
+        d = hl.all_pairs_distances(g)
+        picks = [rec.vertex for rec in greedy.run_w_hhl(d)[2].iterations]
+        for order in (rng.sample(range(g.n), g.n), picks):
+            for start in (0, len(order) // 2):
+                engine = hl.CoverageState(d)
+                for k in range(len(order) + 1):
+                    if k >= start:
+                        live = engine.index.pairs(np.flatnonzero(engine.uncovered))
+                        cgs = [build_center_graph(d, live, x) for x in range(g.n)]
+                        assert engine.noniso.tolist() == [cg.nonisolated_count for cg in cgs]
+                    if k < len(order):
+                        engine.cover_pairs(engine.pairs_through(order[k]))
+                assert engine.uncovered_count == 0
 
 
 @pytest.mark.parametrize("algo", ["g-hhl", "w-hhl", "d-hhl", "cohen"])
@@ -363,11 +384,11 @@ def test_each_run_builds_only_the_counters_its_picker_reads(algo, monkeypatch):
     monkeypatch.setattr(cohen, "CoverageState", Recorded)
     run = {"g-hhl": greedy.run_g_hhl, "w-hhl": greedy.run_w_hhl, "d-hhl": greedy.run_d_hhl}
     run["cohen"] = cohen.run_cohen_hl
-    reads = {"w-hhl": {"deg", "noniso"}, "d-hhl": {"lvl_counts"}}.get(algo, set())
+    reads = {"w-hhl": {"noniso"}, "d-hhl": {"lvl_counts"}}.get(algo, set())
     for g in (families.gen_random(12, 20, 4, 12600), families.gen_bad_g(2)):
         run[algo](hl.all_pairs_distances(g))
         (engine,) = engines
-        assert vars(engine).keys() & {"deg", "noniso", "lvl_counts"} == reads
+        assert vars(engine).keys() & {"noniso", "lvl_counts"} == reads
         engines.clear()
 
 
@@ -393,3 +414,9 @@ def test_directed_density_counts_side_occurrences():
     assert set(cg0.arcs) == {(0, 0), (0, 1)}
     assert cg0.nonisolated_count == 3  # tails {0}, heads {0, 1}
     assert density(cg0) == Fraction(2, 3)
+    assert hl.CoverageState(d).noniso[0] == 3  # (0, 0) as a tail and as a head, (0, 1)
+    # undirected, the self pair [0, 0] counts once
+    du = hl.all_pairs_distances(hl.Graph(False, 2, [(0, 1, 1)]))
+    cu0 = build_center_graph(du, du.reachable_pairs(), 0)
+    assert set(cu0.arcs) == {(0, 0), (0, 1)} and cu0.nonisolated_count == 2
+    assert hl.CoverageState(du).noniso[0] == 2

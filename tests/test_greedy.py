@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 import hublab as hl
 from hublab import families
 
-from bruteforce import build_center_graph, level_profile
+from bruteforce import build_center_graph, endpoint_count_graphs, level_profile
 from conftest import complete_graph, edge2, seeded_graphs
 
 
@@ -138,6 +140,14 @@ def test_trace_invariants():
             assert trace.iterations[-1].uncovered_after == 0
             assert hl.verify_cover(lab, d).valid
             assert hl.respects_order(lab, order)
+
+
+def test_w_hhl_density_is_pairs_covered_over_labels_added():
+    # The picked density's denominator is the labels the pick adds.
+    for g in endpoint_count_graphs(12900):
+        trace = hl.run_w_hhl(hl.all_pairs_distances(g))[2]
+        for rec in trace.iterations:
+            assert rec.score == Fraction(rec.covered, rec.labels_added)
 
 
 def test_g_hhl_ratio_grows_on_bad_g():
