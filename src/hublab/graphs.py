@@ -234,23 +234,22 @@ def undirect(g: Graph) -> Graph:
     return Graph(False, g.n, g.arcs)
 
 
-def _dijkstra(adj, source: int, far: int) -> tuple[list[int], int]:
-    """Distances from ``source`` (``far`` where unreached) and the largest of them."""
-    dist = [far] * len(adj)
+def _dijkstra(adj, source: int, dist: list[int]) -> list[int]:
+    """The vertices ``source`` reaches, in the order settled. ``dist`` holds
+    ``far`` everywhere on entry and their distances on return."""
     dist[source] = 0
-    heap = [(0, source)]
-    ecc = 0
+    heap, done = [(0, source)], []
     while heap:
         dv, v = heapq.heappop(heap)
         if dv > dist[v]:
             continue
-        ecc = dv
+        done.append(v)
         for w, length in adj[v]:
             nd = dv + length
             if nd < dist[w]:
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
-    return dist, ecc
+    return done
 
 
 class DistMatrix:
@@ -355,20 +354,29 @@ def _pivot_fill(g: Graph, far: int, dtype) -> tuple[np.ndarray, int]:
 
 
 def _dijkstra_fill(g: Graph, far: int, dtype) -> tuple[np.ndarray, int]:
-    """Target-major distances (``far`` where unreached), one label-setting search per source."""
-    into = np.empty((g.n, g.n), dtype)
-    diameter = 0
+    """Target-major distances (``far`` where unreached), one label-setting search per
+    source. Each search writes and resets only the cells it reached, so the cost
+    follows the reachable pairs, not n^2."""
+    into = np.full((g.n, g.n), far, dtype)
+    dist, diameter = [far] * g.n, 0
     for s in range(g.n):
-        into[:, s], ecc = _dijkstra(g.adjacency, s, far)
-        diameter = max(diameter, ecc)
+        done = _dijkstra(g.adjacency, s, dist)
+        diameter = max(diameter, dist[done[-1]])  # settled in nondecreasing order
+        into[done, s] = [dist[v] for v in done]
+        for v in done:
+            dist[v] = far
     return into, diameter
 
 
 def _distances(g: Graph, fill) -> DistMatrix:
-    """Exact distances from ``fill``. Unreached cells hold the total arc length + 1
-    until D is known, so the fill dtype is ``_exact_dtype`` of that bound, and the
+    """Exact distances from ``fill``. Unreached cells hold ``far`` until D is known:
+    one more than the sum of the n - 1 largest arc lengths, at most the total.
+    That bound is exact: a shortest path is simple, so it has at most n - 1
+    arcs, each arc (each edge, undirected) once; and every value the pivot loop
+    holds is the length of a shortest path through the pivots so far, which
+    is simple too. So the fill dtype is ``_exact_dtype`` of ``far``, and the
     stored one ``_exact_dtype`` of D + 1, which can only be narrower."""
-    far = sum(ln for _, _, ln in g.arcs) + 1
+    far = sum(heapq.nlargest(g.n - 1, (ln for _, _, ln in g.arcs))) + 1
     into, diameter = fill(g, far, _exact_dtype(far))
     np.minimum(into, diameter + 1, out=into)
     return DistMatrix(g.directed, into.astype(_exact_dtype(diameter + 1), copy=False), diameter)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
@@ -63,101 +63,149 @@ class Order:
         return f"Order({list(self._ranks)})"
 
 
-def _normalize_side(n: int, side) -> tuple[tuple[tuple[int, int], ...], ...]:
-    if len(side) != n:
-        raise ValueError(f"expected {n} label lists, got {len(side)}")
-    out = []
-    for v, entries in enumerate(side):
-        if isinstance(entries, dict):
-            entries = entries.items()
-        pairs = sorted({(int(h), int(dd)) for h, dd in entries})
-        hubs = [h for h, _ in pairs]
-        if len(set(hubs)) != len(hubs):
+def _csr(n: int, own, hub, dist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One side as CSR arrays ``(ptr, hub, dist)`` from its entries' vertices (in
+    0..n-1), hubs and distances, ints in any order: sorted by (vertex, hub),
+    repeats of an entry dropped. The first vertex with a hub at two distances,
+    or else with a hub out of range, a negative distance or one from 2^53 on,
+    raises ``ValueError``."""
+    try:
+        own, hub, dist = (np.array(x, np.int64) for x in (own, hub, dist))
+    except OverflowError:  # an int beyond int64 is out of range anyway: clamp it
+        return _csr(n, own, *([min(max(x, -(2**62)), 2**62) for x in xs] for xs in (hub, dist)))
+    at = np.lexsort((hub, own))  # a hub's entries in one row end up adjacent
+    own, hub, dist = own[at], hub[at], dist[at]
+    first = np.ones(own.size, bool)  # the first entry of its (vertex, hub)
+    first[1:] = (own[1:] != own[:-1]) | (hub[1:] != hub[:-1])
+    keep = first.copy()
+    keep[1:] |= dist[1:] != dist[:-1]
+    own, hub, dist, first = own[keep], hub[keep], dist[keep], first[keep]
+    bad = (hub < 0) | (hub >= n) | (dist < 0) | (dist >= MAX_TOTAL_LENGTH)
+    if bad.any() or not first.all():
+        v = own[np.argmax(bad | ~first)]
+        if not first[own == v].all():
             raise ValueError(f"vertex {v}: duplicate hub with conflicting distances")
-        for h, dd in pairs:
-            if not 0 <= h < n:
-                raise ValueError(f"vertex {v}: hub {h} out of range")
-            if dd < 0:
-                raise ValueError(f"vertex {v}: negative hub distance")
-            if dd >= MAX_TOTAL_LENGTH:
-                raise ValueError(f"vertex {v}: hub distance reaches 2^53, above any distance")
-        out.append(tuple(pairs))
-    return tuple(out)
+        i = np.argmax(bad & (own == v))
+        if not 0 <= hub[i] < n:
+            raise ValueError(f"vertex {v}: hub {hub[i]} out of range")
+        if dist[i] < 0:
+            raise ValueError(f"vertex {v}: negative hub distance")
+        raise ValueError(f"vertex {v}: hub distance reaches 2^53, above any distance")
+    return _frozen(np.searchsorted(own, np.arange(n + 1)), hub, dist)
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, made read-only: a ``Labeling``'s hash and cached views rely on it."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _rows_csr(n: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_csr`` of n rows, each an iterable of ``(hub, dist)`` pairs or a dict."""
+    if len(rows) != n:
+        raise ValueError(f"expected {n} label lists, got {len(rows)}")
+    pairs = (r.items() if isinstance(r, dict) else r for r in rows)
+    entries = [(v, int(h), int(dd)) for v, row in enumerate(pairs) for h, dd in row]
+    return _csr(n, *(zip(*entries) if entries else ((), (), ())))
+
+
+def _cut(ptr: np.ndarray, items: list) -> list[list]:
+    """``items``, one per entry of a side, cut into its vertices' rows."""
+    ends = ptr.tolist()
+    return [items[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _row_tuples(ptr: np.ndarray, hub: np.ndarray, dist: np.ndarray) -> tuple:
+    return tuple(map(tuple, _cut(ptr, list(zip(hub.tolist(), dist.tolist())))))
 
 
 class Labeling:
-    """Per-vertex hub lists with exact distances, sorted by hub id.
+    """Per-vertex hub lists with exact distances, in one flat store; immutable.
 
-    Directed labelings carry a forward and a backward list per vertex; undirected
-    labelings store a single list that plays both roles. Immutable once built.
+    Each side is read-only int64 CSR arrays ``(ptr, hub, dist)``: v's label is the slice
+    ``ptr[v]:ptr[v + 1]``, hubs strictly increasing. Directed labelings keep a
+    forward side ``fwd_csr`` and a backward side ``bwd_csr``; undirected ones
+    one side in both roles. Rows given to the constructor (n iterables of
+    ``(hub, dist)`` pairs, or dicts, per side) are checked as a parsed file is.
+    ``fwd[v]`` / ``bwd[v]`` give rows of ``(hub, dist)`` tuples, built on first read.
     """
 
-    __slots__ = ("directed", "n", "fwd", "bwd")
-
     def __init__(self, directed: bool, n: int, fwd, bwd=None):
-        self.directed = bool(directed)
-        self.n = n
-        self.fwd = _normalize_side(n, fwd)
+        self.directed, self.n = bool(directed), n
+        self.fwd_csr = self.bwd_csr = _rows_csr(n, fwd)
         if self.directed:
             if bwd is None:
                 raise ValueError("directed labeling requires backward lists")
-            self.bwd = _normalize_side(n, bwd)
-        else:
-            if bwd is not None:
-                raise ValueError("undirected labeling stores a single list per vertex")
-            self.bwd = self.fwd
+            self.bwd_csr = _rows_csr(n, bwd)
+        elif bwd is not None:
+            raise ValueError("undirected labeling stores a single list per vertex")
 
     @classmethod
-    def _normal(cls, directed: bool, n: int, fwd: tuple, bwd: tuple | None) -> "Labeling":
-        """Wrap rows already in the form ``__init__`` gives them; nothing is checked."""
+    def from_csr(cls, directed: bool, n: int, fwd: tuple, bwd: tuple | None = None) -> "Labeling":
+        """Wrap CSR sides already in the form the class keeps; nothing is checked."""
         lab = cls.__new__(cls)
-        lab.directed, lab.n, lab.fwd, lab.bwd = directed, n, fwd, fwd if bwd is None else bwd
+        lab.directed, lab.n, lab.fwd_csr = directed, n, fwd
+        lab.bwd_csr = fwd if bwd is None else bwd
         return lab
+
+    def _sides(self) -> tuple:
+        return (self.fwd_csr, self.bwd_csr) if self.directed else (self.fwd_csr,)
+
+    @cached_property
+    def fwd(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return _row_tuples(*self.fwd_csr)
+
+    @cached_property
+    def bwd(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return _row_tuples(*self.bwd_csr) if self.directed else self.fwd
+
+    @cached_property
+    def _lists(self) -> tuple[list[int], ...]:
+        """Each side as lists for ``query``: row offsets, hubs and distances, with
+        each row closed by the hub n, which no real hub reaches."""
+        sides = []
+        for ptr, hub, dist in self._sides():
+            closed = (np.insert(a, ptr[1:], self.n).tolist() for a in (hub, dist))
+            sides.append([(ptr + np.arange(self.n + 1)).tolist(), *closed])
+        return (*sides[0], *sides[-1])
 
     @property
     def size(self) -> int:
-        total = sum(len(lst) for lst in self.fwd)
-        if self.directed:
-            total += sum(len(lst) for lst in self.bwd)
-        return total
+        return sum(hub.size for _, hub, _ in self._sides())
 
     def hubs(self, v: int) -> set[int]:
-        out = {h for h, _ in self.fwd[v]}
-        if self.directed:
-            out.update(h for h, _ in self.bwd[v])
-        return out
+        return {h for ptr, hub, _ in self._sides() for h in hub[ptr[v] : ptr[v + 1]].tolist()}
 
     def query(self, s: int, t: int) -> int | float:
-        """Minimum hubdist sum over common hubs of L_f(s) and L_b(t); INF if none."""
-        a, b = self.fwd[s], self.bwd[t]
-        i = j = 0
-        best = INF
-        while i < len(a) and j < len(b):
-            ha, da = a[i]
-            hb, db = b[j]
-            if ha == hb:
-                if da + db < best:
-                    best = da + db
-                i += 1
+        """Minimum hubdist sum over common hubs of L_f(s) and L_b(t); INF if none.
+
+        One merge of the two rows, over list copies of the arrays made at the
+        first query (a list index is cheaper than an array one). For each
+        forward hub the backward row moves up to it; the hub n closing that row
+        stops it with no bound check."""
+        fp, fh, fd, bp, bh, bd = self._lists
+        j, best = bp[t], INF
+        hb = bh[j]
+        for i in range(fp[s], fp[s + 1] - 1):
+            h = fh[i]
+            while hb < h:
                 j += 1
-            elif ha < hb:
-                i += 1
-            else:
-                j += 1
+                hb = bh[j]
+            if hb == h and fd[i] + bd[j] < best:
+                best = fd[i] + bd[j]
         return best
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Labeling):
             return NotImplemented
-        return (
-            self.directed == other.directed
-            and self.n == other.n
-            and self.fwd == other.fwd
-            and self.bwd == other.bwd
+        mine, theirs = self.fwd_csr + self.bwd_csr, other.fwd_csr + other.bwd_csr
+        return (self.directed, self.n) == (other.directed, other.n) and all(
+            map(np.array_equal, mine, theirs)
         )
 
     def __hash__(self) -> int:
-        return hash((self.directed, self.n, self.fwd, self.bwd))
+        return hash((self.directed, self.n, *(a.tobytes() for s in self._sides() for a in s)))
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
@@ -193,13 +241,6 @@ class CoverReport:
         return not (self.wrong_distance or self.uncovered)
 
 
-def _flatten(side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One label side as flat arrays: hubs, stored distances, owner vertices."""
-    counts = np.fromiter(map(len, side), dtype=np.int64, count=len(side))
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(side)), np.int64).reshape(-1, 2)
-    return flat[:, 0], flat[:, 1], np.repeat(np.arange(len(side)), counts)
-
-
 def verify_cover(l: Labeling, d: DistMatrix, pairs=None) -> CoverReport:
     """Check the cover property against exact distances.
 
@@ -213,16 +254,15 @@ def verify_cover(l: Labeling, d: DistMatrix, pairs=None) -> CoverReport:
     if l.directed != d.directed or l.n != d.n:
         raise ValueError("labeling and distance matrix disagree on shape")
     into, far = d.exact(), d.unreachable
-    f_hub, f_dist, f_own = _flatten(l.fwd)
-    bad = (into[f_hub, f_own] != f_dist) | (f_dist >= far)
-    wrong_s, wrong_t = [f_own[bad]], [f_hub[bad]]
-    if l.directed:
-        b_hub, b_dist, b_own = _flatten(l.bwd)
-        bad = (into[b_own, b_hub] != b_dist) | (b_dist >= far)
-        wrong_s.append(b_hub[bad])
-        wrong_t.append(b_own[bad])
-    else:
-        b_hub, b_own = f_hub, f_own
+    wrong_s, wrong_t, ends = [], [], []
+    for k, (ptr, hub, dist) in enumerate(l._sides()):
+        own = np.repeat(np.arange(l.n), np.diff(ptr))
+        s, t = (hub, own) if k else (own, hub)  # the pair an entry certifies
+        bad = (into[t, s] != dist) | (dist >= far)
+        wrong_s.append(s[bad])
+        wrong_t.append(t[bad])
+        ends.append((hub, own))
+    (f_hub, f_own), (b_hub, b_own) = ends[0], ends[-1]
     unc_s, unc_t = _uncovered(l.directed, into, far, f_hub, f_own, b_hub, b_own, pairs)
     return CoverReport(
         _sorted_pairs(l.directed, wrong_s, wrong_t), _sorted_pairs(l.directed, [unc_s], [unc_t])
@@ -323,24 +363,23 @@ def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:
 
 def hub_labeling(d: DistMatrix, hub_f: np.ndarray, hub_b: np.ndarray | None = None) -> Labeling:
     """Labeling from owner-by-hub boolean tables, each hub at its exact distance:
-    the one reader of label distances from ``d``, which it gives as Python ints.
+    the one reader of label distances from ``d``.
 
     ``hub_f[v, h]`` puts h in v's forward label at dist(v, h) and ``hub_b[v, h]``
     in v's backward label at dist(h, v); an undirected labeling has one table.
-    Every marked hub must be reachable along its side. A side's rows come from
-    one row-major ``nonzero`` (hubs ascending, distinct) and one gather of exact
-    distances, so they are in normal form and ``Labeling`` takes them unchecked.
+    Every marked hub must be reachable along its side. A side's CSR arrays come
+    from one row-major ``nonzero`` (hubs ascending, distinct) and one gather of
+    exact distances, so they are in the form ``Labeling`` keeps and go in unchecked.
     """
     into = d.exact()  # into[w, v] = dist(v, w), so into.T[v, h] = dist(v, h)
 
-    def side(hub: np.ndarray, dist: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def side(hub: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         owners, hubs = np.nonzero(hub)
-        entries = list(zip(hubs.tolist(), dist[owners, hubs].tolist()))
-        ends = np.cumsum(np.bincount(owners, minlength=d.n)).tolist()
-        return tuple(tuple(entries[a:b]) for a, b in zip([0, *ends], ends))
+        ptr = np.searchsorted(owners, np.arange(d.n + 1))
+        return _frozen(ptr, hubs.astype(np.int64), dist[owners, hubs].astype(np.int64))
 
     bwd = None if hub_b is None else side(hub_b, into)
-    return Labeling._normal(d.directed, d.n, side(hub_f, into.T), bwd)
+    return Labeling.from_csr(d.directed, d.n, side(hub_f, into.T), bwd)
 
 
 def respects_order(l: Labeling, pi: Order) -> bool:
@@ -366,58 +405,58 @@ def is_sublabeling(a: Labeling, b: Labeling) -> bool:
 
 def serialize_labeling(l: Labeling) -> str:
     """Deterministic text form: one line per vertex per side, hubs ascending."""
-    lines = []
+
+    def lines(tag: str, side: tuple) -> list[str]:
+        ptr, hub, dist = side
+        rows = _cut(ptr, [f"{h}:{dd}" for h, dd in zip(hub.tolist(), dist.tolist())])
+        return [" ".join([tag, str(v), *row]) for v, row in enumerate(rows)]
+
     if l.directed:
-        for v in range(l.n):
-            lines.append("f " + " ".join([str(v)] + [f"{h}:{dd}" for h, dd in l.fwd[v]]))
-            lines.append("b " + " ".join([str(v)] + [f"{h}:{dd}" for h, dd in l.bwd[v]]))
+        out = [x for pair in zip(lines("f", l.fwd_csr), lines("b", l.bwd_csr)) for x in pair]
     else:
-        for v in range(l.n):
-            lines.append("l " + " ".join([str(v)] + [f"{h}:{dd}" for h, dd in l.fwd[v]]))
-    return "\n".join(lines) + "\n"
+        out = lines("l", l.fwd_csr)
+    return "\n".join(out) + "\n"
 
 
 def parse_labeling(text: str) -> Labeling:
-    """Parse the label file format produced by :func:`serialize_labeling`."""
-    fwd: dict[int, list[tuple[int, int]]] = {}
-    bwd: dict[int, list[tuple[int, int]]] = {}
-    und: dict[int, list[tuple[int, int]]] = {}
+    """Parse the label file format produced by :func:`serialize_labeling`.
+
+    Entries go straight into flat lists of ints, one pair per ``h:d`` token,
+    and from them into the CSR store through the checks rows get in ``Labeling``.
+    """
+    seen: dict[str, set[int]] = {"f": set(), "b": set(), "l": set()}
+    entries = {tag: ([], [], []) for tag in seen}  # per side: vertices, hubs, distances
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
-        tag = parts[0]
-        if tag not in ("f", "b", "l") or len(parts) < 2:
+        if parts[0] not in seen or len(parts) < 2:
             raise LabelFormatError(f"line {line_no}: malformed label line")
+        own, hub, dist = entries[parts[0]]
         try:
             v = int(parts[1])
-            entries = []
             for item in parts[2:]:
                 h, _, dd = item.partition(":")
-                entries.append((int(h), int(dd)))
+                hub.append(int(h))
+                dist.append(int(dd))
         except ValueError:
             raise LabelFormatError(f"line {line_no}: malformed label line") from None
-        store = {"f": fwd, "b": bwd, "l": und}[tag]
-        if v in store:
+        if v in seen[parts[0]]:
             raise LabelFormatError(f"line {line_no}: duplicate label line for vertex {v}")
-        store[v] = entries
+        seen[parts[0]].add(v)
+        own += [v] * (len(parts) - 2)
+    fwd, bwd, und = seen.values()
     if und and (fwd or bwd):
         raise LabelFormatError("mixed directed and undirected label lines")
-    if und:
-        n = len(und)
-        if sorted(und) != list(range(n)):
-            raise LabelFormatError("label lines must cover vertices 0..n-1 exactly")
-        try:
-            return Labeling(False, n, [und[v] for v in range(n)])
-        except ValueError as exc:
-            raise LabelFormatError(str(exc)) from None
-    if not fwd and not bwd:
+    if not (und or fwd or bwd):
         raise LabelFormatError("empty label file")
-    n = len(fwd)
-    if sorted(fwd) != list(range(n)) or sorted(bwd) != list(range(n)):
+    n = len(und or fwd)
+    if und and und != set(range(n)):
+        raise LabelFormatError("label lines must cover vertices 0..n-1 exactly")
+    if not und and (fwd != set(range(n)) or bwd != fwd):
         raise LabelFormatError("label lines must cover vertices 0..n-1 on both sides")
     try:
-        return Labeling(True, n, [fwd[v] for v in range(n)], [bwd[v] for v in range(n)])
+        sides = [_csr(n, *entries[tag]) for tag in (("l",) if und else ("f", "b"))]
     except ValueError as exc:
         raise LabelFormatError(str(exc)) from None
+    return Labeling.from_csr(not und, n, *sides)

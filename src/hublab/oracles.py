@@ -11,7 +11,7 @@ import numpy as np
 from .centers import CenterGraph, EmptyCenterGraphError, PathIndex
 from .graphs import DistMatrix, Graph, TooLargeError, all_pairs_distances
 from .graphs import path_membership  # noqa: F401 -- perfbench/tracing.py patches it here
-from .labeling import Labeling, Order, canonical_hhl, hub_labeling
+from .labeling import Labeling, Order, _cut, canonical_hhl, hub_labeling
 
 OPT_HHL_MAX_N = 20  # the subset DP's cost table is n x 2^n bytes: 1 MB at n = 16, 20 MB at 20
 
@@ -146,8 +146,8 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
     for cand in candidates:
         if upper is None or cand.size < upper:
             upper = cand.size
-            best_f = [set(h for h, _ in cand.fwd[v]) for v in range(n)]
-            best_b = [set(h for h, _ in cand.bwd[v]) for v in range(n)]
+            sides = (cand.fwd_csr, cand.bwd_csr)
+            best_f, best_b = ([set(row) for row in _cut(p, h.tolist())] for p, h, _ in sides)
 
     # Undirected self pairs cost one entry: both sides are the same list.
     collapse = [not d.directed and s == t for s, t in pairs]

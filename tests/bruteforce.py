@@ -156,6 +156,87 @@ def verify_cover_loop(l: hl.Labeling, d: hl.DistMatrix, pairs=None) -> hl.CoverR
     return hl.CoverReport(tuple(sorted(wrong)), tuple(sorted(uncovered)))
 
 
+def _label_rows_reference(n: int, side) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Rows as sorted tuples of distinct ``(hub, dist)`` pairs, each checked."""
+    if len(side) != n:
+        raise ValueError(f"expected {n} label lists, got {len(side)}")
+    out = []
+    for v, entries in enumerate(side):
+        if isinstance(entries, dict):
+            entries = entries.items()
+        pairs = sorted({(int(h), int(dd)) for h, dd in entries})
+        hubs = [h for h, _ in pairs]
+        if len(set(hubs)) != len(hubs):
+            raise ValueError(f"vertex {v}: duplicate hub with conflicting distances")
+        for h, dd in pairs:
+            if not 0 <= h < n:
+                raise ValueError(f"vertex {v}: hub {h} out of range")
+            if dd < 0:
+                raise ValueError(f"vertex {v}: negative hub distance")
+            if dd >= 2**53:
+                raise ValueError(f"vertex {v}: hub distance reaches 2^53, above any distance")
+        out.append(tuple(pairs))
+    return tuple(out)
+
+
+def parse_labeling_reference(text: str):
+    """Line-by-line parse into per-row tuples, every row sorted and checked on
+    its own: the reference for ``parse_labeling`` and its flat store.
+
+    Returns ``(directed, n, fwd, bwd)`` with rows as tuples of ``(hub, dist)``
+    pairs (``bwd`` is ``fwd`` when undirected), or raises ``LabelFormatError``.
+    """
+    fwd: dict[int, list[tuple[int, int]]] = {}
+    bwd: dict[int, list[tuple[int, int]]] = {}
+    und: dict[int, list[tuple[int, int]]] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        tag = parts[0]
+        if tag not in ("f", "b", "l") or len(parts) < 2:
+            raise hl.LabelFormatError(f"line {line_no}: malformed label line")
+        try:
+            v = int(parts[1])
+            entries = []
+            for item in parts[2:]:
+                h, _, dd = item.partition(":")
+                entries.append((int(h), int(dd)))
+        except ValueError:
+            raise hl.LabelFormatError(f"line {line_no}: malformed label line") from None
+        store = {"f": fwd, "b": bwd, "l": und}[tag]
+        if v in store:
+            raise hl.LabelFormatError(f"line {line_no}: duplicate label line for vertex {v}")
+        store[v] = entries
+    if und and (fwd or bwd):
+        raise hl.LabelFormatError("mixed directed and undirected label lines")
+    try:
+        if und:
+            n = len(und)
+            if sorted(und) != list(range(n)):
+                raise hl.LabelFormatError("label lines must cover vertices 0..n-1 exactly")
+            rows = _label_rows_reference(n, [und[v] for v in range(n)])
+            return False, n, rows, rows
+        if not fwd and not bwd:
+            raise hl.LabelFormatError("empty label file")
+        n = len(fwd)
+        if sorted(fwd) != list(range(n)) or sorted(bwd) != list(range(n)):
+            raise hl.LabelFormatError("label lines must cover vertices 0..n-1 on both sides")
+        sides = [_label_rows_reference(n, [s[v] for v in range(n)]) for s in (fwd, bwd)]
+        return (True, n, *sides)
+    except hl.LabelFormatError:
+        raise
+    except ValueError as exc:
+        raise hl.LabelFormatError(str(exc)) from None
+
+
+def query_reference(fwd, bwd, s: int, t: int) -> int | float:
+    """Minimum of dist(s, h) + dist(h, t) over the common hubs of two tuple rows."""
+    a, b = dict(fwd[s]), dict(bwd[t])
+    return min((a[h] + b[h] for h in a.keys() & b.keys()), default=INF)
+
+
 def pair_level(dist: int) -> int | float:
     """Level of a pair: floor(log2 dist), with dist 0 mapping to -inf."""
     return hl.NEG_INF_LEVEL if dist == 0 else dist.bit_length() - 1

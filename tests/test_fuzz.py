@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import hublab as hl
 from hublab.cli import main
+
+from bruteforce import parse_labeling_reference
 
 FUZZ = settings(
     max_examples=150,
@@ -86,6 +90,32 @@ def _label_text(draw, n=None, directed=None) -> str:
     return _garble(draw, lines)
 
 
+# Entry tokens at the edges of ``int``: signs, underscores, leading zeros,
+# non-ASCII digits, and tokens with no colon, an empty side or two colons.
+_EDGE_ENTRIES = ["+3:1", "1:+0", "1_0:2", "0:1_0", "00:007", "-0:0", "\u0663:1", "1:\u0661",
+                 "3:4:5", "3:", ":3", "3", "1__0:1", "_1:1", "0x1:0", "1:2.0", "+-1:0"]
+_EDGE_VERTICES = ["+{v}", "0_{v}", "0{v}", "{v}_"]
+
+
+@st.composite
+def _edge_label_text(draw) -> str:
+    """Label lines of up to 4 vertices whose tokens are ``int`` edge cases, with
+    repeated identical entries and hubs at two distances."""
+    n = draw(st.integers(1, 4))
+    directed = draw(st.booleans())
+    plain = st.tuples(st.integers(0, n), st.integers(0, 3)).map("{0[0]}:{0[1]}".format)
+    entry = st.one_of(plain, plain, st.sampled_from(_EDGE_ENTRIES))
+    lines = []
+    for v in range(n):
+        for tag in ("f", "b") if directed else ("l",):
+            vertex = draw(st.sampled_from(["{v}", "{v}", *_EDGE_VERTICES])).format(v=v)
+            entries = draw(st.lists(entry, max_size=4))
+            if entries and draw(_chance()):
+                entries.append(draw(st.sampled_from(entries)))  # repeated as it is
+            lines.append(" ".join([tag, vertex, *entries]))
+    return _garble(draw, lines)
+
+
 @st.composite
 def _labels_for(draw, g) -> str:
     """Label text for g: random lines, or a valid labeling of g with some
@@ -123,6 +153,61 @@ def test_parse_labeling_raises_only_its_own_error(text):
         hl.parse_labeling(text)
     except hl.LabelFormatError:
         pass
+
+
+@settings(FUZZ, max_examples=400)
+@given(st.one_of(st.text(), _label_text(), _edge_label_text()))
+def test_parse_labeling_matches_the_tuple_reference(text):
+    """Both parsers accept the same texts, the flat one raising only its own
+    error, and agree on the rows; on an int beyond int64 they may name
+    different problems of the same file."""
+    try:
+        want = parse_labeling_reference(text)
+    except hl.LabelFormatError as exc:
+        want = exc
+    try:
+        lab = hl.parse_labeling(text)
+    except hl.LabelFormatError as exc:
+        assert isinstance(want, hl.LabelFormatError), want
+        if not re.search(r"\d{19}", text.replace("_", "")):
+            assert str(exc) == str(want)
+        return
+    assert not isinstance(want, Exception), want
+    assert (lab.directed, lab.n, lab.fwd, lab.bwd) == want
+
+
+@pytest.mark.parametrize(
+    "text, accepted",
+    [
+        ("l +0 +0:0\n", True),
+        ("l 0_0 0:0\nl 1 0:1_0 1:00\n", True),
+        ("l 0 0:0 0:0 0:0\n", True),  # repeats of one entry
+        ("l 0 0:0 0:1\n", False),  # a hub at two distances
+        ("l \u0660 \u0660:\u0660\n", True),  # Arabic-Indic digits
+        ("l 0 0:0:0\n", False),
+        ("l 0 0:\n", False),
+        ("l 0 :0\n", False),
+        ("l 0 0\n", False),
+        ("l 0 0_:0\n", False),
+        ("l 0 0:-1\n", False),
+        ("l 0 0:9007199254740991\n", True),
+        ("l 0 0:9007199254740992\n", False),
+        ("l 0 0:99999999999999999999\n", False),
+        ("l 0 -99999999999999999999:0\n", False),
+    ],
+)
+def test_parse_labeling_int_edge_cases(text, accepted):
+    try:
+        want = parse_labeling_reference(text)
+    except hl.LabelFormatError:
+        want = None
+    assert (want is not None) == accepted
+    if accepted:
+        lab = hl.parse_labeling(text)
+        assert (lab.directed, lab.n, lab.fwd, lab.bwd) == want
+    else:
+        with pytest.raises(hl.LabelFormatError):
+            hl.parse_labeling(text)
 
 
 def _run(argv) -> int:

@@ -291,22 +291,24 @@ def _chain(lengths, directed: bool = True) -> hl.Graph:
 
 
 def _shortcut(length: int) -> hl.Graph:
-    """The path 0-1-2 of unit edges beside a redundant edge 0-2: D = 2, total length + 2."""
+    """The path 0-1-2 of unit edges beside a redundant edge 0-2: D = 2, and a fill
+    bound of length + 2, from the n - 1 = 2 largest arc lengths (length and 1)."""
     return hl.Graph(False, 3, [(0, 1, 1), (1, 2, 1), (0, 2, length)])
 
 
-# (graph, fill dtype, stored dtype). A fill bound b = total arc length + 1 and a
-# stored bound b = D + 1 take int16 when 2b < 2^15, int32 when 2b < 2^31.
+# (graph, fill dtype, stored dtype). A fill bound b = far (the sum of the n - 1
+# largest arc lengths + 1) and a stored bound b = D + 1 take int16 when 2b < 2^15,
+# int32 when 2b < 2^31.
 _DTYPE_CUTS = {
     "2(D+1) = 2^15 - 2": (_chain([2047, 1, 2047, 1, 12286]), np.int16, np.int16),
     "2(D+1) = 2^15": (_chain([2047, 1, 2047, 1, 12287]), np.int32, np.int32),
     "2(D+1) = 2^15, undirected": (_chain([2047, 1, 2047, 1, 12287], False), np.int32, np.int32),
     "2(D+1) = 2^31 - 2": (_chain([2**29, 2**29 - 2]), np.int32, np.int32),
     "2(D+1) = 2^31": (_chain([2**29, 2**29 - 1]), np.int64, np.int64),
-    "2 far = 2^15 - 2": (_shortcut(2**14 - 4), np.int16, np.int16),
-    "2 far = 2^15": (_shortcut(2**14 - 3), np.int32, np.int16),
-    "2 far = 2^31 - 2": (_shortcut(2**30 - 4), np.int32, np.int16),
-    "2 far = 2^31": (_shortcut(2**30 - 3), np.int64, np.int16),
+    "2 far = 2^15 - 2": (_shortcut(2**14 - 3), np.int16, np.int16),
+    "2 far = 2^15": (_shortcut(2**14 - 2), np.int32, np.int16),
+    "2 far = 2^31 - 2": (_shortcut(2**30 - 3), np.int32, np.int16),
+    "2 far = 2^31": (_shortcut(2**30 - 2), np.int64, np.int16),
 }
 
 
@@ -345,6 +347,58 @@ def test_distance_dtype_at_its_cuts(g, fill_dtype, dtype):
     report = hl.verify_cover(wrong, d)
     assert report == verify_cover_loop(wrong, d)
     assert report.wrong_distance == ((0, h),) and not report.uncovered
+
+
+def _bound_binding_graphs() -> list[hl.Graph]:
+    """Graphs with more arcs than n - 1, so the fill bound (the n - 1 largest arc
+    lengths + 1) lies below the total: heavy arcs off every shortest path,
+    parallel arcs of both kinds, input duplicates and zero-length arcs."""
+    rng = random.Random(2300)
+    k7 = [(u, w, rng.randint(950, 1000)) for u in range(7) for w in range(u + 1, 7)]
+    chords = [(i, j, 10**4 + i * j) for i in range(8) for j in range(i + 2, 8)]
+    out = [
+        hl.Graph(False, 7, k7),  # the total needs int32, the bound int16
+        hl.Graph(False, 8, [(i, i + 1, 1) for i in range(7)] + chords),
+        hl.Graph(True, 8, [(i, i + 1, 1) for i in range(7)] + chords),
+        # Both directions of each arc, the backward ones heavy; repeated inputs
+        # collapse to their lightest copy.
+        hl.Graph(True, 6, [(i, i + 1, 2) for i in range(5)] + [(i + 1, i, 500) for i in range(5)]
+                 + [(i, i + 1, 700) for i in range(5)] + [(0, 5, 3000), (5, 0, 9)]),
+        hl.Graph(False, 6, [(i, (i + 1) % 6, 1 + i % 3) for i in range(6)]
+                 + [(0, 3, 5000), (3, 0, 7), (1, 4, 6000), (2, 5, 7000)]),
+    ]
+    out += [with_zero_arcs(g, rng) for g in out]
+    out += [gen_random_directed(7, 14, 4000, 2300 + i) for i in range(3)]
+    return out
+
+
+def test_fill_bound_is_the_n_minus_1_largest_arcs_and_exact():
+    cuts = 0
+    for g in _bound_binding_graphs():
+        lengths = sorted(ln for _, _, ln in g.arcs)
+        far = sum(lengths[len(lengths) - (g.n - 1):]) + 1
+        assert g.m > g.n - 1 and far < sum(lengths) + 1
+        best = all_pairs_bruteforce(g)
+        diameter = max(x for row in best for x in row if x != math.inf)
+        want = np.array(
+            [[best[v][w] if best[v][w] != math.inf else diameter + 1 for v in range(g.n)]
+             for w in range(g.n)]
+        )
+        want = want.astype(np.int16 if 2 * (diameter + 1) < 2**15 else np.int32)
+        for fill in (graphs._pivot_fill, graphs._dijkstra_fill):
+            seen = []
+
+            def recorded(g, bound, dtype, fill=fill):
+                seen.append((bound, np.dtype(dtype)))
+                return fill(g, bound, dtype)
+
+            d = graphs._distances(g, recorded)
+            assert seen[0][0] == far
+            assert seen[0][1] == (np.int16 if 2 * far < 2**15 else np.int32)
+            assert d.exact().dtype == want.dtype and d.exact().tobytes() == want.tobytes()
+            assert d.diameter == diameter
+            cuts += 2 * far < 2**15 <= 2 * (sum(lengths) + 1)
+    assert cuts >= 4
 
 
 def test_path_index_level_is_floor_log2_across_the_int16_cut():

@@ -2,19 +2,23 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 import hublab as hl
 from hublab import families
-from hublab.labeling import hub_labeling
+from hublab.labeling import _cut, hub_labeling
 
 from bruteforce import (
+    _label_rows_reference,
     all_pairs_bruteforce,
     gen_random_directed,
     hub_labeling_checked,
+    parse_labeling_reference,
     path_vertices_bruteforce,
+    query_reference,
     verify_cover_loop,
     with_zero_arcs,
 )
@@ -359,6 +363,120 @@ def test_query_soundness_when_cover_holds():
                 assert lab.query(s, t) == d.dist(s, t)
             else:
                 assert lab.query(s, t) == hl.INF
+
+
+def _reference_rows(lab: hl.Labeling):
+    """(directed, n, fwd, bwd) of ``lab`` by the tuple parser, from its label file."""
+    if not lab.n:  # a file with no lines cannot name its kind
+        return lab.directed, 0, (), ()
+    return parse_labeling_reference(hl.serialize_labeling(lab))
+
+
+def test_flat_store_matches_the_tuple_rows():
+    """CSR arrays, row views, equality, hashing and queries against tuple rows
+    parsed by the reference, on labelings of both kinds: valid ones, with
+    unreachable pairs, zero-length arcs and n = 0 and 1, and their mutants."""
+    rng = random.Random(2200)
+    graphs = _differential_graphs()
+    graphs += [with_zero_arcs(g, rng) for g in graphs if g.n > 2][:8]
+    kinds, unreachable, checked = set(), 0, 0
+    for g in graphs:
+        d = hl.all_pairs_distances(g)
+        order = hl.Order.from_sequence(rng.sample(range(g.n), g.n))
+        valid = [hl.run_g_hhl(d)[1], hl.canonical_hhl(d, order)]
+        labelings = valid + [m for lab in valid[: bool(g.n)] for m in _mutants(lab, d, rng, 4)]
+        refs = [_reference_rows(lab) for lab in labelings]
+        for k, (lab, (directed, n, fwd, bwd)) in enumerate(zip(labelings, refs)):
+            assert (lab.directed, lab.n) == (directed, n)
+            assert lab.fwd == fwd and lab.bwd == bwd
+            assert (lab.bwd_csr is lab.fwd_csr) != lab.directed
+            for ptr, hub, dist in (lab.fwd_csr, lab.bwd_csr):
+                assert {a.dtype for a in (ptr, hub, dist)} == {np.dtype(np.int64)}
+                assert ptr[0] == 0 and ptr[-1] == hub.size == dist.size and ptr.size == n + 1
+                assert (np.diff(ptr) >= 0).all()
+                for row in _cut(ptr, hub.tolist()):
+                    assert all(a < b for a, b in zip(row, row[1:]))
+            # The incumbent hub sets of ``optimal_hl_bnb``, read from the arrays.
+            assert [set(r) for r in _cut(lab.fwd_csr[0], lab.fwd_csr[1].tolist())] == [
+                {h for h, _ in row} for row in fwd
+            ]
+            rebuilt = hl.Labeling(directed, n, fwd, bwd if directed else None)
+            assert rebuilt == lab and hash(rebuilt) == hash(lab)
+            if n:
+                assert hl.parse_labeling(hl.serialize_labeling(lab)) == lab
+            for s in range(n):
+                for t in range(n):
+                    assert lab.query(s, t) == query_reference(fwd, bwd, s, t)
+                    if k < len(valid):
+                        assert lab.query(s, t) == d.dist(s, t)
+                        unreachable += lab.query(s, t) == hl.INF
+            checked += 1
+            kinds.add(lab.directed)
+        for a, ra in zip(labelings, refs):
+            for b, rb in zip(labelings, refs):
+                assert (a == b) == (ra == rb)
+                if a == b:
+                    assert hash(a) == hash(b)
+    assert kinds == {False, True} and unreachable > 50 and checked > 150
+
+
+def test_label_store_is_read_only():
+    """Every way a labeling is made leaves its arrays read-only, since its hash
+    and its cached row and query views are built from them."""
+    made = []
+    for g in (families.gen_bad_g(3), gen_random_directed(7, 7, 3, 30107), hl.Graph(False, 1, [])):
+        d = hl.all_pairs_distances(g)
+        lab = hl.run_g_hhl(d)[1]
+        fwd, bwd = lab.fwd, lab.bwd if lab.directed else None
+        made += [lab, hl.canonical_hhl(d, hl.Order(range(1, g.n + 1)))]
+        made.append(hl.Labeling(g.directed, g.n, fwd, bwd))
+        made.append(hl.parse_labeling(hl.serialize_labeling(lab)))
+    for lab in made:
+        before = (hash(lab), lab.fwd, lab.bwd, lab.query(0, 0))
+        for a in lab.fwd_csr + lab.bwd_csr:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 7
+        assert (hash(lab), lab.fwd, lab.bwd, lab.query(0, 0)) == before
+
+
+def test_labeling_rows_are_checked_as_the_reference_checks_them():
+    rng = random.Random(2201)
+    big = [-1, 2**53 - 1, 2**53, 2**63, -(2**63) - 1, 10**40]
+    outcomes = set()
+
+    def value(hi):
+        return rng.choice(big) if rng.random() < 0.05 else rng.randint(0, hi)
+
+    for _ in range(400):
+        n = rng.randint(0, 4)
+        rows = [
+            [(value(n), value(3)) for _ in range(rng.randint(0, 4))] for _ in range(n)
+        ]
+        for row in rows:
+            if row and rng.random() < 0.3:
+                row.append(row[0])  # an exact repeat
+        if rng.random() < 0.2:
+            rows = [dict(row) for row in rows]
+        try:
+            want = _label_rows_reference(n, rows)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                hl.Labeling(False, n, rows)
+            if all(abs(x) < 2**63 for row in rows for e in dict(row).items() for x in e):
+                assert str(got.value) == str(exc)
+            outcomes.add(re.sub(r"-?\d+", "#", str(exc).split(": ", 1)[1]))
+            continue
+        assert hl.Labeling(False, n, rows).fwd == want
+        gens = [(e for e in (r.items() if isinstance(r, dict) else r)) for r in rows]
+        assert hl.Labeling(True, n, rows, gens).bwd == want
+        outcomes.add("ok")
+    assert outcomes == {
+        "ok",
+        "duplicate hub with conflicting distances",
+        "hub # out of range",
+        "negative hub distance",
+        "hub distance reaches #^#, above any distance",
+    }
 
 
 def test_label_file_round_trip():

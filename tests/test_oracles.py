@@ -210,6 +210,8 @@ def test_optimal_hl_bnb_matches_the_recomputing_reference():
             want.lower, want.upper, want.complete, want.nodes
         ), name
         assert hl.serialize_labeling(got.labeling) == hl.serialize_labeling(want.labeling), name
+        # The incumbent's hub sets come from the CSR arrays, the reference's from tuple rows.
+        assert got.labeling == want.labeling and hash(got.labeling) == hash(want.labeling), name
         finished += got.complete
         exhausted += not got.complete
     assert finished >= 10 and exhausted >= 10
