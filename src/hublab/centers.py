@@ -12,6 +12,11 @@ from .graphs import DistMatrix, path_membership, unique_pairs
 
 NEG_INF_LEVEL = float("-inf")
 
+# Incidence entries handled at once where a pass could reach every entry (the
+# transpose of a PathIndex, the counts of a cover): each int64 temporary of a
+# block is then 128 KiB.
+BLOCK = 2**14
+
 
 class EmptyCenterGraphError(ValueError):
     """Density or subgraph selection requested on a center graph with no edges."""
@@ -88,18 +93,37 @@ class PathIndex:
     ascending. Vertex ids (``verts``) are uint16, as n <= ``MAX_VERTICES`` <
     2^16, so readers widen them before arithmetic; pair ids are int32. The
     level is read by ``frexp``, exact on the int16 distances (as float32) and
-    on wider ones (as float64). Built one source row at a time from the
-    column-restricted membership predicate, so no table larger than n x
-    (pairs of one source) ever exists. ``pairs`` is any iterable of ``(u, w)``
-    and defaults to every reachable pair. Undirected pairs are put min-first,
+    on wider ones (as float64). ``pairs`` is any iterable of ``(u, w)`` and
+    defaults to every reachable pair. Undirected pairs are put min-first,
     duplicates dropped and the list sorted, as the source grouping requires;
     ids out of range and unreachable pairs raise ``ValueError``.
+
+    Built one source at a time. The targets of every pair come from the
+    distance columns of their sources, ``BLOCK`` cells at a time. Each
+    source's rows come from the column-restricted membership predicate, an
+    (its pairs) x n table, and each pair's length goes straight into ``ptr``.
+    ``vpairs`` is filled by a counting transpose over runs of at most
+    ``BLOCK`` entries. ``verts`` exists twice while the rows are joined, but
+    ``vpairs`` (twice its size) does not exist yet. So the peak is the kept
+    arrays plus the larger of one source's table and one run's temporaries:
+    on ``gen_random(300, 600, 10, 11)``, 2.97 MiB against 2.47 MiB kept.
     """
 
     def __init__(self, d: DistMatrix, pairs=None):
-        into, n = d.exact(), d.n
+        into, n, far = d.exact(), d.n, d.unreachable
+        step = max(BLOCK // max(n, 1), 1)  # sources at once: (their count) x n cells, at most BLOCK
+        spans = [(a, min(a + step, n)) for a in range(0, n, step)]
+
+        def reach(a: int, b: int) -> np.ndarray:
+            """Row s - a marks the targets w of source s: reachable, and w >= s when undirected."""
+            fin = into[:, a:b].T < far
+            return fin if d.directed else fin & (np.arange(n) >= np.arange(a, b)[:, None])
+
         if pairs is None:
-            us, ws = d.reachable_arrays()
+            counts = np.zeros(n, np.int64)
+            for a, b in spans:
+                counts[a:b] = np.count_nonzero(reach(a, b), axis=1)
+            us, ws = np.repeat(np.arange(n, dtype=np.int32), counts), None
         else:
             uw = np.array([(u, w) for u, w in pairs], dtype=np.int64).reshape(-1, 2)
             out = np.flatnonzero(((uw < 0) | (uw >= n)).any(axis=1))
@@ -108,25 +132,64 @@ class PathIndex:
             if not d.directed:
                 uw.sort(axis=1)
             us, ws = unique_pairs(*uw.T)
-            bad = np.flatnonzero(into[ws, us] == d.unreachable)
+            bad = np.flatnonzero(into[ws, us] == far)
             if bad.size:
                 u, w = us[bad[0]], ws[bad[0]]
                 raise ValueError(f"pair ({u},{w}) is unreachable and can never be covered")
-        self.u, self.w = us.astype(np.int32), ws.astype(np.int32)
-        self.level = (np.frexp(into[ws, us])[1] - 1).astype(np.int8)
+        self.u = us.astype(np.int32, copy=False)
         self.source_ptr = np.searchsorted(self.u, np.arange(n + 1))
-        rows, lens = [np.zeros(0, np.uint16)], [np.zeros(1, np.int64)]
+        if ws is None:
+            self.w = np.empty(len(us), np.int32)
+            for a, b in spans:
+                self.w[self.source_ptr[a] : self.source_ptr[b]] = np.flatnonzero(reach(a, b)) % n
+        else:
+            self.w = ws.astype(np.int32)
+        self.ptr = np.zeros(len(us) + 1, np.int64)  # pair lengths, then their running sums
+        rows, bounds = [np.zeros(0, np.uint16)], self.source_ptr.tolist()
         for s in self.sources():
-            member = path_membership(d, s, self.w[self.source_ptr[s] : self.source_ptr[s + 1]])
-            at, vs = np.divmod(np.flatnonzero(member), n)
-            lens.append(np.bincount(at, minlength=len(member)))
+            lo, hi = bounds[s], bounds[s + 1]
+            at, vs = np.divmod(np.flatnonzero(path_membership(d, s, self.w[lo:hi])), n)
+            self.ptr[lo + 1 : hi + 1] = np.bincount(at, minlength=hi - lo)
             rows.append(vs.astype(np.uint16))
+        np.cumsum(self.ptr, out=self.ptr)
         self.verts = np.concatenate(rows)
-        self.ptr = np.cumsum(np.concatenate(lens))
-        owner = np.repeat(np.arange(len(self.u), dtype=np.int32), np.diff(self.ptr))
-        # A stable sort on 16-bit ids is a radix sort.
-        self.vpairs = owner[np.argsort(self.verts, kind="stable")]
-        self.vptr = np.concatenate(([0], np.cumsum(np.bincount(self.verts, minlength=n))))
+        del rows
+        self.level = np.empty(len(us), np.int8)
+        per_vertex = np.zeros(n, np.int64)
+        for lo, hi in self.blocks():
+            self.level[lo:hi] = np.frexp(into[self.w[lo:hi], self.u[lo:hi]])[1] - 1
+            per_vertex += np.bincount(self.verts[self.ptr[lo] : self.ptr[hi]], minlength=n)
+        self.vptr = np.concatenate(([0], np.cumsum(per_vertex)))
+        # A stable counting transpose: a block's entries, sorted stably by vertex
+        # (a radix sort on 16-bit ids), go to each vertex's running cursor.
+        self.vpairs = np.empty(len(self.verts), np.int32)
+        cursor = self.vptr[:-1].copy()
+        for lo, hi in self.blocks():
+            xs = self.verts[self.ptr[lo] : self.ptr[hi]]
+            owner = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(self.ptr[lo : hi + 1]))
+            order = np.argsort(xs, kind="stable")
+            first = np.searchsorted(xs[order], np.arange(n + 1))  # each vertex's first sorted slot
+            count = np.diff(first)
+            at = np.repeat(cursor - first[:-1], count)
+            at += np.arange(len(xs))
+            self.vpairs[at] = owner[order]
+            cursor += count
+
+    def blocks(self, pids=None):
+        """Runs ``[lo, hi)`` of ``pids`` (default: of all pairs), in order, each
+        of at most ``BLOCK`` incidence entries (a longer row alone)."""
+        ptr, lo, count = self.ptr, 0, len(self) if pids is None else len(pids)
+        while lo < count:
+            if pids is None:
+                hi = int(np.searchsorted(ptr, ptr[lo] + BLOCK, "right")) - 1
+            elif (count - lo) * (len(self.vptr) - 1) <= BLOCK:  # no row is longer than n
+                hi = count
+            else:
+                part = pids[lo : lo + BLOCK]  # a row holds its source, so no run has more pairs
+                hi = lo + int(np.searchsorted(np.cumsum(ptr[part + 1] - ptr[part]), BLOCK, "right"))
+            hi = max(hi, lo + 1)
+            yield lo, hi
+            lo = hi
 
     def __len__(self) -> int:
         return len(self.u)
@@ -190,11 +253,7 @@ class CoverageState:
             self.noniso = self._ends(self.uncovered)
         elif name == "lvl_counts":
             self.lvl_counts = np.zeros((self.n, self._width), np.int64)
-            # Seed in blocks of about 2n^2 (directed) or n^2 incidence entries, bounding the rows.
-            ptr, block = self.index.ptr, max(self.n**2 * (1 + self.directed), 1)
-            cuts = np.searchsorted(ptr, np.arange(block, ptr[-1], block))
-            for lo, hi in zip([0, *cuts], [*cuts, len(self.index)]):
-                self._count(lo + np.flatnonzero(self.uncovered[lo:hi]), 1, {"lvl_counts"})
+            self._count(np.flatnonzero(self.uncovered), 1, {"lvl_counts"})
         else:
             raise AttributeError(name)
         return getattr(self, name)
@@ -202,23 +261,26 @@ class CoverageState:
     def _ends(self, pids) -> np.ndarray:
         """Per vertex, the given pairs (ids or a mask) with it as an end, as ``noniso`` counts."""
         u, w = self.index.u[pids], self.index.w[pids]
-        return np.bincount(np.concatenate((u, w if self.directed else w[u != w])), minlength=self.n)
+        w = w if self.directed else w[u != w]
+        return np.bincount(u, minlength=self.n) + np.bincount(w, minlength=self.n)
 
     def _count(self, pids: np.ndarray, sign: int, counters) -> None:
-        """Add (sign 1) or remove (sign -1) the given pairs in the named counters."""
+        """Add (sign 1) or remove (sign -1) the given pairs in the named counters,
+        reading their rows in blocks of at most ``BLOCK`` entries."""
         idx, n = self.index, self.n
         if "noniso" in counters:
             self.noniso += sign * self._ends(pids)
-        xs, owner = idx.rows(pids)
-        xs = xs.astype(np.int64)
-        if "edges" in counters:
-            self.edges += sign * np.bincount(xs, minlength=n)
-        if "lvl_counts" in counters:
-            width = self._width
-            lv = idx.level[pids][owner]
-            fin = lv >= 0
-            per_level = np.bincount(xs[fin] * width + lv[fin], minlength=n * width)
-            self.lvl_counts += sign * per_level.reshape(n, width)
+        for lo, hi in idx.blocks(pids):
+            xs, owner = idx.rows(pids[lo:hi])
+            xs = xs.astype(np.int64)
+            if "edges" in counters:
+                self.edges += sign * np.bincount(xs, minlength=n)
+            if "lvl_counts" in counters:
+                width = self._width
+                lv = idx.level[pids[lo:hi]][owner]
+                fin = lv >= 0
+                per_level = np.bincount(xs[fin] * width + lv[fin], minlength=n * width)
+                self.lvl_counts += sign * per_level.reshape(n, width)
 
     def profile_key(self, v: int) -> tuple[int, ...]:
         return tuple(self.lvl_counts[v, ::-1].tolist())

@@ -8,6 +8,7 @@ labeling, 2 usage or input error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -343,5 +344,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """The program, as ``python -m hublab.cli`` and the ``hublab`` script run it:
+    ``main`` on the command line, then exit with its code. The heap is frozen
+    first, so interpreter exit runs no full collection over the objects numpy
+    made at import; finalizers, flushes and atexit handlers still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

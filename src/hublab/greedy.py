@@ -102,12 +102,15 @@ def _select(d: DistMatrix, engine: CoverageState, algo: str, step) -> tuple[Labe
         trace.iterations.append(
             IterationRecord(v, score, len(pids), before, after, tails, heads, level)
         )
-    # The tables are filled only now, so none exists while a counter is seeded.
-    hub_f, hub_b = np.zeros((2, n, n), dtype=bool)  # an undirected step has no heads
+    # The tables are filled only now, so none exists while a counter is seeded;
+    # an undirected step has no heads, so there is no backward table.
+    hub_f = np.zeros((n, n), dtype=bool)
+    hub_b = np.zeros((n, n), dtype=bool) if d.directed else None
     for rec in trace.iterations:
         hub_f[list(rec.receivers_fwd), rec.vertex] = True
-        hub_b[list(rec.receivers_bwd), rec.vertex] = True
-    return hub_labeling(d, hub_f, hub_b if d.directed else None), trace
+        if d.directed:
+            hub_b[list(rec.receivers_bwd), rec.vertex] = True
+    return hub_labeling(d, hub_f, hub_b), trace
 
 
 # Each picker returns the best center, its score and its level (d-HHL only);

@@ -13,12 +13,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 import hublab as hl
 from hublab import families
 from hublab.centers import CoverageState, PathIndex
+from hublab.graphs import unique_pairs
 from hublab.greedy import _select
 from hublab.labeling import hub_labeling
 
@@ -88,6 +90,46 @@ def shortest_path_vertices(d: hl.DistMatrix, u: int, w: int) -> set[int]:
     m = d.matrix
     mask = np.isfinite(m[:, w]) & (m[u, :] + m[:, w] == m[u, w])
     return set(np.flatnonzero(mask).tolist())
+
+
+def path_index_reference(d: hl.DistMatrix, pairs=None) -> SimpleNamespace:
+    """``PathIndex``'s arrays built whole: the reference for its per-source,
+    blocked construction.
+
+    The pairs come from one n x n reachability table (or the caller's list,
+    canonicalized), the rows of every source are joined and counted at the
+    end, and ``vpairs`` is the pair-id owner of every entry put in a stable
+    argsort of all of ``verts``.
+    """
+    into, n = d.exact(), d.n
+    if pairs is None:
+        us, ws = d.reachable_arrays()
+    else:
+        uw = np.array([(u, w) for u, w in pairs], dtype=np.int64).reshape(-1, 2)
+        if not d.directed:
+            uw.sort(axis=1)
+        us, ws = unique_pairs(*uw.T)
+    u, w = us.astype(np.int32), ws.astype(np.int32)
+    source_ptr = np.searchsorted(u, np.arange(n + 1))
+    rows, lens = [np.zeros(0, np.uint16)], [np.zeros(1, np.int64)]
+    for s in np.flatnonzero(np.diff(source_ptr)).tolist():
+        member = hl.path_membership(d, s, w[source_ptr[s] : source_ptr[s + 1]])
+        at, vs = np.divmod(np.flatnonzero(member), n)
+        lens.append(np.bincount(at, minlength=len(member)))
+        rows.append(vs.astype(np.uint16))
+    verts = np.concatenate(rows)
+    ptr = np.cumsum(np.concatenate(lens))
+    owner = np.repeat(np.arange(len(u), dtype=np.int32), np.diff(ptr))
+    return SimpleNamespace(
+        u=u,
+        w=w,
+        level=(np.frexp(into[ws, us])[1] - 1).astype(np.int8),
+        source_ptr=source_ptr,
+        verts=verts,
+        ptr=ptr,
+        vpairs=owner[np.argsort(verts, kind="stable")],
+        vptr=np.concatenate(([0], np.cumsum(np.bincount(verts, minlength=n)))),
+    )
 
 
 def canonical_hhl_loop(d: hl.DistMatrix, pi: hl.Order) -> hl.Labeling:

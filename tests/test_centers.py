@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hublab as hl
-from hublab import cohen, families, greedy
+from hublab import centers, cohen, families, greedy
 from hublab.centers import PathIndex
 
 from bruteforce import (
@@ -26,6 +27,7 @@ from bruteforce import (
     level_profile,
     on_shortest_path,
     pair_level,
+    path_index_reference,
     shortest_path_vertices,
     with_zero_arcs,
 )
@@ -71,6 +73,76 @@ def test_initial_uncovered_counts():
 def _same_index(a: PathIndex, b: PathIndex) -> bool:
     fields = ("u", "w", "level", "source_ptr", "verts", "ptr", "vpairs", "vptr")
     return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
+
+
+def _index_cases():
+    rng = random.Random(13000)
+    yield hl.Graph(False, 0, [])
+    yield hl.Graph(True, 0, [])
+    yield hl.Graph(False, 1, [])
+    yield hl.Graph(True, 1, [])
+    # Unreachable pairs and zero-length arcs (directed: a 2-cycle, one arc of length 0).
+    yield hl.Graph(False, 7, [(0, 1, 2), (2, 3, 1), (3, 4, 0), (4, 2, 3)])
+    yield hl.Graph(True, 7, [(0, 1, 2), (2, 3, 1), (3, 2, 0), (4, 0, 3), (5, 6, 0)])
+    yield families.gen_bad_g(2)
+    for i, g in enumerate(seeded_graphs(6, 9, 13100)):
+        yield with_zero_arcs(g, rng) if i % 2 else g
+    for i in range(4):
+        g = gen_random_directed(5 + 2 * i, 3 + i, 3, 13200 + i)
+        yield with_zero_arcs(g, rng) if i % 2 else g
+
+
+@pytest.mark.parametrize("block", [1, 7, centers.BLOCK])
+def test_path_index_matches_the_whole_array_reference(block, monkeypatch):
+    # Every array byte for byte, dtypes included, against the construction that
+    # builds each from whole arrays. Blocks of 1 and 7 entries (and of 1 or 0
+    # sources per distance scan) put block edges inside sources and between
+    # them; the default takes these graphs whole. Explicit pair lists come
+    # shuffled, with repeats, and undirected ones partly reversed.
+    monkeypatch.setattr(centers, "BLOCK", block)
+    rng = random.Random(13300 + block)
+    fields = ("u", "w", "level", "source_ptr", "verts", "ptr", "vpairs", "vptr")
+    for g in _index_cases():
+        d = hl.all_pairs_distances(g)
+        reach = d.reachable_pairs()
+        part = rng.sample(reach, len(reach) // 2)
+        part += rng.choices(part, k=len(part) // 3)
+        if not g.directed:
+            part = [(w, u) if rng.random() < 0.5 else (u, w) for u, w in part]
+        for pairs in (None, part, reach[::-1], []):
+            index, ref = PathIndex(d, pairs), path_index_reference(d, pairs)
+            for f in fields:
+                got, want = getattr(index, f), getattr(ref, f)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), (g, f)
+                assert got.tobytes() == want.tobytes(), (g, f)
+            # The runs tile the pairs (or given ids) in order; a run of more
+            # than BLOCK entries is one row.
+            pids = np.array(rng.sample(range(len(index)), len(index)), dtype=np.int64)
+            for ids in (None, pids):
+                runs = list(index.blocks(ids))
+                ids = np.arange(len(index)) if ids is None else ids
+                bounds = [0] + [hi for _, hi in runs]
+                assert [lo for lo, _ in runs] == bounds[:-1] and bounds[-1] == len(ids)
+                for lo, hi in runs:
+                    size = int(np.diff(index.ptr)[ids[lo:hi]].sum())
+                    assert size <= block or hi - lo == 1
+                    assert hi == len(ids) or size + np.diff(index.ptr)[ids[hi]] > block
+
+
+def test_path_index_peaks_near_what_it_keeps():
+    # No temporary spans every incidence entry or n x n cells: the peak is the
+    # kept arrays plus one source's membership table or one block's arrays.
+    d = hl.all_pairs_distances(families.gen_random(300, 600, 10, 11))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        index = PathIndex(d)
+        kept, peak = (x - base for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    arrays = (index.u, index.w, index.level, index.source_ptr, index.verts, index.ptr)
+    assert kept >= sum(a.nbytes for a in arrays + (index.vpairs, index.vptr)) > 2 << 20
+    assert peak < kept + (3 << 19)  # 1.5 MiB
 
 
 def test_path_index_canonicalizes_caller_pairs():
@@ -300,7 +372,7 @@ def _lazy_cases():
         yield g, rng.sample(reach, len(reach) // 2)
 
 
-def test_lazy_counters_match_from_scratch_from_their_first_read():
+def test_lazy_counters_match_from_scratch_from_their_first_read(monkeypatch):
     # noniso and lvl_counts exist only from their first read; read first
     # before any cover, after one, or after about n/2, each must equal the
     # center graphs rebuilt from scratch then and after every later cover.
@@ -308,7 +380,14 @@ def test_lazy_counters_match_from_scratch_from_their_first_read():
     # set it runs again covering whole centers. noniso counts pair ends, which
     # equal the non-isolated counts only there, so it is read only in that
     # second run, and an engine on explicit pairs refuses it.
-    rng = random.Random(12500)
+    # Both at the default block and at blocks of 7 entries, which split the
+    # cover counts inside a center's pairs.
+    for block in (centers.BLOCK, 7):
+        monkeypatch.setattr(centers, "BLOCK", block)
+        _check_lazy_counters(random.Random(12500))
+
+
+def _check_lazy_counters(rng):
     for i, (g, pairs) in enumerate(_lazy_cases()):
         d = hl.all_pairs_distances(g)
         width = d.diameter.bit_length()  # finite levels 0..floor(log2 diameter)

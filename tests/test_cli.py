@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -127,13 +128,49 @@ def test_build_rejects_inexact_distances(tmp_path, capsys):
     assert "2^53" in capsys.readouterr().err
 
 
-def test_build_outputs_are_byte_identical(tmp_path):
+def test_build_outputs_are_byte_identical(tmp_path, capsys):
     graph = tmp_path / "w.gr"
     graph.write_text(hl.serialize_graph(families.gen_bad_w(2)))
     out1, out2 = tmp_path / "a.labels", tmp_path / "b.labels"
     assert main(["build", str(graph), "--algo", "w-hhl", "--out", str(out1)]) == 0
     assert main(["build", str(graph), "--algo", "w-hhl", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # Only the program freezes the heap before it exits, never main in process.
+    assert gc.get_freeze_count() == 0
+    # As a program (python -m hublab.cli, and run() as the hublab script calls
+    # it), each command gives main's stdout, stderr, exit code (0 to 3) and files.
+    lines = out1.read_text().splitlines(keepends=True)
+    drop = next(i for i, line in enumerate(lines) if len(line.split()) > 3)
+    broken = tmp_path / "broken.labels"
+    broken.write_text("".join(lines[:drop] + [lines[drop].rsplit(" ", 1)[0] + "\n"] + lines[drop + 1 :]))
+    huge, missing, out = tmp_path / "huge.gr", tmp_path / "missing.gr", tmp_path / "c.labels"
+    huge.write_text("p undirected 1000000000 0\n")
+    cases = [
+        (["build", str(graph), "--algo", "w-hhl", "--out", str(out)], 0),
+        (["verify", str(graph), str(out1)], 0),
+        (["verify", str(graph), str(broken)], 1),
+        (["verify", str(missing), str(out1)], 2),
+        (["generate", "nonsense", "--out", str(out)], 2),
+        (["build", str(huge), "--algo", "g-hhl", "--out", str(out)], 3),
+    ]
+    src = str(Path(hl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    programs = ([sys.executable, "-m", "hublab.cli"],
+                [sys.executable, "-c", "from hublab.cli import run; run()"])
+    capsys.readouterr()
+    for argv, code in cases:
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error
+            got = exc.code
+        expected = (got, *capsys.readouterr())
+        assert got == code and (expected[1] or expected[2])
+        label_file = out1.read_bytes() if argv[0] == "build" and not code else None
+        for program in programs:
+            out.unlink(missing_ok=True)
+            res = subprocess.run(program + argv, env=env, capture_output=True, text=True)
+            assert (res.returncode, res.stdout, res.stderr) == expected, argv
+            assert (out.read_bytes() if out.exists() else None) == label_file, argv
 
 
 def test_verify_detects_broken_labels(tmp_path, capsys):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import hublab as hl
-from hublab import families
+from hublab import families, greedy
 
 from bruteforce import build_center_graph, endpoint_count_graphs, level_profile
 from conftest import complete_graph, edge2, seeded_graphs
@@ -176,3 +177,27 @@ def test_trace_to_dict_is_json_friendly():
     assert '"algo": "w-hhl"' in blob
     _, _, dtrace = hl.run_d_hhl(d)
     json.dumps(dtrace.to_dict())
+
+
+def test_g_hhl_selection_peaks_near_the_engine(monkeypatch):
+    # Above the engine's kept arrays, a g-HHL run holds one block of cover
+    # counts at a time (the first pick covers 10,046 of 45,150 pairs), one
+    # hub table (undirected) and the labeling it builds.
+    kept = []
+
+    class Marked(hl.CoverageState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
+    monkeypatch.setattr(greedy, "CoverageState", Marked)
+    d = hl.all_pairs_distances(families.gen_random(300, 600, 10, 11))
+    tracemalloc.start()
+    try:
+        trace = greedy.run_g_hhl(d)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.iterations[0].covered == 10_046
+    assert peak - kept[0] < 5 << 18  # 1.25 MiB
