@@ -128,7 +128,8 @@ class Labeling:
     forward side ``fwd_csr`` and a backward side ``bwd_csr``; undirected ones
     one side in both roles. Rows given to the constructor (n iterables of
     ``(hub, dist)`` pairs, or dicts, per side) are checked as a parsed file is.
-    ``fwd[v]`` / ``bwd[v]`` give rows of ``(hub, dist)`` tuples, built on first read.
+    ``fwd[v]`` / ``bwd[v]`` give rows of ``(hub, dist)`` tuples, and ``query`` and ``hubs``
+    read one hub -> dist dict per vertex and side; both views are built on first read.
     """
 
     def __init__(self, directed: bool, n: int, fwd, bwd=None):
@@ -161,39 +162,38 @@ class Labeling:
         return _row_tuples(*self.bwd_csr) if self.directed else self.fwd
 
     @cached_property
-    def _lists(self) -> tuple[list[int], ...]:
-        """Each side as lists for ``query``: row offsets, hubs and distances, with
-        each row closed by the hub n, which no real hub reaches."""
-        sides = []
+    def _maps(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
+        """The forward and backward sides as ``{v: {hub: dist}}`` for ``query`` and
+        ``hubs``; an undirected labeling's one side serves in both roles."""
+        maps = []
         for ptr, hub, dist in self._sides():
-            closed = (np.insert(a, ptr[1:], self.n).tolist() for a in (hub, dist))
-            sides.append([(ptr + np.arange(self.n + 1)).tolist(), *closed])
-        return (*sides[0], *sides[-1])
+            rows = map(zip, _cut(ptr, hub.tolist()), _cut(ptr, dist.tolist()))
+            maps.append(dict(enumerate(map(dict, rows))))
+        return maps[0], maps[-1]
 
     @property
     def size(self) -> int:
         return sum(hub.size for _, hub, _ in self._sides())
 
     def hubs(self, v: int) -> set[int]:
-        return {h for ptr, hub, _ in self._sides() for h in hub[ptr[v] : ptr[v + 1]].tolist()}
+        return {h for side in self._maps for h in side[v]}
 
     def query(self, s: int, t: int) -> int | float:
         """Minimum hubdist sum over common hubs of L_f(s) and L_b(t); INF if none.
 
-        One merge of the two rows, over list copies of the arrays made at the
-        first query (a list index is cheaper than an array one). For each
-        forward hub the backward row moves up to it; the hub n closing that row
-        stops it with no bound check."""
-        fp, fh, fd, bp, bh, bd = self._lists
-        j, best = bp[t], INF
-        hb = bh[j]
-        for i in range(fp[s], fp[s + 1] - 1):
-            h = fh[i]
-            while hb < h:
-                j += 1
-                hb = bh[j]
-            if hb == h and fd[i] + bd[j] < best:
-                best = fd[i] + bd[j]
+        Each hub of the smaller row is looked up in the other's hub -> dist map
+        (``_maps``): min(|L_f(s)|, |L_b(t)|) hash probes, with exact int sums.
+        An id outside 0..n-1 is no key of ``_maps``, so it raises ``LookupError``."""
+        fwd, bwd = self._maps
+        f, b = fwd[s], bwd[t]
+        if len(f) > len(b):
+            f, b = b, f
+        best = INF
+        for h in f:
+            if h in b:
+                x = f[h] + b[h]
+                if x < best:
+                    best = x
         return best
 
     def __eq__(self, other) -> bool:

@@ -273,6 +273,21 @@ def test_query_command(tmp_path, capsys):
     assert main(["query", str(graph), str(labels), str(ids.c_id(1, 1)), str(ids.a[0])]) == 0
     assert capsys.readouterr().out.strip() == "unreachable"
     assert main(["query", str(graph), str(labels), "99", "0"]) == 2
+    for s, t in (("-1", "0"), ("0", "-1")):
+        assert main(["query", str(graph), str(labels), s, t]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "vertex id out of range" in captured.err
+
+
+def test_query_command_prints_sums_above_2_to_the_53(tmp_path, capsys):
+    graph = tmp_path / "three.gr"
+    graph.write_text(hl.serialize_graph(hl.Graph(True, 3, [])))
+    labels = tmp_path / "three.labels"
+    fwd, bwd = [[(2, 2**53 - 1)], [], []], [[], [(0, 1), (2, 2**53 - 2)], []]
+    labels.write_text(hl.serialize_labeling(hl.Labeling(True, 3, fwd, bwd)))
+    assert main(["query", str(graph), str(labels), "0", "1"]) == 0
+    assert capsys.readouterr().out == f"{2**54 - 3}\n"
 
 
 def test_compare_with_oracle(tmp_path, capsys):

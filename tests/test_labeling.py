@@ -45,6 +45,44 @@ def test_query_trivial_cases():
     assert empty.query(0, 1) == hl.INF
 
 
+def test_query_rejects_ids_outside_the_labeling():
+    """Any id outside 0..n-1 raises ``LookupError`` as s and as t, and in
+    ``hubs``: a negative one does not wrap around to another vertex, and none
+    reaches past a row."""
+    und = hl.all_pairs_distances(families.gen_random(300, 600, 10, 11))
+    labelings = [
+        hl.run_g_hhl(und)[1],
+        hl.run_g_hhl(hl.all_pairs_distances(families.gen_bad_g(3)))[1],
+        hl.Labeling(False, 1, [[(0, 0)]]),
+        hl.Labeling(True, 1, [[(0, 0)]], [[(0, 0)]]),
+    ]
+    assert {lab.directed for lab in labelings} == {False, True}
+    for lab in labelings:
+        n = lab.n
+        for bad in (-n - 1, -n, -n + 1, -1, n, n + 1):
+            if 0 <= bad < n:
+                continue
+            for s, t in ((bad, 0), (0, bad), (bad, bad)):
+                with pytest.raises(LookupError):
+                    lab.query(s, t)
+            with pytest.raises(LookupError):
+                lab.hubs(bad)
+        assert lab.query(0, 0) == 0 and 0 in lab.hubs(0)
+
+
+def test_query_sums_stay_exact_above_2_to_the_53():
+    """The one common hub sits at 2^53 - 1 and 2^53 - 2, so the answer is
+    2^54 - 3, which float64 cannot hold; either row in turn is the smaller."""
+    a, b = 2**53 - 1, 2**53 - 2
+    assert float(2**54 - 3) != 2**54 - 3
+    short_f = hl.Labeling(True, 3, [[(2, a)], [], []], [[], [(0, 1), (2, b)], []])
+    short_b = hl.Labeling(True, 3, [[(1, 1), (2, a)], [], []], [[], [(2, b)], []])
+    for lab in (short_f, short_b):
+        got = lab.query(0, 1)
+        assert type(got) is int and got == 2**54 - 3
+        assert lab.query(1, 0) == hl.INF
+
+
 def test_query_bad_g_after_greedy():
     g = families.gen_bad_g(3)
     ids = families.bad_g_ids(3)
