@@ -173,6 +173,8 @@ def _build_labeling(g, d, args, order: Order | None):
 
 
 def _cmd_build(args) -> int:
+    if args.trace and args.algo in ("canonical", "sphs"):  # they record no trace
+        raise ValueError(f"--trace is not available for --algo {args.algo}")
     order = _read_order(args)
     g = _read_graph(args.graph)
     d = all_pairs_distances(g)

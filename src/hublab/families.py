@@ -145,7 +145,7 @@ def construct_c4prime_hl() -> Labeling:
     hub_f, hub_b = np.eye(4, dtype=bool), np.eye(4, dtype=bool)
     v = np.arange(4)
     hub_f[v, 3 - v] = hub_b[v, v ^ 1] = True
-    return hub_labeling(all_pairs_distances(gen_cycle4(True)), hub_f, hub_b)
+    return hub_labeling(all_pairs_distances(gen_cycle4(True)), np.nonzero(hub_f), np.nonzero(hub_b))
 
 
 def construct_separator_hl(k: int) -> Labeling:
@@ -157,7 +157,7 @@ def construct_separator_hl(k: int) -> Labeling:
     hub[:, ids.s] = True
     hub[np.ix_(ids.centers, ids.centers)] = True
     hub[ids.leaves, np.repeat(ids.centers, k - 1)] = True  # leaves run star-major
-    return hub_labeling(all_pairs_distances(g), hub)
+    return hub_labeling(all_pairs_distances(g), np.nonzero(hub))
 
 
 def reduce_vc_undirected(g: Graph, unique_shortest_paths: bool = False) -> Graph:
@@ -229,7 +229,7 @@ def construct_reduction_labeling_undirected(gp: Graph, vc) -> Labeling:
         x = u if u in vc else v
         y = v if x == u else u
         hub[[3 * y, 3 * y + 1, 3 * y + 2], 3 * x] = True
-    return hub_labeling(all_pairs_distances(gp), hub)
+    return hub_labeling(all_pairs_distances(gp), np.nonzero(hub))
 
 
 def reduce_vc_directed(g: Graph) -> Graph:
@@ -288,7 +288,7 @@ def construct_reduction_labeling_directed(gp: Graph, vc) -> Labeling:
         else:
             hub_f[t, h] = True
     hub_f[0, [2 + 2 * v for v in vc]] = True
-    return hub_labeling(all_pairs_distances(gp), hub_f, hub_b)
+    return hub_labeling(all_pairs_distances(gp), np.nonzero(hub_f), np.nonzero(hub_b))
 
 
 class _NonTreePairs(Sequence):

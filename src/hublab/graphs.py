@@ -18,9 +18,9 @@ MAX_TOTAL_LENGTH = 2**53
 # The pivot loop's n^2 temporary exists only up to PIVOT_MAX_N vertices; the
 # searches above it need none. Vertex ids fit in uint16.
 MAX_VERTICES = 20_000
-# Largest vertex count whose distances come from the pivot loop. It was no
-# slower than the per-source searches on random graphs, trees and paths up to
-# here; paths of 550 to 800 vertices were up to 1.9x slower, 1,200 2.8x.
+# Largest vertex count whose distances come from the pivot loop, fitted before its
+# int16 fill made that loop faster above it too (a path of 800: 0.15 s against
+# 0.26 s by the searches); ROADMAP item 3 holds the sweep for a refit.
 PIVOT_MAX_N = 500
 
 
@@ -287,11 +287,13 @@ class DistMatrix:
         return self._float
 
     def dist(self, u: int, v: int) -> int | float:
+        if u < 0 or v < 0:  # numpy would count it from the end; n and above raise
+            raise IndexError(f"vertex {min(u, v)} out of range for {self.n} vertices")
         x = int(self._into[v, u])
         return x if x < self.unreachable else INF
 
     def finite(self, u: int, v: int) -> bool:
-        return bool(self._into[v, u] < self.unreachable)
+        return self.dist(u, v) != INF
 
     def reachable_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Sources and targets of all reachable pairs, sorted; canonical u <= w when undirected."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -90,8 +91,7 @@ def _select(d: DistMatrix, engine: CoverageState, algo: str, step) -> tuple[Labe
     head (an undirected step names every receiver a tail), the given
     still-uncovered pairs are covered and the step is recorded.
     """
-    n = d.n
-    trace = RunTrace(algo, d.directed, n)
+    trace = RunTrace(algo, d.directed, d.n)
     while engine.uncovered_count:
         v, score, tails, heads, pids, level = step(engine)
         if not len(pids):
@@ -102,15 +102,17 @@ def _select(d: DistMatrix, engine: CoverageState, algo: str, step) -> tuple[Labe
         trace.iterations.append(
             IterationRecord(v, score, len(pids), before, after, tails, heads, level)
         )
-    # The tables are filled only now, so none exists while a counter is seeded;
-    # an undirected step has no heads, so there is no backward table.
-    hub_f = np.zeros((n, n), dtype=bool)
-    hub_b = np.zeros((n, n), dtype=bool) if d.directed else None
-    for rec in trace.iterations:
-        hub_f[list(rec.receivers_fwd), rec.vertex] = True
-        if d.directed:
-            hub_b[list(rec.receivers_bwd), rec.vertex] = True
-    return hub_labeling(d, hub_f, hub_b), trace
+    recs = trace.iterations
+    centers = np.array([rec.vertex for rec in recs], np.int64)
+
+    def entries(receivers: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+        """(receiver, hub) entries: each step's center goes to each of its receivers."""
+        owners = np.fromiter(chain.from_iterable(receivers), np.int64)
+        return owners, np.repeat(centers, [len(r) for r in receivers])
+
+    # An undirected step has no heads, so there is no backward side.
+    bwd = entries([rec.receivers_bwd for rec in recs]) if d.directed else None
+    return hub_labeling(d, entries([rec.receivers_fwd for rec in recs]), bwd), trace
 
 
 # Each picker returns the best center, its score and its level (d-HHL only);

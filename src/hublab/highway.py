@@ -270,7 +270,7 @@ def sphs_to_hhl(g: Graph, d: DistMatrix, ms: MultiscaleSPHS):
     for j, members in enumerate(ms.levels):
         cj = np.array(sorted(members), dtype=np.int64)
         hub[:, cj] |= (d.exact()[:, cj] <= _within(d, 2**j)) & (rank[cj] < rank[:, None])
-    return order, hub_labeling(d, hub)
+    return order, hub_labeling(d, np.nonzero(hub))
 
 
 @dataclass(frozen=True)

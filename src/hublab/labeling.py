@@ -45,6 +45,8 @@ class Order:
         return len(self._ranks)
 
     def rank(self, v: int) -> int:
+        if v < 0:  # a tuple would count it from the end
+            raise IndexError(f"vertex {v} out of range for an order of {self.n} vertices")
         return self._ranks[v]
 
     def by_rank(self) -> list[int]:
@@ -91,14 +93,10 @@ def _csr(n: int, own, hub, dist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if dist[i] < 0:
             raise ValueError(f"vertex {v}: negative hub distance")
         raise ValueError(f"vertex {v}: hub distance reaches 2^53, above any distance")
-    return _frozen(np.searchsorted(own, np.arange(n + 1)), hub, dist)
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``arrays``, made read-only: a ``Labeling``'s hash and cached views rely on it."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    ptr = np.searchsorted(own, np.arange(n + 1))
+    for a in (ptr, hub, dist):
+        a.flags.writeable = False  # a Labeling's hash and cached views rely on it
+    return ptr, hub, dist
 
 
 def _rows_csr(n: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,7 +125,8 @@ class Labeling:
     ``ptr[v]:ptr[v + 1]``, hubs strictly increasing. Directed labelings keep a
     forward side ``fwd_csr`` and a backward side ``bwd_csr``; undirected ones
     one side in both roles. Rows given to the constructor (n iterables of
-    ``(hub, dist)`` pairs, or dicts, per side) are checked as a parsed file is.
+    ``(hub, dist)`` pairs, or dicts, per side), a parsed file and the entries
+    ``hub_labeling`` assembles all reach the arrays through ``_csr``'s checks.
     ``fwd[v]`` / ``bwd[v]`` give rows of ``(hub, dist)`` tuples, and ``query`` and ``hubs``
     read one hub -> dist dict per vertex and side; both views are built on first read.
     """
@@ -143,11 +142,14 @@ class Labeling:
             raise ValueError("undirected labeling stores a single list per vertex")
 
     @classmethod
-    def from_csr(cls, directed: bool, n: int, fwd: tuple, bwd: tuple | None = None) -> "Labeling":
-        """Wrap CSR sides already in the form the class keeps; nothing is checked."""
+    def _from_entries(cls, directed: bool, n: int, fwd, bwd=None) -> "Labeling":
+        """A labeling from each side's entries ``(vertices, hubs, distances)``,
+        sorted and checked by ``_csr``; an undirected labeling has one side."""
         lab = cls.__new__(cls)
-        lab.directed, lab.n, lab.fwd_csr = directed, n, fwd
-        lab.bwd_csr = fwd if bwd is None else bwd
+        lab.directed, lab.n = directed, n
+        lab.fwd_csr = lab.bwd_csr = _csr(n, *fwd)
+        if directed:
+            lab.bwd_csr = _csr(n, *bwd)
         return lab
 
     def _sides(self) -> tuple:
@@ -358,28 +360,27 @@ def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:
         hubs = by_rank[np.argmax(path_membership(d, u, cols)[:, by_rank], axis=1)]
         hub_f[u, hubs] = True
         hub_b[cols, hubs] = True
-    return hub_labeling(d, hub_f, hub_b if d.directed else None)
+    return hub_labeling(d, np.nonzero(hub_f), np.nonzero(hub_b) if d.directed else None)
 
 
-def hub_labeling(d: DistMatrix, hub_f: np.ndarray, hub_b: np.ndarray | None = None) -> Labeling:
-    """Labeling from owner-by-hub boolean tables, each hub at its exact distance:
-    the one reader of label distances from ``d``.
+def hub_labeling(d: DistMatrix, fwd, bwd=None) -> Labeling:
+    """Labeling from hub entries, each hub at its exact distance: the one reader
+    of label distances from ``d``.
 
-    ``hub_f[v, h]`` puts h in v's forward label at dist(v, h) and ``hub_b[v, h]``
-    in v's backward label at dist(h, v); an undirected labeling has one table.
-    Every marked hub must be reachable along its side. A side's CSR arrays come
-    from one row-major ``nonzero`` (hubs ascending, distinct) and one gather of
-    exact distances, so they are in the form ``Labeling`` keeps and go in unchecked.
+    A side is a pair of int arrays ``(owners, hubs)``: entry i puts ``hubs[i]``
+    in the forward label of ``owners[i]`` at dist(owner, hub) for ``fwd``, in
+    its backward label at dist(hub, owner) for ``bwd``; an undirected labeling
+    has only ``fwd``. ``np.nonzero`` of an owner-by-hub boolean table is such a
+    pair. Every hub must be reachable along its side. Entries come in any order
+    and may repeat: ``_csr`` sorts and checks them as it does a parsed file's.
     """
-    into = d.exact()  # into[w, v] = dist(v, w), so into.T[v, h] = dist(v, h)
-
-    def side(hub: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        owners, hubs = np.nonzero(hub)
-        ptr = np.searchsorted(owners, np.arange(d.n + 1))
-        return _frozen(ptr, hubs.astype(np.int64), dist[owners, hubs].astype(np.int64))
-
-    bwd = None if hub_b is None else side(hub_b, into)
-    return Labeling.from_csr(d.directed, d.n, side(hub_f, into.T), bwd)
+    into = d.exact()  # into[w, v] = dist(v, w)
+    own, hub = fwd
+    sides = [(own, hub, into[hub, own])]  # dist(owner, hub)
+    if bwd is not None:
+        own, hub = bwd
+        sides.append((own, hub, into[own, hub]))  # dist(hub, owner)
+    return Labeling._from_entries(d.directed, d.n, *sides)
 
 
 def respects_order(l: Labeling, pi: Order) -> bool:
@@ -456,7 +457,6 @@ def parse_labeling(text: str) -> Labeling:
     if not und and (fwd != set(range(n)) or bwd != fwd):
         raise LabelFormatError("label lines must cover vertices 0..n-1 on both sides")
     try:
-        sides = [_csr(n, *entries[tag]) for tag in (("l",) if und else ("f", "b"))]
+        return Labeling._from_entries(not und, n, *map(entries.get, "l" if und else "fb"))
     except ValueError as exc:
         raise LabelFormatError(str(exc)) from None
-    return Labeling.from_csr(not und, n, *sides)

@@ -11,7 +11,7 @@ import numpy as np
 from .centers import CenterGraph, EmptyCenterGraphError, PathIndex
 from .graphs import DistMatrix, Graph, TooLargeError, all_pairs_distances
 from .graphs import path_membership  # noqa: F401 -- perfbench/tracing.py patches it here
-from .labeling import Labeling, Order, _cut, canonical_hhl, hub_labeling
+from .labeling import Labeling, Order, canonical_hhl, hub_labeling
 
 OPT_HHL_MAX_N = 20  # the subset DP's cost table is n x 2^n bytes: 1 MB at n = 16, 20 MB at 20
 
@@ -127,6 +127,7 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
 
     fwd: list[set[int]] = [set() for _ in range(n)]
     bwd: list[set[int]] = [set() for _ in range(n)] if d.directed else fwd
+    sides = (fwd, bwd) if d.directed else (fwd,)
 
     # Incumbents: cheap canonical labelings (covering the target as a subset of
     # all pairs) and the set-cover approximation on the target itself. Either
@@ -141,13 +142,8 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
     from .cohen import run_cohen_hl
 
     candidates.append(run_cohen_hl(d, pairs)[0])
-    upper = None
-    best_f = best_b = None
-    for cand in candidates:
-        if upper is None or cand.size < upper:
-            upper = cand.size
-            sides = (cand.fwd_csr, cand.bwd_csr)
-            best_f, best_b = ([set(row) for row in _cut(p, h.tolist())] for p, h, _ in sides)
+    best = min(candidates, key=lambda cand: cand.size)  # the first of the smallest
+    upper = best.size
 
     # Undirected self pairs cost one entry: both sides are the same list.
     collapse = [not d.directed and s == t for s, t in pairs]
@@ -178,15 +174,14 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
     budget_left = budget
 
     def dfs(uncovered: list[int], current: int) -> None:
-        nonlocal upper, best_f, best_b, nodes, exhausted_lb, budget_left
+        nonlocal upper, best, nodes, exhausted_lb, budget_left
         nodes += 1
         budget_left -= 1
         still = [i for i in uncovered if cost[i]]
         if not still:
             if current < upper:
-                upper = current
-                best_f = [set(x) for x in fwd]
-                best_b = [set(x) for x in bwd] if d.directed else best_f
+                upper = current  # a copy as (owner, hub) entries: the sets keep changing
+                best = [[(v, h) for v, hs in enumerate(side) for h in hs] for side in sides]
             return
         # Slot-disjoint pairs need disjoint new entries, so their costs add up.
         lb, used = current, 0
@@ -243,11 +238,9 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
     dfs(static, forced_cost)
     complete = exhausted_lb is None
     lower = upper if complete else min(upper, exhausted_lb)
-    hub_f, hub_b = np.zeros((2, n, n), dtype=bool)
-    for v in range(n):
-        hub_f[v, list(best_f[v])] = hub_b[v, list(best_b[v])] = True
-    labeling = hub_labeling(d, hub_f, hub_b if d.directed else None)
-    return HlBnbResult(lower, upper, labeling, complete, nodes)
+    if not isinstance(best, Labeling):  # the search beat every candidate
+        best = hub_labeling(d, *(np.array(x, np.int64).reshape(-1, 2).T for x in best))
+    return HlBnbResult(lower, upper, best, complete, nodes)
 
 
 def exact_mds(cg: CenterGraph, limit: int = 20):

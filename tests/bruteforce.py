@@ -532,7 +532,7 @@ def optimal_hl_bnb_reference(d: hl.DistMatrix, pairs=None, budget: int = 1_000_0
     hub_f, hub_b = np.zeros((2, n, n), dtype=bool)
     for v in range(n):
         hub_f[v, list(best_f[v])] = hub_b[v, list(best_b[v])] = True
-    labeling = hub_labeling(d, hub_f, hub_b if d.directed else None)
+    labeling = hub_labeling(d, np.nonzero(hub_f), np.nonzero(hub_b) if d.directed else None)
     return hl.HlBnbResult(lower, upper, labeling, complete, nodes)
 
 

@@ -584,6 +584,26 @@ def test_canonical_without_order_exits_2_before_reading_the_graph(tmp_path, monk
     assert not (tmp_path / "x.labels").exists()
 
 
+@pytest.mark.parametrize("algo", ["canonical", "sphs"])
+def test_trace_for_an_algorithm_without_one_exits_2_before_reading_the_graph(
+    algo, tmp_path, monkeypatch, capsys
+):
+    def refuse(*args):
+        raise AssertionError("graph work before the argument check")
+
+    monkeypatch.setattr("hublab.cli.parse_graph", refuse)
+    monkeypatch.setattr("hublab.cli.all_pairs_distances", refuse)
+    graph, order = tmp_path / "p3.gr", tmp_path / "p3.order"
+    graph.write_text(hl.serialize_graph(path_graph(3)))
+    order.write_text("0\n1\n2\n")
+    labels, trace = tmp_path / "x.labels", tmp_path / "x.trace.json"
+    argv = ["build", str(graph), "--algo", algo, "--order", str(order)]
+    assert main([*argv, "--out", str(labels), "--trace", str(trace)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --trace is not available for --algo {algo}\n"
+    assert not labels.exists() and not trace.exists()
+
+
 def test_sphs_build_past_the_path_cap_exits_3(tmp_path, monkeypatch, capsys):
     def over_cap(g, d, cap):
         raise hl.CapExceededError(f"more than {cap} shortest paths")

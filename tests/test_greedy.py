@@ -201,3 +201,19 @@ def test_g_hhl_selection_peaks_near_the_engine(monkeypatch):
         tracemalloc.stop()
     assert trace.iterations[0].covered == 10_046
     assert peak - kept[0] < 5 << 18  # 1.25 MiB
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_g_hhl_on_few_pairs_allocates_no_n_by_n_table(directed):
+    # 3,000 vertices and two edges: the labeling has about 2n entries, so the run
+    # after APSP (engine, selection and assembly) must stay far below the 8.6 MiB
+    # of one n x n bool table, which an assembly from owner-by-hub tables needs.
+    d = hl.all_pairs_distances(hl.Graph(directed, 3000, [(0, 1, 1), (1, 2, 1)]))
+    tracemalloc.start()
+    try:
+        lab = hl.run_g_hhl(d)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lab.size == (6002 if directed else 3002)
+    assert peak < 4 << 20

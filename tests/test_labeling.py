@@ -70,6 +70,27 @@ def test_query_rejects_ids_outside_the_labeling():
         assert lab.query(0, 0) == 0 and 0 in lab.hubs(0)
 
 
+def test_distances_and_ranks_reject_ids_outside_0_to_n_minus_1():
+    """``DistMatrix.dist``, ``DistMatrix.finite`` and ``Order.rank`` raise
+    ``IndexError`` for every id outside 0..n-1: a negative one does not alias
+    the vertex n of its own offset from the end."""
+    graphs = [families.gen_random(5, 6, 4, 1), gen_random_directed(5, 8, 4, 1)]
+    graphs += [hl.Graph(False, 1, []), hl.Graph(True, 2, [(0, 1, 3)])]
+    assert {g.directed for g in graphs} == {False, True}
+    for g in graphs:
+        d, n = hl.all_pairs_distances(g), g.n
+        order = hl.Order(range(1, n + 1))
+        for bad in [*range(-n - 1, 0), n, n + 1]:
+            for u, v in ((bad, 0), (0, bad), (bad, bad)):
+                with pytest.raises(IndexError):
+                    d.dist(u, v)
+                with pytest.raises(IndexError):
+                    d.finite(u, v)
+            with pytest.raises(IndexError):
+                order.rank(bad)
+        assert d.dist(0, 0) == 0 and d.finite(0, 0) and order.rank(n - 1) == n
+
+
 def test_query_sums_stay_exact_above_2_to_the_53():
     """The one common hub sits at 2^53 - 1 and 2^53 - 2, so the answer is
     2^54 - 3, which float64 cannot hold; either row in turn is the smaller."""
@@ -299,7 +320,7 @@ def test_hub_labeling_reads_each_side_the_right_way():
         reach = np.array(best) < math.inf  # [v, h]: h reachable from v
         hub_f = reach & (rng.random(reach.shape) < 0.5)
         hub_b = reach.T & (rng.random(reach.shape) < 0.5) if g.directed else None
-        lab = hub_labeling(d, hub_f, hub_b)
+        lab = hub_labeling(d, np.nonzero(hub_f), None if hub_b is None else np.nonzero(hub_b))
         assert lab.directed == g.directed
         for v in range(g.n):
             assert [h for h, _ in lab.fwd[v]] == np.flatnonzero(hub_f[v]).tolist()
@@ -312,15 +333,22 @@ def test_hub_labeling_reads_each_side_the_right_way():
 
 
 def test_hub_labeling_equals_the_checked_assembly():
-    # Random tables over reachable cells, with whole rows left empty; the rows
-    # handed to Labeling unchecked must equal the checked constructor's to the
-    # byte and hash alike, with every entry a Python int.
+    # Random tables over reachable cells, with whole rows left empty; their
+    # entries, each given twice and all shuffled, must build the checked
+    # row-by-row constructor's labeling to the byte and hash alike, with every
+    # entry a Python int.
     graphs = [hl.Graph(False, 0, []), hl.Graph(True, 0, []), hl.Graph(False, 1, [])]
     graphs += [hl.Graph(True, 1, []), edge2(), hl.Graph(True, 2, [(0, 1, 0)])]
     graphs += [gen_random_directed(n, 4, 5, 4500 + n) for n in range(3, 10)]
     graphs += seeded_graphs(8, 9, 4600)
     graphs += [with_zero_arcs(g, random.Random(i)) for i, g in enumerate(graphs[6:])]
     rng = np.random.default_rng(4700)
+
+    def shuffled(table):
+        own, hub = np.nonzero(table)
+        at = rng.permutation(np.tile(np.arange(own.size), 2))
+        return own[at], hub[at]
+
     for g in graphs:
         d = hl.all_pairs_distances(g)
         reach = d.exact().T < d.unreachable  # [v, h]: h reachable from v
@@ -328,7 +356,8 @@ def test_hub_labeling_equals_the_checked_assembly():
             keep = rng.random((g.n, 1)) < 0.7  # the other rows stay empty
             hub_f = reach & keep & (rng.random(reach.shape) < density)
             hub_b = reach.T & (rng.random(reach.shape) < density) if g.directed else None
-            lab, ref = hub_labeling(d, hub_f, hub_b), hub_labeling_checked(d, hub_f, hub_b)
+            lab = hub_labeling(d, shuffled(hub_f), None if hub_b is None else shuffled(hub_b))
+            ref = hub_labeling_checked(d, hub_f, hub_b)
             assert lab == ref and hash(lab) == hash(ref)
             assert hl.serialize_labeling(lab) == hl.serialize_labeling(ref)
             sides = (lab.fwd, lab.bwd) if g.directed else (lab.fwd,)
