@@ -90,18 +90,41 @@ def _select(d: DistMatrix, engine: CoverageState, algo: str, step) -> tuple[Labe
     The center becomes a forward hub of each tail and a backward hub of each
     head (an undirected step names every receiver a tail), the given
     still-uncovered pairs are covered and the step is recorded.
+
+    Once every uncovered pair's shortest-path row is one vertex, the rest of
+    the run is one cover. Such a pair is an own pair [x, x] (any other row
+    holds both ends of its pair), so each remaining step takes only its
+    center's own pair and changes no other center's counters or center graph:
+    every remaining center scores as the first such step's did, and ties go
+    to the lowest id. That step still runs (it gives the score and level, and
+    Cohen's step solves every candidate); the rest are recorded in id order.
     """
     trace = RunTrace(algo, d.directed, d.n)
+
+    def own(u: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Receivers of a step taking u's own pair: u as a tail, and as a head when directed."""
+        return (u,), (u,) if d.directed else ()
+
     while engine.uncovered_count:
+        tail = int(engine.edges.sum()) == engine.uncovered_count
         v, score, tails, heads, pids, level = step(engine)
         if not len(pids):
             raise AssertionError(f"center {v} covers no uncovered pair")
+        if tail and (v, len(pids), tails, heads) != (np.flatnonzero(engine.edges)[0], 1, *own(v)):
+            raise AssertionError(f"tail step at {v} is not the lowest center taking its own pair")
         before = engine.uncovered_count
         engine.cover_pairs(pids)
         after = engine.uncovered_count
         trace.iterations.append(
             IterationRecord(v, score, len(pids), before, after, tails, heads, level)
         )
+        if tail:
+            rest = np.flatnonzero(engine.uncovered)  # own pairs, so in ascending vertex order
+            engine.cover_pairs(rest)
+            trace.iterations += [
+                IterationRecord(u, score, 1, after - i, after - i - 1, *own(u), level)
+                for i, u in enumerate(engine.index.u[rest].tolist())
+            ]
     recs = trace.iterations
     centers = np.array([rec.vertex for rec in recs], np.int64)
 

@@ -66,15 +66,19 @@ class Order:
 
 
 def _csr(n: int, own, hub, dist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One side as CSR arrays ``(ptr, hub, dist)`` from its entries' vertices (in
-    0..n-1), hubs and distances, ints in any order: sorted by (vertex, hub),
-    repeats of an entry dropped. The first vertex with a hub at two distances,
-    or else with a hub out of range, a negative distance or one from 2^53 on,
-    raises ``ValueError``."""
+    """One side as CSR arrays ``(ptr, hub, dist)`` from its entries' vertices,
+    hubs and distances, ints in any order: sorted by (vertex, hub), repeats of
+    an entry dropped. The first entry with a vertex outside 0..n-1 raises
+    ``ValueError``; so does, next, the first vertex with a hub at two
+    distances, or else with a hub out of range, a negative distance or one
+    from 2^53 on."""
     try:
         own, hub, dist = (np.array(x, np.int64) for x in (own, hub, dist))
     except OverflowError:  # an int beyond int64 is out of range anyway: clamp it
-        return _csr(n, own, *([min(max(x, -(2**62)), 2**62) for x in xs] for xs in (hub, dist)))
+        return _csr(n, *([min(max(x, -(2**62)), 2**62) for x in xs] for xs in (own, hub, dist)))
+    out = np.flatnonzero((own < 0) | (own >= n))
+    if out.size:
+        raise ValueError(f"entry {out[0]}: vertex {own[out[0]]} out of range")
     at = np.lexsort((hub, own))  # a hub's entries in one row end up adjacent
     own, hub, dist = own[at], hub[at], dist[at]
     first = np.ones(own.size, bool)  # the first entry of its (vertex, hub)
@@ -371,15 +375,28 @@ def hub_labeling(d: DistMatrix, fwd, bwd=None) -> Labeling:
     in the forward label of ``owners[i]`` at dist(owner, hub) for ``fwd``, in
     its backward label at dist(hub, owner) for ``bwd``; an undirected labeling
     has only ``fwd``. ``np.nonzero`` of an owner-by-hub boolean table is such a
-    pair. Every hub must be reachable along its side. Entries come in any order
-    and may repeat: ``_csr`` sorts and checks them as it does a parsed file's.
+    pair. Entries come in any order and may repeat: ``_csr`` sorts and checks
+    them as it does a parsed file's. The first entry of a side with an owner
+    or hub outside 0..n-1, or with its hub unreachable along the side, raises
+    ``ValueError``.
     """
     into = d.exact()  # into[w, v] = dist(v, w)
-    own, hub = fwd
-    sides = [(own, hub, into[hub, own])]  # dist(owner, hub)
-    if bwd is not None:
-        own, hub = bwd
-        sides.append((own, hub, into[own, hub]))  # dist(hub, owner)
+    sides = []
+    for name, side in (("forward", fwd), ("backward", bwd)):
+        if side is None:
+            continue
+        own, hub = (np.asarray(x, np.int64) for x in side)
+        out = np.flatnonzero((own < 0) | (own >= d.n) | (hub < 0) | (hub >= d.n))
+        if out.size:
+            i = out[0]
+            raise ValueError(f"{name} entry {i}: vertex {own[i]} or hub {hub[i]} out of range")
+        # dist(owner, hub) forward, dist(hub, owner) backward
+        dist = into[hub, own] if name == "forward" else into[own, hub]
+        far = np.flatnonzero(dist == d.unreachable)
+        if far.size:
+            i = far[0]
+            raise ValueError(f"{name} entry {i}: hub {hub[i]} of vertex {own[i]} is unreachable")
+        sides.append((own, hub, dist))
     return Labeling._from_entries(d.directed, d.n, *sides)
 
 

@@ -21,7 +21,7 @@ import hublab as hl
 from hublab import families
 from hublab.centers import CoverageState, PathIndex
 from hublab.graphs import unique_pairs
-from hublab.greedy import _select
+from hublab.greedy import IterationRecord, RunTrace
 from hublab.labeling import hub_labeling
 
 INF = math.inf
@@ -952,6 +952,26 @@ def endpoint_count_graphs(seed: int) -> list[hl.Graph]:
     return graphs + [hl.Graph(directed, n, []) for directed in (False, True) for n in (0, 1)]
 
 
+def select_reference(d: hl.DistMatrix, engine: CoverageState, algo: str, step):
+    """``greedy._select`` one step at a time, with no shortcut for the tail of
+    own pairs: call ``step`` until every pair is covered, record each step and
+    assemble the labeling from the records' (receiver, center) entries."""
+    trace = RunTrace(algo, d.directed, d.n)
+    while engine.uncovered_count:
+        v, score, tails, heads, pids, level = step(engine)
+        if not len(pids):
+            raise AssertionError(f"center {v} covers no uncovered pair")
+        before = engine.uncovered_count
+        engine.cover_pairs(pids)
+        rec = IterationRecord(v, score, len(pids), before, engine.uncovered_count, tails, heads, level)
+        trace.iterations.append(rec)
+    sides = []
+    for side in ("receivers_fwd", "receivers_bwd") if d.directed else ("receivers_fwd",):
+        entries = [(x, rec.vertex) for rec in trace.iterations for x in getattr(rec, side)]
+        sides.append(np.array(entries, np.int64).reshape(-1, 2).T)
+    return hub_labeling(d, *sides), trace
+
+
 def run_cohen_hl_reference(d: hl.DistMatrix, pairs=None, exact_mds: bool = False):
     """Cohen's greedy set cover re-solving every live center's densest subgraph
     on every pick, with no subset cap: the step ``hl.run_cohen_hl`` took before
@@ -973,4 +993,4 @@ def run_cohen_hl_reference(d: hl.DistMatrix, pairs=None, exact_mds: bool = False
         rec_b = tuple(sorted(heads)) if d.directed else ()
         return v, dens, tuple(sorted(tails)), rec_b, covered, None
 
-    return _select(d, engine, "cohen", step)
+    return select_reference(d, engine, "cohen", step)

@@ -5,6 +5,21 @@ import pytest
 import hublab as hl
 from hublab import families
 
+pytest_plugins = ["pytester"]
+
+# Outcomes that tier-1 never accepts: a test that did not run, or whose result
+# was forgiven, checks nothing.
+NOT_RUN = ("skipped", "xfailed", "xpassed")
+
+
+def pytest_sessionfinish(session):
+    """Fail a session that would pass with a skipped, xfailed or xpassed test."""
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    counts = {k: len(reporter.stats.get(k, ())) for k in NOT_RUN} if reporter else {}
+    if session.exitstatus == pytest.ExitCode.OK and any(counts.values()):
+        reporter.write_line(f"tier-1 runs every test: {counts}", red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
 
 def edge2() -> hl.Graph:
     return hl.Graph(False, 2, [(0, 1, 1)])

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import hublab as hl
-from hublab import families, greedy
+from hublab import cohen, families, greedy
 
-from bruteforce import build_center_graph, endpoint_count_graphs, level_profile
+from bruteforce import (
+    build_center_graph,
+    endpoint_count_graphs,
+    level_profile,
+    run_cohen_hl_reference,
+    select_reference,
+)
 from conftest import complete_graph, edge2, seeded_graphs
 
 
@@ -217,3 +224,87 @@ def test_g_hhl_on_few_pairs_allocates_no_n_by_n_table(directed):
         tracemalloc.stop()
     assert lab.size == (6002 if directed else 3002)
     assert peak < 4 << 20
+
+
+RUNS = {"g-hhl": hl.run_g_hhl, "w-hhl": hl.run_w_hhl, "d-hhl": hl.run_d_hhl}
+
+
+def counting_select(monkeypatch, calls: list, engines: list) -> None:
+    """Route every run's selection loop through ``_select`` while counting its
+    ``step`` calls and keeping its engine."""
+    select = greedy._select
+
+    def counted(d, engine, algo, step):
+        engines.append(engine)
+        return select(d, engine, algo, lambda e: calls.append(algo) or step(e))
+
+    monkeypatch.setattr(greedy, "_select", counted)
+    monkeypatch.setattr(cohen, "_select", counted)
+
+
+def _tail_cases():
+    """(name, graph, pairs): both kinds, with zero-length arcs (a self pair's
+    row then may hold 2 vertices), unreachable pairs, bad-g 2-5, bad-w 2 and
+    n = 0/1 (``endpoint_count_graphs``); then explicit pair subsets for Cohen,
+    each drawn with its self pairs, again without them and as self pairs alone."""
+    for i, g in enumerate(endpoint_count_graphs(2600)):
+        yield f"graph-{i}", g, None
+    rng = random.Random(2700)
+    for i, g in enumerate(endpoint_count_graphs(2800)[:16]):
+        pairs = [p for p in hl.all_pairs_distances(g).reachable_pairs() if rng.random() < 0.6]
+        yield f"subset-{i}", g, pairs
+        yield f"subset-{i}-no-self", g, [(u, w) for u, w in pairs if u != w]
+        yield f"subset-{i}-self", g, [(u, w) for u, w in pairs if u == w]
+
+
+def test_tail_shortcut_matches_the_step_by_step_loop(monkeypatch):
+    # Labels, trace and order equal the loop that calls every step, for
+    # g/w/d-HHL and for Cohen peeled and exact, and the shortcut fires.
+    calls, engines, records = [], [], 0
+    for name, g, pairs in _tail_cases():
+        d = hl.all_pairs_distances(g)
+        runs = []
+        if pairs is None:
+            for algo, run in RUNS.items():
+                with monkeypatch.context() as m:
+                    counting_select(m, calls, engines)
+                    order, lab, trace = run(d)
+                with monkeypatch.context() as m:
+                    m.setattr(greedy, "_select", select_reference)
+                    want_order, want_lab, want_trace = run(d)
+                assert order == want_order, (name, algo)
+                runs.append((algo, lab, trace, want_lab, want_trace))
+        for exact in (False, True) if g.n <= 8 else (False,):
+            with monkeypatch.context() as m:
+                counting_select(m, calls, engines)
+                lab, trace = hl.run_cohen_hl(d, pairs, exact_mds=exact)
+            runs.append((f"cohen exact={exact}", lab, trace, *run_cohen_hl_reference(d, pairs, exact)))
+        for algo, lab, trace, want_lab, want_trace in runs:
+            assert hl.serialize_labeling(lab) == hl.serialize_labeling(want_lab), (name, algo)
+            assert trace.to_dict() == want_trace.to_dict(), (name, algo)
+            records += len(trace.iterations)
+    assert not any(e.uncovered_count or e.edges.any() or e.uncovered.any() for e in engines)
+    assert len(calls) < records
+
+
+@pytest.mark.parametrize(
+    "graph, steps",
+    [
+        (families.gen_bad_g(20), {"g-hhl": 42, "w-hhl": 22, "d-hhl": 42}),
+        (families.gen_random(300, 600, 10, 11), {"g-hhl": 172, "w-hhl": 273, "d-hhl": 169}),
+    ],
+    ids=["bad-g-20", "random-300"],
+)
+def test_tail_of_own_pairs_takes_one_step(monkeypatch, graph, steps):
+    # From the first step after which every uncovered pair is a one-vertex own
+    # pair, one step call finishes the run; the trace still has a record per
+    # pick (bad-g k=20: 420, 440 and 420 of its 461 are own-pair steps), and
+    # the engine ends with no uncovered pair and no edge.
+    d = hl.all_pairs_distances(graph)
+    for algo, run in RUNS.items():
+        calls, engines = [], []
+        counting_select(monkeypatch, calls, engines)
+        trace = run(d)[2]
+        assert (len(calls), len(trace.iterations)) == (steps[algo], graph.n), algo
+        (engine,) = engines
+        assert engine.uncovered_count == 0 and not engine.edges.any() and not engine.uncovered.any()

@@ -365,6 +365,40 @@ def test_hub_labeling_equals_the_checked_assembly():
             assert all(type(x) is int for side in sides for row in side for e in row for x in e)
 
 
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("owner", [-1, 3])
+def test_entries_with_an_owner_out_of_range_raise(directed, owner):
+    # Owner -1 used to read vertex n-1's distances and owner n to raise
+    # IndexError in hub_labeling; the store itself dropped such an entry.
+    d = hl.all_pairs_distances(hl.Graph(directed, 3, [(0, 1, 1), (1, 2, 1)]))
+    side = ([0, owner], [0, 0], [0, 1])
+    with pytest.raises(ValueError, match=f"entry 1: vertex {owner} out of range"):
+        hl.Labeling._from_entries(directed, 3, side, side if directed else None)
+    good = ([0], [0])
+    with pytest.raises(ValueError, match=f"forward entry 1: vertex {owner} or hub 0 out of range"):
+        hub_labeling(d, ([0, owner], [0, 0]), good if directed else None)
+    with pytest.raises(ValueError, match=f"forward entry 0: vertex 0 or hub {owner} out of range"):
+        hub_labeling(d, ([0], [owner]), good if directed else None)
+    if directed:
+        with pytest.raises(ValueError, match=f"backward entry 0: vertex {owner} or hub 1 out of range"):
+            hub_labeling(d, good, ([owner], [1]))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_hub_labeling_refuses_unreachable_hubs(directed):
+    d = hl.all_pairs_distances(hl.Graph(directed, 3, [(0, 1, 2)]))
+    if directed:  # 1 is unreachable from 2, and 2 from 0
+        with pytest.raises(ValueError, match="forward entry 1: hub 1 of vertex 2 is unreachable"):
+            hub_labeling(d, ([0, 2], [0, 1]), ([0], [0]))
+        with pytest.raises(ValueError, match="backward entry 0: hub 0 of vertex 2 is unreachable"):
+            hub_labeling(d, ([0], [0]), ([2], [0]))
+        assert hub_labeling(d, ([0], [1]), ([1], [0])).fwd[0] == ((1, 2),)
+    else:
+        with pytest.raises(ValueError, match="forward entry 0: hub 0 of vertex 2 is unreachable"):
+            hub_labeling(d, ([2, 0], [0, 1]))
+        assert hub_labeling(d, ([2, 0], [2, 1])).fwd[0] == ((1, 2),)
+
+
 def test_respects_order():
     c4 = families.gen_cycle4(False)
     d = hl.all_pairs_distances(c4)
