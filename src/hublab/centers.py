@@ -8,14 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DistMatrix, path_membership, unique_pairs
+from . import graphs
+from .graphs import DistMatrix, pair_arrays, path_membership, ranges
 
 NEG_INF_LEVEL = float("-inf")
-
-# Incidence entries handled at once where a pass could reach every entry (the
-# transpose of a PathIndex, the counts of a cover): each int64 temporary of a
-# block is then 128 KiB.
-BLOCK = 2**14
 
 
 class EmptyCenterGraphError(ValueError):
@@ -93,58 +89,35 @@ class PathIndex:
     ascending. Vertex ids (``verts``) are uint16, as n <= ``MAX_VERTICES`` <
     2^16, so readers widen them before arithmetic; pair ids are int32. The
     level is read by ``frexp``, exact on the int16 distances (as float32) and
-    on wider ones (as float64). ``pairs`` is any iterable of ``(u, w)`` and
-    defaults to every reachable pair. Undirected pairs are put min-first,
-    duplicates dropped and the list sorted, as the source grouping requires;
-    ids out of range and unreachable pairs raise ``ValueError``.
+    on wider ones (as float64).
 
-    Built one source at a time. The targets of every pair come from the
-    distance columns of their sources, ``BLOCK`` cells at a time. Each
-    source's rows come from the column-restricted membership predicate, an
-    (its pairs) x n table, and each pair's length goes straight into ``ptr``.
-    ``vpairs`` is filled by a counting transpose over runs of at most
-    ``BLOCK`` entries. ``verts`` exists twice while the rows are joined, but
-    ``vpairs`` (twice its size) does not exist yet. So the peak is the kept
-    arrays plus the larger of one source's table and one run's temporaries:
-    on ``gen_random(300, 600, 10, 11)``, 2.97 MiB against 2.47 MiB kept.
+    The pair list is ``d.reachable_arrays()``, the blocked scan of every
+    reachable pair, or ``pair_arrays(d, pairs)`` of the caller's ``(u, w)``
+    (checked, undirected ones min-first, deduplicated and sorted); an
+    unreachable pair raises ``ValueError``. Rows are built one source at a
+    time from the membership predicate, an (its pairs) x n table, each
+    pair's length going straight into ``ptr``; ``vpairs`` by a counting
+    transpose over the runs of ``blocks``. ``verts`` exists twice while the
+    rows are joined, but ``vpairs`` (twice its size) does not exist yet. So
+    the peak is the kept arrays plus the larger of one source's table and
+    one run's temporaries: on ``gen_random(300, 600, 10, 11)``, 2.87 MiB
+    against 2.47 MiB kept.
     """
 
     def __init__(self, d: DistMatrix, pairs=None):
-        into, n, far = d.exact(), d.n, d.unreachable
-        step = max(BLOCK // max(n, 1), 1)  # sources at once: (their count) x n cells, at most BLOCK
-        spans = [(a, min(a + step, n)) for a in range(0, n, step)]
-
-        def reach(a: int, b: int) -> np.ndarray:
-            """Row s - a marks the targets w of source s: reachable, and w >= s when undirected."""
-            fin = into[:, a:b].T < far
-            return fin if d.directed else fin & (np.arange(n) >= np.arange(a, b)[:, None])
-
-        if pairs is None:
-            counts = np.zeros(n, np.int64)
-            for a, b in spans:
-                counts[a:b] = np.count_nonzero(reach(a, b), axis=1)
-            us, ws = np.repeat(np.arange(n, dtype=np.int32), counts), None
-        else:
-            uw = np.array([(u, w) for u, w in pairs], dtype=np.int64).reshape(-1, 2)
-            out = np.flatnonzero(((uw < 0) | (uw >= n)).any(axis=1))
-            if out.size:
-                raise ValueError(f"pair ({uw[out[0], 0]},{uw[out[0], 1]}) out of range")
-            if not d.directed:
-                uw.sort(axis=1)
-            us, ws = unique_pairs(*uw.T)
-            bad = np.flatnonzero(into[ws, us] == far)
-            if bad.size:
-                u, w = us[bad[0]], ws[bad[0]]
-                raise ValueError(f"pair ({u},{w}) is unreachable and can never be covered")
-        self.u = us.astype(np.int32, copy=False)
+        into, n = d.exact(), d.n
+        uw = d.reachable_arrays() if pairs is None else pair_arrays(d, pairs)
+        self.u, self.w = (x.astype(np.int32) for x in uw)
+        del uw
+        dist = into[self.w, self.u]
+        bad = np.flatnonzero(dist == d.unreachable)
+        if bad.size:
+            u, w = self.u[bad[0]], self.w[bad[0]]
+            raise ValueError(f"pair ({u},{w}) is unreachable and can never be covered")
+        self.level = (np.frexp(dist)[1] - 1).astype(np.int8)
+        del dist
         self.source_ptr = np.searchsorted(self.u, np.arange(n + 1))
-        if ws is None:
-            self.w = np.empty(len(us), np.int32)
-            for a, b in spans:
-                self.w[self.source_ptr[a] : self.source_ptr[b]] = np.flatnonzero(reach(a, b)) % n
-        else:
-            self.w = ws.astype(np.int32)
-        self.ptr = np.zeros(len(us) + 1, np.int64)  # pair lengths, then their running sums
+        self.ptr = np.zeros(len(self.u) + 1, np.int64)  # pair lengths, then their running sums
         rows, bounds = [np.zeros(0, np.uint16)], self.source_ptr.tolist()
         for s in self.sources():
             lo, hi = bounds[s], bounds[s + 1]
@@ -154,10 +127,8 @@ class PathIndex:
         np.cumsum(self.ptr, out=self.ptr)
         self.verts = np.concatenate(rows)
         del rows
-        self.level = np.empty(len(us), np.int8)
         per_vertex = np.zeros(n, np.int64)
         for lo, hi in self.blocks():
-            self.level[lo:hi] = np.frexp(into[self.w[lo:hi], self.u[lo:hi]])[1] - 1
             per_vertex += np.bincount(self.verts[self.ptr[lo] : self.ptr[hi]], minlength=n)
         self.vptr = np.concatenate(([0], np.cumsum(per_vertex)))
         # A stable counting transpose: a block's entries, sorted stably by vertex
@@ -167,26 +138,23 @@ class PathIndex:
         for lo, hi in self.blocks():
             xs = self.verts[self.ptr[lo] : self.ptr[hi]]
             owner = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(self.ptr[lo : hi + 1]))
-            order = np.argsort(xs, kind="stable")
-            first = np.searchsorted(xs[order], np.arange(n + 1))  # each vertex's first sorted slot
-            count = np.diff(first)
-            at = np.repeat(cursor - first[:-1], count)
-            at += np.arange(len(xs))
-            self.vpairs[at] = owner[order]
+            count = np.bincount(xs, minlength=n)
+            self.vpairs[ranges(cursor, count)] = owner[np.argsort(xs, kind="stable")]
             cursor += count
 
     def blocks(self, pids=None):
         """Runs ``[lo, hi)`` of ``pids`` (default: of all pairs), in order, each
-        of at most ``BLOCK`` incidence entries (a longer row alone)."""
-        ptr, lo, count = self.ptr, 0, len(self) if pids is None else len(pids)
+        of at most ``graphs.BLOCK`` incidence entries (a longer row alone)."""
+        ptr, lo, block = self.ptr, 0, graphs.BLOCK
+        count = len(self) if pids is None else len(pids)
         while lo < count:
             if pids is None:
-                hi = int(np.searchsorted(ptr, ptr[lo] + BLOCK, "right")) - 1
-            elif (count - lo) * (len(self.vptr) - 1) <= BLOCK:  # no row is longer than n
+                hi = int(np.searchsorted(ptr, ptr[lo] + block, "right")) - 1
+            elif (count - lo) * (len(self.vptr) - 1) <= block:  # no row is longer than n
                 hi = count
             else:
-                part = pids[lo : lo + BLOCK]  # a row holds its source, so no run has more pairs
-                hi = lo + int(np.searchsorted(np.cumsum(ptr[part + 1] - ptr[part]), BLOCK, "right"))
+                part = pids[lo : lo + block]  # a row holds its source, so no run has more pairs
+                hi = lo + int(np.searchsorted(np.cumsum(ptr[part + 1] - ptr[part]), block, "right"))
             hi = max(hi, lo + 1)
             yield lo, hi
             lo = hi
@@ -211,9 +179,7 @@ class PathIndex:
         """Vertices of the given pairs' rows, and each entry's position in ``pids``."""
         start = self.ptr[pids]
         lens = self.ptr[pids + 1] - start
-        owner = np.repeat(np.arange(len(pids)), lens)
-        pos = np.arange(int(lens.sum())) + np.repeat(start - (np.cumsum(lens) - lens), lens)
-        return self.verts[pos], owner
+        return self.verts[ranges(start, lens)], np.repeat(np.arange(len(pids)), lens)
 
 
 class CoverageState:
@@ -266,7 +232,7 @@ class CoverageState:
 
     def _count(self, pids: np.ndarray, sign: int, counters) -> None:
         """Add (sign 1) or remove (sign -1) the given pairs in the named counters,
-        reading their rows in blocks of at most ``BLOCK`` entries."""
+        reading their rows in blocks of at most ``graphs.BLOCK`` entries."""
         idx, n = self.index, self.n
         if "noniso" in counters:
             self.noniso += sign * self._ends(pids)

@@ -22,6 +22,9 @@ MAX_VERTICES = 20_000
 # int16 fill made that loop faster above it too (a path of 800: 0.15 s against
 # 0.26 s by the searches); ROADMAP item 3 holds the sweep for a refit.
 PIVOT_MAX_N = 500
+# Cells or incidence entries a blocked pass takes at once, read at call time by
+# each: an int64 temporary of a block is then 128 KiB.
+BLOCK = 2**14
 
 
 class GraphFormatError(ValueError):
@@ -296,9 +299,17 @@ class DistMatrix:
         return self.dist(u, v) != INF
 
     def reachable_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sources and targets of all reachable pairs, sorted; canonical u <= w when undirected."""
-        fin = self._into.T < self.unreachable
-        return np.nonzero(fin if self.directed else np.triu(fin))
+        """Sources and targets of all reachable pairs, sorted; canonical u <= w
+        when undirected. The scan reads a few sources' distance columns at a
+        time, about ``BLOCK`` cells, so no n x n table is built."""
+        n, step = self.n, max(BLOCK // max(self.n, 1), 1)
+        cells = [np.zeros(0, np.intp)]  # flat u * n + w
+        for a in range(0, n, step):
+            fin = self._into[:, a : a + step].T < self.unreachable  # row s - a: source s
+            if not self.directed:
+                fin &= np.arange(n) >= np.arange(a, a + len(fin))[:, None]
+            cells.append(np.flatnonzero(fin) + a * n)
+        return np.divmod(np.concatenate(cells), max(n, 1))
 
     def reachable_pairs(self) -> list[tuple[int, int]]:
         """All reachable pairs: ordered (u, w) when directed, canonical u <= w otherwise."""
@@ -417,3 +428,25 @@ def unique_pairs(us: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray
     new = np.ones(us.size, dtype=bool)
     new[1:] = (us[1:] != us[:-1]) | (ws[1:] != ws[:-1])
     return us[new], ws[new]
+
+
+def pair_arrays(d: DistMatrix, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """A caller's ``(u, w)`` pairs as sorted int64 sources and targets, min-first
+    when undirected, repeats dropped and unreachable ones kept. The first pair
+    with an id outside 0..n-1 raises ``ValueError``."""
+    uw = np.array([(u, w) for u, w in pairs], dtype=np.int64).reshape(-1, 2)
+    out = np.flatnonzero(((uw < 0) | (uw >= d.n)).any(axis=1))
+    if out.size:
+        raise ValueError(f"pair ({uw[out[0], 0]},{uw[out[0], 1]}) out of range")
+    if not d.directed:
+        uw.sort(axis=1)
+    return unique_pairs(*uw.T)
+
+
+def ranges(starts: np.ndarray, counts) -> np.ndarray:
+    """The ranges ``starts[i]``, ..., ``starts[i] + counts[i] - 1`` end to end, in
+    the dtype of ``starts``."""
+    offsets = np.cumsum(counts) - counts  # where each range begins in the output
+    at = np.repeat(starts - offsets.astype(starts.dtype, copy=False), counts)
+    at += np.arange(at.size, dtype=starts.dtype)
+    return at

@@ -7,7 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import INF, MAX_TOTAL_LENGTH, DistMatrix, path_membership, unique_pairs
+from .graphs import INF, MAX_TOTAL_LENGTH, DistMatrix, pair_arrays, path_membership
+from .graphs import ranges, unique_pairs
 
 
 class LabelFormatError(ValueError):
@@ -254,11 +255,13 @@ def verify_cover(l: Labeling, d: DistMatrix, pairs=None) -> CoverReport:
     one, or one for an unreachable pair, marks the pair it claims to certify. A
     pair [s,t] is uncovered when no common hub lies on a shortest s-t path by
     the distances of ``d``, so a wrong stored distance can neither hide nor
-    fake a cover. Restricting ``pairs`` checks cover for that subset only;
-    unreachable pairs are skipped.
+    fake a cover. Restricting ``pairs`` checks cover for that subset only:
+    repeated and reversed pairs count once, unreachable ones are skipped, and
+    the first pair with an id outside 0..n-1 raises ``ValueError``.
     """
     if l.directed != d.directed or l.n != d.n:
         raise ValueError("labeling and distance matrix disagree on shape")
+    pairs = None if pairs is None else pair_arrays(d, pairs)
     into, far = d.exact(), d.unreachable
     wrong_s, wrong_t, ends = [], [], []
     for k, (ptr, hub, dist) in enumerate(l._sides()):
@@ -284,15 +287,15 @@ def _uncovered(directed: bool, into: np.ndarray, far: int, f_hub, f_own, b_hub, 
     dist(s, h) + dist(h, t) == dist(s, t), all three read from ``into``; a
     leg to an unreachable hub is ``far`` and matches no distance. ``hit[t, s]``,
     one n x n bool seeded with the unreachable pairs, collects the covers, and
-    the pairs left unhit are the uncovered ones.
+    the pairs left unhit (of ``pairs``, ``pair_arrays``' output, if given) are
+    the uncovered ones.
 
     There are J = sum over hubs of |F_h| |B_h| triples, and since a hub has at
     most n owners, J <= n (B + n), B the backward entries: the cells a scan of
     every backward label per source would gather. The triples go in blocks of
-    about B + n int32 indices (an entry's partners, at most n, stay in one
-    block), so the join takes at most n blocks and its temporaries stay near
-    the size of one such scan's row; flat cells t * n + s fit since
-    n^2 < 2^31.
+    about B + n (an entry's partners, at most n, stay in one block), so the
+    join takes at most n blocks and its temporaries stay near the size of
+    one such scan's row; flat int32 cells t * n + s fit since n^2 < 2^31.
     """
     n = into.shape[0]
     fo = np.argsort(f_hub, kind="stable")  # hub order, owners ascending within a hub
@@ -317,10 +320,7 @@ def _uncovered(directed: bool, into: np.ndarray, far: int, f_hub, f_own, b_hub, 
         if z == a:
             continue
         reps = count[a:z]
-        # Triple k of the block meets partner first + k - (the entry's start in the block).
-        shift = (first[a:z] - (start[a:z] - start[a])).astype(np.int32)
-        j = np.repeat(shift, reps)
-        j += np.arange(j.size, dtype=np.int32)
+        j = ranges(first[a:z], reps)  # each triple's backward partner
         cell = t_row[j] + np.repeat(s_of[a:z], reps)
         on_path = np.repeat(leg_f[a:z], reps) + leg_b[j] == flat_into[cell]
         flat_hit[cell[on_path]] = True
@@ -329,8 +329,8 @@ def _uncovered(directed: bool, into: np.ndarray, far: int, f_hub, f_own, b_hub, 
         ts, ss = np.nonzero(hit)
         keep = ts >= ss if not directed else slice(None)
     else:
-        ss, ts = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
-        keep = hit[ts, ss] if directed else hit[np.maximum(ss, ts), np.minimum(ss, ts)]
+        ss, ts = pairs
+        keep = hit[ts, ss]
     return ss[keep], ts[keep]
 
 
@@ -402,11 +402,10 @@ def hub_labeling(d: DistMatrix, fwd, bwd=None) -> Labeling:
 
 def respects_order(l: Labeling, pi: Order) -> bool:
     """True iff every hub of v is at least as important as v."""
-    for v in range(l.n):
-        rv = pi.rank(v)
-        if any(pi.rank(h) > rv for h in l.hubs(v)):
-            return False
-    return True
+    if pi.n != l.n:
+        raise ValueError("order and labeling disagree on n")
+    rank = np.array(pi._ranks, np.int64)
+    return all((rank[hub] <= np.repeat(rank, np.diff(ptr))).all() for ptr, hub, _ in l._sides())
 
 
 def is_sublabeling(a: Labeling, b: Labeling) -> bool:

@@ -103,7 +103,8 @@ def path_index_reference(d: hl.DistMatrix, pairs=None) -> SimpleNamespace:
     """
     into, n = d.exact(), d.n
     if pairs is None:
-        us, ws = d.reachable_arrays()
+        fin = into.T < d.unreachable
+        us, ws = np.nonzero(fin if d.directed else np.triu(fin))
     else:
         uw = np.array([(u, w) for u, w in pairs], dtype=np.int64).reshape(-1, 2)
         if not d.directed:

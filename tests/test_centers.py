@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hublab as hl
-from hublab import centers, cohen, families, greedy
+from hublab import cohen, families, graphs, greedy
 from hublab.centers import PathIndex
 
 from bruteforce import (
@@ -92,14 +92,14 @@ def _index_cases():
         yield with_zero_arcs(g, rng) if i % 2 else g
 
 
-@pytest.mark.parametrize("block", [1, 7, centers.BLOCK])
+@pytest.mark.parametrize("block", [1, 7, graphs.BLOCK])
 def test_path_index_matches_the_whole_array_reference(block, monkeypatch):
     # Every array byte for byte, dtypes included, against the construction that
-    # builds each from whole arrays. Blocks of 1 and 7 entries (and of 1 or 0
-    # sources per distance scan) put block edges inside sources and between
-    # them; the default takes these graphs whole. Explicit pair lists come
+    # builds each from whole arrays. Blocks of 1 and 7 entries (and cells, so
+    # mostly one source per reachable-pair scan) put block edges inside sources
+    # and between them; the default takes these graphs whole. Explicit pair lists come
     # shuffled, with repeats, and undirected ones partly reversed.
-    monkeypatch.setattr(centers, "BLOCK", block)
+    monkeypatch.setattr(graphs, "BLOCK", block)
     rng = random.Random(13300 + block)
     fields = ("u", "w", "level", "source_ptr", "verts", "ptr", "vpairs", "vptr")
     for g in _index_cases():
@@ -382,8 +382,8 @@ def test_lazy_counters_match_from_scratch_from_their_first_read(monkeypatch):
     # second run, and an engine on explicit pairs refuses it.
     # Both at the default block and at blocks of 7 entries, which split the
     # cover counts inside a center's pairs.
-    for block in (centers.BLOCK, 7):
-        monkeypatch.setattr(centers, "BLOCK", block)
+    for block in (graphs.BLOCK, 7):
+        monkeypatch.setattr(graphs, "BLOCK", block)
         _check_lazy_counters(random.Random(12500))
 
 

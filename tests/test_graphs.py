@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,57 @@ def test_dist_matrix_reachable_pairs():
     assert d.reachable_pairs() == [(0, 0), (0, 1), (1, 1)]
     d3 = hl.all_pairs_distances(path_graph(2))
     assert len(d3.reachable_pairs()) == 6
+
+
+@pytest.mark.parametrize("block", [1, 7, graphs.BLOCK])
+def test_reachable_arrays_match_the_whole_table(block, monkeypatch):
+    # The blocked scan against np.nonzero of the n x n reachability table (its
+    # upper triangle when undirected), dtypes included. Blocks of 1 and 7 cells
+    # put scan edges between sources; the default takes these graphs whole.
+    monkeypatch.setattr(graphs, "BLOCK", block)
+    rng = random.Random(14000)
+    cases = [hl.Graph(False, 0, []), hl.Graph(True, 0, []), hl.Graph(False, 1, [])]
+    cases += [hl.Graph(True, 7, [(0, 1, 2), (2, 3, 1), (3, 2, 0), (4, 0, 3), (5, 6, 0)])]
+    cases += [families.gen_bad_g(2), hl.Graph(True, 1, [])]
+    cases += [with_zero_arcs(g, rng) for g in seeded_graphs(4, 9, 14100)]
+    cases += [gen_random_directed(6 + i, 4 + 2 * i, 3, 14200 + i) for i in range(4)]
+    assert {g.directed for g in cases} == {False, True}
+    for g in cases:
+        d = hl.all_pairs_distances(g)
+        fin = d.exact().T < d.unreachable
+        want = np.nonzero(fin if g.directed else np.triu(fin))
+        got = d.reachable_arrays()
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), g
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_pair_set_builds_no_n_by_n_table(directed):
+    # Three reachable pairs besides the n self pairs: an n x n bool table would
+    # be 8.6 MiB, and the scan and the index each peak far below 1 MiB.
+    d = hl.all_pairs_distances(hl.Graph(directed, 3000, [(0, 1, 1), (1, 2, 1)]))
+    for build in (d.reachable_pairs, lambda: PathIndex(d)):
+        tracemalloc.start()
+        try:
+            result = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 3003
+        assert peak < 1 << 20
+
+
+def test_ranges_match_concatenated_aranges():
+    rng = random.Random(14300)
+    for trial in range(60):
+        size = rng.choice((0, 1, 2, 5, 30))
+        for dtype in (np.int32, np.int64):
+            starts = np.array([rng.randrange(-50, 10**6) for _ in range(size)], dtype)
+            counts = np.array([rng.choice((0, 0, 1, 3, 17)) for _ in range(size)], np.int64)
+            got = graphs.ranges(starts, counts)
+            parts = [np.arange(s, s + c) for s, c in zip(starts.tolist(), counts.tolist())]
+            want = np.concatenate([np.zeros(0, np.int64), *parts])
+            assert got.dtype == dtype and got.tolist() == want.tolist()
 
 
 def test_dist_matrix_equal_whatever_the_arc_lengths_sum_to():

@@ -72,20 +72,26 @@ def test_query_rejects_ids_outside_the_labeling():
 
 def test_distances_and_ranks_reject_ids_outside_0_to_n_minus_1():
     """``DistMatrix.dist``, ``DistMatrix.finite`` and ``Order.rank`` raise
-    ``IndexError`` for every id outside 0..n-1: a negative one does not alias
+    ``IndexError`` for every id outside 0..n-1, and ``verify_cover`` raises
+    ``ValueError`` for a given pair holding one: a negative one does not alias
     the vertex n of its own offset from the end."""
     graphs = [families.gen_random(5, 6, 4, 1), gen_random_directed(5, 8, 4, 1)]
     graphs += [hl.Graph(False, 1, []), hl.Graph(True, 2, [(0, 1, 3)])]
+    graphs += [hl.Graph(True, 3, [(0, 1, 2), (1, 2, 1)])]
     assert {g.directed for g in graphs} == {False, True}
     for g in graphs:
         d, n = hl.all_pairs_distances(g), g.n
         order = hl.Order(range(1, n + 1))
+        selves = [[(v, 0)] for v in range(n)]
+        lab = hl.Labeling(g.directed, n, selves, selves if g.directed else None)
         for bad in [*range(-n - 1, 0), n, n + 1]:
             for u, v in ((bad, 0), (0, bad), (bad, bad)):
                 with pytest.raises(IndexError):
                     d.dist(u, v)
                 with pytest.raises(IndexError):
                     d.finite(u, v)
+                with pytest.raises(ValueError, match="out of range"):
+                    hl.verify_cover(lab, d, [(0, 0), (u, v)])
             with pytest.raises(IndexError):
                 order.rank(bad)
         assert d.dist(0, 0) == 0 and d.finite(0, 0) and order.rank(n - 1) == n
@@ -406,6 +412,13 @@ def test_respects_order():
     assert hl.respects_order(hl.canonical_hhl(d, pi), pi)
     lab = hl.Labeling(False, 2, [[(0, 0), (1, 1)], [(1, 0)]])
     assert not hl.respects_order(lab, hl.Order.from_sequence([0, 1]))
+    assert hl.respects_order(lab, hl.Order.from_sequence([1, 0]))
+    # An order over another vertex count is refused, not read in part.
+    three = hl.Labeling(True, 3, [[(0, 0)], [(1, 0)], [(2, 0)]], [[(0, 0)], [(1, 0)], [(2, 0)]])
+    assert hl.respects_order(three, hl.Order([3, 1, 2]))
+    for ranks in ([1, 2, 3, 4, 5], [1, 2], [1, 2, 3, 4], []):
+        with pytest.raises(ValueError, match="disagree on n"):
+            hl.respects_order(three, hl.Order(ranks))
     g = families.gen_bad_g(2)
     dg = hl.all_pairs_distances(g)
     order, glab, _ = hl.run_g_hhl(dg)
