@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graphs
-from .graphs import DistMatrix, pair_arrays, path_membership, ranges
+from .graphs import DistMatrix, pair_arrays, path_membership, ranges, runs, transpose
 
 NEG_INF_LEVEL = float("-inf")
 
@@ -96,12 +95,11 @@ class PathIndex:
     (checked, undirected ones min-first, deduplicated and sorted); an
     unreachable pair raises ``ValueError``. Rows are built one source at a
     time from the membership predicate, an (its pairs) x n table, each
-    pair's length going straight into ``ptr``; ``vpairs`` by a counting
-    transpose over the runs of ``blocks``. ``verts`` exists twice while the
-    rows are joined, but ``vpairs`` (twice its size) does not exist yet. So
-    the peak is the kept arrays plus the larger of one source's table and
-    one run's temporaries: on ``gen_random(300, 600, 10, 11)``, 2.87 MiB
-    against 2.47 MiB kept.
+    pair's length going straight into ``ptr``; ``vptr`` and ``vpairs`` by
+    ``transpose``. ``verts`` exists twice while the rows are joined, but
+    ``vpairs`` (twice its size) does not exist yet. So the peak is the kept
+    arrays plus the larger of one source's table and one run's temporaries:
+    on ``gen_random(300, 600, 10, 11)``, 2.87 MiB against 2.47 MiB kept.
     """
 
     def __init__(self, d: DistMatrix, pairs=None):
@@ -127,37 +125,7 @@ class PathIndex:
         np.cumsum(self.ptr, out=self.ptr)
         self.verts = np.concatenate(rows)
         del rows
-        per_vertex = np.zeros(n, np.int64)
-        for lo, hi in self.blocks():
-            per_vertex += np.bincount(self.verts[self.ptr[lo] : self.ptr[hi]], minlength=n)
-        self.vptr = np.concatenate(([0], np.cumsum(per_vertex)))
-        # A stable counting transpose: a block's entries, sorted stably by vertex
-        # (a radix sort on 16-bit ids), go to each vertex's running cursor.
-        self.vpairs = np.empty(len(self.verts), np.int32)
-        cursor = self.vptr[:-1].copy()
-        for lo, hi in self.blocks():
-            xs = self.verts[self.ptr[lo] : self.ptr[hi]]
-            owner = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(self.ptr[lo : hi + 1]))
-            count = np.bincount(xs, minlength=n)
-            self.vpairs[ranges(cursor, count)] = owner[np.argsort(xs, kind="stable")]
-            cursor += count
-
-    def blocks(self, pids=None):
-        """Runs ``[lo, hi)`` of ``pids`` (default: of all pairs), in order, each
-        of at most ``graphs.BLOCK`` incidence entries (a longer row alone)."""
-        ptr, lo, block = self.ptr, 0, graphs.BLOCK
-        count = len(self) if pids is None else len(pids)
-        while lo < count:
-            if pids is None:
-                hi = int(np.searchsorted(ptr, ptr[lo] + block, "right")) - 1
-            elif (count - lo) * (len(self.vptr) - 1) <= block:  # no row is longer than n
-                hi = count
-            else:
-                part = pids[lo : lo + block]  # a row holds its source, so no run has more pairs
-                hi = lo + int(np.searchsorted(np.cumsum(ptr[part + 1] - ptr[part]), block, "right"))
-            hi = max(hi, lo + 1)
-            yield lo, hi
-            lo = hi
+        self.vptr, self.vpairs = transpose(self.ptr, self.verts, n)
 
     def __len__(self) -> int:
         return len(self.u)
@@ -232,11 +200,11 @@ class CoverageState:
 
     def _count(self, pids: np.ndarray, sign: int, counters) -> None:
         """Add (sign 1) or remove (sign -1) the given pairs in the named counters,
-        reading their rows in blocks of at most ``graphs.BLOCK`` entries."""
+        reading their rows in the runs of ``runs(index.ptr, pids)``."""
         idx, n = self.index, self.n
         if "noniso" in counters:
             self.noniso += sign * self._ends(pids)
-        for lo, hi in idx.blocks(pids):
+        for lo, hi in runs(idx.ptr, pids):
             xs, owner = idx.rows(pids[lo:hi])
             xs = xs.astype(np.int64)
             if "edges" in counters:

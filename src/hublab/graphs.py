@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 
 import numpy as np
 
@@ -22,8 +23,8 @@ MAX_VERTICES = 20_000
 # int16 fill made that loop faster above it too (a path of 800: 0.15 s against
 # 0.26 s by the searches); ROADMAP item 3 holds the sweep for a refit.
 PIVOT_MAX_N = 500
-# Cells or incidence entries a blocked pass takes at once, read at call time by
-# each: an int64 temporary of a block is then 128 KiB.
+# Entries a run of ``runs`` holds by default, read at call time: an int64
+# temporary of a run is then 128 KiB.
 BLOCK = 2**14
 
 
@@ -301,13 +302,13 @@ class DistMatrix:
     def reachable_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Sources and targets of all reachable pairs, sorted; canonical u <= w
         when undirected. The scan reads a few sources' distance columns at a
-        time, about ``BLOCK`` cells, so no n x n table is built."""
-        n, step = self.n, max(BLOCK // max(self.n, 1), 1)
+        time, a run of ``runs`` over rows of n cells, so no n x n table is built."""
+        n = self.n
         cells = [np.zeros(0, np.intp)]  # flat u * n + w
-        for a in range(0, n, step):
-            fin = self._into[:, a : a + step].T < self.unreachable  # row s - a: source s
+        for a, z in runs(np.arange(n + 1) * n):
+            fin = self._into[:, a:z].T < self.unreachable  # row s - a: source s
             if not self.directed:
-                fin &= np.arange(n) >= np.arange(a, a + len(fin))[:, None]
+                fin &= np.arange(n) >= np.arange(a, z)[:, None]
             cells.append(np.flatnonzero(fin) + a * n)
         return np.divmod(np.concatenate(cells), max(n, 1))
 
@@ -433,11 +434,18 @@ def unique_pairs(us: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def pair_arrays(d: DistMatrix, pairs) -> tuple[np.ndarray, np.ndarray]:
     """A caller's ``(u, w)`` pairs as sorted int64 sources and targets, min-first
     when undirected, repeats dropped and unreachable ones kept. The first pair
-    with an id outside 0..n-1 raises ``ValueError``."""
-    uw = np.array([(u, w) for u, w in pairs], dtype=np.int64).reshape(-1, 2)
-    out = np.flatnonzero(((uw < 0) | (uw >= d.n)).any(axis=1))
-    if out.size:
-        raise ValueError(f"pair ({uw[out[0], 0]},{uw[out[0], 1]}) out of range")
+    with an id that is not an int (by ``operator.index``) or is outside
+    0..n-1 raises ``ValueError``."""
+    uw = []
+    for u, w in pairs:
+        try:
+            u, w = operator.index(u), operator.index(w)
+        except TypeError:
+            raise ValueError(f"pair ({u!r},{w!r}) holds an id that is not an int") from None
+        if not (0 <= u < d.n and 0 <= w < d.n):
+            raise ValueError(f"pair ({u},{w}) out of range")
+        uw.append((u, w))
+    uw = np.array(uw, dtype=np.int64).reshape(-1, 2)
     if not d.directed:
         uw.sort(axis=1)
     return unique_pairs(*uw.T)
@@ -450,3 +458,39 @@ def ranges(starts: np.ndarray, counts) -> np.ndarray:
     at = np.repeat(starts - offsets.astype(starts.dtype, copy=False), counts)
     at += np.arange(at.size, dtype=starts.dtype)
     return at
+
+
+def runs(ptr: np.ndarray, ids=None, block=None):
+    """Runs ``[lo, hi)`` of ``ids`` (default: of all rows of the CSR pointer ``ptr``),
+    in order, each as long as it can be with at most ``block`` entries (default
+    ``BLOCK``), a longer row alone. A run reads at most ``block`` ids ahead."""
+    block = BLOCK if block is None else block
+    count, lo = len(ptr) - 1 if ids is None else len(ids), 0
+    while lo < count:
+        if ids is None:
+            hi = int(ptr.searchsorted(ptr[lo] + block, "right")) - 1
+        else:
+            part = ids[lo : lo + block]
+            hi = lo + int((ptr[part + 1] - ptr[part]).cumsum().searchsorted(block, "right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def transpose(ptr: np.ndarray, keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``(ptr, keys)`` inverted, keys in 0..n-1: ``rows[kptr[k]:kptr[k + 1]]``
+    lists the rows holding key k, ascending, as int32. A stable counting transpose
+    over the runs of ``runs(ptr)``, so no temporary spans every entry."""
+    per_key = np.zeros(n, np.int64)
+    for lo, hi in runs(ptr):
+        per_key += np.bincount(keys[ptr[lo] : ptr[hi]], minlength=n)
+    kptr = np.concatenate(([0], np.cumsum(per_key)))
+    rows = np.empty(len(keys), np.int32)
+    cursor = kptr[:-1].copy()
+    for lo, hi in runs(ptr):  # a run's entries, sorted stably by key, go to its cursor
+        xs = keys[ptr[lo] : ptr[hi]]
+        owner = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(ptr[lo : hi + 1]))
+        count = np.bincount(xs, minlength=n)
+        rows[ranges(cursor, count)] = owner[np.argsort(xs, kind="stable")]
+        cursor += count
+    return kptr, rows

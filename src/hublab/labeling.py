@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import INF, MAX_TOTAL_LENGTH, DistMatrix, pair_arrays, path_membership
-from .graphs import ranges, unique_pairs
+from .graphs import ranges, runs, transpose, unique_pairs
 
 
 class LabelFormatError(ValueError):
@@ -263,62 +263,54 @@ def verify_cover(l: Labeling, d: DistMatrix, pairs=None) -> CoverReport:
         raise ValueError("labeling and distance matrix disagree on shape")
     pairs = None if pairs is None else pair_arrays(d, pairs)
     into, far = d.exact(), d.unreachable
-    wrong_s, wrong_t, ends = [], [], []
+    wrong_s, wrong_t = [], []
     for k, (ptr, hub, dist) in enumerate(l._sides()):
         own = np.repeat(np.arange(l.n), np.diff(ptr))
         s, t = (hub, own) if k else (own, hub)  # the pair an entry certifies
         bad = (into[t, s] != dist) | (dist >= far)
         wrong_s.append(s[bad])
         wrong_t.append(t[bad])
-        ends.append((hub, own))
-    (f_hub, f_own), (b_hub, b_own) = ends[0], ends[-1]
-    unc_s, unc_t = _uncovered(l.directed, into, far, f_hub, f_own, b_hub, b_own, pairs)
+    unc_s, unc_t = _uncovered(l, d, pairs)
     return CoverReport(
         _sorted_pairs(l.directed, wrong_s, wrong_t), _sorted_pairs(l.directed, [unc_s], [unc_t])
     )
 
 
-def _uncovered(directed: bool, into: np.ndarray, far: int, f_hub, f_own, b_hub, b_own, pairs):
+def _uncovered(l: Labeling, d: DistMatrix, pairs):
     """Sources and targets of the uncovered pairs, by a join of the two sides on their hubs.
 
-    Both sides are sorted by hub, and each forward entry (s, h) meets every
-    backward entry (h, t) of its hub; undirected, the one side meets itself
-    from its own position on, so t >= s. A triple covers [s, t] when
-    dist(s, h) + dist(h, t) == dist(s, t), all three read from ``into``; a
-    leg to an unreachable hub is ``far`` and matches no distance. ``hit[t, s]``,
-    one n x n bool seeded with the unreachable pairs, collects the covers, and
-    the pairs left unhit (of ``pairs``, ``pair_arrays``' output, if given) are
-    the uncovered ones.
+    Each side is turned hub-major by ``transpose`` (an undirected labeling's
+    one side once), owners ascending within a hub, and each forward entry
+    (s, h) meets every backward entry (h, t) of its hub; undirected, the one
+    side meets itself from its own position on, so t >= s. A triple covers
+    [s, t] when dist(s, h) + dist(h, t) == dist(s, t), all three read from
+    ``d.exact()``; a leg to an unreachable hub is D + 1 and matches no
+    distance. ``hit[t, s]``, one n x n bool seeded with the unreachable
+    pairs, collects the covers, and the pairs left unhit (of ``pairs``,
+    ``pair_arrays``' output, if given) are the uncovered ones.
 
     There are J = sum over hubs of |F_h| |B_h| triples, and since a hub has at
     most n owners, J <= n (B + n), B the backward entries: the cells a scan of
-    every backward label per source would gather. The triples go in blocks of
-    about B + n (an entry's partners, at most n, stay in one block), so the
-    join takes at most n blocks and its temporaries stay near the size of
-    one such scan's row; flat int32 cells t * n + s fit since n^2 < 2^31.
+    every backward label per source would gather. The forward entries go in
+    the runs of ``runs`` over their triple counts, of at most B + n triples
+    (an entry's partners, at most n, fit in one), so the join takes at most
+    about 2n runs and its temporaries stay near the size of one such scan's
+    row; flat int32 cells t * n + s fit since n^2 < 2^31.
     """
-    n = into.shape[0]
-    fo = np.argsort(f_hub, kind="stable")  # hub order, owners ascending within a hub
-    bo = np.argsort(b_hub, kind="stable") if directed else fo
-    s_of, fh = f_own[fo].astype(np.int32), f_hub[fo]
-    t_of, bh = b_own[bo].astype(np.int32), b_hub[bo]
-    leg_f, leg_b = into[fh, s_of], into[t_of, bh]  # dist(s, h), dist(h, t)
+    into, n = d.exact(), l.n
+    hub_major = [transpose(ptr, hub, n) for ptr, hub, _ in l._sides()]
+    (fptr, s_of), (bptr, t_of) = hub_major[0], hub_major[-1]
+    fh = np.repeat(np.arange(n), np.diff(fptr))  # the hub of each entry, in hub order
+    leg_f = into[fh, s_of]  # dist(s, h)
+    leg_b = into[t_of, np.repeat(np.arange(n), np.diff(bptr))]  # dist(h, t)
     t_row = t_of * np.int32(n)
-    sizes = np.bincount(bh, minlength=n)
-    group_end = np.cumsum(sizes)
-    # Per forward entry: its first partner among the sorted backward entries,
-    # and how many it has.
-    first = group_end[fh] - sizes[fh] if directed else np.arange(fo.size)
-    count = group_end[fh] - first
-    start = np.cumsum(count) - count  # each entry's first triple
-    # Block k takes the entries whose triples start in [k, k + 1) * block.
-    block = max(b_hub.size + n, 1)
-    cuts = np.searchsorted(start, np.arange(block, count.sum(), block)).tolist()
-    hit = into >= far
+    # Per forward entry: its first partner among the hub-major backward
+    # entries, and how many it has.
+    first = bptr[fh] if l.directed else np.arange(fh.size)
+    count = bptr[fh + 1] - first
+    hit = into >= d.unreachable
     flat_hit, flat_into = hit.reshape(-1), into.reshape(-1)
-    for a, z in zip([0, *cuts], [*cuts, fo.size]):
-        if z == a:
-            continue
+    for a, z in runs(np.concatenate(([0], np.cumsum(count))), block=t_of.size + n):
         reps = count[a:z]
         j = ranges(first[a:z], reps)  # each triple's backward partner
         cell = t_row[j] + np.repeat(s_of[a:z], reps)
@@ -327,7 +319,7 @@ def _uncovered(directed: bool, into: np.ndarray, far: int, f_hub, f_own, b_hub, 
     np.logical_not(hit, out=hit)  # now reachable and uncovered
     if pairs is None:
         ts, ss = np.nonzero(hit)
-        keep = ts >= ss if not directed else slice(None)
+        keep = ts >= ss if not l.directed else slice(None)
     else:
         ss, ts = pairs
         keep = hit[ts, ss]
@@ -351,15 +343,15 @@ def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:
     n = d.n
     if pi.n != n:
         raise ValueError("order and distance matrix disagree on n")
-    into = d.exact()
+    us, ws = d.reachable_arrays()
+    bounds = np.searchsorted(us, np.arange(n + 1)).tolist()
+    del us
     by_rank = np.array(pi.by_rank(), dtype=np.int64)
     # hub_f[u, h]: h is the hub of a pair [u, .]; hub_b[w, h] of a pair [., w].
     hub_f = np.zeros((n, n), dtype=bool)
     hub_b = np.zeros((n, n), dtype=bool) if d.directed else hub_f
     for u in range(n):
-        cols = np.flatnonzero(into[:, u] < d.unreachable)
-        if not d.directed:
-            cols = cols[cols >= u]
+        cols = ws[bounds[u] : bounds[u + 1]]
         # Columns in rank order: the first vertex on a path is its most important one.
         hubs = by_rank[np.argmax(path_membership(d, u, cols)[:, by_rank], axis=1)]
         hub_f[u, hubs] = True

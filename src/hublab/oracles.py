@@ -173,7 +173,7 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
     exhausted_lb: int | None = None
     budget_left = budget
 
-    def dfs(uncovered: list[int], current: int) -> None:
+    def dfs(uncovered: list[int], current: int):
         nonlocal upper, best, nodes, exhausted_lb, budget_left
         nodes += 1
         budget_left -= 1
@@ -213,7 +213,7 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
             added_b = h not in bwd[t]
             if added_b:
                 place(bwd, watch_b, t, h, undo)
-            dfs(rest, current + added_f + added_b)
+            yield rest, current + added_f + added_b
             if added_f:
                 fwd[s].discard(h)
             if added_b:
@@ -235,7 +235,16 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
                 place(bwd, watch_b, t, h, [])
                 forced_cost += 1
 
-    dfs(static, forced_cost)
+    # Depth first on an explicit stack of open nodes, each a ``dfs`` generator
+    # that yields a child's arguments with its branch's entries placed and
+    # undoes them when resumed: a deep search needs no interpreter frames.
+    stack = [dfs(static, forced_cost)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(dfs(*child))
     complete = exhausted_lb is None
     lower = upper if complete else min(upper, exhausted_lb)
     if not isinstance(best, Labeling):  # the search beat every candidate

@@ -119,7 +119,7 @@ def test_path_index_matches_the_whole_array_reference(block, monkeypatch):
             # than BLOCK entries is one row.
             pids = np.array(rng.sample(range(len(index)), len(index)), dtype=np.int64)
             for ids in (None, pids):
-                runs = list(index.blocks(ids))
+                runs = list(graphs.runs(index.ptr, ids))
                 ids = np.arange(len(index)) if ids is None else ids
                 bounds = [0] + [hi for _, hi in runs]
                 assert [lo for lo, _ in runs] == bounds[:-1] and bounds[-1] == len(ids)

@@ -532,6 +532,19 @@ def test_exact_cohen_past_its_subset_cap_exits_3_quickly(tmp_path):
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
+def test_compare_oracle_with_a_deep_search_exits_0(tmp_path):
+    # The branch and bound on this graph goes deeper than the interpreter's
+    # recursion limit; exit 1 is only for an invalid labeling.
+    graph = tmp_path / "r120.gr"
+    graph.write_text(hl.serialize_graph(families.gen_random(120, 240, 9, 4)))
+    src = str(Path(hl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "hublab.cli", "compare", "--oracle", "--budget", "2000", str(graph)]
+    res = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_build_verify_and_compare_never_import_numpy_ma(tmp_path):
     # A plain np.unique imports numpy.ma (numpy 2.4); no child should pay for it.
     graph, labels = tmp_path / "r.gr", tmp_path / "r.lab"

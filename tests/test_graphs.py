@@ -275,6 +275,29 @@ def test_ranges_match_concatenated_aranges():
             assert got.dtype == dtype and got.tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("block", [1, 7, graphs.BLOCK])
+def test_transpose_matches_a_stable_argsort(block, monkeypatch):
+    # The counting transpose against one stable argsort of all keys, with
+    # pointers from their bincount, dtypes included. Blocks of 1 and 7 entries
+    # cut the pass into runs inside and between rows; rows, keys and n may be
+    # empty.
+    monkeypatch.setattr(graphs, "BLOCK", block)
+    rng = random.Random(14400 + block)
+    for trial in range(60):
+        n = rng.choice((0, 1, 2, 5, 30))
+        lens = [rng.choice((0, 0, 1, 2, 9)) if n else 0 for _ in range(rng.choice((0, 1, 3, 40)))]
+        ptr = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
+        owner = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
+        for dtype in (np.uint16, np.int64):
+            keys = np.array([rng.randrange(n) for _ in owner], dtype)
+            kptr, rows = graphs.transpose(ptr, keys, n)
+            want_ptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
+            want = owner[np.argsort(keys, kind="stable")]
+            assert (kptr.dtype, kptr.tolist()) == (want_ptr.dtype, want_ptr.tolist())
+            assert (rows.dtype, rows.shape) == (want.dtype, want.shape)
+            assert rows.tobytes() == want.tobytes()
+
+
 def test_dist_matrix_equal_whatever_the_arc_lengths_sum_to():
     # The redundant 2^40 edge makes the search fill int64; D = 2 narrows it to int16.
     arcs = [(0, 1, 1), (1, 2, 1)]

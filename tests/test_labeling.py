@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import hublab as hl
-from hublab import families
+from hublab import families, graphs
+from hublab.centers import PathIndex
 from hublab.labeling import _cut, hub_labeling
 
 from bruteforce import (
@@ -72,14 +73,17 @@ def test_query_rejects_ids_outside_the_labeling():
 
 def test_distances_and_ranks_reject_ids_outside_0_to_n_minus_1():
     """``DistMatrix.dist``, ``DistMatrix.finite`` and ``Order.rank`` raise
-    ``IndexError`` for every id outside 0..n-1, and ``verify_cover`` raises
-    ``ValueError`` for a given pair holding one: a negative one does not alias
-    the vertex n of its own offset from the end."""
-    graphs = [families.gen_random(5, 6, 4, 1), gen_random_directed(5, 8, 4, 1)]
-    graphs += [hl.Graph(False, 1, []), hl.Graph(True, 2, [(0, 1, 3)])]
-    graphs += [hl.Graph(True, 3, [(0, 1, 2), (1, 2, 1)])]
-    assert {g.directed for g in graphs} == {False, True}
-    for g in graphs:
+    ``IndexError`` for every id outside 0..n-1, and ``verify_cover`` and
+    ``PathIndex`` raise ``ValueError`` for a given pair holding one: a negative
+    one does not alias the vertex n of its own offset from the end, nor does
+    one beyond int64 overflow. A pair holding an id that is not an int (a
+    float, even a whole one, or a string) raises ``ValueError`` too, and is
+    not read as the int it rounds or parses to."""
+    cases = [families.gen_random(5, 6, 4, 1), gen_random_directed(5, 8, 4, 1)]
+    cases += [hl.Graph(False, 1, []), hl.Graph(True, 2, [(0, 1, 3)])]
+    cases += [hl.Graph(True, 3, [(0, 1, 2), (1, 2, 1)])]
+    assert {g.directed for g in cases} == {False, True}
+    for g in cases:
         d, n = hl.all_pairs_distances(g), g.n
         order = hl.Order(range(1, n + 1))
         selves = [[(v, 0)] for v in range(n)]
@@ -92,8 +96,18 @@ def test_distances_and_ranks_reject_ids_outside_0_to_n_minus_1():
                     d.finite(u, v)
                 with pytest.raises(ValueError, match="out of range"):
                     hl.verify_cover(lab, d, [(0, 0), (u, v)])
+                with pytest.raises(ValueError, match="out of range"):
+                    PathIndex(d, [(0, 0), (u, v)])
             with pytest.raises(IndexError):
                 order.rank(bad)
+        for bad, why in [(2**70, "out of range"), (-(2**63) - 1, "out of range")] + [
+            (x, "not an int") for x in (0.0, 1.5, np.float64(0), "0", "1", None)
+        ]:
+            for u, v in ((bad, 0), (0, bad)):
+                with pytest.raises(ValueError, match=why):
+                    hl.verify_cover(lab, d, [(0, 0), (u, v)])
+                with pytest.raises(ValueError, match=why):
+                    PathIndex(d, [(0, 0), (u, v)])
         assert d.dist(0, 0) == 0 and d.finite(0, 0) and order.rank(n - 1) == n
 
 
@@ -216,7 +230,9 @@ def _differential_graphs() -> list[hl.Graph]:
 
 
 @pytest.mark.parametrize("index", range(len(_differential_graphs())))
-def test_verify_cover_matches_pair_loop(index):
+def test_verify_cover_matches_pair_loop(index, monkeypatch):
+    # At the default block and at blocks of 1 and 7 entries, which cut the
+    # label transposes of the join into runs.
     g = _differential_graphs()[index]
     d = hl.all_pairs_distances(g)
     rng = random.Random(31000 + index)
@@ -232,13 +248,15 @@ def test_verify_cover_matches_pair_loop(index):
     subsets = [None, [], rng.sample(every, len(every) // 3), every]
     for lab in labelings:
         for pairs in subsets:
-            got = hl.verify_cover(lab, d, pairs)
             want = verify_cover_loop(lab, d, pairs)
-            assert got.wrong_distance == want.wrong_distance
-            assert got.uncovered == want.uncovered
-            assert got.violations == want.violations
-            assert got.valid == want.valid
-            assert got == want
+            for block in (graphs.BLOCK, 1, 7):
+                monkeypatch.setattr(graphs, "BLOCK", block)
+                got = hl.verify_cover(lab, d, pairs)
+                assert got.wrong_distance == want.wrong_distance
+                assert got.uncovered == want.uncovered
+                assert got.violations == want.violations
+                assert got.valid == want.valid
+                assert got == want
     assert all(hl.verify_cover(lab, d).valid for lab in valid)
 
 

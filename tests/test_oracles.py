@@ -138,6 +138,17 @@ def test_optimal_hl_budget_exhaustion_is_honest():
     assert hl.verify_cover(res.labeling, d).valid
 
 
+def test_optimal_hl_search_deeper_than_the_interpreter_stack():
+    # Its 7,260 pairs take the search deeper than one interpreter frame per
+    # level would allow under the default recursion limit; the search holds
+    # its own stack.
+    d = hl.all_pairs_distances(families.gen_random(120, 240, 9, 4))
+    res = hl.optimal_hl_bnb(d, budget=2000)
+    assert not res.complete
+    assert res.lower <= res.upper == res.labeling.size
+    assert hl.verify_cover(res.labeling, d).valid
+
+
 def _seeded_bnb_graph(i: int) -> hl.Graph:
     """Undirected for even i, directed for odd i, zero lengths for i % 3 == 0."""
     n, seed = 4 + i % 4, 15000 + i
