@@ -43,46 +43,31 @@ class TooLargeError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """Shortest-path enumeration exceeded the configured cap."""
+    """Shortest-path enumeration listed more than ``highway.MAX_PATHS`` paths."""
 
 
-def _check_zero_cycles(directed: bool, n: int, arcs) -> None:
-    zero = [(t, h) for t, h, length in arcs if length == 0]
-    if not zero:
-        return
-    if directed:
-        # Kahn's algorithm on the zero-length subgraph; leftovers mean a cycle.
-        out: dict[int, list[int]] = {}
-        indeg: dict[int, int] = {}
-        for t, h in zero:
-            out.setdefault(t, []).append(h)
-            indeg[h] = indeg.get(h, 0) + 1
-            indeg.setdefault(t, 0)
-        queue = [v for v, deg in indeg.items() if deg == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in out.get(v, ()):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if seen != len(indeg):
-            raise GraphFormatError("zero-length cycle")
-    else:
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t, h in zero:
-            rt, rh = find(t), find(h)
-            if rt == rh:
-                raise GraphFormatError("zero-length cycle")
-            parent[rt] = rh
+def _check_zero_cycles(directed: bool, arcs) -> None:
+    """Refuse a zero-length cycle by one peeling pass over the zero-length arcs,
+    which are distinct and loop-free. v peels once ``left[v]``, its unpeeled
+    in-arcs (directed) or edges (undirected), is at most ``floor``: Kahn's order
+    when directed, leaves of a forest when not. A cycle is what never peels."""
+    out: dict[int, list[int]] = {}
+    left: dict[int, int] = {}
+    for t, h, length in arcs:
+        if length == 0:
+            for a, b in ((t, h),) if directed else ((t, h), (h, t)):
+                out.setdefault(a, []).append(b)
+                left[b] = left.get(b, 0) + 1
+                left.setdefault(a, 0)
+    floor = 0 if directed else 1
+    queue = [v for v, count in left.items() if count <= floor]
+    for v in queue:  # grows as it is read
+        for w in out.get(v, ()):
+            left[w] -= 1
+            if left[w] == floor:
+                queue.append(w)
+    if len(queue) != len(left):
+        raise GraphFormatError("zero-length cycle")
 
 
 class Graph:
@@ -121,7 +106,7 @@ class Graph:
                 kept[pos][2] = length
         if sum(ln for _, _, ln in kept) >= MAX_TOTAL_LENGTH:
             raise ValueError("total arc length reaches 2^53; distances would not be exact")
-        _check_zero_cycles(directed, n, kept)
+        _check_zero_cycles(directed, kept)
         self.directed = bool(directed)
         self.n = n
         self.arcs = tuple((t, h, ln) for t, h, ln in kept)
@@ -302,15 +287,19 @@ class DistMatrix:
     def reachable_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Sources and targets of all reachable pairs, sorted; canonical u <= w
         when undirected. The scan reads a few sources' distance columns at a
-        time, a run of ``runs`` over rows of n cells, so no n x n table is built."""
+        time, a run of ``runs`` over rows of n cells, so no n x n table is built.
+        Each run's pairs are kept as uint16 (n <= ``MAX_VERTICES`` < 2^16), so the
+        scan peaks little above the two intp arrays it returns."""
         n = self.n
-        cells = [np.zeros(0, np.intp)]  # flat u * n + w
+        us, ws = [np.zeros(0, np.uint16)], [np.zeros(0, np.uint16)]
         for a, z in runs(np.arange(n + 1) * n):
             fin = self._into[:, a:z].T < self.unreachable  # row s - a: source s
             if not self.directed:
                 fin &= np.arange(n) >= np.arange(a, z)[:, None]
-            cells.append(np.flatnonzero(fin) + a * n)
-        return np.divmod(np.concatenate(cells), max(n, 1))
+            u, w = np.divmod(np.flatnonzero(fin), n)
+            us.append((u + a).astype(np.uint16))
+            ws.append(w.astype(np.uint16))
+        return np.concatenate(us, dtype=np.intp), np.concatenate(ws, dtype=np.intp)
 
     def reachable_pairs(self) -> list[tuple[int, int]]:
         """All reachable pairs: ordered (u, w) when directed, canonical u <= w otherwise."""
@@ -416,14 +405,16 @@ def path_membership(d: DistMatrix, u: int, cols) -> np.ndarray:
     return legs == row[cols][:, None]
 
 
-def unique_pairs(us: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct pairs (us[i], ws[i]), sorted by u and then w.
+def unique_pairs(directed: bool, us, ws) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs (us[i], ws[i]), min-first when undirected, sorted by u and then w.
 
     ``np.unique(..., axis=0)`` gives the same, but numpy 2.4's plain unique asks
     ``np.ma.is_masked`` and so imports ``numpy.ma``: about 20 ms and 1.3 MB in
     every process that builds or verifies. A lexsort and an adjacent compare
     import nothing.
     """
+    if not directed:
+        us, ws = np.minimum(us, ws), np.maximum(us, ws)
     at = np.lexsort((ws, us))
     us, ws = us[at], ws[at]
     new = np.ones(us.size, dtype=bool)
@@ -445,10 +436,7 @@ def pair_arrays(d: DistMatrix, pairs) -> tuple[np.ndarray, np.ndarray]:
         if not (0 <= u < d.n and 0 <= w < d.n):
             raise ValueError(f"pair ({u},{w}) out of range")
         uw.append((u, w))
-    uw = np.array(uw, dtype=np.int64).reshape(-1, 2)
-    if not d.directed:
-        uw.sort(axis=1)
-    return unique_pairs(*uw.T)
+    return unique_pairs(d.directed, *np.array(uw, dtype=np.int64).reshape(-1, 2).T)
 
 
 def ranges(starts: np.ndarray, counts) -> np.ndarray:

@@ -151,15 +151,13 @@ def _pick_edges(engine: CoverageState) -> tuple[int, int, None]:
 def _pick_density(engine: CoverageState) -> tuple[int, Fraction, None]:
     cand = np.flatnonzero(engine.edges)
     e, k = engine.edges[cand], engine.noniso[cand]
+    # The float argmax is the exact one. e <= n^2 (pairs through v) and 1 <= k <= 2n
+    # (uncovered pairs at v's ends), so two distinct densities differ by at least
+    # 1/(k k'), more than the rounding of both quotients (each within e/k * 2^-53)
+    # while max(k, k') n^2 < 2^52, so while n^3 < 2^51: n < 2^17, above MAX_VERTICES.
+    # Equal densities round alike and argmax takes the first: ties go to the lowest id.
     best = int(np.argmax(e / k))
-    while True:
-        # Exact in int64: e <= n^2 and k <= 2n (uncovered pairs at v's ends). A positive
-        # entry is strictly denser than ``best``; once none is, argmax finds the first tie.
-        diff = e * k[best] - e[best] * k
-        nxt = int(np.argmax(diff))
-        if diff[nxt] == 0:
-            return int(cand[nxt]), Fraction(int(e[nxt]), int(k[nxt])), None
-        best = nxt
+    return int(cand[best]), Fraction(int(e[best]), int(k[best])), None
 
 
 def _pick_profile(engine: CoverageState) -> tuple[int, tuple[int, ...], int | float]:

@@ -18,6 +18,11 @@ from .greedy import RunTrace, TraceNotFromDHHLError
 from .labeling import Order, hub_labeling
 
 
+# The most shortest paths an enumeration lists before it raises
+# ``CapExceededError``; read at call time, so a test may lower it.
+MAX_PATHS = 10**6
+
+
 class DirectedInputError(ValueError):
     """Highway-dimension machinery is defined on undirected graphs."""
 
@@ -37,11 +42,10 @@ class SignificantPath:
     reach: int
 
 
-def _all_shortest_paths(g: Graph, d: DistMatrix, cap: int) -> list[tuple[int, ...]]:
-    """Every shortest path between every reachable pair, trivial paths included.
-
-    Paths are emitted in canonical direction (smaller endpoint first).
-    """
+def _all_shortest_paths(g: Graph, d: DistMatrix) -> list[tuple[int, ...]]:
+    """Every shortest path between every reachable pair, trivial paths included,
+    each from its smaller end; more than ``MAX_PATHS`` raise ``CapExceededError``."""
+    cap = MAX_PATHS
     if g.directed:
         raise DirectedInputError("undirected graph required")
     adj = g.adjacency
@@ -109,11 +113,12 @@ def _with_witnesses(g: Graph, d: DistMatrix, path: tuple[int, ...]):
 
 
 @functools.lru_cache(maxsize=1)  # Graph and DistMatrix are immutable and hashable
-def _paths_with_witnesses(g: Graph, d: DistMatrix, cap: int):
+def _paths_with_witnesses(g: Graph, d: DistMatrix):
     """Every shortest path with its witnesses, sorted by vertex count, then ids:
     the one enumeration that every reader and every scale of this layer filters.
-    The last result is kept, so an SPHS build and its check enumerate once."""
-    paths = sorted(_all_shortest_paths(g, d, cap), key=lambda p: (len(p), p))
+    The last result is kept by graph and distances alone, so an SPHS build and
+    its check enumerate once."""
+    paths = sorted(_all_shortest_paths(g, d), key=lambda p: (len(p), p))
     return [_with_witnesses(g, d, p) for p in paths]
 
 
@@ -130,19 +135,15 @@ def _must_hit(sp: SignificantPath, r) -> bool:
     return sp.length > 0 and sp.reach > r
 
 
-def enumerate_significant_paths(
-    g: Graph, d: DistMatrix, r, cap: int = 10**6
-) -> list[SignificantPath]:
+def enumerate_significant_paths(g: Graph, d: DistMatrix, r) -> list[SignificantPath]:
     """All r-significant shortest paths: those with a witness longer than r."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
-    return [sp for sp, _ in _paths_with_witnesses(g, d, cap) if sp.reach > r]
+    return [sp for sp, _ in _paths_with_witnesses(g, d) if sp.reach > r]
 
 
-def neighborhood_S(
-    g: Graph, d: DistMatrix, v: int, r, cap: int = 10**6
-) -> list[SignificantPath]:
+def neighborhood_S(g: Graph, d: DistMatrix, v: int, r) -> list[SignificantPath]:
     """r-significant paths that are (r, 2r)-close to v: some witness longer
     than r lies within distance 2r of v."""
     r = Fraction(r)
@@ -152,7 +153,7 @@ def neighborhood_S(
     near = d.exact()[:, v]  # dist(v, .)
     return [
         sp
-        for sp, wits in _paths_with_witnesses(g, d, cap)
+        for sp, wits in _paths_with_witnesses(g, d)
         if any(wlen > r and near[list(wverts)].min() <= thr for wlen, wverts in wits)
     ]
 
@@ -170,7 +171,7 @@ def _ball_cap(d: DistMatrix, members: set[int] | frozenset[int], radius) -> int:
     return int((d.exact()[carr] <= _within(d, radius)).sum(axis=0).max())
 
 
-def is_sphs(g: Graph, d: DistMatrix, c, h: int, r, cap: int = 10**6) -> bool:
+def is_sphs(g: Graph, d: DistMatrix, c, h: int, r) -> bool:
     """Check the sparse shortest-path hitting set conditions.
 
     ``c`` must hit every r-significant path that ``_must_hit`` names (those of
@@ -178,7 +179,7 @@ def is_sphs(g: Graph, d: DistMatrix, c, h: int, r, cap: int = 10**6) -> bool:
     members of ``c``.
     """
     cset = set(c)
-    paths = enumerate_significant_paths(g, d, r, cap)
+    paths = enumerate_significant_paths(g, d, r)
     if any(_must_hit(sp, r) and cset.isdisjoint(sp.vertices) for sp in paths):
         return False
     return not cset or _ball_cap(d, cset, 2 * Fraction(r)) <= h
@@ -225,7 +226,7 @@ def _greedy_hitting_set(sets) -> set[int]:
     return hit
 
 
-def greedy_multiscale_sphs(g: Graph, d: DistMatrix, cap: int = 10**6) -> MultiscaleSPHS:
+def greedy_multiscale_sphs(g: Graph, d: DistMatrix) -> MultiscaleSPHS:
     """Greedy hitting sets for every scale 2^(i-1), i = 1..ceil(log2 D), C_0 = V."""
     if g.directed:
         raise DirectedInputError("undirected graph required")
@@ -235,7 +236,7 @@ def greedy_multiscale_sphs(g: Graph, d: DistMatrix, cap: int = 10**6) -> Multisc
     diam = d.diameter
     top = 0 if diam <= 1 else (diam - 1).bit_length()
     # every scale is at least 1: one enumeration at r = 1 holds every level's targets
-    paths = enumerate_significant_paths(g, d, 1, cap) if top >= 1 else []
+    paths = enumerate_significant_paths(g, d, 1) if top >= 1 else []
     levels = [frozenset(range(n))]
     for i in range(1, top + 1):
         targets = [frozenset(sp.vertices) for sp in paths if _must_hit(sp, 2 ** (i - 1))]
@@ -294,12 +295,9 @@ def audit_dhhl_levels(trace: RunTrace, d: DistMatrix, h: int) -> DhhlLevelAudit:
     per: dict[int, dict[int | float, int]] = {v: {} for v in range(trace.n)}
     sizes: dict[int, int] = {v: 0 for v in range(trace.n)}
     for rec in trace.iterations:
-        for u in rec.receivers_fwd:
+        for u in rec.receivers_fwd + rec.receivers_bwd:
             per[u][rec.level] = per[u].get(rec.level, 0) + 1
             sizes[u] += 1
-        for w in rec.receivers_bwd:
-            per[w][rec.level] = per[w].get(rec.level, 0) + 1
-            sizes[w] += 1
     max_count = max((c for counts in per.values() for c in counts.values()), default=0)
     denom = h * math.log2(trace.n + 1)
     ratio = max_count / denom if denom > 0 else math.inf

@@ -119,10 +119,6 @@ def _cut(ptr: np.ndarray, items: list) -> list[list]:
     return [items[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def _row_tuples(ptr: np.ndarray, hub: np.ndarray, dist: np.ndarray) -> tuple:
-    return tuple(map(tuple, _cut(ptr, list(zip(hub.tolist(), dist.tolist())))))
-
-
 class Labeling:
     """Per-vertex hub lists with exact distances, in one flat store; immutable.
 
@@ -132,8 +128,8 @@ class Labeling:
     one side in both roles. Rows given to the constructor (n iterables of
     ``(hub, dist)`` pairs, or dicts, per side), a parsed file and the entries
     ``hub_labeling`` assembles all reach the arrays through ``_csr``'s checks.
-    ``fwd[v]`` / ``bwd[v]`` give rows of ``(hub, dist)`` tuples, and ``query`` and ``hubs``
-    read one hub -> dist dict per vertex and side; both views are built on first read.
+    ``query`` and ``hubs`` read one hub -> dist dict per vertex and side, built on
+    first read; ``fwd[v]`` / ``bwd[v]`` are those rows as ``(hub, dist)`` tuples.
     """
 
     def __init__(self, directed: bool, n: int, fwd, bwd=None):
@@ -162,11 +158,12 @@ class Labeling:
 
     @cached_property
     def fwd(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return _row_tuples(*self.fwd_csr)
+        return tuple(tuple(row.items()) for row in self._maps[0].values())
 
     @cached_property
     def bwd(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return _row_tuples(*self.bwd_csr) if self.directed else self.fwd
+        rows = self._maps[1].values()
+        return tuple(tuple(row.items()) for row in rows) if self.directed else self.fwd
 
     @cached_property
     def _maps(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
@@ -329,9 +326,7 @@ def _uncovered(l: Labeling, d: DistMatrix, pairs):
 def _sorted_pairs(directed: bool, us, ws) -> tuple[tuple[int, int], ...]:
     """Distinct pairs from chunks of sources and targets, canonical u <= w when undirected."""
     us, ws = (np.concatenate([np.empty(0, np.int64), *x]) for x in (us, ws))
-    if not directed:
-        us, ws = np.minimum(us, ws), np.maximum(us, ws)
-    return tuple(zip(*(x.tolist() for x in unique_pairs(us, ws))))
+    return tuple(zip(*(x.tolist() for x in unique_pairs(directed, us, ws))))
 
 
 def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:

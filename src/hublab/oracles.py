@@ -392,7 +392,7 @@ def highway_dimension_bruteforce(
     d = all_pairs_distances(g)
     if (d.exact() == d.unreachable).any():
         raise ValueError("connected graph required")
-    paths = _paths_with_witnesses(g, d, cap=10**6)
+    paths = _paths_with_witnesses(g, d)
     wdist = {wv: d.exact()[list(wv)].min(axis=0) for _, wits in paths for _, wv in wits}
     best = 0
     cache: dict[frozenset[frozenset[int]], int] = {}

@@ -109,7 +109,7 @@ def path_index_reference(d: hl.DistMatrix, pairs=None) -> SimpleNamespace:
         uw = np.array([(u, w) for u, w in pairs], dtype=np.int64).reshape(-1, 2)
         if not d.directed:
             uw.sort(axis=1)
-        us, ws = unique_pairs(*uw.T)
+        us, ws = unique_pairs(True, *uw.T)
     u, w = us.astype(np.int32), ws.astype(np.int32)
     source_ptr = np.searchsorted(u, np.arange(n + 1))
     rows, lens = [np.zeros(0, np.uint16)], [np.zeros(1, np.int64)]

@@ -618,8 +618,8 @@ def test_trace_for_an_algorithm_without_one_exits_2_before_reading_the_graph(
 
 
 def test_sphs_build_past_the_path_cap_exits_3(tmp_path, monkeypatch, capsys):
-    def over_cap(g, d, cap):
-        raise hl.CapExceededError(f"more than {cap} shortest paths")
+    def over_cap(g, d):
+        raise hl.CapExceededError(f"more than {highway.MAX_PATHS} shortest paths")
 
     monkeypatch.setattr(highway, "_all_shortest_paths", over_cap)
     highway._paths_with_witnesses.cache_clear()

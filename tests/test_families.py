@@ -86,7 +86,7 @@ def test_reduce_vc_undirected_scaled_variant_has_unique_paths():
     assert head_edges and all(ln == 9 for ln in head_edges)
     d = hl.all_pairs_distances(gp)
     per_pair: dict[tuple[int, int], int] = {}
-    for p in _all_shortest_paths(gp, d, cap=10**6):
+    for p in _all_shortest_paths(gp, d):
         key = (p[0], p[-1])
         per_pair[key] = per_pair.get(key, 0) + 1
     assert set(per_pair.values()) == {1}
@@ -133,6 +133,20 @@ def test_construct_reduction_labeling_undirected_rejects_non_cover():
         families.construct_reduction_labeling_undirected(gp, {0})
     with pytest.raises(families.NotAVertexCoverError):
         families.construct_reduction_labeling_undirected(gp, {0, 7})
+
+
+def test_generators_and_reductions_refuse_bad_input():
+    for gen in (families.gen_bad_w, families.gen_separator):
+        with pytest.raises(families.InfeasibleParamsError, match="k must be at least 2"):
+            gen(1)
+    for reduce in (families.reduce_vc_undirected, families.reduce_vc_directed):
+        with pytest.raises(ValueError, match="base graph must be undirected"):
+            reduce(families.gen_cycle4(True))
+    with pytest.raises(ValueError, match="not an undirected reduction graph"):
+        families.construct_reduction_labeling_undirected(triangle(), {0})
+    gp = families.reduce_vc_directed(edge2())
+    with pytest.raises(families.NotAVertexCoverError, match="non-base vertices"):
+        families.construct_reduction_labeling_directed(gp, {0, 2})
 
 
 def test_reduce_vc_directed_counts():

@@ -49,6 +49,9 @@ def test_parse_bad_g_family_file():
         ("p sideways 2 1\na 0 1 1\n", "malformed problem", 1),
         ("a 0 1 1\n", "before problem", 1),
         ("p undirected 2 1\nz 0 1 1\n", "unknown record", 2),
+        ("p undirected 2 0\np undirected 2 0\n", "duplicate problem", 2),
+        ("p undirected two 0\n", "malformed problem", 1),
+        ("p undirected 2 1\na 0 1 1.5\n", "malformed arc", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment, line_no):
@@ -71,6 +74,45 @@ def test_zero_length_cycle_rejected():
     # zero-length arcs without a cycle are fine
     g = hl.Graph(True, 3, [(0, 1, 0), (1, 2, 0)])
     assert hl.all_pairs_distances(g).dist(0, 2) == 0
+
+
+def test_zero_length_cycles_match_scipy():
+    # The peeling pass against scipy on the collapsed zero-length arcs: a directed
+    # cycle is a strong component of two or more vertices (there are no loops),
+    # an undirected one an edge beyond a spanning forest (edges > n - components).
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = random.Random(14400)
+    seen = {(d, c): 0 for d in (False, True) for c in (False, True)}
+    for trial in range(10_000):
+        directed, n = trial % 2 == 1, rng.randint(1, 9)
+        arcs = [
+            (*rng.sample(range(n), 2), rng.choice((0, 0, rng.randint(1, 5))))
+            for _ in range(rng.randint(0, 14) if n > 1 else 0)
+        ]
+        zero = {(t, h) if directed else (min(t, h), max(t, h)) for t, h, ln in arcs if ln == 0}
+        t, h = np.array(sorted(zero), dtype=np.int64).reshape(-1, 2).T
+        adj = coo_matrix((np.ones(len(zero)), (t, h)), shape=(n, n))
+        count = connected_components(adj, directed=directed, connection="strong")[0]
+        cyclic = count < n if directed else len(zero) > n - count
+        try:
+            hl.Graph(directed, n, arcs)
+        except hl.GraphFormatError as exc:
+            assert cyclic and str(exc) == "zero-length cycle", (directed, n, arcs)
+        else:
+            assert not cyclic, (directed, n, arcs)
+        seen[directed, cyclic] += 1
+    assert min(seen.values()) > 1000, seen
+
+
+def test_graph_constructor_checks_its_arguments():
+    with pytest.raises(ValueError, match="non-negative"):
+        hl.Graph(False, -1, [])
+    with pytest.raises(ValueError, match="out of vertex range"):
+        hl.Graph(True, 2, [(0, 2, 1)])
+    with pytest.raises(ValueError, match="negative length -1"):
+        hl.Graph(False, 2, [(0, 1, -1)])
 
 
 def test_total_arc_length_below_2_pow_53():
@@ -244,6 +286,20 @@ def test_reachable_arrays_match_the_whole_table(block, monkeypatch):
         got = d.reachable_arrays()
         for a, b in zip(got, want):
             assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), g
+
+
+def test_reachable_scan_peaks_near_the_arrays_it_returns():
+    # Each run's pairs wait as uint16 until the one join into intp, so the scan
+    # holds little beyond the two arrays it returns.
+    d = hl.all_pairs_distances(families.gen_random(461, 922, 10, 11))
+    tracemalloc.start()
+    try:
+        us, ws = d.reachable_arrays()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert us.dtype == ws.dtype == np.intp and us.size > 100_000
+    assert peak < 1.4 * (us.nbytes + ws.nbytes)
 
 
 @pytest.mark.parametrize("directed", [False, True])

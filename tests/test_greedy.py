@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import hublab as hl
 from hublab import cohen, families, greedy
+from hublab.graphs import MAX_VERTICES
 
 from bruteforce import (
     build_center_graph,
@@ -156,6 +160,79 @@ def test_w_hhl_density_is_pairs_covered_over_labels_added():
         trace = hl.run_w_hhl(hl.all_pairs_distances(g))[2]
         for rec in trace.iterations:
             assert rec.score == Fraction(rec.covered, rec.labels_added)
+
+
+def _pick_density(edges, noniso):
+    stub = SimpleNamespace(edges=np.array(edges, np.int64), noniso=np.array(noniso, np.int64))
+    return greedy._pick_density(stub)
+
+
+def _densest(edges, noniso):
+    """The exact reference: the lowest id of greatest ``Fraction(e, k)`` among e > 0."""
+    best = max((Fraction(e, k), -v) for v, (e, k) in enumerate(zip(edges, noniso)) if e)
+    return -best[1], best[0], None
+
+
+def _farey_next(e: int, k: int, bound: int) -> tuple[int, int]:
+    """The density e'/k' just above e/k (e' k - e k' = 1) with the largest k' <= bound."""
+    k0 = -pow(e, -1, k) % k
+    k1 = k0 + (bound - k0) // k * k
+    return (1 + e * k1) // k, k1
+
+
+def test_float_density_argmax_premise_holds_at_the_vertex_limit():
+    # max(k, k') n^2 <= 2 n^3 must stay below 2^52 for the float argmax to be exact.
+    assert 2 * MAX_VERTICES**3 < 2**52
+
+
+def test_density_pick_matches_exact_fractions_up_to_the_vertex_limit():
+    # Stub engines with e up to n^2 and k up to 2n at n = MAX_VERTICES, many of
+    # them with scaled copies (ties) or Farey neighbours (the closest distinct
+    # densities) of another candidate, and centers with no edge in between.
+    n, rng = MAX_VERTICES, random.Random(14700)
+    ties = farey = 0
+    for _ in range(3000):
+        size = rng.randint(1, 10)
+        edges = [rng.randint(1, n * n) for _ in range(size)]
+        noniso = [rng.randint(1, 2 * n) for _ in range(size)]
+        for i in range(size):
+            j, mode = rng.randrange(size), rng.random()
+            if mode < 0.3 and noniso[j] <= n:
+                c = rng.randint(1, 2 * n // noniso[j])
+                if edges[j] * c <= n * n:
+                    edges[i], noniso[i] = edges[j] * c, noniso[j] * c
+                    ties += i != j
+            elif mode < 0.6:
+                k = rng.randint(n, 2 * n)
+                e = rng.randint(1, n * n // 2)
+                while math.gcd(e, k) != 1:
+                    e += 1
+                edges[i], noniso[i] = _farey_next(e, k, 2 * n)
+                edges[j], noniso[j] = (e, k) if j != i else (edges[i], noniso[i])
+                farey += i != j
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randint(0, len(edges))
+            edges.insert(at, 0)
+            noniso.insert(at, rng.randint(0, 2 * n))
+        assert max(edges) <= n * n and max(noniso) <= 2 * n
+        assert _pick_density(edges, noniso) == _densest(edges, noniso)
+    assert ties > 500 and farey > 1000
+
+
+def test_density_pick_separates_farey_neighbours_and_breaks_ties_by_id():
+    n = MAX_VERTICES
+    for e, k in ((1, 2 * n - 1), (n * n // 2 - 1, 2 * n - 1), (12_345_679, n + 3)):
+        e1, k1 = _farey_next(e, k, 2 * n)
+        assert e1 * k - e * k1 == 1 and e1 <= n * n and k1 <= 2 * n
+        for edges, noniso, want in (
+            ([e, 0, e1], [k, 0, k1], 2),
+            ([e1, 0, e], [k1, 5, k], 0),
+        ):
+            assert _pick_density(edges, noniso) == (want, Fraction(e1, k1), None)
+        # An exact tie goes to the lowest id.
+        assert _pick_density([0, e, e1, e1], [1, k, k1, k1]) == (2, Fraction(e1, k1), None)
+    # So does a tie between two forms of one density.
+    assert _pick_density([1, n * n // 2, n * n], [1, n, 2 * n]) == (1, Fraction(n, 2), None)
 
 
 def test_g_hhl_ratio_grows_on_bad_g():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import hublab as hl
-from hublab import families
+from hublab import families, highway
 
 from bruteforce import gen_random_directed, greedy_hitting_set_loop, significant_paths_bruteforce
 from bruteforce import with_zero_arcs
@@ -110,25 +110,31 @@ def test_multiscale_sphs_outputs_are_pinned(name):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SPHS_DIGESTS[name]
 
 
-def test_cap_exceeded():
+def test_cap_exceeded(monkeypatch):
     g = path_graph(3)
     d = hl.all_pairs_distances(g)
+    # Graph and DistMatrix hash by value: an equal graph enumerated earlier is cached.
+    highway._paths_with_witnesses.cache_clear()
+    monkeypatch.setattr(highway, "MAX_PATHS", 3)
     with pytest.raises(hl.CapExceededError):
-        hl.enumerate_significant_paths(g, d, 1, cap=3)
+        hl.enumerate_significant_paths(g, d, 1)
 
 
-def test_path_enumeration_deeper_than_recursion_limit():
+def test_path_enumeration_deeper_than_recursion_limit(monkeypatch):
     from hublab.highway import _all_shortest_paths
 
     n = 1200
     g = hl.Graph(False, n, [(i, i + 1, 1) for i in range(n - 1)])
     d = hl.all_pairs_distances(g)
+    highway._paths_with_witnesses.cache_clear()
     # 1,200 trivial paths, then paths from vertex 0 with up to ~1,100 vertices
+    monkeypatch.setattr(highway, "MAX_PATHS", 2300)
     with pytest.raises(hl.CapExceededError):
-        _all_shortest_paths(g, d, cap=2300)
+        _all_shortest_paths(g, d)
     # a zero-length edge is crossed once per path, not walked back and forth
+    monkeypatch.setattr(highway, "MAX_PATHS", 100)
     g0 = hl.Graph(False, 4, [(0, 1, 0), (1, 2, 1), (2, 3, 0)])
-    paths = _all_shortest_paths(g0, hl.all_pairs_distances(g0), cap=100)
+    paths = _all_shortest_paths(g0, hl.all_pairs_distances(g0))
     assert paths[4:] == [(0, 1), (0, 1, 2), (0, 1, 2, 3), (1, 2), (1, 2, 3), (2, 3)]
 
 
@@ -139,6 +145,18 @@ def test_directed_input_rejected():
         hl.enumerate_significant_paths(g, d, 1)
     with pytest.raises(hl.DirectedInputError):
         hl.greedy_multiscale_sphs(g, d)
+    with pytest.raises(hl.DirectedInputError):
+        hl.sphs_to_hhl(g, d, hl.MultiscaleSPHS((frozenset(range(g.n)),), (1,), d.diameter))
+
+
+@pytest.mark.parametrize("r", [0, Fraction(-1, 2)])
+def test_significant_paths_and_neighborhoods_need_a_positive_radius(r):
+    g = path_graph(2)
+    d = hl.all_pairs_distances(g)
+    with pytest.raises(ValueError, match="r must be positive"):
+        hl.enumerate_significant_paths(g, d, r)
+    with pytest.raises(ValueError, match="r must be positive"):
+        hl.neighborhood_S(g, d, 0, r)
 
 
 def test_neighborhood_single_edge():
@@ -171,7 +189,7 @@ def test_closeness_monotonicity():
 
     for g in (path_graph(5),) + tuple(seeded_graphs(4, 7, 14900)):
         d = hl.all_pairs_distances(g)
-        paths = _paths_with_witnesses(g, d, cap=10**6)
+        paths = _paths_with_witnesses(g, d)
         m = d.matrix
 
         def close(v, wits, r, dd):

@@ -449,6 +449,37 @@ def test_is_sublabeling():
     assert hl.is_sublabeling(a, a)
     b = hl.canonical_hhl(d, hl.Order.from_sequence([2, 3, 0, 1]))
     assert not hl.is_sublabeling(a, b)
+    # Directed labelings that differ only in one backward row.
+    fwd = [[(0, 0), (1, 1)], [(1, 0)]]
+    f = hl.Labeling(True, 2, fwd, [[(0, 0)], [(1, 0)]])
+    g = hl.Labeling(True, 2, fwd, [[(0, 0)], [(0, 1)]])
+    assert hl.is_sublabeling(f, f) and not hl.is_sublabeling(f, g)
+    und = hl.Labeling(False, 2, fwd)
+    assert f.bwd == (((0, 0),), ((1, 0),)) and und.bwd is und.fwd
+    for other in (und, hl.Labeling(True, 1, [[(0, 0)]], [[(0, 0)]])):
+        with pytest.raises(ValueError, match="disagree on shape"):
+            hl.is_sublabeling(f, other)
+
+
+def test_labeling_rows_must_fit_the_kind_and_n():
+    with pytest.raises(ValueError, match="expected 2 label lists, got 1"):
+        hl.Labeling(False, 2, [[(0, 0)]])
+    with pytest.raises(ValueError, match="requires backward lists"):
+        hl.Labeling(True, 1, [[(0, 0)]])
+    with pytest.raises(ValueError, match="single list per vertex"):
+        hl.Labeling(False, 1, [[(0, 0)]], [[(0, 0)]])
+
+
+def test_verify_and_canonical_refuse_another_shape():
+    d = hl.all_pairs_distances(families.gen_cycle4(False))
+    lab = hl.run_g_hhl(d)[1]
+    d_dir = hl.all_pairs_distances(families.gen_cycle4(True))
+    d_five = hl.all_pairs_distances(hl.Graph(False, 5, [(0, 1, 1)]))
+    for other in (d_dir, d_five):
+        with pytest.raises(ValueError, match="disagree on shape"):
+            hl.verify_cover(lab, other)
+    with pytest.raises(ValueError, match="disagree on n"):
+        hl.canonical_hhl(d, hl.Order.from_sequence(range(5)))
 
 
 def _extend_with_rank_respecting_hubs(lab, d, pi, rng):
