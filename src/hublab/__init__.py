@@ -27,7 +27,7 @@ _EXPORTS = {
     " SignificantPath audit_dhhl_levels ball enumerate_significant_paths"
     " greedy_multiscale_sphs is_sphs neighborhood_S sphs_to_hhl",
     "labeling": "CoverReport LabelFormatError Labeling Order canonical_hhl is_sublabeling"
-    " labeling_size parse_labeling respects_order serialize_labeling verify_cover",
+    " parse_labeling respects_order serialize_labeling verify_cover",
     "oracles": "HlBnbResult exact_mds highway_dimension_bruteforce min_hitting_set"
     " min_vertex_cover optimal_hhl_bruteforce optimal_hl_bnb",
 }

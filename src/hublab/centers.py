@@ -33,21 +33,11 @@ class CenterGraph:
     def edge_count(self) -> int:
         return len(self.arcs)
 
-    def tails(self) -> set[int]:
-        return {u for u, _ in self.arcs}
-
-    def heads(self) -> set[int]:
-        return {w for _, w in self.arcs}
-
-    def vertices(self) -> set[int]:
-        return {v for arc in self.arcs for v in arc}
-
     @property
     def nonisolated_count(self) -> int:
-        """Distinct incident vertices; the directed case counts side occurrences."""
-        if self.directed:
-            return len(self.tails()) + len(self.heads())
-        return len(self.vertices())
+        """Distinct incident vertices, the side nodes; the directed case counts
+        side occurrences."""
+        return len(self.side_nodes()[0])
 
     def side_nodes(self) -> tuple[list[tuple[int, int]], list[int], list[int]]:
         """The graph on side nodes ``(side, v)``: the nodes, and per node an
@@ -59,9 +49,10 @@ class CenterGraph:
         head mask), bit i of those marking the i-th smallest tail (head) id.
         """
         if self.directed:
-            nodes = [(1, w) for w in sorted(self.heads())] + [(0, u) for u in sorted(self.tails())]
+            heads, tails = sorted({w for _, w in self.arcs}), sorted({u for u, _ in self.arcs})
+            nodes = [(1, w) for w in heads] + [(0, u) for u in tails]
         else:
-            nodes = [(0, v) for v in sorted(self.vertices())]
+            nodes = [(0, v) for v in sorted({v for arc in self.arcs for v in arc})]
         at = {node: i for i, node in enumerate(nodes)}
         adj, loop = [0] * len(nodes), [0] * len(nodes)
         for u, w in self.arcs:

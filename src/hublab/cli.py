@@ -107,13 +107,13 @@ def _cmd_generate(args) -> int:
             g = families.reduce_vc_undirected(base, args.unique)
             if args.with_hl:
                 labeling = families.construct_reduction_labeling_undirected(
-                    g, _cli.min_vertex_cover(base)
+                    base, _cli.min_vertex_cover(base), args.unique
                 )
         else:
             g = families.reduce_vc_directed(base)
             if args.with_hl:
                 labeling = families.construct_reduction_labeling_directed(
-                    g, _cli.min_vertex_cover(base)
+                    base, _cli.min_vertex_cover(base)
                 )
         header = f"# hublab {family} base={Path(args.graph).name}"
     elif family == "random":

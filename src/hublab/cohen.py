@@ -103,14 +103,16 @@ def run_cohen_hl(d: DistMatrix, pairs=None, exact_mds: bool = False) -> tuple[La
             if best is None or dens > best[0]:
                 best = (dens, v, sets)
         dens, v, sets = best
-        # An undirected subgraph is one vertex set at both ends of its pairs;
-        # its receivers are all tails (bwd is fwd).
+        # An undirected subgraph is one vertex set at both ends of its pairs.
         tails, heads = sets if d.directed else sets * 2
         pids = engine.pairs_through(v)
         covered = pids[np.isin(idx.u[pids], list(tails)) & np.isin(idx.w[pids], list(heads))]
         for x in np.flatnonzero(np.bincount(idx.rows(covered)[0], minlength=d.n)).tolist():
             solved.pop(x, None)
-        rec_b = tuple(sorted(heads)) if d.directed else ()
-        return v, dens, tuple(sorted(tails)), rec_b, covered, None
+        # ``_select`` gives v to the ends of ``covered``, which are the sets: no side node
+        # of a densest subgraph is isolated in it. The peel keeps a prefix only on dropping
+        # a node of positive degree, the least live one; the exact solver keeps the fewest
+        # nodes among equal densities, and an isolated node lowers e/k when e > 0.
+        return v, dens, covered, None
 
     return _select(d, engine, "cohen", step)

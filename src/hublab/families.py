@@ -187,21 +187,29 @@ def reduce_vc_undirected(g: Graph, unique_shortest_paths: bool = False) -> Graph
     return Graph(False, 6 * n + 1, arcs)
 
 
-def _undirected_reduction_base(gp: Graph) -> tuple[int, list[tuple[int, int]]]:
-    n_base = (gp.n - 1) // 6
-    if gp.n != 6 * n_base + 1:
-        raise ValueError("not an undirected reduction graph")
-    s = 3 * n_base
-    base_edges = sorted(
-        (min(t, h) // 3, max(t, h) // 3)
-        for t, h, _ in gp.arcs
-        if t != s and h != s and t % 3 == 0 and h % 3 == 0
-    )
-    return n_base, base_edges
+def _base_edges(g: Graph) -> list[tuple[int, int]]:
+    """The undirected base graph's edges as sorted ``(min, max)`` pairs."""
+    if g.directed:
+        raise ValueError("base graph must be undirected")
+    return sorted((min(t, h), max(t, h)) for t, h, _ in g.arcs)
 
 
-def construct_reduction_labeling_undirected(gp: Graph, vc) -> Labeling:
-    """Valid labeling of an undirected reduction graph from a vertex cover.
+def _checked_cover(g: Graph, vc) -> frozenset[int]:
+    """``vc`` as a set of base vertices, refused unless it covers every edge of g."""
+    edges, vc = _base_edges(g), frozenset(int(v) for v in vc)
+    if not vc <= set(range(g.n)):
+        raise NotAVertexCoverError("cover contains non-base vertices")
+    for u, v in edges:
+        if u not in vc and v not in vc:
+            raise NotAVertexCoverError(f"edge ({u},{v}) uncovered")
+    return vc
+
+
+def construct_reduction_labeling_undirected(
+    g: Graph, vc, unique_shortest_paths: bool = False
+) -> Labeling:
+    """Valid labeling of ``reduce_vc_undirected(g, unique_shortest_paths)`` from
+    a vertex cover ``vc`` of the base graph g.
 
     s and the vertex itself sit in every label, cover vertices get the
     three-hub path pattern, the others the two-hub one, and each base edge is
@@ -209,23 +217,18 @@ def construct_reduction_labeling_undirected(gp: Graph, vc) -> Labeling:
     Total size: 14|V| + 1 + 3|E| + |vc|, that is 12|V| + 1 selves and s over
     the 6|V| + 1 vertices, 2|V| + |vc| path-gadget hubs and 3|E| crossings.
     """
-    n_base, base_edges = _undirected_reduction_base(gp)
-    vc = frozenset(int(v) for v in vc)
-    if not vc <= set(range(n_base)):
-        raise NotAVertexCoverError("cover contains non-base vertices")
-    for u, v in base_edges:
-        if u not in vc and v not in vc:
-            raise NotAVertexCoverError(f"edge ({u},{v}) uncovered")
-    s = 3 * n_base
+    vc = _checked_cover(g, vc)
+    gp = reduce_vc_undirected(g, unique_shortest_paths)
+    s = 3 * g.n
     hub = np.eye(gp.n, dtype=bool)
     hub[:, s] = True
-    for v in range(n_base):
+    for v in range(g.n):
         v1, v2, v3 = 3 * v, 3 * v + 1, 3 * v + 2
         if v in vc:
             hub[v2, v1] = hub[v3, v1] = hub[v3, v2] = True
         else:
             hub[v1, v2] = hub[v3, v2] = True
-    for u, v in base_edges:
+    for u, v in _base_edges(g):
         x = u if u in vc else v
         y = v if x == u else u
         hub[[3 * y, 3 * y + 1, 3 * y + 2], 3 * x] = True
@@ -235,10 +238,8 @@ def construct_reduction_labeling_undirected(gp: Graph, vc) -> Labeling:
 def reduce_vc_directed(g: Graph) -> Graph:
     """Directed vertex-cover gadget: root w, a two-arc chain per base vertex,
     crossed chains per base edge, and one sink vertex per base edge; unit lengths."""
-    if g.directed:
-        raise ValueError("base graph must be undirected")
+    base_edges = _base_edges(g)
     n = g.n
-    base_edges = sorted((min(t, h), max(t, h)) for t, h, _ in g.arcs)
     v1 = lambda v: 1 + 2 * v
     v2 = lambda v: 2 + 2 * v
     arcs = []
@@ -255,31 +256,15 @@ def reduce_vc_directed(g: Graph) -> Graph:
     return Graph(True, 1 + 2 * n + len(base_edges), arcs)
 
 
-def _directed_reduction_base(gp: Graph) -> tuple[int, list[tuple[int, int]]]:
-    n_base = sum(1 for t, _, _ in gp.arcs if t == 0)
-    e_base = 2 * n_base + 1
-    edge_of: dict[int, list[int]] = {}
-    for t, h, _ in gp.arcs:
-        if h >= e_base:
-            edge_of.setdefault(h, []).append((t - 2) // 2)
-    base_edges = [tuple(sorted(edge_of[e])) for e in sorted(edge_of)]
-    return n_base, base_edges
-
-
-def construct_reduction_labeling_directed(gp: Graph, vc) -> Labeling:
-    """Valid labeling of a directed reduction graph: one mandatory hub per vertex
-    side and per arc, plus the cover vertices' second chain vertex in the root's
-    forward label. Total size: 2|V'| + |A'| + |vc|."""
-    n_base, base_edges = _directed_reduction_base(gp)
-    vc = frozenset(int(v) for v in vc)
-    if not vc <= set(range(n_base)):
-        raise NotAVertexCoverError("cover contains non-base vertices")
-    for u, v in base_edges:
-        if u not in vc and v not in vc:
-            raise NotAVertexCoverError(f"edge ({u},{v}) uncovered")
-    n = gp.n
-    hub_f, hub_b = np.eye(n, dtype=bool), np.eye(n, dtype=bool)
-    e_base = 2 * n_base + 1
+def construct_reduction_labeling_directed(g: Graph, vc) -> Labeling:
+    """Valid labeling of ``reduce_vc_directed(g)`` from a vertex cover ``vc`` of
+    the base graph g: one mandatory hub per vertex side and per arc, plus the
+    cover vertices' second chain vertex in the root's forward label. Total
+    size: 2|V'| + |A'| + |vc|."""
+    vc = _checked_cover(g, vc)
+    gp = reduce_vc_directed(g)
+    hub_f, hub_b = np.eye(gp.n, dtype=bool), np.eye(gp.n, dtype=bool)
+    e_base = 2 * g.n + 1
     for t, h, _ in gp.arcs:
         if t == 0:
             hub_f[0, h] = True

@@ -86,10 +86,10 @@ class RunTrace:
 def _select(d: DistMatrix, engine: CoverageState, algo: str, step) -> tuple[Labeling, RunTrace]:
     """Run ``step`` until every pair of ``engine`` is covered; the one selection loop.
 
-    ``step(engine)`` returns ``(center, score, tails, heads, pair ids, level)``.
-    The center becomes a forward hub of each tail and a backward hub of each
-    head (an undirected step names every receiver a tail), the given
-    still-uncovered pairs are covered and the step is recorded.
+    ``step(engine)`` returns ``(center, score, pair ids, level)``. The given
+    still-uncovered pairs are covered, the center becomes a forward hub of
+    each of their tails and a backward hub of each of their heads (undirected,
+    every end is a tail: ``engine.receivers``), and the step is recorded.
 
     Once every uncovered pair's shortest-path row is one vertex, the rest of
     the run is one cover. Such a pair is an own pair [x, x] (any other row
@@ -107,16 +107,17 @@ def _select(d: DistMatrix, engine: CoverageState, algo: str, step) -> tuple[Labe
 
     while engine.uncovered_count:
         tail = int(engine.edges.sum()) == engine.uncovered_count
-        v, score, tails, heads, pids, level = step(engine)
+        v, score, pids, level = step(engine)
         if not len(pids):
             raise AssertionError(f"center {v} covers no uncovered pair")
-        if tail and (v, len(pids), tails, heads) != (np.flatnonzero(engine.edges)[0], 1, *own(v)):
+        # In the tail the one pair through v is v's own.
+        if tail and (v, len(pids)) != (np.flatnonzero(engine.edges)[0], 1):
             raise AssertionError(f"tail step at {v} is not the lowest center taking its own pair")
         before = engine.uncovered_count
         engine.cover_pairs(pids)
         after = engine.uncovered_count
         trace.iterations.append(
-            IterationRecord(v, score, len(pids), before, after, tails, heads, level)
+            IterationRecord(v, score, len(pids), before, after, *engine.receivers(pids), level)
         )
         if tail:
             rest = np.flatnonzero(engine.uncovered)  # own pairs, so in ascending vertex order
@@ -181,8 +182,7 @@ def _run_hierarchical(d: DistMatrix, algo: str) -> tuple[Order, Labeling, RunTra
     def step(engine: CoverageState):
         # The picked center takes every uncovered pair through it.
         v, score, level = pick(engine)
-        pids = engine.pairs_through(v)
-        return (v, score, *engine.receivers(pids), pids, level)
+        return v, score, engine.pairs_through(v), level
 
     labeling, trace = _select(d, CoverageState(d), algo, step)
     # A zero-length edge puts u on a shortest path of [v, v], so picking u may

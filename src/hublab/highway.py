@@ -150,7 +150,7 @@ def neighborhood_S(g: Graph, d: DistMatrix, v: int, r) -> list[SignificantPath]:
     if r <= 0:
         raise ValueError("r must be positive")
     thr = _within(d, 2 * r)
-    near = d.exact()[:, v]  # dist(v, .)
+    near = _from(d, v)
     return [
         sp
         for sp, wits in _paths_with_witnesses(g, d)
@@ -158,9 +158,16 @@ def neighborhood_S(g: Graph, d: DistMatrix, v: int, r) -> list[SignificantPath]:
     ]
 
 
+def _from(d: DistMatrix, v: int) -> np.ndarray:
+    """dist(v, .); an id outside 0..n-1 raises ``IndexError``."""
+    if not 0 <= v < d.n:  # numpy would count a negative id from the end
+        raise IndexError(f"vertex {v} out of range for {d.n} vertices")
+    return d.exact()[:, v]
+
+
 def ball(d: DistMatrix, v: int, r) -> set[int]:
     """Vertices within distance r of v (exact for rational r: dist <= floor(r))."""
-    return set(np.flatnonzero(d.exact()[:, v] <= _within(d, r)).tolist())
+    return set(np.flatnonzero(_from(d, v) <= _within(d, r)).tolist())
 
 
 def _ball_cap(d: DistMatrix, members: set[int] | frozenset[int], radius) -> int:

@@ -177,6 +177,7 @@ class Labeling:
 
     @property
     def size(self) -> int:
+        """Total hub count; undirected lists are counted once."""
         return sum(hub.size for _, hub, _ in self._sides())
 
     def hubs(self, v: int) -> set[int]:
@@ -214,11 +215,6 @@ class Labeling:
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"Labeling({kind}, n={self.n}, size={self.size})"
-
-
-def labeling_size(l: Labeling) -> int:
-    """Total hub count; undirected lists are counted once."""
-    return l.size
 
 
 @dataclass(frozen=True)

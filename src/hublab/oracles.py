@@ -14,6 +14,8 @@ from .graphs import path_membership  # noqa: F401 -- perfbench/tracing.py patche
 from .labeling import Labeling, Order, canonical_hhl, hub_labeling
 
 OPT_HHL_MAX_N = 20  # the subset DP's cost table is n x 2^n bytes: 1 MB at n = 16, 20 MB at 20
+EXACT_MDS_MAX_NODES = 20  # exact_mds's side nodes: its tables hold 2^20 masks
+HD_MAX_N = 24  # highway_dimension_bruteforce's vertices
 
 
 def _popcounts(c: int) -> np.ndarray:
@@ -252,7 +254,7 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
     return HlBnbResult(lower, upper, best, complete, nodes)
 
 
-def exact_mds(cg: CenterGraph, limit: int = 20):
+def exact_mds(cg: CenterGraph):
     """Exact maximum-density subgraph by one subset DP over the side-node form
     (:meth:`CenterGraph.side_nodes`), as numpy passes over all masks.
 
@@ -263,16 +265,16 @@ def exact_mds(cg: CenterGraph, limit: int = 20):
     above it (Dinkelbach). Ties prefer fewer side nodes, then, when undirected,
     the lexicographically smallest vertex list (the mask holding the lowest bit
     where the two differ) and, when directed, the smallest integer mask: the
-    smallest (tail mask, head mask). More than ``limit`` side nodes raise
-    ``TooLargeError``; Cohen's runner also caps the subsets per run. Returns
-    (sets, density) like the peel.
+    smallest (tail mask, head mask). More than ``EXACT_MDS_MAX_NODES`` side
+    nodes raise ``TooLargeError``; Cohen's runner also caps the subsets per
+    run. Returns (sets, density) like the peel.
     """
     if cg.edge_count == 0:
         raise EmptyCenterGraphError(f"center graph of {cg.center} has no edges")
     nodes, adj, loop = cg.side_nodes()
     c = len(nodes)
-    if c > limit:
-        raise TooLargeError(f"{c} side nodes exceed limit {limit}")
+    if c > EXACT_MDS_MAX_NODES:
+        raise TooLargeError(f"{c} side nodes exceed limit {EXACT_MDS_MAX_NODES}")
     pop = _popcounts(c)
     edges = np.zeros(1 << c, np.int16)
     below = np.arange(1 << c - 1, dtype=np.int32)
@@ -370,25 +372,22 @@ def _candidate_radii(d: DistMatrix) -> list[Fraction]:
     return sorted(cands)
 
 
-def highway_dimension_bruteforce(
-    g: Graph,
-    limit_n: int = 24,
-    include_trivial_paths: bool = False,
-) -> int:
+def highway_dimension_bruteforce(g: Graph) -> int:
     """Highway dimension: the largest minimum hitting set of any r-neighborhood.
 
     Neighborhood membership follows the witness definition; the hitting
-    requirement covers the positive-length members (zero-length paths are their
-    own sole hitters and would degenerate the measure to n on dense instances;
-    set ``include_trivial_paths`` to demand them anyway). The r grid covers all
-    distinct path lengths, half-lengths, and midpoints, which is exact.
+    requirement covers the positive-length members only: zero-length paths are
+    their own sole hitters and would degenerate the measure to n on dense
+    instances. The r grid covers all distinct path lengths, half-lengths, and
+    midpoints, which is exact. More than ``HD_MAX_N`` vertices raise
+    ``TooLargeError``.
     """
     from .highway import DirectedInputError, _must_hit, _paths_with_witnesses, _within
 
     if g.directed:
         raise DirectedInputError("undirected graph required")
-    if g.n > limit_n:
-        raise TooLargeError(f"n={g.n} exceeds limit {limit_n}")
+    if g.n > HD_MAX_N:
+        raise TooLargeError(f"n={g.n} exceeds limit {HD_MAX_N}")
     d = all_pairs_distances(g)
     if (d.exact() == d.unreachable).any():
         raise ValueError("connected graph required")
@@ -398,7 +397,7 @@ def highway_dimension_bruteforce(
     cache: dict[frozenset[frozenset[int]], int] = {}
     for r in _candidate_radii(d):
         thr = _within(d, 2 * r)
-        targets = [(sp, wits) for sp, wits in paths if include_trivial_paths or _must_hit(sp, r)]
+        targets = [(sp, wits) for sp, wits in paths if _must_hit(sp, r)]
         for v in range(g.n):
             key = frozenset(
                 frozenset(sp.vertices)

@@ -747,7 +747,7 @@ def mds_peel_reference(cg: hl.CenterGraph):
 def exact_mds_undirected_reference(cg: hl.CenterGraph):
     """Densest vertex subset by subset DP with one Fraction per subset; ties go
     to fewer vertices, then to the lexicographically smallest sorted list."""
-    verts = sorted(cg.vertices())
+    verts = sorted({v for arc in cg.arcs for v in arc})
     c = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
     adj, loop = [0] * c, [0] * c
@@ -819,7 +819,7 @@ def mask_tie_better(mask: int, incumbent: int, verts: list[int]) -> bool:
 def exact_mds_directed_reference(cg: hl.CenterGraph):
     """Densest (tails, heads) by a nested loop over tail and head subsets; ties
     go to fewer side occurrences, then to the smallest (tail mask, head mask)."""
-    tails, heads = sorted(cg.tails()), sorted(cg.heads())
+    tails, heads = sorted({u for u, _ in cg.arcs}), sorted({w for _, w in cg.arcs})
     cx, cy = len(tails), len(heads)
     ti = {v: i for i, v in enumerate(tails)}
     hi = {v: i for i, v in enumerate(heads)}
@@ -953,15 +953,19 @@ def endpoint_count_graphs(seed: int) -> list[hl.Graph]:
     return graphs + [hl.Graph(directed, n, []) for directed in (False, True) for n in (0, 1)]
 
 
-def select_reference(d: hl.DistMatrix, engine: CoverageState, algo: str, step):
+def select_reference(d: hl.DistMatrix, engine: CoverageState, algo: str, step, receivers=None):
     """``greedy._select`` one step at a time, with no shortcut for the tail of
     own pairs: call ``step`` until every pair is covered, record each step and
-    assemble the labeling from the records' (receiver, center) entries."""
+    assemble the labeling from the records' (receiver, center) entries.
+    ``receivers(pids)`` gives a step's (tails, heads); by default the ends of
+    its pairs, as ``_select`` takes them."""
+    receivers = receivers or engine.receivers
     trace = RunTrace(algo, d.directed, d.n)
     while engine.uncovered_count:
-        v, score, tails, heads, pids, level = step(engine)
+        v, score, pids, level = step(engine)
         if not len(pids):
             raise AssertionError(f"center {v} covers no uncovered pair")
+        tails, heads = receivers(pids)
         before = engine.uncovered_count
         engine.cover_pairs(pids)
         rec = IterationRecord(v, score, len(pids), before, engine.uncovered_count, tails, heads, level)
@@ -976,10 +980,12 @@ def select_reference(d: hl.DistMatrix, engine: CoverageState, algo: str, step):
 def run_cohen_hl_reference(d: hl.DistMatrix, pairs=None, exact_mds: bool = False):
     """Cohen's greedy set cover re-solving every live center's densest subgraph
     on every pick, with no subset cap: the step ``hl.run_cohen_hl`` took before
-    it kept the solves of centers no pick had touched."""
+    it kept the solves of centers no pick had touched. Each step's receivers
+    are the solver's sets, not the ends of the pairs it covers."""
     engine = CoverageState(d, pairs)
     idx = engine.index
     solve = hl.exact_mds if exact_mds else hl.mds_peel
+    picked = {}  # the last step's receivers
 
     def step(engine: CoverageState):
         best = None
@@ -991,7 +997,7 @@ def run_cohen_hl_reference(d: hl.DistMatrix, pairs=None, exact_mds: bool = False
         tails, heads = sets if d.directed else sets * 2
         pids = engine.pairs_through(v)
         covered = pids[np.isin(idx.u[pids], list(tails)) & np.isin(idx.w[pids], list(heads))]
-        rec_b = tuple(sorted(heads)) if d.directed else ()
-        return v, dens, tuple(sorted(tails)), rec_b, covered, None
+        picked["sets"] = tuple(sorted(tails)), tuple(sorted(heads)) if d.directed else ()
+        return v, dens, covered, None
 
-    return select_reference(d, engine, "cohen", step)
+    return select_reference(d, engine, "cohen", step, lambda pids: picked["sets"])

@@ -125,7 +125,7 @@ def labeling_catalog(bad_g_runs, bad_w_runs, reduction_bases, sphs_instances,
             (
                 f"vc-und-{name}",
                 hl.all_pairs_distances(gp),
-                families.construct_reduction_labeling_undirected(gp, vc),
+                families.construct_reduction_labeling_undirected(base, vc),
             )
         )
         gd = families.reduce_vc_directed(base)
@@ -133,7 +133,7 @@ def labeling_catalog(bad_g_runs, bad_w_runs, reduction_bases, sphs_instances,
             (
                 f"vc-dir-{name}",
                 hl.all_pairs_distances(gd),
-                families.construct_reduction_labeling_directed(gd, vc),
+                families.construct_reduction_labeling_directed(base, vc),
             )
         )
     dc4p = hl.all_pairs_distances(families.gen_cycle4(True))
@@ -311,10 +311,10 @@ def _reduction_data(bases):
         vc = hl.min_vertex_cover(base)
         gp = families.reduce_vc_undirected(base)
         dp = hl.all_pairs_distances(gp)
-        lab_u = families.construct_reduction_labeling_undirected(gp, vc)
+        lab_u = families.construct_reduction_labeling_undirected(base, vc)
         gd = families.reduce_vc_directed(base)
         dd = hl.all_pairs_distances(gd)
-        lab_d = families.construct_reduction_labeling_directed(gd, vc)
+        lab_d = families.construct_reduction_labeling_directed(base, vc)
         yield name, base, vc, gp, dp, lab_u, gd, dd, lab_d
 
 

@@ -58,6 +58,41 @@ def test_generate_vc_reduction(tmp_path, capsys):
     assert main(["verify", str(out), str(tmp_path / "red.labels")]) == 0
 
 
+def test_generate_bad_w(tmp_path, capsys):
+    out = tmp_path / "badw2.gr"
+    assert main(["generate", "bad-w", "--k", "2", "--out", str(out)]) == 0
+    payload = _json_payload(capsys)
+    assert (payload["n"], payload["m"]) == (20, 34)  # 2 + k + k l vertices, 2 k l + k edges
+    assert hl.parse_graph(out.read_text()) == families.gen_bad_w(2)
+
+
+def _c5_base(tmp_path) -> Path:
+    base = tmp_path / "c5.gr"
+    base.write_text(hl.serialize_graph(hl.Graph(False, 5, [(i, (i + 1) % 5, 1) for i in range(5)])))
+    return base
+
+
+def test_generate_vc_dir_with_hl(tmp_path, capsys):
+    out = tmp_path / "vd.gr"
+    argv = ["generate", "vc-dir", "--graph", str(_c5_base(tmp_path)), "--with-hl"]
+    assert main([*argv, "--out", str(out)]) == 0
+    payload = _json_payload(capsys)
+    # |V'| = 1 + 2|V| + |E|, |A'| = 2|V| + 4|E|; a minimum cover of C5 has 3 vertices
+    assert (payload["n"], payload["m"]) == (16, 30)
+    assert payload["labeling_size"] == 2 * 16 + 30 + 3 == 65
+    assert main(["verify", str(out), str(tmp_path / "vd.labels")]) == 0
+
+
+def test_generate_vc_und_with_hl_and_unique_paths(tmp_path, capsys):
+    out = tmp_path / "vu.gr"
+    argv = ["generate", "vc-und", "--graph", str(_c5_base(tmp_path)), "--with-hl", "--unique"]
+    assert main([*argv, "--out", str(out)]) == 0
+    payload = _json_payload(capsys)
+    assert payload["n"] == 6 * 5 + 1 == 31
+    assert payload["labeling_size"] == 14 * 5 + 1 + 3 * 5 + 3 == 89
+    assert main(["verify", str(out), str(tmp_path / "vu.labels")]) == 0
+
+
 def test_generate_cycle4_variants(tmp_path, capsys):
     und = tmp_path / "c4.gr"
     assert main(["generate", "cycle4", "--out", str(und)]) == 0

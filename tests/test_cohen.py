@@ -9,7 +9,7 @@ import pytest
 import hublab as hl
 from hublab import cohen, families, oracles
 
-from bruteforce import build_center_graph, gen_random_directed, mds_peel_reference
+from bruteforce import build_center_graph, center_graph_on, gen_random_directed, mds_peel_reference
 from bruteforce import random_center_graph, run_cohen_hl_reference, with_zero_arcs
 from conftest import complete_graph, edge2, seeded_graphs, star_graph
 
@@ -64,6 +64,29 @@ def test_peel_within_half_of_exact_on_encountered_graphs():
             _, peel_dens = hl.mds_peel(cg)
             _, exact_dens = hl.exact_mds(cg)
             assert peel_dens * 2 >= exact_dens
+
+
+def test_densest_subgraph_side_nodes_have_an_edge_inside():
+    # Cohen's step gives its center to the ends of the pairs it covers, the
+    # arcs inside the solver's sets; those ends are the sets only if no side
+    # node of a peeled or exact subgraph is isolated in it.
+    rng = random.Random(30100)
+    graphs = [random_center_graph(rng, directed=i % 2 == 1) for i in range(600)]
+    graphs += [
+        center_graph_on(rng, directed, c, shape)
+        for directed in (False, True)
+        for c in range(2, 13)
+        for shape in ("random", "regular", "cliques")
+        for _ in range(4)
+    ]
+    assert any(u == w for cg in graphs for u, w in cg.arcs)  # loops, and shared ids
+    for cg in graphs:
+        for solve in (hl.mds_peel, hl.exact_mds):
+            sets, _ = solve(cg)
+            tails, heads = sets if cg.directed else sets * 2
+            inside = [(u, w) for u, w in cg.arcs if u in tails and w in heads]
+            ends = [{u for u, _ in inside}, {w for _, w in inside}]
+            assert (ends if cg.directed else [ends[0] | ends[1]]) == list(sets), (solve, cg)
 
 
 def test_cohen_two_vertex_edge_matches_optimum():

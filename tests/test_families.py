@@ -104,7 +104,7 @@ def test_construct_reduction_labeling_undirected():
         assert len(vc) == k_min
         gp = families.reduce_vc_undirected(base)
         d = hl.all_pairs_distances(gp)
-        lab = families.construct_reduction_labeling_undirected(gp, vc)
+        lab = families.construct_reduction_labeling_undirected(base, vc)
         assert hl.verify_cover(lab, d).valid
         # selves + s everywhere, two or three hubs per path gadget, three
         # crossings per base edge
@@ -128,11 +128,10 @@ def test_construct_reduction_labeling_undirected():
 
 
 def test_construct_reduction_labeling_undirected_rejects_non_cover():
-    gp = families.reduce_vc_undirected(triangle())
     with pytest.raises(families.NotAVertexCoverError):
-        families.construct_reduction_labeling_undirected(gp, {0})
+        families.construct_reduction_labeling_undirected(triangle(), {0})
     with pytest.raises(families.NotAVertexCoverError):
-        families.construct_reduction_labeling_undirected(gp, {0, 7})
+        families.construct_reduction_labeling_undirected(triangle(), {0, 7})
 
 
 def test_generators_and_reductions_refuse_bad_input():
@@ -142,11 +141,14 @@ def test_generators_and_reductions_refuse_bad_input():
     for reduce in (families.reduce_vc_undirected, families.reduce_vc_directed):
         with pytest.raises(ValueError, match="base graph must be undirected"):
             reduce(families.gen_cycle4(True))
-    with pytest.raises(ValueError, match="not an undirected reduction graph"):
-        families.construct_reduction_labeling_undirected(triangle(), {0})
-    gp = families.reduce_vc_directed(edge2())
+    for construct in (
+        families.construct_reduction_labeling_undirected,
+        families.construct_reduction_labeling_directed,
+    ):
+        with pytest.raises(ValueError, match="base graph must be undirected"):
+            construct(families.gen_cycle4(True), {0, 1, 2, 3})
     with pytest.raises(families.NotAVertexCoverError, match="non-base vertices"):
-        families.construct_reduction_labeling_directed(gp, {0, 2})
+        families.construct_reduction_labeling_directed(edge2(), {0, 2})
 
 
 def test_reduce_vc_directed_counts():
@@ -164,15 +166,14 @@ def test_construct_reduction_labeling_directed():
         vc = hl.min_vertex_cover(base)
         gp = families.reduce_vc_directed(base)
         d = hl.all_pairs_distances(gp)
-        lab = families.construct_reduction_labeling_directed(gp, vc)
+        lab = families.construct_reduction_labeling_directed(base, vc)
         assert hl.verify_cover(lab, d).valid
         assert lab.size == 2 * gp.n + gp.m + k_min
     p3 = path_graph(2)
-    gp3 = families.reduce_vc_directed(p3)
-    lab3 = families.construct_reduction_labeling_directed(gp3, hl.min_vertex_cover(p3))
+    lab3 = families.construct_reduction_labeling_directed(p3, hl.min_vertex_cover(p3))
     assert lab3.size == 33
     with pytest.raises(families.NotAVertexCoverError):
-        families.construct_reduction_labeling_directed(gp3, set())
+        families.construct_reduction_labeling_directed(p3, set())
 
 
 def _cycle(n: int) -> hl.Graph:
@@ -251,14 +252,10 @@ def test_reduction_labelings_unchanged(key):
     base = REDUCTION_BASES[name]()
     vc = hl.min_vertex_cover(base) if cover == "min" else range(base.n)
     labelings = [
-        families.construct_reduction_labeling_undirected(
-            families.reduce_vc_undirected(base, unique), vc
-        )
+        families.construct_reduction_labeling_undirected(base, vc, unique)
         for unique in (False, True)
     ]
-    labelings.append(
-        families.construct_reduction_labeling_directed(families.reduce_vc_directed(base), vc)
-    )
+    labelings.append(families.construct_reduction_labeling_directed(base, vc))
     digests = tuple(
         hashlib.sha256(hl.serialize_labeling(lab).encode()).hexdigest() for lab in labelings
     )

@@ -209,6 +209,18 @@ def test_closeness_monotonicity():
         assert s2 <= s1
 
 
+@pytest.mark.parametrize("v", [-1, 4])
+def test_ball_and_neighborhood_refuse_ids_out_of_range(v):
+    # on the path 0-1-2-3 numpy would read vertex 3's column for -1
+    g = path_graph(3)
+    d = hl.all_pairs_distances(g)
+    assert hl.ball(d, 3, 1) == {2, 3}
+    with pytest.raises(IndexError, match=f"vertex {v} out of range for 4 vertices"):
+        hl.ball(d, v, 1)
+    with pytest.raises(IndexError, match=f"vertex {v} out of range for 4 vertices"):
+        hl.neighborhood_S(g, d, v, 1)
+
+
 def test_ball_examples():
     g = star_graph(4)
     d = hl.all_pairs_distances(g)

@@ -134,7 +134,7 @@ def test_query_bad_g_after_greedy():
 
 
 def test_labeling_size_examples():
-    assert hl.labeling_size(hl.Labeling(False, 1, [[(0, 0)]])) == 1
+    assert hl.Labeling(False, 1, [[(0, 0)]]).size == 1
     g = families.gen_bad_g(3)
     d = hl.all_pairs_distances(g)
     _, lab, _ = hl.run_g_hhl(d)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import hublab as hl
-from hublab import families
+from hublab import families, oracles
 
 from bruteforce import center_graph_on, exact_mds_loop, exact_mds_reference, gen_random_directed
 from bruteforce import min_hitting_set_bruteforce, min_vertex_cover_reference
@@ -244,7 +244,7 @@ def test_optimal_hl_on_separator_beats_hierarchies():
     assert best_hhl > res.upper
 
 
-def test_exact_mds_examples():
+def test_exact_mds_examples(monkeypatch):
     clique4 = hl.CenterGraph(0, False, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
     (members,), dens = hl.exact_mds(clique4)
     assert dens == Fraction(6, 4) and members == frozenset(range(4))
@@ -253,8 +253,9 @@ def test_exact_mds_examples():
     assert dens == Fraction(1, 1) and members == frozenset({0, 1, 2})
     (_, dens) = hl.exact_mds(hl.CenterGraph(0, False, ((0, 1),)))
     assert dens == Fraction(1, 2)
+    monkeypatch.setattr(oracles, "EXACT_MDS_MAX_NODES", 3)
     with pytest.raises(hl.TooLargeError):
-        hl.exact_mds(clique4, limit=3)
+        hl.exact_mds(clique4)
     with pytest.raises(hl.EmptyCenterGraphError):
         hl.exact_mds(hl.CenterGraph(0, False, ()))
 
@@ -432,16 +433,14 @@ def test_highway_dimension_values():
     spoked = hl.Graph(False, 9, spokes)
     assert hl.is_sphs(spoked, hl.all_pairs_distances(spoked), {0}, 1, Fraction(1, 2))
     assert hl.highway_dimension_bruteforce(spoked) == 1
-    # demanding hits on zero-length paths degenerates the measure
-    assert hl.highway_dimension_bruteforce(path_graph(4), include_trivial_paths=True) == 5
-    assert hl.highway_dimension_bruteforce(und, include_trivial_paths=True) == und.n
 
 
-def test_highway_dimension_errors():
+def test_highway_dimension_errors(monkeypatch):
     with pytest.raises(hl.DirectedInputError):
         hl.highway_dimension_bruteforce(families.gen_bad_g(2))
+    monkeypatch.setattr(oracles, "HD_MAX_N", 10)
     with pytest.raises(hl.TooLargeError):
-        hl.highway_dimension_bruteforce(hl.undirect(families.gen_bad_g(4)), limit_n=10)
+        hl.highway_dimension_bruteforce(hl.undirect(families.gen_bad_g(4)))
     two_comp = hl.Graph(False, 4, [(0, 1, 1), (2, 3, 1)])
     with pytest.raises(ValueError, match="connected"):
         hl.highway_dimension_bruteforce(two_comp)
