@@ -142,10 +142,9 @@ def gen_cycle4(directed: bool = False) -> Graph:
 def construct_c4prime_hl() -> Labeling:
     """Size-16 labeling of the directed 4-cycle, completed by the figure's
     reflection pattern; asymmetric (forward and backward lists differ)."""
-    hub_f, hub_b = np.eye(4, dtype=bool), np.eye(4, dtype=bool)
-    v = np.arange(4)
-    hub_f[v, 3 - v] = hub_b[v, v ^ 1] = True
-    return hub_labeling(all_pairs_distances(gen_cycle4(True)), np.nonzero(hub_f), np.nonzero(hub_b))
+    v = np.arange(4)  # each vertex has itself and one more hub per side
+    fwd, bwd = (np.r_[v, v], np.r_[v, 3 - v]), (np.r_[v, v], np.r_[v, v ^ 1])
+    return hub_labeling(all_pairs_distances(gen_cycle4(True)), fwd, bwd)
 
 
 def construct_separator_hl(k: int) -> Labeling:
@@ -153,11 +152,10 @@ def construct_separator_hl(k: int) -> Labeling:
     vertex, and all centers mutually; total size 3k(k-1) + k(k+1) + 1."""
     g = gen_separator(k)
     ids = separator_ids(k)
-    hub = np.eye(g.n, dtype=bool)
-    hub[:, ids.s] = True
-    hub[np.ix_(ids.centers, ids.centers)] = True
-    hub[ids.leaves, np.repeat(ids.centers, k - 1)] = True  # leaves run star-major
-    return hub_labeling(all_pairs_distances(g), np.nonzero(hub))
+    v, c = np.arange(g.n), np.array(ids.centers)
+    own = np.concatenate((v, v, np.repeat(c, k), ids.leaves))
+    hub = np.concatenate((v, np.full(g.n, ids.s), np.tile(c, k), np.repeat(c, k - 1)))
+    return hub_labeling(all_pairs_distances(g), (own, hub))  # leaves run star-major
 
 
 def reduce_vc_undirected(g: Graph, unique_shortest_paths: bool = False) -> Graph:
@@ -220,19 +218,18 @@ def construct_reduction_labeling_undirected(
     vc = _checked_cover(g, vc)
     gp = reduce_vc_undirected(g, unique_shortest_paths)
     s = 3 * g.n
-    hub = np.eye(gp.n, dtype=bool)
-    hub[:, s] = True
+    entries = [(v, v) for v in range(gp.n)] + [(v, s) for v in range(gp.n)]  # (owner, hub)
     for v in range(g.n):
         v1, v2, v3 = 3 * v, 3 * v + 1, 3 * v + 2
         if v in vc:
-            hub[v2, v1] = hub[v3, v1] = hub[v3, v2] = True
+            entries += [(v2, v1), (v3, v1), (v3, v2)]
         else:
-            hub[v1, v2] = hub[v3, v2] = True
+            entries += [(v1, v2), (v3, v2)]
     for u, v in _base_edges(g):
         x = u if u in vc else v
         y = v if x == u else u
-        hub[[3 * y, 3 * y + 1, 3 * y + 2], 3 * x] = True
-    return hub_labeling(all_pairs_distances(gp), np.nonzero(hub))
+        entries += [(3 * y + i, 3 * x) for i in range(3)]
+    return hub_labeling(all_pairs_distances(gp), np.array(entries).T)
 
 
 def reduce_vc_directed(g: Graph) -> Graph:
@@ -263,17 +260,17 @@ def construct_reduction_labeling_directed(g: Graph, vc) -> Labeling:
     size: 2|V'| + |A'| + |vc|."""
     vc = _checked_cover(g, vc)
     gp = reduce_vc_directed(g)
-    hub_f, hub_b = np.eye(gp.n, dtype=bool), np.eye(gp.n, dtype=bool)
+    fwd, bwd = [(v, v) for v in range(gp.n)], [(v, v) for v in range(gp.n)]  # (owner, hub)
     e_base = 2 * g.n + 1
     for t, h, _ in gp.arcs:
         if t == 0:
-            hub_f[0, h] = True
+            fwd.append((0, h))
         elif h >= e_base or (t % 2 == 1 and h == t + 1):
-            hub_b[h, t] = True
+            bwd.append((h, t))
         else:
-            hub_f[t, h] = True
-    hub_f[0, [2 + 2 * v for v in vc]] = True
-    return hub_labeling(all_pairs_distances(gp), np.nonzero(hub_f), np.nonzero(hub_b))
+            fwd.append((t, h))
+    fwd += [(0, 2 + 2 * v) for v in vc]
+    return hub_labeling(all_pairs_distances(gp), np.array(fwd).T, np.array(bwd).T)
 
 
 class _NonTreePairs(Sequence):

@@ -170,12 +170,19 @@ def ball(d: DistMatrix, v: int, r) -> set[int]:
     return set(np.flatnonzero(_from(d, v) <= _within(d, r)).tolist())
 
 
+def _balls(d: DistMatrix, members, r):
+    """``(c, near)`` per run of ``d.source_runs``: the sorted ``members`` c in the
+    run and ``near[i, v]``, whether dist(c[i], v) <= r."""
+    c, r = np.array(sorted(members), dtype=np.intp), _within(d, r)
+    for a, rows, _ in d.source_runs():
+        cs = c[c.searchsorted(a) : c.searchsorted(a + len(rows))]
+        yield cs, rows[cs - a] <= r
+
+
 def _ball_cap(d: DistMatrix, members: set[int] | frozenset[int], radius) -> int:
     """The most members of ``members`` in any one ball of the given radius."""
-    if not members:
-        return 0
-    carr = np.array(sorted(members), dtype=np.int64)
-    return int((d.exact()[carr] <= _within(d, radius)).sum(axis=0).max())
+    count = sum((near.sum(axis=0) for _, near in _balls(d, members, radius)), np.zeros(d.n))
+    return int(count.max(initial=0))
 
 
 def is_sphs(g: Graph, d: DistMatrix, c, h: int, r) -> bool:
@@ -186,6 +193,9 @@ def is_sphs(g: Graph, d: DistMatrix, c, h: int, r) -> bool:
     members of ``c``.
     """
     cset = set(c)
+    stray = cset.difference(range(d.n))
+    if stray:  # numpy would count a negative id from the end
+        raise IndexError(f"vertex {min(stray)} out of range for {d.n} vertices")
     paths = enumerate_significant_paths(g, d, r)
     if any(_must_hit(sp, r) and cset.isdisjoint(sp.vertices) for sp in paths):
         return False
@@ -258,7 +268,8 @@ def sphs_to_hhl(g: Graph, d: DistMatrix, ms: MultiscaleSPHS):
     Vertices rank by their highest level (higher level = more important, ties by
     id); each label keeps the more important members of every C_j within
     distance 2^j. The result covers all pairs and the maximum label size is at
-    most 1 + sum of the per-level ball caps.
+    most 1 + sum of the per-level ball caps. The radii grow with j, so each
+    entry comes once, from the level Q_i of its hub, i the hub's highest.
     """
     if g.directed:
         raise DirectedInputError("undirected graph required")
@@ -274,11 +285,13 @@ def sphs_to_hhl(g: Graph, d: DistMatrix, ms: MultiscaleSPHS):
             raise InvalidSPHSError(f"level {i} misses a {r}-significant path")
     order = Order.from_sequence(v for q in reversed(ms.q_sets()) for v in sorted(q))
     rank = np.array([order.rank(v) for v in range(n)])
-    hub = np.eye(n, dtype=bool)
-    for j, members in enumerate(ms.levels):
-        cj = np.array(sorted(members), dtype=np.int64)
-        hub[:, cj] |= (d.exact()[:, cj] <= _within(d, 2**j)) & (rank[cj] < rank[:, None])
-    return order, hub_labeling(d, np.nonzero(hub))
+    # (owners, hubs), every vertex its own hub; uint16 as n <= MAX_VERTICES < 2^16
+    entries = [(np.arange(n, dtype=np.uint16),) * 2]
+    for j, members in enumerate(ms.q_sets()):
+        for c, near in _balls(d, members, 2**j):
+            i, v = np.divmod(np.flatnonzero(near & (rank[c, None] < rank)), n)
+            entries.append((v.astype(np.uint16), c[i].astype(np.uint16)))
+    return order, hub_labeling(d, tuple(map(np.concatenate, zip(*entries))))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import INF, MAX_TOTAL_LENGTH, DistMatrix, pair_arrays, path_membership
-from .graphs import ranges, runs, transpose, unique_pairs
+from .graphs import ranges, transpose, unique_pairs
 
 
 class LabelFormatError(ValueError):
@@ -256,72 +256,61 @@ def verify_cover(l: Labeling, d: DistMatrix, pairs=None) -> CoverReport:
         raise ValueError("labeling and distance matrix disagree on shape")
     pairs = None if pairs is None else pair_arrays(d, pairs)
     into, far = d.exact(), d.unreachable
-    wrong_s, wrong_t = [], []
+    wrong = []
     for k, (ptr, hub, dist) in enumerate(l._sides()):
         own = np.repeat(np.arange(l.n), np.diff(ptr))
         s, t = (hub, own) if k else (own, hub)  # the pair an entry certifies
         bad = (into[t, s] != dist) | (dist >= far)
-        wrong_s.append(s[bad])
-        wrong_t.append(t[bad])
-    unc_s, unc_t = _uncovered(l, d, pairs)
+        wrong.append((s[bad], t[bad]))
     return CoverReport(
-        _sorted_pairs(l.directed, wrong_s, wrong_t), _sorted_pairs(l.directed, [unc_s], [unc_t])
+        _sorted_pairs(l.directed, wrong), _sorted_pairs(l.directed, _uncovered(l, d, pairs))
     )
 
 
 def _uncovered(l: Labeling, d: DistMatrix, pairs):
-    """Sources and targets of the uncovered pairs, by a join of the two sides on their hubs.
+    """The uncovered pairs as chunks (sources, targets), by a join over runs of sources.
 
-    Each side is turned hub-major by ``transpose`` (an undirected labeling's
-    one side once), owners ascending within a hub, and each forward entry
-    (s, h) meets every backward entry (h, t) of its hub; undirected, the one
-    side meets itself from its own position on, so t >= s. A triple covers
-    [s, t] when dist(s, h) + dist(h, t) == dist(s, t), all three read from
-    ``d.exact()``; a leg to an unreachable hub is D + 1 and matches no
-    distance. ``hit[t, s]``, one n x n bool seeded with the unreachable
-    pairs, collects the covers, and the pairs left unhit (of ``pairs``,
-    ``pair_arrays``' output, if given) are the uncovered ones.
-
-    There are J = sum over hubs of |F_h| |B_h| triples, and since a hub has at
-    most n owners, J <= n (B + n), B the backward entries: the cells a scan of
-    every backward label per source would gather. The forward entries go in
-    the runs of ``runs`` over their triple counts, of at most B + n triples
-    (an entry's partners, at most n, fit in one), so the join takes at most
-    about 2n runs and its temporaries stay near the size of one such scan's
-    row; flat int32 cells t * n + s fit since n^2 < 2^31.
+    Each forward entry (s, h), in owner order, meets the backward entries (h, t)
+    of its hub (``transpose``d, owners ascending), t >= s when undirected. A
+    triple covers [s, t] when dist(s, h) + dist(h, t) == dist(s, t) in
+    ``d.exact()``, where a leg to an unreachable hub, D + 1, matches nothing.
+    A source weighs its triples (at most B, the backward entries) plus its n
+    cells, and a run of ``d.source_runs`` at least B + n. The run's ``todo``
+    starts as its reachable pairs, loses those its triples cover, and keeps
+    the uncovered ones (of ``pairs``, ``pair_arrays``' output, if given).
     """
     into, n = d.exact(), l.n
-    hub_major = [transpose(ptr, hub, n) for ptr, hub, _ in l._sides()]
-    (fptr, s_of), (bptr, t_of) = hub_major[0], hub_major[-1]
-    fh = np.repeat(np.arange(n), np.diff(fptr))  # the hub of each entry, in hub order
-    leg_f = into[fh, s_of]  # dist(s, h)
+    fptr, fhub, _ = l.fwd_csr
+    bptr, t_of = transpose(*l.bwd_csr[:2], n)
+    own = np.repeat(np.arange(n), np.diff(fptr))  # the owner s of each forward entry
+    leg_f = into[fhub, own]  # dist(s, h)
     leg_b = into[t_of, np.repeat(np.arange(n), np.diff(bptr))]  # dist(h, t)
-    t_row = t_of * np.int32(n)
-    # Per forward entry: its first partner among the hub-major backward
-    # entries, and how many it has.
-    first = bptr[fh] if l.directed else np.arange(fh.size)
-    count = bptr[fh + 1] - first
-    hit = into >= d.unreachable
-    flat_hit, flat_into = hit.reshape(-1), into.reshape(-1)
-    for a, z in runs(np.concatenate(([0], np.cumsum(count))), block=t_of.size + n):
-        reps = count[a:z]
-        j = ranges(first[a:z], reps)  # each triple's backward partner
-        cell = t_row[j] + np.repeat(s_of[a:z], reps)
-        on_path = np.repeat(leg_f[a:z], reps) + leg_b[j] == flat_into[cell]
-        flat_hit[cell[on_path]] = True
-    np.logical_not(hit, out=hit)  # now reachable and uncovered
-    if pairs is None:
-        ts, ss = np.nonzero(hit)
-        keep = ts >= ss if not l.directed else slice(None)
-    else:
-        ss, ts = pairs
-        keep = hit[ts, ss]
-    return ss[keep], ts[keep]
+    # Per forward entry: its first hub-major partner and how many it has; undirected,
+    # the side meets itself from the entry's own place on, as a stable sort by hub.
+    first = bptr[fhub]
+    if not l.directed:
+        first[np.argsort(fhub, kind="stable")] = np.arange(fhub.size)
+    count = bptr[fhub + 1] - first
+    weight = np.concatenate(([0], np.cumsum(count)))[fptr] + np.arange(n + 1) * n
+    for a, rows, todo in d.source_runs(weight, t_of.size + n):
+        lo, hi = fptr[a], fptr[a + len(rows)]
+        reps = count[lo:hi]
+        j = ranges(first[lo:hi], reps)  # each triple's backward partner
+        cell = np.repeat((own[lo:hi] - a) * n, reps) + t_of[j]
+        on_path = np.repeat(leg_f[lo:hi], reps) + leg_b[j] == rows.reshape(-1)[cell]
+        todo.reshape(-1)[cell[on_path]] = False
+        if pairs is None:
+            s, t = np.divmod(np.flatnonzero(todo), n)  # 2-D nonzero is 10x slower
+        else:
+            i, k = pairs[0].searchsorted((a, a + len(rows)))
+            s, t = pairs[0][i:k] - a, pairs[1][i:k]
+            s, t = s[todo[s, t]], t[todo[s, t]]
+        yield s + a, t
 
 
-def _sorted_pairs(directed: bool, us, ws) -> tuple[tuple[int, int], ...]:
-    """Distinct pairs from chunks of sources and targets, canonical u <= w when undirected."""
-    us, ws = (np.concatenate([np.empty(0, np.int64), *x]) for x in (us, ws))
+def _sorted_pairs(directed: bool, chunks) -> tuple[tuple[int, int], ...]:
+    """Distinct pairs from chunks ``(sources, targets)``, canonical u <= w when undirected."""
+    us, ws = (np.concatenate(x) for x in zip((np.empty(0, np.int64),) * 2, *chunks))
     return tuple(zip(*(x.tolist() for x in unique_pairs(directed, us, ws))))
 
 
@@ -329,25 +318,26 @@ def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:
     """Canonical hierarchical labeling for an order.
 
     The hub of each reachable pair is the most important vertex on its shortest
-    paths; the result respects ``pi`` and is the minimum labeling doing so.
+    paths; the result respects ``pi`` and is the minimum labeling doing so. The
+    hub h of [u, w] is the hub of [u, h] and [h, w] too, their shortest paths
+    being parts of shortest u-w paths; so a pair gives an entry exactly at
+    each end that is its hub, and each entry comes once.
     """
     n = d.n
     if pi.n != n:
         raise ValueError("order and distance matrix disagree on n")
-    us, ws = d.reachable_arrays()
+    us, ws = (x.astype(np.uint16) for x in d.reachable_arrays())  # n <= MAX_VERTICES < 2^16
     bounds = np.searchsorted(us, np.arange(n + 1)).tolist()
-    del us
     by_rank = np.array(pi.by_rank(), dtype=np.int64)
-    # hub_f[u, h]: h is the hub of a pair [u, .]; hub_b[w, h] of a pair [., w].
-    hub_f = np.zeros((n, n), dtype=bool)
-    hub_b = np.zeros((n, n), dtype=bool) if d.directed else hub_f
+    hub = np.empty_like(ws)  # of each pair
     for u in range(n):
-        cols = ws[bounds[u] : bounds[u + 1]]
+        lo, hi = bounds[u], bounds[u + 1]
         # Columns in rank order: the first vertex on a path is its most important one.
-        hubs = by_rank[np.argmax(path_membership(d, u, cols)[:, by_rank], axis=1)]
-        hub_f[u, hubs] = True
-        hub_b[cols, hubs] = True
-    return hub_labeling(d, np.nonzero(hub_f), np.nonzero(hub_b) if d.directed else None)
+        hub[lo:hi] = by_rank[np.argmax(path_membership(d, u, ws[lo:hi])[:, by_rank], axis=1)]
+    fwd, bwd = (us[hub == ws], ws[hub == ws]), (ws[hub == us], us[hub == us])
+    if d.directed:
+        return hub_labeling(d, fwd, bwd)
+    return hub_labeling(d, tuple(map(np.concatenate, zip(fwd, bwd))))
 
 
 def hub_labeling(d: DistMatrix, fwd, bwd=None) -> Labeling:
@@ -357,12 +347,14 @@ def hub_labeling(d: DistMatrix, fwd, bwd=None) -> Labeling:
     A side is a pair of int arrays ``(owners, hubs)``: entry i puts ``hubs[i]``
     in the forward label of ``owners[i]`` at dist(owner, hub) for ``fwd``, in
     its backward label at dist(hub, owner) for ``bwd``; an undirected labeling
-    has only ``fwd``. ``np.nonzero`` of an owner-by-hub boolean table is such a
-    pair. Entries come in any order and may repeat: ``_csr`` sorts and checks
-    them as it does a parsed file's. The first entry of a side with an owner
-    or hub outside 0..n-1, or with its hub unreachable along the side, raises
-    ``ValueError``.
+    has only ``fwd``, and a side count that does not fit ``d`` raises
+    ``ValueError``. Entries come in any order and may repeat: ``_csr`` sorts
+    and checks them as it does a parsed file's. The first entry of a side with
+    an owner or hub outside 0..n-1, or with its hub unreachable along the
+    side, raises ``ValueError``.
     """
+    if (bwd is None) == d.directed:
+        raise ValueError("a directed labeling takes two sides, an undirected one a single side")
     into = d.exact()  # into[w, v] = dist(v, w)
     sides = []
     for name, side in (("forward", fwd), ("backward", bwd)):

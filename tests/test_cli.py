@@ -552,6 +552,36 @@ def test_build_and_verify_at_vertex_limit_under_memory_cap(tmp_path):
         assert res.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("kind", ["undirected", "directed"])
+def test_commands_at_the_vertex_limit_fit_beside_the_distance_array(kind, tmp_path):
+    # At 1 GiB the 0.8 GB int16 distance array fits, and no command path may
+    # allocate a second n x n table: verify on identity labels, the g-HHL build
+    # with its closing cover check, and (undirected) canonical on the identity
+    # order and SPHS. Run one child at a time: each holds the 0.8 GB array.
+    cap, n = 1 << 30, 20000
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    graph, labels, order = tmp_path / "big.gr", tmp_path / "big.lab", tmp_path / "order.txt"
+    graph.write_text(f"p {kind} {n} 0\n")
+    sides = ("l",) if kind == "undirected" else ("f", "b")
+    labels.write_text("".join(f"{t} {v} {v}:0\n" for v in range(n) for t in sides))
+    order.write_text("".join(f"{v}\n" for v in range(n)))
+    out = str(tmp_path / "out.lab")
+    build = ["build", str(graph), "--out", out, "--algo"]
+    commands = [["verify", str(graph), str(labels)], [*build, "g-hhl"]]
+    if kind == "undirected":
+        commands += [[*build, "canonical", "--order", str(order)], [*build, "sphs"]]
+    src = str(Path(hl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    for args in commands:
+        cmd = [sys.executable, "-m", "hublab.cli", *args]
+        res = subprocess.run(cmd, env=env, preexec_fn=limit, capture_output=True, text=True)
+        assert res.returncode == 0, (args, res.stderr)
+        assert "valid: True" in res.stdout.splitlines()
+
+
 def test_exact_cohen_past_its_subset_cap_exits_3_quickly(tmp_path):
     # Every center graph of bad-w k=2 has 20 side nodes: 2^20 subsets per call.
     graph = tmp_path / "w2.gr"

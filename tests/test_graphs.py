@@ -288,6 +288,19 @@ def test_reachable_arrays_match_the_whole_table(block, monkeypatch):
             assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), g
 
 
+def test_source_runs_hold_block_cells_and_at_least_32_rows():
+    # Every n <= 512 keeps runs of BLOCK cells; above, a run holds 32 rows, not
+    # one strided column read each. The runs cover the sources in order.
+    for n in (1, 300, 512, 513, 2000):
+        d = hl.all_pairs_distances(hl.Graph(True, n, []))
+        starts = [a for a, _, _ in d.source_runs()]
+        want = max(1, graphs.BLOCK // n) if n <= 512 else 32
+        assert starts == list(range(0, n, want)), n
+        for a, rows, fin in d.source_runs():
+            assert rows.flags.c_contiguous and rows.shape == fin.shape == (min(want, n - a), n)
+            assert fin.tolist() == (np.arange(n) == np.arange(a, a + len(rows))[:, None]).tolist()
+
+
 def test_reachable_scan_peaks_near_the_arrays_it_returns():
     # Each run's pairs wait as uint16 until the one join into intp, so the scan
     # holds little beyond the two arrays it returns.

@@ -252,6 +252,19 @@ def test_is_sphs_examples():
     assert hl.is_sphs(star, ds, {0}, 1, 1)
 
 
+@pytest.mark.parametrize("v", [-1, 4])
+def test_is_sphs_refuses_ids_out_of_range(v):
+    # On the 4-cycle -1 aliased vertex 3, so {-1} passed as a hitting set, and
+    # 4 ended in numpy's IndexError.
+    g4 = families.gen_cycle4(False)
+    d = hl.all_pairs_distances(g4)
+    assert hl.is_sphs(g4, d, {3}, 4, 100)
+    with pytest.raises(IndexError, match=f"vertex {v} out of range for 4 vertices"):
+        hl.is_sphs(g4, d, {v}, 4, 100)
+    with pytest.raises(IndexError, match=f"vertex {v} out of range for 4 vertices"):
+        hl.is_sphs(g4, d, {0, 1, v}, 4, 1)
+
+
 def test_greedy_multiscale_sphs_shapes():
     d1 = hl.all_pairs_distances(hl.Graph(False, 1, []))
     ms1 = hl.greedy_multiscale_sphs(hl.Graph(False, 1, []), d1)

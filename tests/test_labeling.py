@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hublab.labeling import _cut, hub_labeling
 from bruteforce import (
     _label_rows_reference,
     all_pairs_bruteforce,
+    canonical_hhl_loop,
     gen_random_directed,
     hub_labeling_checked,
     parse_labeling_reference,
@@ -258,6 +260,77 @@ def test_verify_cover_matches_pair_loop(index, monkeypatch):
                 assert got.valid == want.valid
                 assert got == want
     assert all(hl.verify_cover(lab, d).valid for lab in valid)
+
+
+@pytest.mark.parametrize("block", [1, 40, graphs.BLOCK])
+def test_cover_join_and_canonical_match_their_loops_in_source_runs(block, monkeypatch):
+    # A lowered BLOCK leaves the join runs of B + n weight, a few sources each,
+    # and canonical's scan one source a run. Both kinds, zero-length arcs,
+    # unreachable pairs, n = 0/1, and caller pairs repeated, reversed and
+    # unreachable.
+    monkeypatch.setattr(graphs, "BLOCK", block)
+    rng = random.Random(31500)
+    cases = [hl.Graph(False, 0, []), hl.Graph(True, 0, []), hl.Graph(False, 1, [])]
+    cases += [hl.Graph(True, 1, []), hl.Graph(True, 6, [(0, 1, 1), (1, 2, 0), (3, 4, 2)])]
+    cases += [hl.Graph(False, 7, [(0, 1, 1), (1, 2, 2), (4, 5, 0)])]
+    cases += [with_zero_arcs(g, rng) for g in seeded_graphs(4, 10, 31600)]
+    cases += [with_zero_arcs(gen_random_directed(8 + i, i, 4, 31700 + i), rng) for i in range(4)]
+    assert any(d.reachable_arrays()[0].size < d.n * (d.n + 1) // 2 for d in
+               map(hl.all_pairs_distances, cases))  # some pairs are unreachable
+    for g in cases:
+        d, n = hl.all_pairs_distances(g), g.n
+        order = list(range(n))
+        rng.shuffle(order)
+        pi = hl.Order.from_sequence(order)
+        canon = hl.canonical_hhl(d, pi)
+        assert canon == canonical_hhl_loop(d, pi)
+        every = [(s, t) for s in range(n) for t in range(n)]
+        asked = rng.choices(every, k=2 * len(every))  # repeats, both orders
+        for lab in [canon, *(_mutants(canon, d, rng, 4) if n else ())]:
+            for pairs in (None, asked, every):
+                assert hl.verify_cover(lab, d, pairs) == verify_cover_loop(lab, d, pairs)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_no_builder_or_check_allocates_an_n_by_n_table(directed):
+    # n x n bool is 3.8 MiB here; every pass over sources holds only its run's
+    # rows, so each call peaks below n^2 / 4 bytes on top of the distance array.
+    n = 2000
+    g = hl.Graph(directed, n, [])
+    d = hl.all_pairs_distances(g)
+    lab = hl.Labeling(directed, n, [[(v, 0)] for v in range(n)],
+                      [[(v, 0)] for v in range(n)] if directed else None)
+    calls = {
+        "verify_cover": lambda: hl.verify_cover(lab, d).valid,
+        "canonical_hhl": lambda: hl.canonical_hhl(d, hl.Order(range(1, n + 1))) == lab,
+        "reachable_arrays": lambda: d.reachable_arrays()[0].size == n,
+    }
+    if not directed:  # both steps of an SPHS build, each on its own
+        ms = hl.greedy_multiscale_sphs(g, d)
+        calls["greedy_multiscale_sphs"] = lambda: hl.greedy_multiscale_sphs(g, d) == ms
+        calls["sphs_to_hhl"] = lambda: hl.sphs_to_hhl(g, d, ms)[1] == lab
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            ok = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok, name
+        assert peak < n * n / 4, (name, peak)
+
+
+def test_hub_labeling_refuses_a_side_count_that_does_not_fit():
+    # An undirected d with a backward side used to drop it silently; a directed
+    # one without it ended in a TypeError.
+    und = hl.all_pairs_distances(hl.Graph(False, 2, [(0, 1, 1)]))
+    dire = hl.all_pairs_distances(hl.Graph(True, 2, [(0, 1, 1)]))
+    side = ([0, 1], [0, 1])
+    with pytest.raises(ValueError, match="two sides"):
+        hub_labeling(und, side, side)
+    with pytest.raises(ValueError, match="two sides"):
+        hub_labeling(dire, side)
+    assert hub_labeling(und, side).size == 2 and hub_labeling(dire, side, side).size == 4
 
 
 def test_cover_report_computes_violations_once():
