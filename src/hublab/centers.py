@@ -84,21 +84,21 @@ class PathIndex:
     The pair list is ``d.reachable_arrays()``, the blocked scan of every
     reachable pair, or ``pair_arrays(d, pairs)`` of the caller's ``(u, w)``
     (checked, undirected ones min-first, deduplicated and sorted); an
-    unreachable pair raises ``ValueError``. Rows are built one source at a
-    time from the membership predicate, an (its pairs) x n table, each
-    pair's length going straight into ``ptr``; ``vptr`` and ``vpairs`` by
-    ``transpose``. ``verts`` exists twice while the rows are joined, but
-    ``vpairs`` (twice its size) does not exist yet. So the peak is the kept
-    arrays plus the larger of one source's table and one run's temporaries:
-    on ``gen_random(300, 600, 10, 11)``, 2.87 MiB against 2.47 MiB kept.
+    unreachable pair raises ``ValueError``. Per run of ``d.source_runs``, a
+    source's pairs get their rows from the membership predicate on its
+    distance row, an (its pairs) x n table, each length going straight into
+    ``ptr``; a run's rows are joined at its end, and ``vptr`` and ``vpairs``
+    come by ``transpose``. The peak is the kept arrays, ``verts`` twice while
+    the runs are joined, plus the largest of one table and one run's arrays:
+    on ``gen_random(300, 600, 10, 11)``, 2.89 MiB against 2.47 MiB kept.
     """
 
     def __init__(self, d: DistMatrix, pairs=None):
-        into, n = d.exact(), d.n
+        n = d.n
         uw = d.reachable_arrays() if pairs is None else pair_arrays(d, pairs)
         self.u, self.w = (x.astype(np.int32) for x in uw)
         del uw
-        dist = into[self.w, self.u]
+        dist = d.exact()[self.u, self.w]
         bad = np.flatnonzero(dist == d.unreachable)
         if bad.size:
             u, w = self.u[bad[0]], self.w[bad[0]]
@@ -107,15 +107,18 @@ class PathIndex:
         del dist
         self.source_ptr = np.searchsorted(self.u, np.arange(n + 1))
         self.ptr = np.zeros(len(self.u) + 1, np.int64)  # pair lengths, then their running sums
-        rows, bounds = [np.zeros(0, np.uint16)], self.source_ptr.tolist()
-        for s in self.sources():
-            lo, hi = bounds[s], bounds[s + 1]
-            at, vs = np.divmod(np.flatnonzero(path_membership(d, s, self.w[lo:hi])), n)
-            self.ptr[lo + 1 : hi + 1] = np.bincount(at, minlength=hi - lo)
-            rows.append(vs.astype(np.uint16))
+        verts, bounds = [np.zeros(0, np.uint16)], self.source_ptr.tolist()
+        for a, rows, _ in d.source_runs():
+            run = verts[:1]
+            for s in np.flatnonzero(np.diff(self.source_ptr[a : a + len(rows) + 1])).tolist():
+                lo, hi = bounds[a + s], bounds[a + s + 1]
+                at, vs = np.divmod(np.flatnonzero(path_membership(d, rows[s], self.w[lo:hi])), n)
+                self.ptr[lo + 1 : hi + 1] = np.bincount(at, minlength=hi - lo)
+                run.append(vs.astype(np.uint16))
+            verts.append(np.concatenate(run))
         np.cumsum(self.ptr, out=self.ptr)
-        self.verts = np.concatenate(rows)
-        del rows
+        self.verts = np.concatenate(verts)
+        del verts
         self.vptr, self.vpairs = transpose(self.ptr, self.verts, n)
 
     def __len__(self) -> int:
@@ -126,10 +129,6 @@ class PathIndex:
 
     def through(self, v: int) -> np.ndarray:
         return self.vpairs[self.vptr[v] : self.vptr[v + 1]]
-
-    def sources(self) -> list[int]:
-        """Vertices that are the first element of at least one pair."""
-        return np.flatnonzero(np.diff(self.source_ptr)).tolist()
 
     def pairs(self, pids) -> list[tuple[int, int]]:
         return list(zip(self.u[pids].tolist(), self.w[pids].tolist()))

@@ -46,6 +46,14 @@ class CapExceededError(RuntimeError):
     """Shortest-path enumeration listed more than ``highway.MAX_PATHS`` paths."""
 
 
+def as_int(x) -> int:
+    """``operator.index(x)``: a float or a string raises ``ValueError``, not rounded or parsed."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{x!r} is not an int") from None
+
+
 def _check_zero_cycles(directed: bool, arcs) -> None:
     """Refuse a zero-length cycle by one peeling pass over the zero-length arcs,
     which are distinct and loop-free. v peels once ``left[v]``, its unpeeled
@@ -89,8 +97,7 @@ class Graph:
             raise TooLargeError(f"n={n} exceeds the vertex limit {MAX_VERTICES}")
         first_pos: dict[tuple[int, int], int] = {}
         kept: list[list[int]] = []
-        for tail, head, length in arcs:
-            tail, head, length = int(tail), int(head), int(length)
+        for tail, head, length in (map(as_int, arc) for arc in arcs):
             if not (0 <= tail < n and 0 <= head < n):
                 raise ValueError(f"arc ({tail},{head}) out of vertex range 0..{n - 1}")
             if tail == head:
@@ -242,13 +249,15 @@ def _dijkstra(adj, source: int, dist: list[int]) -> list[int]:
 
 
 class DistMatrix:
-    """All-pairs distances as one exact integer array, target-major.
+    """All-pairs distances as one exact integer array.
 
-    ``exact()[w, v]`` is dist(v, w), or ``unreachable`` = D + 1 (D the
-    diameter) if w is unreachable from v, so no sum with such a leg matches a
+    ``exact()[u, w]`` is dist(u, w), or ``unreachable`` = D + 1 (D the
+    diameter) if w is unreachable from u, so no sum with such a leg matches a
     distance. Sums reach 2(D + 1), and the dtype is the narrowest that holds
-    them (``_exact_dtype``): int16, int32 or int64. ``dist``
-    gives INF when unreachable; ``matrix`` is a float64 export, built on demand.
+    them (``_exact_dtype``): int16, int32 or int64. ``dist`` gives INF when
+    unreachable; ``matrix`` is a float64 export, built on demand. The store
+    ``_into``, read only in this module, is ``exact()`` transposed, so that a
+    target's legs dist(., w) are one row; ``source_runs`` gives sources' rows.
     """
 
     __slots__ = ("directed", "n", "diameter", "unreachable", "_into", "_float")
@@ -263,7 +272,7 @@ class DistMatrix:
         self._float = None
 
     def exact(self) -> np.ndarray:
-        return self._into
+        return self._into.T
 
     @property
     def matrix(self) -> np.ndarray:
@@ -323,8 +332,8 @@ class DistMatrix:
             return NotImplemented
         return self.directed == other.directed and np.array_equal(self._into, other._into)
 
-    def __hash__(self) -> int:
-        return hash((self.directed, self.n, self._into.tobytes()))
+    def __hash__(self) -> int:  # no copy of the array; ``__eq__`` decides
+        return hash((self.directed, self.n, self.diameter))
 
     def __repr__(self) -> str:
         return f"DistMatrix(directed={self.directed}, n={self.n}, D={self.diameter})"
@@ -403,16 +412,14 @@ def all_pairs_distances(g: Graph) -> DistMatrix:
     return _distances(g, _pivot_fill if g.n <= PIVOT_MAX_N else _dijkstra_fill)
 
 
-def path_membership(d: DistMatrix, u: int, cols) -> np.ndarray:
-    """Pair-major boolean (j, v) table: v lies on some shortest u-w path, w = ``cols[j]``.
-
-    Each w must be reachable from u. Compares on ``d.exact()``, where an
+def path_membership(d: DistMatrix, row: np.ndarray, cols) -> np.ndarray:
+    """Pair-major boolean (j, v) table: v lies on some shortest u-w path, w = ``cols[j]``,
+    for ``row`` = dist(u, .), a row of a run of ``d.source_runs``. Each w must be
+    reachable from u. The legs dist(v, w) are the store's rows ``cols``, where an
     unreachable leg is D+1 and so never sums to the finite target; row j lists
     its path vertices in id order, as a CSR row wants them.
     """
-    into = d.exact()
-    row = np.ascontiguousarray(into[:, u])
-    legs = into[cols]
+    legs = d._into[cols]
     legs += row
     return legs == row[cols][:, None]
 
@@ -437,14 +444,10 @@ def unique_pairs(directed: bool, us, ws) -> tuple[np.ndarray, np.ndarray]:
 def pair_arrays(d: DistMatrix, pairs) -> tuple[np.ndarray, np.ndarray]:
     """A caller's ``(u, w)`` pairs as sorted int64 sources and targets, min-first
     when undirected, repeats dropped and unreachable ones kept. The first pair
-    with an id that is not an int (by ``operator.index``) or is outside
-    0..n-1 raises ``ValueError``."""
+    with an id that is not an int (by ``as_int``) or is outside 0..n-1 raises
+    ``ValueError``."""
     uw = []
-    for u, w in pairs:
-        try:
-            u, w = operator.index(u), operator.index(w)
-        except TypeError:
-            raise ValueError(f"pair ({u!r},{w!r}) holds an id that is not an int") from None
+    for u, w in (map(as_int, pair) for pair in pairs):
         if not (0 <= u < d.n and 0 <= w < d.n):
             raise ValueError(f"pair ({u},{w}) out of range")
         uw.append((u, w))

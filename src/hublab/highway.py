@@ -52,33 +52,32 @@ def _all_shortest_paths(g: Graph, d: DistMatrix) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = [(v,) for v in range(g.n)]
     if len(out) > cap:
         raise CapExceededError(f"more than {cap} shortest paths")
-    for u in range(g.n):
-        du = d.exact()[u].tolist()  # symmetric: dist(u, .) as Python ints
-        for w in range(u + 1, g.n):
-            if du[w] == d.unreachable:
-                continue
-            # Depth-first from w back to u over arcs that stay on a shortest path.
-            # Frames are (tip, distance left to u, unread neighbours of tip); an
-            # explicit stack, so a path may outgrow the interpreter's recursion
-            # limit. Paths stay simple: a zero-length edge would otherwise be
-            # walked back and forth forever.
-            stack, on_path = [(w, du[w], iter(adj[w]))], {w}
-            while stack:
-                tip, left, nbrs = stack[-1]
-                for x, ln in nbrs:
-                    if x not in on_path and du[x] + ln == left:
-                        break
-                else:
-                    stack.pop()
-                    on_path.discard(tip)
-                    continue
-                if x == u:
-                    out.append((u, *(t for t, _, _ in reversed(stack))))
-                    if len(out) > cap:
-                        raise CapExceededError(f"more than {cap} shortest paths")
-                else:
-                    stack.append((x, left - ln, iter(adj[x])))
-                    on_path.add(x)
+    for a, rows, fin in d.source_runs():
+        fin[:, a:][np.diag_indices(len(rows))] = False  # the trivial paths are listed
+        for i in np.flatnonzero(fin.any(axis=1)).tolist():
+            u, du = a + i, rows[i].tolist()  # dist(u, .) as Python ints
+            for w in np.flatnonzero(fin[i]).tolist():
+                # Depth-first from w back to u over arcs that stay on a shortest path. Frames
+                # are (tip, distance left to u, unread neighbours of tip); an explicit stack,
+                # so a path may outgrow the interpreter's recursion limit. Paths stay simple:
+                # a zero-length edge would otherwise be walked back and forth forever.
+                stack, on_path = [(w, du[w], iter(adj[w]))], {w}
+                while stack:
+                    tip, left, nbrs = stack[-1]
+                    for x, ln in nbrs:
+                        if x not in on_path and du[x] + ln == left:
+                            break
+                    else:
+                        stack.pop()
+                        on_path.discard(tip)
+                        continue
+                    if x == u:
+                        out.append((u, *(t for t, _, _ in reversed(stack))))
+                        if len(out) > cap:
+                            raise CapExceededError(f"more than {cap} shortest paths")
+                    else:
+                        stack.append((x, left - ln, iter(adj[x])))
+                        on_path.add(x)
     return out
 
 
@@ -162,7 +161,7 @@ def _from(d: DistMatrix, v: int) -> np.ndarray:
     """dist(v, .); an id outside 0..n-1 raises ``IndexError``."""
     if not 0 <= v < d.n:  # numpy would count a negative id from the end
         raise IndexError(f"vertex {v} out of range for {d.n} vertices")
-    return d.exact()[:, v]
+    return d.exact()[v]
 
 
 def ball(d: DistMatrix, v: int, r) -> set[int]:

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import INF, MAX_TOTAL_LENGTH, DistMatrix, pair_arrays, path_membership
+from .graphs import INF, MAX_TOTAL_LENGTH, DistMatrix, as_int, pair_arrays, path_membership
 from .graphs import ranges, transpose, unique_pairs
 
 
@@ -21,16 +21,15 @@ class Order:
     __slots__ = ("_ranks",)
 
     def __init__(self, ranks):
-        ranks = [int(r) for r in ranks]
-        n = len(ranks)
-        if sorted(ranks) != list(range(1, n + 1)):
+        ranks = tuple(map(as_int, ranks))
+        if sorted(ranks) != list(range(1, len(ranks) + 1)):
             raise ValueError("ranks must be a permutation of 1..n")
-        self._ranks = tuple(ranks)
+        self._ranks = ranks
 
     @classmethod
     def from_sequence(cls, vertices) -> "Order":
         """Build from vertices listed most-important-first."""
-        vertices = [int(v) for v in vertices]
+        vertices = [as_int(v) for v in vertices]
         n = len(vertices)
         ranks = [0] * n
         for pos, v in enumerate(vertices):
@@ -109,7 +108,7 @@ def _rows_csr(n: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if len(rows) != n:
         raise ValueError(f"expected {n} label lists, got {len(rows)}")
     pairs = (r.items() if isinstance(r, dict) else r for r in rows)
-    entries = [(v, int(h), int(dd)) for v, row in enumerate(pairs) for h, dd in row]
+    entries = [(v, as_int(h), as_int(dd)) for v, row in enumerate(pairs) for h, dd in row]
     return _csr(n, *(zip(*entries) if entries else ((), (), ())))
 
 
@@ -260,7 +259,7 @@ def verify_cover(l: Labeling, d: DistMatrix, pairs=None) -> CoverReport:
     for k, (ptr, hub, dist) in enumerate(l._sides()):
         own = np.repeat(np.arange(l.n), np.diff(ptr))
         s, t = (hub, own) if k else (own, hub)  # the pair an entry certifies
-        bad = (into[t, s] != dist) | (dist >= far)
+        bad = (into[s, t] != dist) | (dist >= far)
         wrong.append((s[bad], t[bad]))
     return CoverReport(
         _sorted_pairs(l.directed, wrong), _sorted_pairs(l.directed, _uncovered(l, d, pairs))
@@ -283,8 +282,8 @@ def _uncovered(l: Labeling, d: DistMatrix, pairs):
     fptr, fhub, _ = l.fwd_csr
     bptr, t_of = transpose(*l.bwd_csr[:2], n)
     own = np.repeat(np.arange(n), np.diff(fptr))  # the owner s of each forward entry
-    leg_f = into[fhub, own]  # dist(s, h)
-    leg_b = into[t_of, np.repeat(np.arange(n), np.diff(bptr))]  # dist(h, t)
+    leg_f = into[own, fhub]  # dist(s, h)
+    leg_b = into[np.repeat(np.arange(n), np.diff(bptr)), t_of]  # dist(h, t)
     # Per forward entry: its first hub-major partner and how many it has; undirected,
     # the side meets itself from the entry's own place on, as a stable sort by hub.
     first = bptr[fhub]
@@ -330,10 +329,11 @@ def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:
     bounds = np.searchsorted(us, np.arange(n + 1)).tolist()
     by_rank = np.array(pi.by_rank(), dtype=np.int64)
     hub = np.empty_like(ws)  # of each pair
-    for u in range(n):
-        lo, hi = bounds[u], bounds[u + 1]
-        # Columns in rank order: the first vertex on a path is its most important one.
-        hub[lo:hi] = by_rank[np.argmax(path_membership(d, u, ws[lo:hi])[:, by_rank], axis=1)]
+    for a, rows, _ in d.source_runs():
+        for u, row in enumerate(rows, a):
+            lo, hi = bounds[u], bounds[u + 1]
+            # Columns in rank order: the first vertex on a path is its most important one.
+            hub[lo:hi] = by_rank[np.argmax(path_membership(d, row, ws[lo:hi])[:, by_rank], axis=1)]
     fwd, bwd = (us[hub == ws], ws[hub == ws]), (ws[hub == us], us[hub == us])
     if d.directed:
         return hub_labeling(d, fwd, bwd)
@@ -349,24 +349,22 @@ def hub_labeling(d: DistMatrix, fwd, bwd=None) -> Labeling:
     its backward label at dist(hub, owner) for ``bwd``; an undirected labeling
     has only ``fwd``, and a side count that does not fit ``d`` raises
     ``ValueError``. Entries come in any order and may repeat: ``_csr`` sorts
-    and checks them as it does a parsed file's. The first entry of a side with
-    an owner or hub outside 0..n-1, or with its hub unreachable along the
-    side, raises ``ValueError``.
+    and checks them as it does a parsed file's. A side not of an int dtype
+    (unless empty) raises ``ValueError``, as does its first entry with an
+    owner or hub outside 0..n-1 or with its hub unreachable along the side.
     """
     if (bwd is None) == d.directed:
         raise ValueError("a directed labeling takes two sides, an undirected one a single side")
-    into = d.exact()  # into[w, v] = dist(v, w)
     sides = []
-    for name, side in (("forward", fwd), ("backward", bwd)):
-        if side is None:
-            continue
+    for name, side in zip(("forward", "backward"), (fwd, bwd)[: 1 + d.directed]):
+        if any(np.size(x) and np.asarray(x).dtype.kind not in "iu" for x in side):
+            raise ValueError(f"{name} entries hold an owner or hub that is not an int")
         own, hub = (np.asarray(x, np.int64) for x in side)
         out = np.flatnonzero((own < 0) | (own >= d.n) | (hub < 0) | (hub >= d.n))
         if out.size:
             i = out[0]
             raise ValueError(f"{name} entry {i}: vertex {own[i]} or hub {hub[i]} out of range")
-        # dist(owner, hub) forward, dist(hub, owner) backward
-        dist = into[hub, own] if name == "forward" else into[own, hub]
+        dist = d.exact()[(own, hub) if name == "forward" else (hub, own)]
         far = np.flatnonzero(dist == d.unreachable)
         if far.size:
             i = far[0]

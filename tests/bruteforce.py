@@ -103,7 +103,7 @@ def path_index_reference(d: hl.DistMatrix, pairs=None) -> SimpleNamespace:
     """
     into, n = d.exact(), d.n
     if pairs is None:
-        fin = into.T < d.unreachable
+        fin = into < d.unreachable
         us, ws = np.nonzero(fin if d.directed else np.triu(fin))
     else:
         uw = np.array([(u, w) for u, w in pairs], dtype=np.int64).reshape(-1, 2)
@@ -114,7 +114,7 @@ def path_index_reference(d: hl.DistMatrix, pairs=None) -> SimpleNamespace:
     source_ptr = np.searchsorted(u, np.arange(n + 1))
     rows, lens = [np.zeros(0, np.uint16)], [np.zeros(1, np.int64)]
     for s in np.flatnonzero(np.diff(source_ptr)).tolist():
-        member = hl.path_membership(d, s, w[source_ptr[s] : source_ptr[s + 1]])
+        member = hl.path_membership(d, into[s], w[source_ptr[s] : source_ptr[s + 1]])
         at, vs = np.divmod(np.flatnonzero(member), n)
         lens.append(np.bincount(at, minlength=len(member)))
         rows.append(vs.astype(np.uint16))
@@ -124,7 +124,7 @@ def path_index_reference(d: hl.DistMatrix, pairs=None) -> SimpleNamespace:
     return SimpleNamespace(
         u=u,
         w=w,
-        level=(np.frexp(into[ws, us])[1] - 1).astype(np.int8),
+        level=(np.frexp(into[us, ws])[1] - 1).astype(np.int8),
         source_ptr=source_ptr,
         verts=verts,
         ptr=ptr,
@@ -151,14 +151,14 @@ def canonical_hhl_loop(d: hl.DistMatrix, pi: hl.Order) -> hl.Labeling:
 def hub_labeling_checked(d: hl.DistMatrix, hub_f: np.ndarray, hub_b: np.ndarray | None = None):
     """Row-by-row assembly through the checked ``Labeling`` constructor, which
     sorts and validates every row: the reference for ``hub_labeling``."""
-    into = d.exact()  # into[w, v] = dist(v, w)
+    into = d.exact()
 
     def side(hub, dist):
         rows = map(np.flatnonzero, hub)
         return [zip(hs.tolist(), dist[v, hs].tolist()) for v, hs in enumerate(rows)]
 
-    bwd = None if hub_b is None else side(hub_b, into)
-    return hl.Labeling(d.directed, d.n, side(hub_f, into.T), bwd)
+    bwd = None if hub_b is None else side(hub_b, into.T)
+    return hl.Labeling(d.directed, d.n, side(hub_f, into), bwd)
 
 
 def verify_cover_loop(l: hl.Labeling, d: hl.DistMatrix, pairs=None) -> hl.CoverReport:

@@ -129,6 +129,33 @@ def test_path_index_matches_the_whole_array_reference(block, monkeypatch):
                     assert hi == len(ids) or size + np.diff(index.ptr)[ids[hi]] > block
 
 
+@pytest.mark.parametrize("block", [20, 45, 200])
+def test_path_index_reads_sources_in_runs_of_several(block, monkeypatch):
+    # PathIndex takes each source's row from a run of source_runs, BLOCK // n
+    # rows here, and joins a run's rows once: against the reference, both kinds,
+    # on the full pair set and on lists that leave sources, and whole runs,
+    # without pairs.
+    monkeypatch.setattr(graphs, "BLOCK", block)
+    cases = list(_index_cases()) + [families.gen_random(60, 120, 5, 13400)]
+    cases += [gen_random_directed(50, 40, 4, 13500)]
+    fields = ("u", "w", "level", "source_ptr", "verts", "ptr", "vpairs", "vptr")
+    several = 0
+    for g in cases:
+        d = hl.all_pairs_distances(g)
+        reach = d.reachable_pairs()
+        sizes = [len(rows) for _, rows, _ in d.source_runs()]
+        several += max(sizes, default=0) > 1 and len(sizes) > 2
+        thirds = [(u, w) for u, w in reach if u % 3 == 1]
+        tail = [(u, w) for u, w in reach if u >= 2 * g.n // 3]
+        for pairs in (None, thirds, tail, reach[:1], []):
+            index, ref = PathIndex(d, pairs), path_index_reference(d, pairs)
+            for f in fields:
+                got, want = getattr(index, f), getattr(ref, f)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), (g, f)
+                assert got.tobytes() == want.tobytes(), (g, f)
+    assert several >= 2
+
+
 def test_path_index_peaks_near_what_it_keeps():
     # No temporary spans every incidence entry or n x n cells: the peak is the
     # kept arrays plus one source's membership table or one block's arrays.
@@ -250,7 +277,7 @@ def test_path_index_views_match_shortest_path_vertices():
             assert index.level[pid] == (-1 if level == hl.NEG_INF_LEVEL else level)
             for v in index[pid].tolist():
                 through[v].append(pid)
-            table = hl.path_membership(d, u, np.array([w, u]))  # reachable targets, any order
+            table = hl.path_membership(d, d.exact()[u], np.array([w, u]))  # reachable, any order
             for j, t in enumerate((w, u)):
                 assert table[j].tolist() == [on_shortest_path(d, u, t, v) for v in range(g.n)]
         for v in range(g.n):
@@ -285,7 +312,7 @@ def test_membership_kernel_matches_bruteforce(g, rnd):
     narrowest = np.int16 if 2 * cap < 2**15 else np.int32 if 2 * cap < 2**31 else np.int64
     assert into.dtype == narrowest
     rows = [[d.dist(u, v) if d.finite(u, v) else cap for v in range(g.n)] for u in range(g.n)]
-    assert into.T.tolist() == rows
+    assert into.tolist() == rows
     index = PathIndex(d)
     assert index.pairs(slice(None)) == d.reachable_pairs()
     for pid, (u, w) in enumerate(index.pairs(slice(None))):

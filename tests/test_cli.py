@@ -557,7 +557,9 @@ def test_commands_at_the_vertex_limit_fit_beside_the_distance_array(kind, tmp_pa
     # At 1 GiB the 0.8 GB int16 distance array fits, and no command path may
     # allocate a second n x n table: verify on identity labels, the g-HHL build
     # with its closing cover check, and (undirected) canonical on the identity
-    # order and SPHS. Run one child at a time: each holds the 0.8 GB array.
+    # order and SPHS, also on two edges, whose path enumeration is cached by
+    # graph and distances, then verified. Run one child at a time: each holds
+    # the 0.8 GB array.
     cap, n = 1 << 30, 20000
 
     def limit():
@@ -573,6 +575,10 @@ def test_commands_at_the_vertex_limit_fit_beside_the_distance_array(kind, tmp_pa
     commands = [["verify", str(graph), str(labels)], [*build, "g-hhl"]]
     if kind == "undirected":
         commands += [[*build, "canonical", "--order", str(order)], [*build, "sphs"]]
+        edges, sphs = tmp_path / "edges.gr", str(tmp_path / "edges.lab")
+        edges.write_text(f"p undirected {n} 2\na 0 1 1\na 1 2 1\n")
+        commands += [["build", str(edges), "--out", sphs, "--algo", "sphs"]]
+        commands += [["verify", str(edges), sphs]]
     src = str(Path(hl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     for args in commands:

@@ -32,6 +32,26 @@ def test_parse_minimal():
     assert not g.directed and g.n == 2 and g.arcs == ((0, 1, 1),)
 
 
+def test_graph_refuses_ids_and_lengths_that_are_not_ints():
+    # Graph(False, 3, [(0, 1, 1.5)]) used to store length 1, and "7" the int 7.
+    for bad in (1.5, 1.0, np.float64(1), "1", None):
+        for arc in ((0, 1, bad), (bad, 2, 1), (0, bad, 1)):
+            for directed in (False, True):
+                with pytest.raises(ValueError, match="not an int"):
+                    hl.Graph(directed, 3, [(1, 2, 4), arc])
+    g = hl.Graph(True, 3, [(np.uint16(0), np.int64(1), np.int8(2)), (1, 2, True)])
+    assert g.arcs == ((0, 1, 2), (1, 2, 1))
+
+
+def test_exact_reads_source_first():
+    # On the directed path 0 -> 1 -> 2, exact()[u, w] is dist(u, w).
+    d = hl.all_pairs_distances(hl.Graph(True, 3, [(0, 1, 1), (1, 2, 1)]))
+    into = d.exact()
+    assert into[0, 2] == 2 and into[2, 0] == d.unreachable == 3
+    assert into.tolist() == [[0, 1, 2], [3, 0, 1], [3, 3, 0]]
+    assert not into.flags.writeable
+
+
 def test_parse_bad_g_family_file():
     g3 = families.gen_bad_g(3)
     text = "# header comment\n" + hl.serialize_graph(g3)
@@ -281,7 +301,7 @@ def test_reachable_arrays_match_the_whole_table(block, monkeypatch):
     assert {g.directed for g in cases} == {False, True}
     for g in cases:
         d = hl.all_pairs_distances(g)
-        fin = d.exact().T < d.unreachable
+        fin = d.exact() < d.unreachable
         want = np.nonzero(fin if g.directed else np.triu(fin))
         got = d.reachable_arrays()
         for a, b in zip(got, want):
@@ -475,8 +495,8 @@ def test_distance_dtype_at_its_cuts(g, fill_dtype, dtype):
     assert fills == [np.dtype(fill_dtype)] * 2
     d = hl.all_pairs_distances(g)
     for u in range(g.n):
-        cols = np.flatnonzero(d.exact()[:, u] < d.unreachable)
-        table = hl.path_membership(d, u, cols)
+        cols = np.flatnonzero(d.exact()[u] < d.unreachable)
+        table = hl.path_membership(d, d.exact()[u], cols)
         for j, w in enumerate(cols.tolist()):
             assert set(np.flatnonzero(table[j]).tolist()) == path_vertices_bruteforce(g, u, w)
     pi = hl.Order.from_sequence(reversed(range(g.n)))
@@ -525,8 +545,8 @@ def test_fill_bound_is_the_n_minus_1_largest_arcs_and_exact():
         best = all_pairs_bruteforce(g)
         diameter = max(x for row in best for x in row if x != math.inf)
         want = np.array(
-            [[best[v][w] if best[v][w] != math.inf else diameter + 1 for v in range(g.n)]
-             for w in range(g.n)]
+            [[best[v][w] if best[v][w] != math.inf else diameter + 1 for w in range(g.n)]
+             for v in range(g.n)]
         )
         want = want.astype(np.int16 if 2 * (diameter + 1) < 2**15 else np.int32)
         for fill in (graphs._pivot_fill, graphs._dijkstra_fill):

@@ -448,7 +448,7 @@ def test_hub_labeling_equals_the_checked_assembly():
 
     for g in graphs:
         d = hl.all_pairs_distances(g)
-        reach = d.exact().T < d.unreachable  # [v, h]: h reachable from v
+        reach = d.exact() < d.unreachable  # [v, h]: h reachable from v
         for density in (0.0, 0.3, 1.0):
             keep = rng.random((g.n, 1)) < 0.7  # the other rows stay empty
             hub_f = reach & keep & (rng.random(reach.shape) < density)
@@ -758,3 +758,57 @@ def test_greedy_outputs_equal_canonical_of_produced_order():
         for run in (hl.run_g_hhl, hl.run_w_hhl, hl.run_d_hhl):
             order, lab, _ = run(d)
             assert lab == hl.canonical_hhl(d, order)
+
+
+_NOT_INTS = [1.5, 0.0, np.float64(1), "1", None]
+
+
+def test_order_refuses_ranks_that_are_not_ints():
+    # Order([1.9, 2.2]) used to be Order([1, 2]), and "2" the rank 2.
+    for bad in _NOT_INTS:
+        with pytest.raises(ValueError, match="not an int"):
+            hl.Order([2, bad])
+    assert hl.Order([np.int64(2), True]) == hl.Order([2, 1])
+
+
+def test_order_from_sequence_refuses_vertices_that_are_not_ints():
+    for bad in _NOT_INTS:
+        with pytest.raises(ValueError, match="not an int"):
+            hl.Order.from_sequence([1, bad])
+    assert hl.Order.from_sequence(np.array([1, 0], np.uint16)) == hl.Order([2, 1])
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_labeling_rows_refuse_hubs_and_distances_that_are_not_ints(directed):
+    # A row (1, 2.7) used to store the distance 2, and a hub "1" the hub 1.
+    for bad in _NOT_INTS:
+        for entry in ((bad, 1), (1, bad)):
+            rows = [[(0, 0), entry], [(1, 0)]]
+            with pytest.raises(ValueError, match="not an int"):
+                hl.Labeling(directed, 2, rows, rows if directed else None)
+            if directed:
+                with pytest.raises(ValueError, match="not an int"):
+                    hl.Labeling(True, 2, [[(0, 0)], [(1, 0)]], rows)
+    rows = [{np.int64(0): np.uint8(0)}, [(1, 0)]]
+    assert hl.Labeling(directed, 2, rows, rows if directed else None).fwd[0] == ((0, 0),)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_hub_labeling_refuses_owners_and_hubs_that_are_not_ints(directed):
+    # (np.array([0.9, 1]), np.array([1.2, 1])) used to read owner 0 and hub 1.
+    d = hl.all_pairs_distances(hl.Graph(directed, 2, [(0, 1, 1)]))
+    good = (np.array([0, 1]), np.array([0, 1]))
+    for bad in (np.array([0.9, 1]), np.array([0.0, 1.0]), np.array(["0", "1"]), [0, 1.0]):
+        for side in ((bad, good[1]), (good[0], bad)):
+            with pytest.raises(ValueError, match="forward entries hold .* not an int"):
+                hub_labeling(d, side, good if directed else None)
+            if directed:
+                with pytest.raises(ValueError, match="backward entries hold .* not an int"):
+                    hub_labeling(d, good, side)
+    # An empty side of any dtype, and sides of any int dtype, are allowed.
+    empty = hub_labeling(d, ([], []), ((), ()) if directed else None)
+    assert empty.size == 0
+    small = (good[0].astype(np.uint16), good[1].astype(np.int8))
+    assert hub_labeling(d, small, small if directed else None) == hub_labeling(
+        d, good, good if directed else None
+    )
