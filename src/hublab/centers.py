@@ -81,44 +81,45 @@ class PathIndex:
     level is read by ``frexp``, exact on the int16 distances (as float32) and
     on wider ones (as float64).
 
-    The pair list is ``d.reachable_arrays()``, the blocked scan of every
-    reachable pair, or ``pair_arrays(d, pairs)`` of the caller's ``(u, w)``
-    (checked, undirected ones min-first, deduplicated and sorted); an
-    unreachable pair raises ``ValueError``. Per run of ``d.source_runs``, a
-    source's pairs get their rows from the membership predicate on its
-    distance row, an (its pairs) x n table, each length going straight into
-    ``ptr``; a run's rows are joined at its end, and ``vptr`` and ``vpairs``
-    come by ``transpose``. The peak is the kept arrays, ``verts`` twice while
-    the runs are joined, plus the largest of one table and one run's arrays:
-    on ``gen_random(300, 600, 10, 11)``, 2.89 MiB against 2.47 MiB kept.
+    One pass of ``d.source_runs(pairs)`` gives the pairs, every reachable one
+    or the caller's ``(u, w)`` through ``pair_arrays`` (checked, undirected
+    ones min-first, deduplicated and sorted; an unreachable one raises
+    ``ValueError``), and their rows: a source's come from the membership
+    predicate on its distance row, an (its pairs) x n table. A run's pairs,
+    levels, lengths and rows wait, narrow, for one join after the pass, and
+    ``vptr`` and ``vpairs`` come by ``transpose``, so the peak is the kept
+    arrays and ``transpose``'s temporaries: on ``gen_random(300, 600, 10,
+    11)``, 2.88 MiB against 2.47 MiB kept.
     """
 
     def __init__(self, d: DistMatrix, pairs=None):
         n = d.n
-        uw = d.reachable_arrays() if pairs is None else pair_arrays(d, pairs)
-        self.u, self.w = (x.astype(np.int32) for x in uw)
-        del uw
-        dist = d.exact()[self.u, self.w]
-        bad = np.flatnonzero(dist == d.unreachable)
-        if bad.size:
-            u, w = self.u[bad[0]], self.w[bad[0]]
+        pairs = None if pairs is None else pair_arrays(d, pairs)
+        far = np.zeros(0, bool) if pairs is None else d.exact()[pairs] == d.unreachable
+        if far.any():
+            u, w = (x[far][0] for x in pairs)
             raise ValueError(f"pair ({u},{w}) is unreachable and can never be covered")
-        self.level = (np.frexp(dist)[1] - 1).astype(np.int8)
-        del dist
-        self.source_ptr = np.searchsorted(self.u, np.arange(n + 1))
-        self.ptr = np.zeros(len(self.u) + 1, np.int64)  # pair lengths, then their running sums
-        verts, bounds = [np.zeros(0, np.uint16)], self.source_ptr.tolist()
-        for a, rows, _ in d.source_runs():
-            run = verts[:1]
-            for s in np.flatnonzero(np.diff(self.source_ptr[a : a + len(rows) + 1])).tolist():
-                lo, hi = bounds[a + s], bounds[a + s + 1]
-                at, vs = np.divmod(np.flatnonzero(path_membership(d, rows[s], self.w[lo:hi])), n)
-                self.ptr[lo + 1 : hi + 1] = np.bincount(at, minlength=hi - lo)
+        empty = np.zeros(0, np.uint16)
+        chunks = [(empty, empty, np.zeros(1, np.uint16), empty, np.zeros(0, np.int8))]
+        for a, rows, fin in d.source_runs(pairs):
+            s, w = np.divmod(np.flatnonzero(fin), n)
+            lens, run = np.zeros(len(w), np.uint16), [empty]
+            at = np.searchsorted(s, np.arange(len(rows) + 1)).tolist()  # each source's first pair
+            for i in np.flatnonzero(np.diff(at)).tolist():
+                lo, hi = at[i], at[i + 1]
+                # Not np.flatnonzero, whose wrappers cost a tenth of a small source's time.
+                ids, vs = np.divmod(path_membership(d, rows[i], w[lo:hi]).ravel().nonzero()[0], n)
+                lens[lo:hi] = np.bincount(ids, minlength=hi - lo)
                 run.append(vs.astype(np.uint16))
-            verts.append(np.concatenate(run))
-        np.cumsum(self.ptr, out=self.ptr)
-        self.verts = np.concatenate(verts)
-        del verts
+            level = (np.frexp(rows[s, w])[1] - 1).astype(np.int8)
+            s, w = (s + a).astype(np.uint16), w.astype(np.uint16)
+            chunks.append((s, w, lens, np.concatenate(run), level))
+        self.u, self.w, self.ptr, self.verts, self.level = (
+            np.concatenate(x, dtype=t)
+            for x, t in zip(zip(*chunks), (np.int32, np.int32, np.int64, np.uint16, np.int8))
+        )
+        del chunks
+        np.cumsum(self.ptr, out=self.ptr)  # the seed's 0 and the pairs' lengths, to offsets
         self.vptr, self.vpairs = transpose(self.ptr, self.verts, n)
 
     def __len__(self) -> int:

@@ -293,20 +293,30 @@ class DistMatrix:
     def finite(self, u: int, v: int) -> bool:
         return self.dist(u, v) != INF
 
-    def source_runs(self, ptr=None, block=0):
+    def source_runs(self, pairs=None, ptr=None, block=0):
         """``(a, rows, fin)`` per run of ``runs`` over ``ptr`` (default: n cells a
         source), of ``block`` or ``BLOCK`` entries, whichever is more, and 2^-9 of
         ``BLOCK`` rows (32) or more: ``rows[s - a, t]`` = dist(s, t), C-contiguous,
-        and ``fin`` the reachable pairs, t >= s when undirected, a fresh table."""
+        and ``fin`` a fresh table of the run's reachable pairs, t >= s when
+        undirected, or of the reachable ones among ``pairs`` (``pair_arrays``'
+        output); a run holding none of ``pairs`` is skipped unread."""
         n = self.n
         ptr = np.arange(n + 1) * n if ptr is None else ptr
         for a, z in runs(ptr, block=max(block, BLOCK, BLOCK // 2**9 * n)):
+            if pairs is not None:
+                i, k = pairs[0].searchsorted((a, z))
+                if i == k:
+                    continue
             # Directed, copied as it lies and transposed in the copy: 3x faster.
             rows = self._into[a:z]
             if self.directed:
                 rows = np.ascontiguousarray(np.ascontiguousarray(self._into[:, a:z]).T)
             fin = rows < self.unreachable
-            if not self.directed:
+            if pairs is not None:
+                asked = np.zeros_like(fin)
+                asked[pairs[0][i:k] - a, pairs[1][i:k]] = True
+                fin &= asked
+            elif not self.directed:
                 fin &= np.arange(n) >= np.arange(a, z)[:, None]
             yield a, rows, fin
 
@@ -414,14 +424,23 @@ def all_pairs_distances(g: Graph) -> DistMatrix:
 
 def path_membership(d: DistMatrix, row: np.ndarray, cols) -> np.ndarray:
     """Pair-major boolean (j, v) table: v lies on some shortest u-w path, w = ``cols[j]``,
-    for ``row`` = dist(u, .), a row of a run of ``d.source_runs``. Each w must be
-    reachable from u. The legs dist(v, w) are the store's rows ``cols``, where an
-    unreachable leg is D+1 and so never sums to the finite target; row j lists
-    its path vertices in id order, as a CSR row wants them.
+    for ``row`` = dist(u, .), a row of a run of ``d.source_runs``. A w outside
+    0..n-1 raises ``IndexError`` and one unreachable from u ``ValueError``. The
+    legs dist(v, w) are the store's rows ``cols``, where an unreachable leg is
+    D+1 and so never sums to the finite target; row j lists its path vertices
+    in id order, as a CSR row wants them.
     """
+    try:  # one C pass checks 0 <= w < n; indexing would count a negative w from the end
+        cols = np.ravel_multi_index((cols,), (d.n,)) if len(cols) else np.zeros(0, np.intp)
+    except ValueError:
+        v = next(w for w in np.asarray(cols).tolist() if not 0 <= w < d.n)
+        raise IndexError(f"vertex {v} out of range for {d.n} vertices") from None
+    target = row[cols]
+    if np.maximum.reduce(target, initial=0) >= d.unreachable:
+        raise ValueError(f"vertex {cols[target.argmax()]} is unreachable from the row's source")
     legs = d._into[cols]
     legs += row
-    return legs == row[cols][:, None]
+    return legs == target[:, None]
 
 
 def unique_pairs(directed: bool, us, ws) -> tuple[np.ndarray, np.ndarray]:

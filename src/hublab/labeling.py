@@ -274,9 +274,9 @@ def _uncovered(l: Labeling, d: DistMatrix, pairs):
     triple covers [s, t] when dist(s, h) + dist(h, t) == dist(s, t) in
     ``d.exact()``, where a leg to an unreachable hub, D + 1, matches nothing.
     A source weighs its triples (at most B, the backward entries) plus its n
-    cells, and a run of ``d.source_runs`` at least B + n. The run's ``todo``
-    starts as its reachable pairs, loses those its triples cover, and keeps
-    the uncovered ones (of ``pairs``, ``pair_arrays``' output, if given).
+    cells, and a run of ``d.source_runs(pairs)`` at least B + n. The run's
+    ``todo``, its reachable pairs (of ``pairs``, if given), loses those its
+    triples cover; a run holding none of ``pairs`` is never read.
     """
     into, n = d.exact(), l.n
     fptr, fhub, _ = l.fwd_csr
@@ -291,19 +291,14 @@ def _uncovered(l: Labeling, d: DistMatrix, pairs):
         first[np.argsort(fhub, kind="stable")] = np.arange(fhub.size)
     count = bptr[fhub + 1] - first
     weight = np.concatenate(([0], np.cumsum(count)))[fptr] + np.arange(n + 1) * n
-    for a, rows, todo in d.source_runs(weight, t_of.size + n):
+    for a, rows, todo in d.source_runs(pairs, weight, t_of.size + n):
         lo, hi = fptr[a], fptr[a + len(rows)]
         reps = count[lo:hi]
         j = ranges(first[lo:hi], reps)  # each triple's backward partner
         cell = np.repeat((own[lo:hi] - a) * n, reps) + t_of[j]
         on_path = np.repeat(leg_f[lo:hi], reps) + leg_b[j] == rows.reshape(-1)[cell]
         todo.reshape(-1)[cell[on_path]] = False
-        if pairs is None:
-            s, t = np.divmod(np.flatnonzero(todo), n)  # 2-D nonzero is 10x slower
-        else:
-            i, k = pairs[0].searchsorted((a, a + len(rows)))
-            s, t = pairs[0][i:k] - a, pairs[1][i:k]
-            s, t = s[todo[s, t]], t[todo[s, t]]
+        s, t = np.divmod(np.flatnonzero(todo), n)  # 2-D nonzero is 10x slower
         yield s + a, t
 
 
@@ -316,28 +311,34 @@ def _sorted_pairs(directed: bool, chunks) -> tuple[tuple[int, int], ...]:
 def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:
     """Canonical hierarchical labeling for an order.
 
-    The hub of each reachable pair is the most important vertex on its shortest
-    paths; the result respects ``pi`` and is the minimum labeling doing so. The
-    hub h of [u, w] is the hub of [u, h] and [h, w] too, their shortest paths
-    being parts of shortest u-w paths; so a pair gives an entry exactly at
-    each end that is its hub, and each entry comes once.
+    The hub of each reachable pair, from one pass of ``d.source_runs``, is the
+    most important vertex on its shortest paths; the result respects ``pi``
+    and is the minimum labeling doing so. The hub h of [u, w] is the hub of
+    [u, h] and [h, w] too, their shortest paths being parts of shortest u-w
+    paths; so a pair gives an entry exactly at each end that is its hub, and
+    each entry comes once.
     """
     n = d.n
     if pi.n != n:
         raise ValueError("order and distance matrix disagree on n")
-    us, ws = (x.astype(np.uint16) for x in d.reachable_arrays())  # n <= MAX_VERTICES < 2^16
-    bounds = np.searchsorted(us, np.arange(n + 1)).tolist()
-    by_rank = np.array(pi.by_rank(), dtype=np.int64)
-    hub = np.empty_like(ws)  # of each pair
-    for a, rows, _ in d.source_runs():
-        for u, row in enumerate(rows, a):
-            lo, hi = bounds[u], bounds[u + 1]
-            # Columns in rank order: the first vertex on a path is its most important one.
-            hub[lo:hi] = by_rank[np.argmax(path_membership(d, row, ws[lo:hi])[:, by_rank], axis=1)]
-    fwd, bwd = (us[hub == ws], ws[hub == ws]), (ws[hub == us], us[hub == us])
+    # n at rank 1 down to 1 (< 2^15): a table row times it peaks at the row's hub.
+    weight = (n + 1 - np.array(pi._ranks, np.int64)).astype(np.int16)
+    chunks = [(np.zeros(0, np.uint16),) * 4]  # forward owners and hubs, backward owners and hubs
+    for a, rows, fin in d.source_runs():
+        us, ws = np.divmod(np.flatnonzero(fin), n)
+        at = np.searchsorted(us, np.arange(len(rows) + 1)).tolist()  # each source's first pair
+        us = (us + a).astype(np.uint16)  # n <= MAX_VERTICES < 2^16, as ws after the loop
+        hub = [np.zeros(0, np.intp)]  # of each pair
+        for i in np.flatnonzero(np.diff(at)).tolist():
+            lo, hi = at[i], at[i + 1]
+            hub.append((path_membership(d, rows[i], ws[lo:hi]) * weight).argmax(axis=1))
+        hub = np.concatenate(hub)
+        ws = ws.astype(np.uint16)
+        chunks.append((us[hub == ws], ws[hub == ws], ws[hub == us], us[hub == us]))
+    fwd_u, fwd_h, bwd_u, bwd_h = (np.concatenate(x) for x in zip(*chunks))
     if d.directed:
-        return hub_labeling(d, fwd, bwd)
-    return hub_labeling(d, tuple(map(np.concatenate, zip(fwd, bwd))))
+        return hub_labeling(d, (fwd_u, fwd_h), (bwd_u, bwd_h))
+    return hub_labeling(d, (np.concatenate((fwd_u, bwd_u)), np.concatenate((fwd_h, bwd_h))))
 
 
 def hub_labeling(d: DistMatrix, fwd, bwd=None) -> Labeling:

@@ -125,7 +125,6 @@ def path_index_reference(d: hl.DistMatrix, pairs=None) -> SimpleNamespace:
         u=u,
         w=w,
         level=(np.frexp(into[us, ws])[1] - 1).astype(np.int8),
-        source_ptr=source_ptr,
         verts=verts,
         ptr=ptr,
         vpairs=owner[np.argsort(verts, kind="stable")],

@@ -71,7 +71,7 @@ def test_initial_uncovered_counts():
 
 
 def _same_index(a: PathIndex, b: PathIndex) -> bool:
-    fields = ("u", "w", "level", "source_ptr", "verts", "ptr", "vpairs", "vptr")
+    fields = ("u", "w", "level", "verts", "ptr", "vpairs", "vptr")
     return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
 
 
@@ -101,7 +101,7 @@ def test_path_index_matches_the_whole_array_reference(block, monkeypatch):
     # shuffled, with repeats, and undirected ones partly reversed.
     monkeypatch.setattr(graphs, "BLOCK", block)
     rng = random.Random(13300 + block)
-    fields = ("u", "w", "level", "source_ptr", "verts", "ptr", "vpairs", "vptr")
+    fields = ("u", "w", "level", "verts", "ptr", "vpairs", "vptr")
     for g in _index_cases():
         d = hl.all_pairs_distances(g)
         reach = d.reachable_pairs()
@@ -138,7 +138,7 @@ def test_path_index_reads_sources_in_runs_of_several(block, monkeypatch):
     monkeypatch.setattr(graphs, "BLOCK", block)
     cases = list(_index_cases()) + [families.gen_random(60, 120, 5, 13400)]
     cases += [gen_random_directed(50, 40, 4, 13500)]
-    fields = ("u", "w", "level", "source_ptr", "verts", "ptr", "vpairs", "vptr")
+    fields = ("u", "w", "level", "verts", "ptr", "vpairs", "vptr")
     several = 0
     for g in cases:
         d = hl.all_pairs_distances(g)
@@ -167,9 +167,24 @@ def test_path_index_peaks_near_what_it_keeps():
         kept, peak = (x - base for x in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    arrays = (index.u, index.w, index.level, index.source_ptr, index.verts, index.ptr)
+    arrays = (index.u, index.w, index.level, index.verts, index.ptr)
     assert kept >= sum(a.nbytes for a in arrays + (index.vpairs, index.vptr)) > 2 << 20
     assert peak < kept + (3 << 19)  # 1.5 MiB
+
+
+def test_path_index_peaks_under_1_2_times_its_arrays():
+    # The pass keeps each run's pairs, lengths and rows narrow until the joins,
+    # so the peak stays within a fifth above the arrays the index keeps.
+    d = hl.all_pairs_distances(families.gen_random(300, 600, 10, 11))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        index = PathIndex(d)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(index, f).nbytes for f in "u w level ptr verts vptr vpairs".split())
+    assert kept > 2 << 20 and peak <= 1.2 * kept
 
 
 def test_path_index_canonicalizes_caller_pairs():

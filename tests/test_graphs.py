@@ -351,6 +351,73 @@ def test_pair_set_builds_no_n_by_n_table(directed):
         assert peak < 1 << 20
 
 
+def _counted_source_runs(monkeypatch) -> list[list[int]]:
+    """Wrap ``DistMatrix.source_runs``: one list per pass started, holding the
+    first source of each run it yields."""
+    passes, inner = [], graphs.DistMatrix.source_runs
+
+    def counted(self, *args, **kwargs):
+        passes.append([])
+        for run in inner(self, *args, **kwargs):
+            passes[-1].append(run[0])
+            yield run
+
+    monkeypatch.setattr(graphs.DistMatrix, "source_runs", counted)
+    return passes
+
+
+def test_each_builder_reads_the_distance_array_once(monkeypatch):
+    # PathIndex on the full pair set and canonical_hhl take their pairs from
+    # the same pass that gives their rows, both kinds; runs of 5 sources here.
+    monkeypatch.setattr(graphs, "BLOCK", 200)
+    passes = _counted_source_runs(monkeypatch)
+    for g in (families.gen_random(40, 80, 6, 3), gen_random_directed(40, 90, 6, 3)):
+        d = hl.all_pairs_distances(g)
+        for build in (lambda: PathIndex(d), lambda: hl.canonical_hhl(d, hl.Order(range(1, 41)))):
+            passes.clear()
+            build()
+            assert passes == [list(range(0, 40, 5))], g
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_explicit_pairs_read_only_the_runs_holding_them(directed, monkeypatch):
+    # 5,000 vertices make 157 runs of 32 sources; the three pairs lie in the
+    # first, so PathIndex and verify_cover read that run alone. Unreachable
+    # pairs added to the list are refused by PathIndex, the first in sorted
+    # order named.
+    n, trio = 5000, [(0, 1), (0, 2), (1, 2)]
+    d = hl.all_pairs_distances(hl.Graph(directed, n, [(0, 1, 1), (1, 2, 1)]))
+    selves = [[(v, 0)] for v in range(n)]
+    lab = hl.Labeling(directed, n, selves, selves if directed else None)
+    passes = _counted_source_runs(monkeypatch)
+    assert len(list(d.source_runs())) == 157
+    passes.clear()
+    index = PathIndex(d, trio)
+    assert index.pairs(slice(None)) == trio and passes == [[0]]
+    assert [index[p].tolist() for p in range(3)] == [[0, 1], [0, 1, 2], [1, 2]]
+    passes.clear()
+    assert hl.verify_cover(lab, d, pairs=trio).uncovered == tuple(trio) and passes == [[0]]
+    first = r"\(3,0\)" if directed else r"\(0,3\)"
+    with pytest.raises(ValueError, match=f"pair {first} is unreachable and can never be covered"):
+        PathIndex(d, trio + [(4000, 4001), (3, 0), (3, 4)])
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_path_membership_refuses_a_bad_target(directed):
+    # Vertex 2 is unreachable from 0: it was marked as on a shortest 0-2 path,
+    # and -1 read vertex 2 from the end; 3 ended in numpy's own message.
+    d = hl.all_pairs_distances(hl.Graph(directed, 3, [(0, 1, 1)]))
+    row = d.exact()[0]
+    assert hl.path_membership(d, row, [1, 0]).tolist() == [[True, True, False], [True, False, False]]
+    with pytest.raises(ValueError, match="vertex 2 is unreachable"):
+        hl.path_membership(d, row, [0, 2])
+    for bad in (-1, -3, 3, 2**40):
+        with pytest.raises(IndexError, match=f"vertex {bad} out of range for 3 vertices"):
+            hl.path_membership(d, row, np.array([1, bad]))
+    for none in (np.zeros(0, np.intp), []):
+        assert hl.path_membership(d, row, none).shape == (0, 3)
+
+
 def test_ranges_match_concatenated_aranges():
     rng = random.Random(14300)
     for trial in range(60):
