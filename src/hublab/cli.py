@@ -150,7 +150,7 @@ def _read_order(args) -> Order | None:
     )
 
 
-def _build_labeling(g, d, args, order: Order | None):
+def _build_labeling(d, args, order: Order | None):
     """(order, labeling, trace) of ``args.algo``; ``order`` is canonical's input."""
     if args.algo == "g-hhl":
         order, labeling, trace = _cli.run_g_hhl(d)
@@ -164,8 +164,8 @@ def _build_labeling(g, d, args, order: Order | None):
         labeling = canonical_hhl(d, order)
         trace = None
     elif args.algo == "sphs":
-        ms = _cli.greedy_multiscale_sphs(g, d)
-        order, labeling = _cli.sphs_to_hhl(g, d, ms)
+        ms = _cli.greedy_multiscale_sphs(d)
+        order, labeling = _cli.sphs_to_hhl(d, ms)
         trace = None
     else:  # pragma: no cover
         raise ValueError(f"unknown algorithm {args.algo}")
@@ -178,7 +178,7 @@ def _cmd_build(args) -> int:
     order = _read_order(args)
     g = _read_graph(args.graph)
     d = all_pairs_distances(g)
-    order, labeling, trace = _build_labeling(g, d, args, order)
+    order, labeling, trace = _build_labeling(d, args, order)
     out = Path(args.out)
     out.write_text(serialize_labeling(labeling), encoding="utf-8")
     report = verify_cover(labeling, d)
@@ -239,7 +239,7 @@ def _cmd_compare(args) -> int:
     built = []
     for algo in args.algos.split(","):
         ns = argparse.Namespace(algo=algo.strip(), exact_mds=False, order=None)
-        built.append((ns.algo, _build_labeling(g, d, ns, _read_order(ns))[1]))
+        built.append((ns.algo, _build_labeling(d, ns, _read_order(ns))[1]))
     rows = [(a, lab.size) for a, lab in built]
     payload: dict = {"graph": args.graph, "sizes": {a: s for a, s in rows}}
     lines: list[tuple[str, object]] = [(f"size[{a}]", s) for a, s in rows]

@@ -258,13 +258,15 @@ class DistMatrix:
     unreachable; ``matrix`` is a float64 export, built on demand. The store
     ``_into``, read only in this module, is ``exact()`` transposed, so that a
     target's legs dist(., w) are one row; ``source_runs`` gives sources' rows.
+    ``graph`` is the Graph they were computed from; equality compares distances.
     """
 
-    __slots__ = ("directed", "n", "diameter", "unreachable", "_into", "_float")
+    __slots__ = ("graph", "directed", "n", "diameter", "unreachable", "_into", "_float")
 
-    def __init__(self, directed: bool, into: np.ndarray, diameter: int):
+    def __init__(self, graph: Graph, into: np.ndarray, diameter: int):
         into.setflags(write=False)
-        self.directed = bool(directed)
+        self.graph = graph
+        self.directed = graph.directed
         self.n = into.shape[0]
         self.diameter = diameter
         self.unreachable = diameter + 1
@@ -413,7 +415,7 @@ def _distances(g: Graph, fill) -> DistMatrix:
     far = sum(heapq.nlargest(g.n - 1, (ln for _, _, ln in g.arcs))) + 1
     into, diameter = fill(g, far, _exact_dtype(far))
     np.minimum(into, diameter + 1, out=into)
-    return DistMatrix(g.directed, into.astype(_exact_dtype(diameter + 1), copy=False), diameter)
+    return DistMatrix(g, into.astype(_exact_dtype(diameter + 1), copy=False), diameter)
 
 
 def all_pairs_distances(g: Graph) -> DistMatrix:

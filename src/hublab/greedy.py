@@ -1,5 +1,5 @@
-"""Greedy hierarchical-labeling algorithms: most-edges, highest-density, and
-level-weighted selection over center graphs.
+"""Greedy hierarchical-labeling algorithms (most-edges, highest-density, and
+level-weighted selection over center graphs) and the d-HHL trace readers.
 
 This module owns the selection loop (``_select``) that these algorithms share
 with the set-cover runner in :mod:`hublab.cohen`; each supplies only its step.
@@ -7,6 +7,7 @@ with the set-cover runner in :mod:`hublab.cohen`; each supplies only its step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -217,3 +218,33 @@ def vertex_levels(trace: RunTrace) -> dict[int, int | float]:
     if trace.algo != "d-hhl":
         raise TraceNotFromDHHLError(f"trace is from {trace.algo!r}")
     return {rec.vertex: rec.level for rec in trace.iterations}
+
+
+@dataclass(frozen=True)
+class DhhlLevelAudit:
+    """Per-vertex, per-level hub counts of a distance-greedy run."""
+
+    per_vertex_level: dict[int, dict[int | float, int]]
+    label_sizes: dict[int, int]
+    max_level_count: int
+    bound_ratio: float
+
+
+def audit_dhhl_levels(trace: RunTrace, h: int) -> DhhlLevelAudit:
+    """Count, per vertex, the hubs contributed at each selection level.
+
+    ``h`` is the highway dimension used to scale the reported ratio
+    max_count / (h * log2(n + 1)); a ratio of infinity is reported when h = 0.
+    """
+    if trace.algo != "d-hhl":
+        raise TraceNotFromDHHLError(f"trace is from {trace.algo!r}")
+    per: dict[int, dict[int | float, int]] = {v: {} for v in range(trace.n)}
+    sizes: dict[int, int] = {v: 0 for v in range(trace.n)}
+    for rec in trace.iterations:
+        for u in rec.receivers_fwd + rec.receivers_bwd:
+            per[u][rec.level] = per[u].get(rec.level, 0) + 1
+            sizes[u] += 1
+    max_count = max((c for counts in per.values() for c in counts.values()), default=0)
+    denom = h * math.log2(trace.n + 1)
+    ratio = max_count / denom if denom > 0 else math.inf
+    return DhhlLevelAudit(per, sizes, max_count, ratio)

@@ -1,6 +1,6 @@
-"""Highway-dimension machinery: witness paths, significant-path enumeration,
-neighborhoods, sparse shortest-path hitting sets, and the multiscale labeling
-construction, plus the per-level label audit for distance-greedy runs."""
+"""Highway-dimension machinery on ``d.graph``, the graph of the distances ``d``:
+witness paths, significant-path enumeration, neighborhoods, sparse shortest-path
+hitting sets, and the multiscale labeling construction."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from itertools import chain
 import numpy as np
 
 from .graphs import CapExceededError, DistMatrix, Graph
-from .greedy import RunTrace, TraceNotFromDHHLError
 from .labeling import Order, hub_labeling
 
 
@@ -44,7 +43,13 @@ class SignificantPath:
 
 def _all_shortest_paths(g: Graph, d: DistMatrix) -> list[tuple[int, ...]]:
     """Every shortest path between every reachable pair, trivial paths included,
-    each from its smaller end; more than ``MAX_PATHS`` raise ``CapExceededError``."""
+    each from its smaller end; more than ``MAX_PATHS`` raise ``CapExceededError``.
+
+    Depth-first from each source u over the arcs (x, y, ln) with dist(u, x) + ln
+    == dist(u, y): every prefix of such a walk is a shortest path from u, and
+    those ending above u are listed. An explicit stack, so a path may outgrow
+    the interpreter's recursion limit; the path's vertex set keeps it simple,
+    as a zero-length edge would otherwise be walked back and forth forever."""
     cap = MAX_PATHS
     if g.directed:
         raise DirectedInputError("undirected graph required")
@@ -52,32 +57,25 @@ def _all_shortest_paths(g: Graph, d: DistMatrix) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = [(v,) for v in range(g.n)]
     if len(out) > cap:
         raise CapExceededError(f"more than {cap} shortest paths")
-    for a, rows, fin in d.source_runs():
-        fin[:, a:][np.diag_indices(len(rows))] = False  # the trivial paths are listed
-        for i in np.flatnonzero(fin.any(axis=1)).tolist():
-            u, du = a + i, rows[i].tolist()  # dist(u, .) as Python ints
-            for w in np.flatnonzero(fin[i]).tolist():
-                # Depth-first from w back to u over arcs that stay on a shortest path. Frames
-                # are (tip, distance left to u, unread neighbours of tip); an explicit stack,
-                # so a path may outgrow the interpreter's recursion limit. Paths stay simple:
-                # a zero-length edge would otherwise be walked back and forth forever.
-                stack, on_path = [(w, du[w], iter(adj[w]))], {w}
-                while stack:
-                    tip, left, nbrs = stack[-1]
-                    for x, ln in nbrs:
-                        if x not in on_path and du[x] + ln == left:
-                            break
-                    else:
-                        stack.pop()
-                        on_path.discard(tip)
-                        continue
-                    if x == u:
-                        out.append((u, *(t for t, _, _ in reversed(stack))))
-                        if len(out) > cap:
-                            raise CapExceededError(f"more than {cap} shortest paths")
-                    else:
-                        stack.append((x, left - ln, iter(adj[x])))
-                        on_path.add(x)
+    for u in (u for u in range(g.n) if adj[u]):
+        du = d.exact()[u].tolist()  # dist(u, .) as Python ints
+        path, on_path, stack = [u], {u}, [iter(adj[u])]
+        while stack:
+            dx = du[path[-1]]
+            for y, ln in stack[-1]:
+                if dx + ln == du[y] and y not in on_path:
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
+                continue
+            path.append(y)
+            on_path.add(y)
+            stack.append(iter(adj[y]))
+            if y > u:
+                out.append(tuple(path))
+                if len(out) > cap:
+                    raise CapExceededError(f"more than {cap} shortest paths")
     return out
 
 
@@ -134,15 +132,15 @@ def _must_hit(sp: SignificantPath, r) -> bool:
     return sp.length > 0 and sp.reach > r
 
 
-def enumerate_significant_paths(g: Graph, d: DistMatrix, r) -> list[SignificantPath]:
+def enumerate_significant_paths(d: DistMatrix, r) -> list[SignificantPath]:
     """All r-significant shortest paths: those with a witness longer than r."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
-    return [sp for sp, _ in _paths_with_witnesses(g, d) if sp.reach > r]
+    return [sp for sp, _ in _paths_with_witnesses(d.graph, d) if sp.reach > r]
 
 
-def neighborhood_S(g: Graph, d: DistMatrix, v: int, r) -> list[SignificantPath]:
+def neighborhood_S(d: DistMatrix, v: int, r) -> list[SignificantPath]:
     """r-significant paths that are (r, 2r)-close to v: some witness longer
     than r lies within distance 2r of v."""
     r = Fraction(r)
@@ -152,7 +150,7 @@ def neighborhood_S(g: Graph, d: DistMatrix, v: int, r) -> list[SignificantPath]:
     near = _from(d, v)
     return [
         sp
-        for sp, wits in _paths_with_witnesses(g, d)
+        for sp, wits in _paths_with_witnesses(d.graph, d)
         if any(wlen > r and near[list(wverts)].min() <= thr for wlen, wverts in wits)
     ]
 
@@ -184,7 +182,7 @@ def _ball_cap(d: DistMatrix, members: set[int] | frozenset[int], radius) -> int:
     return int(count.max(initial=0))
 
 
-def is_sphs(g: Graph, d: DistMatrix, c, h: int, r) -> bool:
+def is_sphs(d: DistMatrix, c, h: int, r) -> bool:
     """Check the sparse shortest-path hitting set conditions.
 
     ``c`` must hit every r-significant path that ``_must_hit`` names (those of
@@ -195,7 +193,7 @@ def is_sphs(g: Graph, d: DistMatrix, c, h: int, r) -> bool:
     stray = cset.difference(range(d.n))
     if stray:  # numpy would count a negative id from the end
         raise IndexError(f"vertex {min(stray)} out of range for {d.n} vertices")
-    paths = enumerate_significant_paths(g, d, r)
+    paths = enumerate_significant_paths(d, r)
     if any(_must_hit(sp, r) and cset.isdisjoint(sp.vertices) for sp in paths):
         return False
     return not cset or _ball_cap(d, cset, 2 * Fraction(r)) <= h
@@ -242,18 +240,17 @@ def _greedy_hitting_set(sets) -> set[int]:
     return hit
 
 
-def greedy_multiscale_sphs(g: Graph, d: DistMatrix) -> MultiscaleSPHS:
+def greedy_multiscale_sphs(d: DistMatrix) -> MultiscaleSPHS:
     """Greedy hitting sets for every scale 2^(i-1), i = 1..ceil(log2 D), C_0 = V."""
-    if g.directed:
+    if d.directed:
         raise DirectedInputError("undirected graph required")
-    if any(ln < 1 for _, _, ln in g.arcs):
+    if any(ln < 1 for _, _, ln in d.graph.arcs):
         raise ValueError("edge lengths must be at least 1")
-    n = g.n
     diam = d.diameter
     top = 0 if diam <= 1 else (diam - 1).bit_length()
     # every scale is at least 1: one enumeration at r = 1 holds every level's targets
-    paths = enumerate_significant_paths(g, d, 1) if top >= 1 else []
-    levels = [frozenset(range(n))]
+    paths = enumerate_significant_paths(d, 1) if top >= 1 else []
+    levels = [frozenset(range(d.n))]
     for i in range(1, top + 1):
         targets = [frozenset(sp.vertices) for sp in paths if _must_hit(sp, 2 ** (i - 1))]
         levels.append(frozenset(_greedy_hitting_set(targets)))
@@ -261,7 +258,7 @@ def greedy_multiscale_sphs(g: Graph, d: DistMatrix) -> MultiscaleSPHS:
     return MultiscaleSPHS(tuple(levels), caps, diam)
 
 
-def sphs_to_hhl(g: Graph, d: DistMatrix, ms: MultiscaleSPHS):
+def sphs_to_hhl(d: DistMatrix, ms: MultiscaleSPHS):
     """Order and labeling from a multiscale hitting-set family.
 
     Vertices rank by their highest level (higher level = more important, ties by
@@ -270,14 +267,14 @@ def sphs_to_hhl(g: Graph, d: DistMatrix, ms: MultiscaleSPHS):
     most 1 + sum of the per-level ball caps. The radii grow with j, so each
     entry comes once, from the level Q_i of its hub, i the hub's highest.
     """
-    if g.directed:
+    if d.directed:
         raise DirectedInputError("undirected graph required")
-    n = g.n
+    n = d.n
     if not ms.levels or ms.levels[0] != frozenset(range(n)):
         raise InvalidSPHSError("bottom level must contain every vertex")
     if any(not level <= ms.levels[0] for level in ms.levels):
         raise InvalidSPHSError("every level must be a set of vertices of g")
-    paths = enumerate_significant_paths(g, d, 1) if ms.top >= 1 else []
+    paths = enumerate_significant_paths(d, 1) if ms.top >= 1 else []
     for i in range(1, ms.top + 1):
         r = 2 ** (i - 1)
         if any(_must_hit(sp, r) and ms.levels[i].isdisjoint(sp.vertices) for sp in paths):
@@ -291,33 +288,3 @@ def sphs_to_hhl(g: Graph, d: DistMatrix, ms: MultiscaleSPHS):
             i, v = np.divmod(np.flatnonzero(near & (rank[c, None] < rank)), n)
             entries.append((v.astype(np.uint16), c[i].astype(np.uint16)))
     return order, hub_labeling(d, tuple(map(np.concatenate, zip(*entries))))
-
-
-@dataclass(frozen=True)
-class DhhlLevelAudit:
-    """Per-vertex, per-level hub counts of a distance-greedy run."""
-
-    per_vertex_level: dict[int, dict[int | float, int]]
-    label_sizes: dict[int, int]
-    max_level_count: int
-    bound_ratio: float
-
-
-def audit_dhhl_levels(trace: RunTrace, d: DistMatrix, h: int) -> DhhlLevelAudit:
-    """Count, per vertex, the hubs contributed at each selection level.
-
-    ``h`` is the highway dimension used to scale the reported ratio
-    max_count / (h * log2(n + 1)); a ratio of infinity is reported when h = 0.
-    """
-    if trace.algo != "d-hhl":
-        raise TraceNotFromDHHLError(f"trace is from {trace.algo!r}")
-    per: dict[int, dict[int | float, int]] = {v: {} for v in range(trace.n)}
-    sizes: dict[int, int] = {v: 0 for v in range(trace.n)}
-    for rec in trace.iterations:
-        for u in rec.receivers_fwd + rec.receivers_bwd:
-            per[u][rec.level] = per[u].get(rec.level, 0) + 1
-            sizes[u] += 1
-    max_count = max((c for counts in per.values() for c in counts.values()), default=0)
-    denom = h * math.log2(trace.n + 1)
-    ratio = max_count / denom if denom > 0 else math.inf
-    return DhhlLevelAudit(per, sizes, max_count, ratio)

@@ -340,8 +340,9 @@ def min_hitting_set(paths, limit: int = 5000) -> frozenset[int]:
         return count, used
 
     best = packing(minimal)[1]
+    chosen: set[int] = set()
 
-    def dfs(remaining: list[frozenset[int]], chosen: set[int]) -> None:
+    def node(remaining: list[frozenset[int]]):
         nonlocal best
         if not remaining:
             if len(chosen) < len(best):
@@ -351,10 +352,18 @@ def min_hitting_set(paths, limit: int = 5000) -> frozenset[int]:
             return
         for v in sorted(remaining[0]):  # filtering keeps the sort: the smallest set
             chosen.add(v)
-            dfs([s for s in remaining if v not in s], chosen)
+            yield [s for s in remaining if v not in s]
             chosen.discard(v)
 
-    dfs(minimal, set())
+    # Depth first on an explicit stack of ``node`` generators, each yielding a child's
+    # sets with its vertex chosen: a cover of any size needs no interpreter frames.
+    stack = [node(minimal)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(node(child))
     return frozenset(best)
 
 

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import hublab as hl
-from hublab import families
+from hublab import families, highway
 from hublab.centers import CoverageState, PathIndex
 from hublab.graphs import unique_pairs
 from hublab.greedy import IterationRecord, RunTrace
@@ -634,6 +634,45 @@ def significant_paths_bruteforce(g: hl.Graph, r) -> list[tuple[tuple[int, ...], 
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
 
+def all_shortest_paths_reference(g: hl.Graph, d: hl.DistMatrix) -> list[tuple[int, ...]]:
+    """``highway._all_shortest_paths`` by one backward search per pair: from w back
+    to u over the arcs (x, tip, ln) with dist(u, x) + ln == dist(u, tip), listed
+    as trivial paths, then by source u and target w > u. More than
+    ``highway.MAX_PATHS`` paths raise ``CapExceededError``."""
+    cap = highway.MAX_PATHS
+    if g.directed:
+        raise highway.DirectedInputError("undirected graph required")
+    adj = g.adjacency
+    out: list[tuple[int, ...]] = [(v,) for v in range(g.n)]
+    if len(out) > cap:
+        raise hl.CapExceededError(f"more than {cap} shortest paths")
+    for a, rows, fin in d.source_runs():
+        fin[:, a:][np.diag_indices(len(rows))] = False  # the trivial paths are listed
+        for i in np.flatnonzero(fin.any(axis=1)).tolist():
+            u, du = a + i, rows[i].tolist()
+            for w in np.flatnonzero(fin[i]).tolist():
+                # Frames are (tip, distance left to u, unread neighbours of tip); the
+                # path's vertex set keeps a zero-length edge from being walked twice.
+                stack, on_path = [(w, du[w], iter(adj[w]))], {w}
+                while stack:
+                    tip, left, nbrs = stack[-1]
+                    for x, ln in nbrs:
+                        if x not in on_path and du[x] + ln == left:
+                            break
+                    else:
+                        stack.pop()
+                        on_path.discard(tip)
+                        continue
+                    if x == u:
+                        out.append((u, *(t for t, _, _ in reversed(stack))))
+                        if len(out) > cap:
+                            raise hl.CapExceededError(f"more than {cap} shortest paths")
+                    else:
+                        stack.append((x, left - ln, iter(adj[x])))
+                        on_path.add(x)
+    return out
+
+
 def greedy_hitting_set_loop(sets) -> set[int]:
     """Greedy hitting set that recounts every unhit set after each pick: the
     lowest-id vertex in the most unhit sets joins until every set is hit."""
@@ -701,6 +740,50 @@ def min_hitting_set_bruteforce(sets) -> int:
             if all(s.intersection(pick) for s in sets):
                 return k
     raise ValueError("cannot hit an empty set")
+
+
+def min_hitting_set_recursive(paths, limit: int = 5000) -> frozenset[int]:
+    """``hl.min_hitting_set``'s branch and bound as a recursive search: duplicates
+    and supersets dropped, the rest by size and ids, a greedy packing as bound
+    and the root packing's union as incumbent, branching on the first set left,
+    lowest id first. One interpreter frame per chosen vertex."""
+    fam = [frozenset(p) for p in paths]
+    if len(fam) > limit:
+        raise hl.TooLargeError(f"{len(fam)} sets exceed limit {limit}")
+    if any(not s for s in fam):
+        raise ValueError("cannot hit an empty set")
+    fam = sorted(set(fam), key=lambda s: (len(s), sorted(s)))
+    minimal: list[frozenset[int]] = []
+    for s in fam:
+        if not any(t <= s for t in minimal):
+            minimal.append(s)
+
+    def packing(remaining) -> tuple[int, set[int]]:
+        used: set[int] = set()
+        count = 0
+        for s in remaining:
+            if used.isdisjoint(s):
+                used |= s
+                count += 1
+        return count, used
+
+    best = packing(minimal)[1]
+
+    def dfs(remaining: list[frozenset[int]], chosen: set[int]) -> None:
+        nonlocal best
+        if not remaining:
+            if len(chosen) < len(best):
+                best = set(chosen)
+            return
+        if len(chosen) + packing(remaining)[0] >= len(best):
+            return
+        for v in sorted(remaining[0]):
+            chosen.add(v)
+            dfs([s for s in remaining if v not in s], chosen)
+            chosen.discard(v)
+
+    dfs(minimal, set())
+    return frozenset(best)
 
 
 def mds_peel_reference(cg: hl.CenterGraph):

@@ -96,8 +96,8 @@ def sphs_instances():
         ("bad-w-2", families.gen_bad_w(2)),
     ):
         d = hl.all_pairs_distances(g)
-        ms = hl.greedy_multiscale_sphs(g, d)
-        order, lab = hl.sphs_to_hhl(g, d, ms)
+        ms = hl.greedy_multiscale_sphs(d)
+        order, lab = hl.sphs_to_hhl(d, ms)
         out.append((name, g, d, ms, order, lab))
     return out
 
@@ -511,7 +511,7 @@ def test_c10_highway_machinery(sphs_instances):
             assert max(len(lab.fwd[v]) for v in range(g.n)) <= bound
         du = hl.all_pairs_distances(und)
         _, _, trace = hl.run_d_hhl(du)
-        audit = hl.audit_dhhl_levels(trace, du, h)
+        audit = hl.audit_dhhl_levels(trace, h)
         assert 3 + 2 in audit.label_sizes.values()
         assert math.isfinite(audit.bound_ratio)
 

@@ -616,6 +616,24 @@ def test_compare_oracle_with_a_deep_search_exits_0(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_generate_vc_dir_on_a_large_matching_exits_0(tmp_path):
+    # The minimum vertex cover takes one vertex per edge, 1,000 here: a recursive
+    # search went deeper than the interpreter's recursion limit and exited 1.
+    base, out = tmp_path / "m.gr", tmp_path / "md.gr"
+    matching = hl.Graph(False, 2000, [(2 * i, 2 * i + 1, 1) for i in range(1000)])
+    base.write_text(hl.serialize_graph(matching))
+    src = str(Path(hl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    cli = [sys.executable, "-m", "hublab.cli"]
+    res = subprocess.run([*cli, "generate", "vc-dir", "--graph", str(base), "--with-hl",
+                          "--out", str(out)], env=env, capture_output=True, text=True)
+    assert res.returncode == 0 and "Traceback" not in res.stderr, res.stderr
+    res = subprocess.run([*cli, "verify", str(out), str(tmp_path / "md.labels")],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[0] == "valid: True"
+
+
 def test_build_verify_and_compare_never_import_numpy_ma(tmp_path):
     # A plain np.unique imports numpy.ma (numpy 2.4); no child should pay for it.
     graph, labels = tmp_path / "r.gr", tmp_path / "r.lab"

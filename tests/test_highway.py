@@ -12,8 +12,8 @@ import pytest
 import hublab as hl
 from hublab import families, highway
 
-from bruteforce import gen_random_directed, greedy_hitting_set_loop, significant_paths_bruteforce
-from bruteforce import with_zero_arcs
+from bruteforce import all_shortest_paths_reference, gen_random_directed, greedy_hitting_set_loop
+from bruteforce import significant_paths_bruteforce, with_zero_arcs
 from conftest import path_graph, seeded_graphs, star_graph
 
 
@@ -24,15 +24,15 @@ def _verts(paths):
 def test_significant_paths_single_edge():
     g = hl.Graph(False, 2, [(0, 1, 1)])
     d = hl.all_pairs_distances(g)
-    half = hl.enumerate_significant_paths(g, d, Fraction(1, 2))
+    half = hl.enumerate_significant_paths(d, Fraction(1, 2))
     assert _verts(half) == {(0,), (1,), (0, 1)}
-    assert hl.enumerate_significant_paths(g, d, 2) == []
+    assert hl.enumerate_significant_paths(d, 2) == []
 
 
 def test_significant_paths_three_path():
     g = path_graph(2)  # a-b-c with unit lengths
     d = hl.all_pairs_distances(g)
-    sig = _verts(hl.enumerate_significant_paths(g, d, 1))
+    sig = _verts(hl.enumerate_significant_paths(d, 1))
     assert (0, 1, 2) in sig        # its own witness, length 2 > 1
     assert (1,) in sig             # witnessed by the full path
     assert (0,) not in sig         # extensions add at most one vertex per end
@@ -68,7 +68,7 @@ def test_significant_paths_match_simple_path_enumeration():
     for g in graphs:
         d = hl.all_pairs_distances(g)
         for r in (Fraction(1, 2), 1, Fraction(3, 2), 2, 5):
-            got = hl.enumerate_significant_paths(g, d, r)
+            got = hl.enumerate_significant_paths(d, r)
             assert [(sp.vertices, sp.length, sp.reach) for sp in got] == (
                 significant_paths_bruteforce(g, r)
             )
@@ -104,8 +104,8 @@ SPHS_DIGESTS = {
 def test_multiscale_sphs_outputs_are_pinned(name):
     g = SPHS_INSTANCES[name]()
     d = hl.all_pairs_distances(g)
-    ms = hl.greedy_multiscale_sphs(g, d)
-    order, lab = hl.sphs_to_hhl(g, d, ms)
+    ms = hl.greedy_multiscale_sphs(d)
+    order, lab = hl.sphs_to_hhl(d, ms)
     text = repr(ms) + "\n" + json.dumps(order.by_rank()) + "\n" + hl.serialize_labeling(lab)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SPHS_DIGESTS[name]
 
@@ -117,7 +117,7 @@ def test_cap_exceeded(monkeypatch):
     highway._paths_with_witnesses.cache_clear()
     monkeypatch.setattr(highway, "MAX_PATHS", 3)
     with pytest.raises(hl.CapExceededError):
-        hl.enumerate_significant_paths(g, d, 1)
+        hl.enumerate_significant_paths(d, 1)
 
 
 def test_path_enumeration_deeper_than_recursion_limit(monkeypatch):
@@ -138,15 +138,73 @@ def test_path_enumeration_deeper_than_recursion_limit(monkeypatch):
     assert paths[4:] == [(0, 1), (0, 1, 2), (0, 1, 2, 3), (1, 2), (1, 2, 3), (2, 3)]
 
 
+def test_equal_distance_arrays_of_different_graphs_keep_their_own_paths():
+    # The path 0-1-2 and the same path with a chord 0-2 of length 2 have equal
+    # distance arrays, but only the chord is the shortest path (0, 2).
+    path = path_graph(2)
+    chord = hl.Graph(False, 3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)])
+    for first, second in ((path, chord), (chord, path)):
+        highway._paths_with_witnesses.cache_clear()
+        ds = [hl.all_pairs_distances(first), hl.all_pairs_distances(second)]
+        assert ds[0] == ds[1] and [d.graph for d in ds] == [first, second]
+        for g, d in zip((first, second), ds):
+            assert d.graph is g
+            half = _verts(hl.enumerate_significant_paths(d, Fraction(1, 2)))
+            assert ((0, 2) in half) == (g is chord)
+            _, lab = hl.sphs_to_hhl(d, hl.greedy_multiscale_sphs(d))
+            assert hl.verify_cover(lab, hl.all_pairs_distances(g)).valid
+
+
+def _enumeration_graphs() -> list[hl.Graph]:
+    """Seeded undirected graphs with zero-length edges, a disconnected graph, and
+    n = 0 and 1."""
+    rng = random.Random(16200)
+    graphs = [with_zero_arcs(g, rng) for g in seeded_graphs(30, 9, 16300)]
+    graphs += [with_zero_arcs(families.gen_random(24, 40, 5, 16400 + i), rng) for i in range(3)]
+    assert sum(ln == 0 for g in graphs for _, _, ln in g.arcs) >= 20
+    two_parts = [(0, 1, 2), (1, 2, 1), (0, 2, 3), (3, 4, 0), (4, 5, 1), (5, 6, 1), (3, 6, 2)]
+    return graphs + [hl.Graph(False, 8, two_parts), hl.Graph(False, 0, []), hl.Graph(False, 1, [])]
+
+
+def test_forward_search_lists_the_paths_of_the_per_pair_search(monkeypatch):
+    from hublab.highway import _all_shortest_paths
+
+    cases = []
+    for g in _enumeration_graphs():
+        d = hl.all_pairs_distances(g)
+        cases.append((g, d, sorted(all_shortest_paths_reference(g, d))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the forward search reads the distance array by source_runs")
+
+    monkeypatch.setattr(hl.DistMatrix, "source_runs", refuse)
+    for g, d, expected in cases:
+        got = _all_shortest_paths(g, d)
+        assert sorted(got) == expected, g.arcs
+        assert len(set(got)) == len(got)
+    monkeypatch.undo()
+    # The cap: exactly MAX_PATHS paths pass in both searches, one more raises in both.
+    for g in _enumeration_graphs()[::5]:
+        d = hl.all_pairs_distances(g)
+        count = len(_all_shortest_paths(g, d))
+        monkeypatch.setattr(highway, "MAX_PATHS", count)
+        assert len(_all_shortest_paths(g, d)) == len(all_shortest_paths_reference(g, d)) == count
+        monkeypatch.setattr(highway, "MAX_PATHS", count - 1)
+        for search in (_all_shortest_paths, all_shortest_paths_reference):
+            with pytest.raises(hl.CapExceededError, match=f"more than {count - 1} shortest"):
+                search(g, d)
+        monkeypatch.undo()
+
+
 def test_directed_input_rejected():
     g = families.gen_bad_g(2)
     d = hl.all_pairs_distances(g)
     with pytest.raises(hl.DirectedInputError):
-        hl.enumerate_significant_paths(g, d, 1)
+        hl.enumerate_significant_paths(d, 1)
     with pytest.raises(hl.DirectedInputError):
-        hl.greedy_multiscale_sphs(g, d)
+        hl.greedy_multiscale_sphs(d)
     with pytest.raises(hl.DirectedInputError):
-        hl.sphs_to_hhl(g, d, hl.MultiscaleSPHS((frozenset(range(g.n)),), (1,), d.diameter))
+        hl.sphs_to_hhl(d, hl.MultiscaleSPHS((frozenset(range(g.n)),), (1,), d.diameter))
 
 
 @pytest.mark.parametrize("r", [0, Fraction(-1, 2)])
@@ -154,22 +212,22 @@ def test_significant_paths_and_neighborhoods_need_a_positive_radius(r):
     g = path_graph(2)
     d = hl.all_pairs_distances(g)
     with pytest.raises(ValueError, match="r must be positive"):
-        hl.enumerate_significant_paths(g, d, r)
+        hl.enumerate_significant_paths(d, r)
     with pytest.raises(ValueError, match="r must be positive"):
-        hl.neighborhood_S(g, d, 0, r)
+        hl.neighborhood_S(d, 0, r)
 
 
 def test_neighborhood_single_edge():
     g = hl.Graph(False, 2, [(0, 1, 1)])
     d = hl.all_pairs_distances(g)
-    s = hl.neighborhood_S(g, d, 0, Fraction(1, 2))
+    s = hl.neighborhood_S(d, 0, Fraction(1, 2))
     assert _verts(s) == {(0,), (1,), (0, 1)}
 
 
 def test_neighborhood_excludes_far_witnesses():
     g = path_graph(6)
     d = hl.all_pairs_distances(g)
-    near = _verts(hl.neighborhood_S(g, d, 0, Fraction(1, 2)))
+    near = _verts(hl.neighborhood_S(d, 0, Fraction(1, 2)))
     assert (6,) not in near and (5, 6) not in near
     assert (0, 1) in near
 
@@ -179,7 +237,7 @@ def test_neighborhood_bad_g_hitting_bound():
     g = hl.undirect(families.gen_bad_g(k))
     d = hl.all_pairs_distances(g)
     b1 = families.bad_g_ids(k).b[0]
-    paths = [set(sp.vertices) for sp in hl.neighborhood_S(g, d, b1, 1) if sp.length > 0]
+    paths = [set(sp.vertices) for sp in hl.neighborhood_S(d, b1, 1) if sp.length > 0]
     assert len(hl.min_hitting_set(paths)) <= k + 2
 
 
@@ -204,8 +262,8 @@ def test_closeness_monotonicity():
                         assert close(v, wits, Fraction(r, 2), dd)
                         assert close(v, wits, r, dd + 2)
         # and significance itself is monotone in r
-        s2 = _verts(hl.enumerate_significant_paths(g, d, 2))
-        s1 = _verts(hl.enumerate_significant_paths(g, d, 1))
+        s2 = _verts(hl.enumerate_significant_paths(d, 2))
+        s1 = _verts(hl.enumerate_significant_paths(d, 1))
         assert s2 <= s1
 
 
@@ -218,7 +276,7 @@ def test_ball_and_neighborhood_refuse_ids_out_of_range(v):
     with pytest.raises(IndexError, match=f"vertex {v} out of range for 4 vertices"):
         hl.ball(d, v, 1)
     with pytest.raises(IndexError, match=f"vertex {v} out of range for 4 vertices"):
-        hl.neighborhood_S(g, d, v, 1)
+        hl.neighborhood_S(d, v, 1)
 
 
 def test_ball_examples():
@@ -239,17 +297,17 @@ def test_ball_examples():
 def test_is_sphs_examples():
     g = path_graph(4)
     d = hl.all_pairs_distances(g)
-    assert hl.is_sphs(g, d, set(range(g.n)), 10**6, 1)
-    assert not hl.is_sphs(g, d, set(), 10**6, 1)
+    assert hl.is_sphs(d, set(range(g.n)), 10**6, 1)
+    assert not hl.is_sphs(d, set(), 10**6, 1)
     k = 3
     ug = hl.undirect(families.gen_bad_g(k))
     du = hl.all_pairs_distances(ug)
     bs = set(families.bad_g_ids(k).b)
-    assert hl.is_sphs(ug, du, bs, k + 1, 1)
-    assert not hl.is_sphs(ug, du, bs, k, 1)  # the cap is tight
+    assert hl.is_sphs(du, bs, k + 1, 1)
+    assert not hl.is_sphs(du, bs, k, 1)  # the cap is tight
     star = star_graph(3)
     ds = hl.all_pairs_distances(star)
-    assert hl.is_sphs(star, ds, {0}, 1, 1)
+    assert hl.is_sphs(ds, {0}, 1, 1)
 
 
 @pytest.mark.parametrize("v", [-1, 4])
@@ -258,46 +316,46 @@ def test_is_sphs_refuses_ids_out_of_range(v):
     # 4 ended in numpy's IndexError.
     g4 = families.gen_cycle4(False)
     d = hl.all_pairs_distances(g4)
-    assert hl.is_sphs(g4, d, {3}, 4, 100)
+    assert hl.is_sphs(d, {3}, 4, 100)
     with pytest.raises(IndexError, match=f"vertex {v} out of range for 4 vertices"):
-        hl.is_sphs(g4, d, {v}, 4, 100)
+        hl.is_sphs(d, {v}, 4, 100)
     with pytest.raises(IndexError, match=f"vertex {v} out of range for 4 vertices"):
-        hl.is_sphs(g4, d, {0, 1, v}, 4, 1)
+        hl.is_sphs(d, {0, 1, v}, 4, 1)
 
 
 def test_greedy_multiscale_sphs_shapes():
     d1 = hl.all_pairs_distances(hl.Graph(False, 1, []))
-    ms1 = hl.greedy_multiscale_sphs(hl.Graph(False, 1, []), d1)
+    ms1 = hl.greedy_multiscale_sphs(d1)
     assert ms1.levels == (frozenset({0}),) and ms1.diameter == 0
 
     star = star_graph(5)
     ds = hl.all_pairs_distances(star)
-    ms = hl.greedy_multiscale_sphs(star, ds)
+    ms = hl.greedy_multiscale_sphs(ds)
     assert ms.levels[1] == frozenset({0})
-    assert hl.is_sphs(star, ds, ms.levels[1], ms.ball_caps[1], 1)
+    assert hl.is_sphs(ds, ms.levels[1], ms.ball_caps[1], 1)
 
     p8 = path_graph(8)
     dp = hl.all_pairs_distances(p8)
-    msp = hl.greedy_multiscale_sphs(p8, dp)
+    msp = hl.greedy_multiscale_sphs(dp)
     sizes = [len(c) for c in msp.levels]
     assert sizes[0] == 9
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
     for i in range(1, msp.top + 1):
-        assert hl.is_sphs(p8, dp, msp.levels[i], msp.ball_caps[i], 2 ** (i - 1))
+        assert hl.is_sphs(dp, msp.levels[i], msp.ball_caps[i], 2 ** (i - 1))
 
 
 def test_greedy_multiscale_rejects_short_lengths():
     g = hl.Graph(False, 3, [(0, 1, 0), (1, 2, 1)])
     d = hl.all_pairs_distances(g)
     with pytest.raises(ValueError, match="at least 1"):
-        hl.greedy_multiscale_sphs(g, d)
+        hl.greedy_multiscale_sphs(d)
 
 
 def test_sphs_to_hhl_star_and_single_vertex():
     star = star_graph(5)
     ds = hl.all_pairs_distances(star)
-    ms = hl.greedy_multiscale_sphs(star, ds)
-    order, lab = hl.sphs_to_hhl(star, ds, ms)
+    ms = hl.greedy_multiscale_sphs(ds)
+    order, lab = hl.sphs_to_hhl(ds, ms)
     assert hl.verify_cover(lab, ds).valid
     assert hl.respects_order(lab, order)
     for leaf in range(1, 6):
@@ -305,15 +363,15 @@ def test_sphs_to_hhl_star_and_single_vertex():
 
     single = hl.Graph(False, 1, [])
     d1 = hl.all_pairs_distances(single)
-    _, lab1 = hl.sphs_to_hhl(single, d1, hl.greedy_multiscale_sphs(single, d1))
+    _, lab1 = hl.sphs_to_hhl(d1, hl.greedy_multiscale_sphs(d1))
     assert lab1.fwd[0] == ((0, 0),)
 
 
 def test_sphs_to_hhl_respects_label_bound():
     for g in (path_graph(8), families.gen_bad_w(2)) + tuple(seeded_graphs(4, 7, 15000)):
         d = hl.all_pairs_distances(g)
-        ms = hl.greedy_multiscale_sphs(g, d)
-        order, lab = hl.sphs_to_hhl(g, d, ms)
+        ms = hl.greedy_multiscale_sphs(d)
+        order, lab = hl.sphs_to_hhl(d, ms)
         assert hl.verify_cover(lab, d).valid
         bound = 1 + sum(ms.ball_caps)
         assert max(len(lab.fwd[v]) for v in range(g.n)) <= bound
@@ -322,27 +380,27 @@ def test_sphs_to_hhl_respects_label_bound():
 def test_sphs_to_hhl_rejects_invalid_family():
     p8 = path_graph(8)
     dp = hl.all_pairs_distances(p8)
-    ms = hl.greedy_multiscale_sphs(p8, dp)
+    ms = hl.greedy_multiscale_sphs(dp)
     broken = hl.MultiscaleSPHS(
         (ms.levels[0],) + tuple(frozenset() for _ in ms.levels[1:]),
         ms.ball_caps,
         ms.diameter,
     )
     with pytest.raises(hl.InvalidSPHSError):
-        hl.sphs_to_hhl(p8, dp, broken)
+        hl.sphs_to_hhl(dp, broken)
     no_bottom = hl.MultiscaleSPHS(
         (frozenset({0}),) + ms.levels[1:], ms.ball_caps, ms.diameter
     )
     with pytest.raises(hl.InvalidSPHSError):
-        hl.sphs_to_hhl(p8, dp, no_bottom)
+        hl.sphs_to_hhl(dp, no_bottom)
     # C_2 hits every 2-significant path but misses (0, 1), whose reach is 2 > 1
-    assert (0, 1) in _verts(hl.enumerate_significant_paths(p8, dp, 1))
+    assert (0, 1) in _verts(hl.enumerate_significant_paths(dp, 1))
     assert ms.levels[2].isdisjoint({0, 1})
     shifted = hl.MultiscaleSPHS(
         (ms.levels[0], ms.levels[2]) + ms.levels[2:], ms.ball_caps, ms.diameter
     )
     with pytest.raises(hl.InvalidSPHSError, match="^level 1 misses a 1-significant path$"):
-        hl.sphs_to_hhl(p8, dp, shifted)
+        hl.sphs_to_hhl(dp, shifted)
     # Members must be vertices of g: 7 is out of range and -1 would index vertex 2
     # from the end. Both levels hit every path of P3 through vertex 1.
     p3 = path_graph(2)
@@ -350,9 +408,9 @@ def test_sphs_to_hhl_rejects_invalid_family():
     for stray in (frozenset({0, 1, 7}), frozenset({-1, 1})):
         bad = hl.MultiscaleSPHS((frozenset(range(3)), stray), (3, 1), 2)
         with pytest.raises(hl.InvalidSPHSError, match="^every level must be a set of vertices"):
-            hl.sphs_to_hhl(p3, d3, bad)
+            hl.sphs_to_hhl(d3, bad)
     with pytest.raises(hl.InvalidSPHSError, match="^bottom level must contain every vertex$"):
-        hl.sphs_to_hhl(p3, d3, hl.MultiscaleSPHS((), (), 2))
+        hl.sphs_to_hhl(d3, hl.MultiscaleSPHS((), (), 2))
 
 
 def test_greedy_hitting_set_matches_recounting_loop():
@@ -363,7 +421,7 @@ def test_greedy_hitting_set_matches_recounting_loop():
     set_families = []
     for g in seeded_graphs(12, 9, 5100) + [families.gen_random(30, 60, 6, 5200)]:
         d = hl.all_pairs_distances(g)
-        paths = hl.enumerate_significant_paths(g, d, 1)
+        paths = hl.enumerate_significant_paths(d, 1)
         for i in range(1, max(d.diameter - 1, 0).bit_length() + 1):
             targets = [frozenset(sp.vertices) for sp in paths if _must_hit(sp, 2 ** (i - 1))]
             set_families.append(targets)
@@ -380,7 +438,7 @@ def test_greedy_hitting_set_matches_recounting_loop():
 def test_q_sets_partition():
     p8 = path_graph(8)
     dp = hl.all_pairs_distances(p8)
-    ms = hl.greedy_multiscale_sphs(p8, dp)
+    ms = hl.greedy_multiscale_sphs(dp)
     qs = ms.q_sets()
     assert sum(len(q) for q in qs) == p8.n
     seen = set().union(*qs)
@@ -390,7 +448,7 @@ def test_q_sets_partition():
 def test_audit_single_vertex():
     d = hl.all_pairs_distances(hl.Graph(False, 1, []))
     _, _, trace = hl.run_d_hhl(d)
-    audit = hl.audit_dhhl_levels(trace, d, h=0)
+    audit = hl.audit_dhhl_levels(trace, h=0)
     assert audit.max_level_count == 1
     assert math.isinf(audit.bound_ratio)
 
@@ -401,7 +459,7 @@ def test_audit_bad_g_k3():
     d = hl.all_pairs_distances(g)
     _, lab, trace = hl.run_d_hhl(d)
     h = hl.highway_dimension_bruteforce(g)
-    audit = hl.audit_dhhl_levels(trace, d, h)
+    audit = hl.audit_dhhl_levels(trace, h)
     assert k + 2 in audit.label_sizes.values()
     assert audit.label_sizes == {v: len(lab.fwd[v]) for v in range(g.n)}
     assert math.isfinite(audit.bound_ratio)
@@ -419,7 +477,7 @@ def test_audit_directed_matches_the_labels(seed):
     d = hl.all_pairs_distances(g)
     _, lab, trace = hl.run_d_hhl(d)
     level = hl.vertex_levels(trace)
-    audit = hl.audit_dhhl_levels(trace, d, 2)
+    audit = hl.audit_dhhl_levels(trace, 2)
     per = {v: dict(Counter(level[h] for h, _ in lab.fwd[v] + lab.bwd[v])) for v in range(g.n)}
     assert audit.per_vertex_level == per
     assert audit.label_sizes == {v: len(lab.fwd[v]) + len(lab.bwd[v]) for v in range(g.n)}
@@ -431,7 +489,7 @@ def test_audit_rejects_other_traces():
     d = hl.all_pairs_distances(path_graph(3))
     _, _, trace = hl.run_g_hhl(d)
     with pytest.raises(hl.TraceNotFromDHHLError):
-        hl.audit_dhhl_levels(trace, d, 1)
+        hl.audit_dhhl_levels(trace, 1)
 
 
 def test_audit_path8_finite_ratio():
@@ -439,5 +497,5 @@ def test_audit_path8_finite_ratio():
     d = hl.all_pairs_distances(p8)
     _, _, trace = hl.run_d_hhl(d)
     h = hl.highway_dimension_bruteforce(p8)
-    audit = hl.audit_dhhl_levels(trace, d, h)
+    audit = hl.audit_dhhl_levels(trace, h)
     assert math.isfinite(audit.bound_ratio)

@@ -306,9 +306,9 @@ def test_no_builder_or_check_allocates_an_n_by_n_table(directed):
         "reachable_arrays": lambda: d.reachable_arrays()[0].size == n,
     }
     if not directed:  # both steps of an SPHS build, each on its own
-        ms = hl.greedy_multiscale_sphs(g, d)
-        calls["greedy_multiscale_sphs"] = lambda: hl.greedy_multiscale_sphs(g, d) == ms
-        calls["sphs_to_hhl"] = lambda: hl.sphs_to_hhl(g, d, ms)[1] == lab
+        ms = hl.greedy_multiscale_sphs(d)
+        calls["greedy_multiscale_sphs"] = lambda: hl.greedy_multiscale_sphs(d) == ms
+        calls["sphs_to_hhl"] = lambda: hl.sphs_to_hhl(d, ms)[1] == lab
     for name, call in calls.items():
         tracemalloc.start()
         try:

@@ -11,7 +11,8 @@ import hublab as hl
 from hublab import families, oracles
 
 from bruteforce import center_graph_on, exact_mds_loop, exact_mds_reference, gen_random_directed
-from bruteforce import min_hitting_set_bruteforce, min_vertex_cover_reference
+from bruteforce import min_hitting_set_bruteforce, min_hitting_set_recursive
+from bruteforce import min_vertex_cover_reference
 from bruteforce import optimal_hhl_recursive, optimal_hl_bnb_reference
 from bruteforce import optimal_hl_milp, random_center_graph, with_zero_arcs
 from conftest import complete_graph, edge2, path_graph, seeded_graphs, star_graph, triangle
@@ -396,6 +397,32 @@ def test_min_hitting_set_reaches_the_bruteforce_minimum():
         assert len(hit) == min_hitting_set_bruteforce(fam)
 
 
+def test_min_hitting_set_picks_the_sets_of_the_recursive_search():
+    # Edge families of the seeded graphs, and random set families over few
+    # vertices with singletons, supersets and duplicates: the same set, not only
+    # the same size, so the reduction labelings keep their bytes.
+    families_ = [[(t, h) for t, h, _ in g.arcs] for g in _vertex_cover_graphs()]
+    rng = random.Random(1403)
+    for i in range(200):
+        universe = rng.randint(1, 10)
+        fam = [
+            frozenset(rng.sample(range(universe), rng.randint(1, universe)))
+            for _ in range(rng.randint(0, 14))
+        ]
+        fam += [s | {rng.randrange(universe)} for s in fam[:: 2 + i % 3]]
+        families_.append(fam + fam[:: 3 + i % 2])
+    for fam in families_:
+        assert hl.min_hitting_set(fam) == min_hitting_set_recursive(fam), fam
+
+
+def test_min_vertex_cover_of_a_large_matching():
+    # One vertex per edge: the recursive search took a frame per chosen vertex
+    # and ended in RecursionError.
+    matching = hl.Graph(False, 2000, [(2 * i, 2 * i + 1, 1) for i in range(1000)])
+    cover = hl.min_vertex_cover(matching)
+    assert cover == frozenset(range(0, 2000, 2))
+
+
 def test_min_hitting_set_examples():
     assert hl.min_hitting_set([{0}, {1}]) == frozenset({0, 1})
     assert hl.min_hitting_set([{0}, {0, 1}]) == frozenset({0})
@@ -412,7 +439,7 @@ def test_min_hitting_set_bad_g_positive_paths():
     d = hl.all_pairs_distances(g)
     paths = [
         set(sp.vertices)
-        for sp in hl.enumerate_significant_paths(g, d, Fraction(1, 2))
+        for sp in hl.enumerate_significant_paths(d, Fraction(1, 2))
         if sp.length > 0
     ]
     hit = hl.min_hitting_set(paths)
@@ -431,7 +458,7 @@ def test_highway_dimension_values():
     # the zero-length paths (a_i, b_i) are no hitting targets, so the center suffices
     spokes = [(0, i, 1) for i in range(1, 5)] + [(i, i + 4, 0) for i in range(1, 5)]
     spoked = hl.Graph(False, 9, spokes)
-    assert hl.is_sphs(spoked, hl.all_pairs_distances(spoked), {0}, 1, Fraction(1, 2))
+    assert hl.is_sphs(hl.all_pairs_distances(spoked), {0}, 1, Fraction(1, 2))
     assert hl.highway_dimension_bruteforce(spoked) == 1
 
 

@@ -64,7 +64,7 @@ def test_traced_oracle_compare_records_the_dp_and_the_search(tmp_path, capsys):
 def test_traced_sphs_build_enumerates_once_per_call(tmp_path, capsys):
     tracing = _load_tracing()
     g = hl.Graph(False, 6, [(i, i + 1, 1) for i in range(5)])
-    assert hl.greedy_multiscale_sphs(g, hl.all_pairs_distances(g)).top == 3  # D = 5
+    assert hl.greedy_multiscale_sphs(hl.all_pairs_distances(g)).top == 3  # D = 5
     graph = tmp_path / "p5.gr"
     graph.write_text(hl.serialize_graph(g))
     tracer = tracing.Tracer()

@@ -89,6 +89,18 @@ def test_exact_cohen_and_oracle_compare_load_no_highway(files, argv, needs):
     assert {"oracles", needs} <= loaded and not loaded & {"highway", "families"}
 
 
+def test_sphs_build_loads_only_highway(files):
+    argv = ["build", files["graph"], "--algo", "sphs", "--out", str(files["dir"] / "s.lab")]
+    assert _fresh(RUN_CLI, *argv) == ["cli", "graphs", "highway", "labeling"]
+
+
+def test_vc_dir_with_labeling_loads_the_cover_oracle_and_no_selection(files):
+    argv = ["generate", "vc-dir", "--graph", files["graph"], "--with-hl",
+            "--out", str(files["dir"] / "vd.gr")]
+    loaded = set(_fresh(RUN_CLI, *argv))
+    assert {"families", "oracles", "centers"} <= loaded and not loaded & {"highway", "greedy"}
+
+
 def test_generate_random_loads_no_algorithm(files):
     argv = ["generate", "random", "--n", "6", "--m", "8", "--out", str(files["dir"] / "g.gr")]
     loaded = set(_fresh(RUN_CLI, *argv))
