@@ -50,6 +50,9 @@ def __getattr__(name: str):
     return globals().setdefault(name, getattr(sys.modules[__package__], name))
 
 
+# The algorithms of ``build --algo``; ``compare`` runs all but canonical, which needs an order.
+ALGOS = ("g-hhl", "w-hhl", "d-hhl", "cohen", "canonical", "sphs")
+
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
@@ -150,25 +153,23 @@ def _read_order(args) -> Order | None:
     )
 
 
-def _build_labeling(d, args, order: Order | None):
-    """(order, labeling, trace) of ``args.algo``; ``order`` is canonical's input."""
-    if args.algo == "g-hhl":
+def _build_labeling(d, algo: str, order: Order | None = None, exact_mds: bool = False):
+    """(order, labeling, trace) of ``algo``, one of ``ALGOS``; ``order`` is canonical's input."""
+    if algo == "g-hhl":
         order, labeling, trace = _cli.run_g_hhl(d)
-    elif args.algo == "w-hhl":
+    elif algo == "w-hhl":
         order, labeling, trace = _cli.run_w_hhl(d)
-    elif args.algo == "d-hhl":
+    elif algo == "d-hhl":
         order, labeling, trace = _cli.run_d_hhl(d)
-    elif args.algo == "cohen":
-        labeling, trace = _cli.run_cohen_hl(d, exact_mds=args.exact_mds)
-    elif args.algo == "canonical":
+    elif algo == "cohen":
+        labeling, trace = _cli.run_cohen_hl(d, exact_mds=exact_mds)
+    elif algo == "canonical":
         labeling = canonical_hhl(d, order)
         trace = None
-    elif args.algo == "sphs":
+    else:  # sphs
         ms = _cli.greedy_multiscale_sphs(d)
         order, labeling = _cli.sphs_to_hhl(d, ms)
         trace = None
-    else:  # pragma: no cover
-        raise ValueError(f"unknown algorithm {args.algo}")
     return order, labeling, trace
 
 
@@ -178,7 +179,7 @@ def _cmd_build(args) -> int:
     order = _read_order(args)
     g = _read_graph(args.graph)
     d = all_pairs_distances(g)
-    order, labeling, trace = _build_labeling(d, args, order)
+    order, labeling, trace = _build_labeling(d, args.algo, order, args.exact_mds)
     out = Path(args.out)
     out.write_text(serialize_labeling(labeling), encoding="utf-8")
     report = verify_cover(labeling, d)
@@ -234,12 +235,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    algos = [algo.strip() for algo in args.algos.split(",")]
+    for algo in algos:  # every name is checked before any graph work
+        if algo not in ALGOS:
+            raise ValueError(f"unknown algorithm {algo}")
+        if algo == "canonical":
+            raise ValueError("compare cannot build canonical, which needs an order")
     g = _read_graph(args.graph)
     d = all_pairs_distances(g)
-    built = []
-    for algo in args.algos.split(","):
-        ns = argparse.Namespace(algo=algo.strip(), exact_mds=False, order=None)
-        built.append((ns.algo, _build_labeling(d, ns, _read_order(ns))[1]))
+    built = [(algo, _build_labeling(d, algo)[1]) for algo in algos]
     rows = [(a, lab.size) for a, lab in built]
     payload: dict = {"graph": args.graph, "sizes": {a: s for a, s in rows}}
     lines: list[tuple[str, object]] = [(f"size[{a}]", s) for a, s in rows]
@@ -299,11 +303,7 @@ def _parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="construct a labeling")
     build.add_argument("graph")
-    build.add_argument(
-        "--algo",
-        required=True,
-        choices=["g-hhl", "w-hhl", "d-hhl", "cohen", "canonical", "sphs"],
-    )
+    build.add_argument("--algo", required=True, choices=ALGOS)
     build.add_argument("--order", help="order file for --algo canonical (one id per line)")
     build.add_argument("--exact-mds", action="store_true")
     build.add_argument("--out", required=True)

@@ -21,7 +21,7 @@ MAX_TOTAL_LENGTH = 2**53
 MAX_VERTICES = 20_000
 # Largest vertex count whose distances come from the pivot loop, fitted before its
 # int16 fill made that loop faster above it too (a path of 800: 0.15 s against
-# 0.26 s by the searches); ROADMAP item 3 holds the sweep for a refit.
+# 0.26 s by the searches); ROADMAP item 4, the pivot refit, holds the sweep.
 PIVOT_MAX_N = 500
 # Entries a run of ``runs`` holds by default, read at call time: an int64
 # temporary of a run is then 128 KiB.

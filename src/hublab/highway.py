@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
-from .graphs import CapExceededError, DistMatrix, Graph
+from .graphs import CapExceededError, DistMatrix, Graph, ranges, transpose
 from .labeling import Order, hub_labeling
 
 
@@ -226,17 +225,21 @@ class MultiscaleSPHS:
 
 
 def _greedy_hitting_set(sets) -> set[int]:
-    """Greedy hitting set of non-empty vertex sets: repeatedly take the lowest-id
-    vertex that hits the most sets not yet hit. Sets are counted once; a pick
-    subtracts the sets it hits, and a vertex left in none drops out."""
-    unhit = list(sets)
-    count = Counter(chain.from_iterable(unhit))
+    """Greedy hitting set of a sequence of non-empty vertex sets: repeatedly take the
+    lowest-id vertex in the most sets not yet hit. The sets are one CSR table whose
+    transpose lists the sets through each vertex; a pick uncounts and empties them."""
+    size = np.fromiter(map(len, sets), np.int64, len(sets))
+    ptr = np.concatenate(([0], size.cumsum()))
+    verts = np.fromiter(chain.from_iterable(sets), np.int32, ptr[-1])
+    count = np.bincount(verts)
+    vptr, through = transpose(ptr, verts, len(count))
     hit: set[int] = set()
-    while count:
-        best = min(count, key=lambda v: (-count[v], v))
+    while count.any():
+        best = int(np.argmax(count))  # the first maximum: ties go to the lowest id
         hit.add(best)
-        count -= Counter(chain.from_iterable(s for s in unhit if best in s))
-        unhit = [s for s in unhit if best not in s]
+        dead = through[vptr[best] : vptr[best + 1]]
+        count -= np.bincount(verts[ranges(ptr[dead], size[dead])], minlength=len(count))
+        size[dead] = 0  # a set hit again later uncounts nothing
     return hit
 
 
@@ -252,7 +255,7 @@ def greedy_multiscale_sphs(d: DistMatrix) -> MultiscaleSPHS:
     paths = enumerate_significant_paths(d, 1) if top >= 1 else []
     levels = [frozenset(range(d.n))]
     for i in range(1, top + 1):
-        targets = [frozenset(sp.vertices) for sp in paths if _must_hit(sp, 2 ** (i - 1))]
+        targets = [sp.vertices for sp in paths if _must_hit(sp, 2 ** (i - 1))]
         levels.append(frozenset(_greedy_hitting_set(targets)))
     caps = tuple(_ball_cap(d, levels[i], 2**i) for i in range(top + 1))
     return MultiscaleSPHS(tuple(levels), caps, diam)

@@ -26,6 +26,19 @@ def _popcounts(c: int) -> np.ndarray:
     return pop
 
 
+def _depth_first(node, *root) -> None:
+    """Run the search tree of the generator function ``node`` from ``node(*root)``,
+    depth first on an explicit stack: each node yields its children's argument
+    tuples in visit order, so a deep search needs no interpreter frames."""
+    stack = [node(*root)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(node(*child))
+
+
 def optimal_hhl_bruteforce(d: DistMatrix, limit_n: int = 9) -> tuple[int, Order]:
     """Minimum canonical labeling size over all orders, with a witnessing order.
 
@@ -215,7 +228,7 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
             added_b = h not in bwd[t]
             if added_b:
                 place(bwd, watch_b, t, h, undo)
-            yield rest, current + added_f + added_b
+            yield rest, current + added_f + added_b  # a child, its entries placed
             if added_f:
                 fwd[s].discard(h)
             if added_b:
@@ -237,16 +250,7 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
                 place(bwd, watch_b, t, h, [])
                 forced_cost += 1
 
-    # Depth first on an explicit stack of open nodes, each a ``dfs`` generator
-    # that yields a child's arguments with its branch's entries placed and
-    # undoes them when resumed: a deep search needs no interpreter frames.
-    stack = [dfs(static, forced_cost)]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        else:
-            stack.append(dfs(*child))
+    _depth_first(dfs, static, forced_cost)
     complete = exhausted_lb is None
     lower = upper if complete else min(upper, exhausted_lb)
     if not isinstance(best, Labeling):  # the search beat every candidate
@@ -352,18 +356,10 @@ def min_hitting_set(paths, limit: int = 5000) -> frozenset[int]:
             return
         for v in sorted(remaining[0]):  # filtering keeps the sort: the smallest set
             chosen.add(v)
-            yield [s for s in remaining if v not in s]
+            yield ([s for s in remaining if v not in s],)  # a child's sets, v chosen
             chosen.discard(v)
 
-    # Depth first on an explicit stack of ``node`` generators, each yielding a child's
-    # sets with its vertex chosen: a cover of any size needs no interpreter frames.
-    stack = [node(minimal)]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        else:
-            stack.append(node(child))
+    _depth_first(node, minimal)
     return frozenset(best)
 
 

@@ -686,6 +686,27 @@ def test_canonical_without_order_exits_2_before_reading_the_graph(tmp_path, monk
     assert not (tmp_path / "x.labels").exists()
 
 
+@pytest.mark.parametrize(
+    "algos, message",
+    [
+        ("g-hhl,nope", "unknown algorithm nope"),
+        ("canonical", "compare cannot build canonical, which needs an order"),
+    ],
+)
+def test_compare_refuses_its_algorithms_before_reading_the_graph(
+    algos, message, tmp_path, monkeypatch, capsys
+):
+    def refuse(*args):
+        raise AssertionError("graph work before the argument check")
+
+    monkeypatch.setattr("hublab.cli.parse_graph", refuse)
+    monkeypatch.setattr("hublab.cli.all_pairs_distances", refuse)
+    graph = tmp_path / "p3.gr"
+    graph.write_text(hl.serialize_graph(path_graph(2)))
+    assert main(["compare", str(graph), "--algos", algos]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("algo", ["canonical", "sphs"])
 def test_trace_for_an_algorithm_without_one_exits_2_before_reading_the_graph(
     algo, tmp_path, monkeypatch, capsys

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -431,8 +432,34 @@ def test_greedy_hitting_set_matches_recounting_loop():
         set_families.append(
             [frozenset(rng.sample(range(k), rng.randint(1, k))) for _ in range(rng.randint(0, 25))]
         )
+    # The empty family, repeated sets, and ids that skip 0 and leave gaps.
+    set_families.append([])
+    set_families.append([frozenset({1, 2})] * 3 + [frozenset({2, 3}), frozenset({1, 2})])
+    set_families.append([frozenset(s) for s in ({5, 9}, {9, 12}, {20}, {12, 40}, {5, 40})])
+    # The tuples of ``sp.vertices`` that ``greedy_multiscale_sphs`` passes, at every scale.
+    d = hl.all_pairs_distances(families.gen_random(60, 120, 10, 1))
+    paths = hl.enumerate_significant_paths(d, 1)
+    for i in range(1, (d.diameter - 1).bit_length() + 1):
+        set_families.append([sp.vertices for sp in paths if _must_hit(sp, 2 ** (i - 1))])
+    assert len(set_families[-1]) > 0
     for sets in set_families:
         assert _greedy_hitting_set(sets) == greedy_hitting_set_loop(sets)
+
+
+def test_multiscale_sphs_peaks_under_4_mib():
+    # The per-level sets are references to the enumeration's vertex tuples and the
+    # greedy holds one CSR table of them: 1.4 MiB here, where a frozenset copy of
+    # the path family per level and a Counter engine peaked at 14.9 MiB.
+    d = hl.all_pairs_distances(families.gen_random(150, 300, 10, 1))
+    ms = hl.greedy_multiscale_sphs(d)  # the enumeration is cached from here on
+    tracemalloc.start()
+    try:
+        again = hl.greedy_multiscale_sphs(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == ms
+    assert peak < 4 * 2**20, peak
 
 
 def test_q_sets_partition():
