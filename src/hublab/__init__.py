@@ -23,8 +23,8 @@ _EXPORTS = {
     " all_pairs_distances parse_graph path_membership serialize_graph undirect",
     "greedy": "DhhlLevelAudit IterationRecord RunTrace TraceNotFromDHHLError audit_dhhl_levels"
     " run_d_hhl run_g_hhl run_w_hhl vertex_levels",
-    "highway": "DirectedInputError InvalidSPHSError MultiscaleSPHS SignificantPath ball"
-    " enumerate_significant_paths greedy_multiscale_sphs is_sphs neighborhood_S sphs_to_hhl",
+    "highway": "DirectedInputError InvalidSPHSError MultiscaleSPHS SignificantPath"
+    " enumerate_significant_paths greedy_multiscale_sphs is_sphs sphs_to_hhl",
     "labeling": "CoverReport LabelFormatError Labeling Order canonical_hhl is_sublabeling"
     " parse_labeling respects_order serialize_labeling verify_cover",
     "oracles": "HlBnbResult exact_mds highway_dimension_bruteforce min_hitting_set"

@@ -1,6 +1,6 @@
 """Highway-dimension machinery on ``d.graph``, the graph of the distances ``d``:
-witness paths, significant-path enumeration, neighborhoods, sparse shortest-path
-hitting sets, and the multiscale labeling construction."""
+significant-path enumeration with each path's reach, sparse shortest-path hitting
+sets, and the multiscale labeling construction."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -78,44 +79,44 @@ def _all_shortest_paths(g: Graph, d: DistMatrix) -> list[tuple[int, ...]]:
     return out
 
 
-def _with_witnesses(g: Graph, d: DistMatrix, path: tuple[int, ...]):
-    """A shortest path as a SignificantPath, with all its witness extensions: the
-    path itself and the single-vertex extensions per end that remain shortest
-    paths, as (length, vertices) pairs."""
-    dist = d.dist  # every vertex here reaches every other: one component
-    first, last = path[0], path[-1]
-    length = dist(first, last)
-    pset = set(path)
-    pres = [
-        (x, ln)
-        for x, ln in g.adjacency[first]
-        if x not in pset and ln + length == dist(x, last)
-    ]
-    posts = [
-        (y, ln)
-        for y, ln in g.adjacency[last]
-        if y not in pset and length + ln == dist(first, y)
-    ]
-    out = [(length, path)]
-    for x, lx in pres:
-        out.append((length + lx, (x,) + path))
-    for y, ly in posts:
-        out.append((length + ly, path + (y,)))
-    for x, lx in pres:
-        for y, ly in posts:
-            if x != y and lx + length + ly == dist(x, y):
-                out.append((lx + length + ly, (x,) + path + (y,)))
-    return SignificantPath(path, length, max(wlen for wlen, _ in out)), out
+def _reaches(d: DistMatrix, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Reach of the shortest first[k]-last[k] paths: for ends a, b at L = dist(a, b),
+    L + max(E[a, b], lx + E[x, b] over arcs (x, a, lx) with lx + L == dist(x, b)),
+    E[s, t] the longest arc (t, y, l) with dist(s, t) + l == dist(s, y), else 0;
+    per source a, from the rows of a and its neighbours, in int64. The witness
+    rule's x, y off the path and distinct fail only across a zero-length arc,
+    where the candidate is worth no more than one the rule admits."""
+    n, adj = d.n, d.graph.adjacency
+    deg = np.fromiter(map(len, adj), np.intp, n)
+    aptr = np.concatenate(([0], deg.cumsum()))
+    heads = np.fromiter((y for arcs in adj for y, _ in arcs), np.intp, aptr[-1])
+    lens = np.fromiter((ln for arcs in adj for _, ln in arcs), np.int64, aptr[-1])
+    tails, tailed = np.repeat(np.arange(n), deg), np.flatnonzero(deg)
+    by_first = np.argsort(first, kind="stable")
+    fptr = first[by_first].searchsorted(np.arange(n + 1))
+    reach = np.zeros(len(first), np.int64)  # a vertex with no arc has reach 0
+    for a in tailed.tolist():
+        ln = lens[aptr[a] : aptr[a + 1], None]
+        rows = d.exact()[np.r_[a, heads[aptr[a] : aptr[a + 1]]]].astype(np.int64)
+        ext = np.where(rows[:, tails] + lens == rows[:, heads], lens, 0)
+        e = np.zeros_like(rows)  # E[s, .] for s = a, then each neighbour
+        e[:, tailed] = np.maximum.reduceat(ext, aptr[tailed], axis=1)
+        past = np.where(rows[0] + ln == rows[1:], ln + e[1:], 0).max(axis=0)
+        at = by_first[fptr[a] : fptr[a + 1]]
+        reach[at] = (rows[0] + np.maximum(e[0], past))[last[at]]
+    return reach
 
 
 @functools.lru_cache(maxsize=1)  # Graph and DistMatrix are immutable and hashable
-def _paths_with_witnesses(g: Graph, d: DistMatrix):
-    """Every shortest path with its witnesses, sorted by vertex count, then ids:
-    the one enumeration that every reader and every scale of this layer filters.
-    The last result is kept by graph and distances alone, so an SPHS build and
-    its check enumerate once."""
+def _path_family(g: Graph, d: DistMatrix) -> list[SignificantPath]:
+    """Every shortest path as a SignificantPath, sorted by vertex count, then ids:
+    the one enumeration every reader of this layer filters. The last result is
+    kept by graph and distances alone, so an SPHS build and its check enumerate once."""
     paths = sorted(_all_shortest_paths(g, d), key=lambda p: (len(p), p))
-    return [_with_witnesses(g, d, p) for p in paths]
+    first = np.fromiter((p[0] for p in paths), np.intp, len(paths))
+    last = np.fromiter((p[-1] for p in paths), np.intp, len(paths))
+    length = d.exact()[first, last].tolist()
+    return list(map(SignificantPath, paths, length, _reaches(d, first, last).tolist()))
 
 
 def _within(d: DistMatrix, r) -> int:
@@ -124,46 +125,36 @@ def _within(d: DistMatrix, r) -> int:
     return min(math.floor(Fraction(r)), d.diameter)
 
 
-def _must_hit(sp: SignificantPath, r) -> bool:
-    """Whether a hitting set at scale r must hit ``sp``: it is r-significant and
-    of positive length. A zero-length path is hit only by its own vertices, which
-    would degenerate every hitting measure; the bottom level C_0 = V covers it."""
-    return sp.length > 0 and sp.reach > r
-
-
 def enumerate_significant_paths(d: DistMatrix, r) -> list[SignificantPath]:
     """All r-significant shortest paths: those with a witness longer than r."""
-    r = Fraction(r)
-    if r <= 0:
+    if Fraction(r) <= 0:
         raise ValueError("r must be positive")
-    return [sp for sp, _ in _paths_with_witnesses(d.graph, d) if sp.reach > r]
+    cut = _within(d, r)  # reach is an integer at most D
+    return [sp for sp in _path_family(d.graph, d) if sp.reach > cut]
 
 
-def neighborhood_S(d: DistMatrix, v: int, r) -> list[SignificantPath]:
-    """r-significant paths that are (r, 2r)-close to v: some witness longer
-    than r lies within distance 2r of v."""
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("r must be positive")
-    thr = _within(d, 2 * r)
-    near = _from(d, v)
-    return [
-        sp
-        for sp, wits in _paths_with_witnesses(d.graph, d)
-        if any(wlen > r and near[list(wverts)].min() <= thr for wlen, wverts in wits)
-    ]
+def _by_reach(paths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positive-length ``paths``, sorted stably by reach, as one CSR table
+    ``(reach, ptr, verts)``. A zero-length path is hit only by its own vertices,
+    which would degenerate every hitting measure; C_0 = V covers it."""
+    paths = [sp for sp in paths if sp.length > 0]
+    reach = np.fromiter(map(attrgetter("reach"), paths), np.int64, len(paths))
+    size = np.fromiter((len(sp.vertices) for sp in paths), np.int64, len(paths))
+    verts = np.fromiter(chain.from_iterable(sp.vertices for sp in paths), np.int32, size.sum())
+    order = np.argsort(reach, kind="stable")  # twice as fast as sorting the paths
+    start, size = (size.cumsum() - size)[order], size[order]
+    return reach[order], np.concatenate(([0], size.cumsum())), verts[ranges(start, size)]
 
 
-def _from(d: DistMatrix, v: int) -> np.ndarray:
-    """dist(v, .); an id outside 0..n-1 raises ``IndexError``."""
-    if not 0 <= v < d.n:  # numpy would count a negative id from the end
-        raise IndexError(f"vertex {v} out of range for {d.n} vertices")
-    return d.exact()[v]
-
-
-def ball(d: DistMatrix, v: int, r) -> set[int]:
-    """Vertices within distance r of v (exact for rational r: dist <= floor(r))."""
-    return set(np.flatnonzero(_from(d, v) <= _within(d, r)).tolist())
+def _hits_all(d: DistMatrix, table, members, r) -> bool:
+    """Whether ``members`` hit every path with reach > r of ``_by_reach``'s table,
+    a suffix: one ``logical_or.reduceat`` of membership over its vertices."""
+    reach, ptr, verts = table
+    k = reach.searchsorted(_within(d, r), "right")
+    member = np.zeros(d.n, bool)
+    member[list(members)] = True
+    starts = ptr[k:-1] - ptr[k]
+    return k == len(reach) or bool(np.logical_or.reduceat(member[verts[ptr[k] :]], starts).all())
 
 
 def _balls(d: DistMatrix, members, r):
@@ -184,18 +175,15 @@ def _ball_cap(d: DistMatrix, members: set[int] | frozenset[int], radius) -> int:
 def is_sphs(d: DistMatrix, c, h: int, r) -> bool:
     """Check the sparse shortest-path hitting set conditions.
 
-    ``c`` must hit every r-significant path that ``_must_hit`` names (those of
-    positive length), and every ball of radius 2r may contain at most ``h``
-    members of ``c``.
+    ``c`` must hit every r-significant path of positive length (``_by_reach``),
+    and every ball of radius 2r may contain at most ``h`` members of ``c``.
     """
     cset = set(c)
     stray = cset.difference(range(d.n))
     if stray:  # numpy would count a negative id from the end
         raise IndexError(f"vertex {min(stray)} out of range for {d.n} vertices")
-    paths = enumerate_significant_paths(d, r)
-    if any(_must_hit(sp, r) and cset.isdisjoint(sp.vertices) for sp in paths):
-        return False
-    return not cset or _ball_cap(d, cset, 2 * Fraction(r)) <= h
+    hit = _hits_all(d, _by_reach(enumerate_significant_paths(d, r)), cset, r)
+    return hit and (not cset or _ball_cap(d, cset, 2 * Fraction(r)) <= h)
 
 
 @dataclass(frozen=True)
@@ -215,32 +203,32 @@ class MultiscaleSPHS:
 
     def q_sets(self) -> tuple[frozenset[int], ...]:
         """Q_i: vertices whose highest level is i (a partition of V)."""
-        out = []
-        taken: set[int] = set()
-        for i in range(self.top, -1, -1):
-            q = frozenset(self.levels[i] - taken)
-            taken |= self.levels[i]
-            out.append(q)
+        out, taken = [], set()
+        for level in reversed(self.levels):
+            out.append(frozenset(level - taken))
+            taken |= level
         return tuple(reversed(out))
 
 
-def _greedy_hitting_set(sets) -> set[int]:
-    """Greedy hitting set of a sequence of non-empty vertex sets: repeatedly take the
-    lowest-id vertex in the most sets not yet hit. The sets are one CSR table whose
-    transpose lists the sets through each vertex; a pick uncounts and empties them."""
-    size = np.fromiter(map(len, sets), np.int64, len(sets))
-    ptr = np.concatenate(([0], size.cumsum()))
-    verts = np.fromiter(chain.from_iterable(sets), np.int32, ptr[-1])
-    count = np.bincount(verts)
-    vptr, through = transpose(ptr, verts, len(count))
-    hit: set[int] = set()
-    while count.any():
-        best = int(np.argmax(count))  # the first maximum: ties go to the lowest id
-        hit.add(best)
-        dead = through[vptr[best] : vptr[best + 1]]
-        count -= np.bincount(verts[ranges(ptr[dead], size[dead])], minlength=len(count))
-        size[dead] = 0  # a set hit again later uncounts nothing
-    return hit
+def _greedy_hitting_sets(ptr: np.ndarray, verts: np.ndarray, starts):
+    """Greedy hitting sets of the non-empty vertex sets of the CSR table ``(ptr,
+    verts)`` from each set k of ``starts`` on: repeatedly take the lowest-id vertex
+    in the most sets not yet hit. The table's transpose, built once, lists the sets
+    through each vertex, ascending, so those from k on are a suffix of each list;
+    a pick uncounts and empties them."""
+    n = int(verts.max(initial=-1)) + 1
+    vptr, through = transpose(ptr, verts, n)
+    for k in starts:
+        size, hit = np.diff(ptr), set()
+        count = np.bincount(verts[ptr[k] :], minlength=n)
+        while count.any():
+            best = int(np.argmax(count))  # the first maximum: ties go to the lowest id
+            hit.add(best)
+            dead = through[vptr[best] : vptr[best + 1]]
+            dead = dead[dead.searchsorted(k) :]
+            count -= np.bincount(verts[ranges(ptr[dead], size[dead])], minlength=n)
+            size[dead] = 0  # a set hit again later uncounts nothing
+        yield hit
 
 
 def greedy_multiscale_sphs(d: DistMatrix) -> MultiscaleSPHS:
@@ -249,16 +237,14 @@ def greedy_multiscale_sphs(d: DistMatrix) -> MultiscaleSPHS:
         raise DirectedInputError("undirected graph required")
     if any(ln < 1 for _, _, ln in d.graph.arcs):
         raise ValueError("edge lengths must be at least 1")
-    diam = d.diameter
-    top = 0 if diam <= 1 else (diam - 1).bit_length()
+    top = max(d.diameter - 1, 0).bit_length()  # ceil(log2 D), 0 when D <= 1
     # every scale is at least 1: one enumeration at r = 1 holds every level's targets
-    paths = enumerate_significant_paths(d, 1) if top >= 1 else []
-    levels = [frozenset(range(d.n))]
-    for i in range(1, top + 1):
-        targets = [sp.vertices for sp in paths if _must_hit(sp, 2 ** (i - 1))]
-        levels.append(frozenset(_greedy_hitting_set(targets)))
+    reach, ptr, verts = _by_reach(enumerate_significant_paths(d, 1) if top >= 1 else [])
+    # level i's targets, reach > 2^(i-1), are the table's suffix from starts[i - 1]
+    starts = reach.searchsorted([2 ** (i - 1) for i in range(1, top + 1)], "right")
+    levels = [frozenset(range(d.n)), *map(frozenset, _greedy_hitting_sets(ptr, verts, starts))]
     caps = tuple(_ball_cap(d, levels[i], 2**i) for i in range(top + 1))
-    return MultiscaleSPHS(tuple(levels), caps, diam)
+    return MultiscaleSPHS(tuple(levels), caps, d.diameter)
 
 
 def sphs_to_hhl(d: DistMatrix, ms: MultiscaleSPHS):
@@ -277,11 +263,13 @@ def sphs_to_hhl(d: DistMatrix, ms: MultiscaleSPHS):
         raise InvalidSPHSError("bottom level must contain every vertex")
     if any(not level <= ms.levels[0] for level in ms.levels):
         raise InvalidSPHSError("every level must be a set of vertices of g")
-    paths = enumerate_significant_paths(d, 1) if ms.top >= 1 else []
+    top = max(d.diameter - 1, 0).bit_length()  # as greedy_multiscale_sphs builds
+    if ms.top < top:
+        raise InvalidSPHSError(f"top level {ms.top} is below ceil(log2 D) = {top}")
+    table = _by_reach(enumerate_significant_paths(d, 1) if ms.top >= 1 else [])
     for i in range(1, ms.top + 1):
-        r = 2 ** (i - 1)
-        if any(_must_hit(sp, r) and ms.levels[i].isdisjoint(sp.vertices) for sp in paths):
-            raise InvalidSPHSError(f"level {i} misses a {r}-significant path")
+        if not _hits_all(d, table, ms.levels[i], 2 ** (i - 1)):
+            raise InvalidSPHSError(f"level {i} misses a {2 ** (i - 1)}-significant path")
     order = Order.from_sequence(v for q in reversed(ms.q_sets()) for v in sorted(q))
     rank = np.array([order.rank(v) for v in range(n)])
     # (owners, hubs), every vertex its own hub; uint16 as n <= MAX_VERTICES < 2^16

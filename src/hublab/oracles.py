@@ -377,6 +377,16 @@ def _candidate_radii(d: DistMatrix) -> list[Fraction]:
     return sorted(cands)
 
 
+def _witnesses(g: Graph, d: DistMatrix, path: tuple[int, ...]) -> list[tuple[int, tuple]]:
+    """A shortest path's witnesses as (length, vertices): the path extended by at
+    most one vertex per end, off the path and distinct, to a shortest path."""
+    length = d.dist(path[0], path[-1])
+    pre = [((), 0)] + [((x,), ln) for x, ln in g.adjacency[path[0]] if x not in path]
+    post = [((), 0)] + [((y,), ln) for y, ln in g.adjacency[path[-1]] if y not in path]
+    wits = [(lx + length + ly, x + path + y) for x, lx in pre for y, ly in post if not x or x != y]
+    return [(ln, w) for ln, w in wits if ln == d.dist(w[0], w[-1])]
+
+
 def highway_dimension_bruteforce(g: Graph) -> int:
     """Highway dimension: the largest minimum hitting set of any r-neighborhood.
 
@@ -387,7 +397,7 @@ def highway_dimension_bruteforce(g: Graph) -> int:
     midpoints, which is exact. More than ``HD_MAX_N`` vertices raise
     ``TooLargeError``.
     """
-    from .highway import DirectedInputError, _must_hit, _paths_with_witnesses, _within
+    from .highway import DirectedInputError, _path_family, _within
 
     if g.directed:
         raise DirectedInputError("undirected graph required")
@@ -396,13 +406,13 @@ def highway_dimension_bruteforce(g: Graph) -> int:
     d = all_pairs_distances(g)
     if (d.exact() == d.unreachable).any():
         raise ValueError("connected graph required")
-    paths = _paths_with_witnesses(g, d)
+    paths = [(sp, _witnesses(g, d, sp.vertices)) for sp in _path_family(g, d)]
     wdist = {wv: d.exact()[list(wv)].min(axis=0) for _, wits in paths for _, wv in wits}
     best = 0
     cache: dict[frozenset[frozenset[int]], int] = {}
     for r in _candidate_radii(d):
         thr = _within(d, 2 * r)
-        targets = [(sp, wits) for sp, wits in paths if _must_hit(sp, r)]
+        targets = [(sp, wits) for sp, wits in paths if sp.length > 0 and sp.reach > r]
         for v in range(g.n):
             key = frozenset(
                 frozenset(sp.vertices)

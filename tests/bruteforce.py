@@ -634,6 +634,55 @@ def significant_paths_bruteforce(g: hl.Graph, r) -> list[tuple[tuple[int, ...], 
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
 
+def witnesses_reference(g: hl.Graph, d: hl.DistMatrix, path: tuple[int, ...]):
+    """The witnesses of one shortest path as (length, vertices), by the per-path
+    rule: the path itself and its extensions by a vertex off the path over an arc
+    at either end, or at both by two distinct vertices, whose arc lengths sum to
+    the distance between their ends. The reach is the longest length."""
+    arc = {}
+    for t, h, ln in g.arcs:
+        arc[t, h] = arc[h, t] = ln
+    pres = [()] + [(x,) for x in range(g.n) if (x, path[0]) in arc and x not in path]
+    posts = [()] + [(y,) for y in range(g.n) if (path[-1], y) in arc and y not in path]
+    out = []
+    for pre in pres:
+        for post in posts:
+            w = pre + path + post
+            length = sum(arc[e] for e in zip(w, w[1:]))
+            if not (pre and pre == post) and length == d.dist(w[0], w[-1]):
+                out.append((length, w))
+    return out
+
+
+def _from(d: hl.DistMatrix, v: int) -> np.ndarray:
+    """dist(v, .); an id outside 0..n-1 raises ``IndexError``."""
+    if not 0 <= v < d.n:  # numpy would count a negative id from the end
+        raise IndexError(f"vertex {v} out of range for {d.n} vertices")
+    return d.exact()[v]
+
+
+def ball(d: hl.DistMatrix, v: int, r) -> set[int]:
+    """Vertices within distance r of v (exact for rational r: dist <= floor(r))."""
+    return set(np.flatnonzero(_from(d, v) <= min(math.floor(Fraction(r)), d.diameter)).tolist())
+
+
+def neighborhood_S(d: hl.DistMatrix, v: int, r) -> list:
+    """r-significant paths that are (r, 2r)-close to v: some witness longer than
+    r lies within distance 2r of v."""
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError("r must be positive")
+    near, thr = _from(d, v), min(math.floor(2 * r), d.diameter)  # D + 1 is unreachable
+    return [
+        sp
+        for sp in hl.enumerate_significant_paths(d, r)
+        if any(
+            wlen > r and near[list(wverts)].min() <= thr
+            for wlen, wverts in witnesses_reference(d.graph, d, sp.vertices)
+        )
+    ]
+
+
 def all_shortest_paths_reference(g: hl.Graph, d: hl.DistMatrix) -> list[tuple[int, ...]]:
     """``highway._all_shortest_paths`` by one backward search per pair: from w back
     to u over the arcs (x, tip, ln) with dist(u, x) + ln == dist(u, tip), listed

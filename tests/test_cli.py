@@ -664,7 +664,7 @@ def test_sphs_build_enumerates_shortest_paths_once(tmp_path, monkeypatch, capsys
         return enumerate_paths(*args)
 
     monkeypatch.setattr(highway, "_all_shortest_paths", counted)
-    highway._paths_with_witnesses.cache_clear()
+    highway._path_family.cache_clear()
     graph = tmp_path / "r.gr"
     graph.write_text(hl.serialize_graph(families.gen_random(8, 12, 4, 5)))
     assert main(["build", str(graph), "--algo", "sphs", "--out", str(tmp_path / "r.lab")]) == 0
@@ -732,7 +732,7 @@ def test_sphs_build_past_the_path_cap_exits_3(tmp_path, monkeypatch, capsys):
         raise hl.CapExceededError(f"more than {highway.MAX_PATHS} shortest paths")
 
     monkeypatch.setattr(highway, "_all_shortest_paths", over_cap)
-    highway._paths_with_witnesses.cache_clear()
+    highway._path_family.cache_clear()
     graph = tmp_path / "r.gr"
     graph.write_text(hl.serialize_graph(families.gen_random(8, 12, 4, 5)))
     assert main(["build", str(graph), "--algo", "sphs", "--out", str(tmp_path / "r.lab")]) == 3

@@ -7,15 +7,18 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
+import numpy as np
 import pytest
 
 import hublab as hl
 from hublab import families, highway
 
-from bruteforce import all_shortest_paths_reference, gen_random_directed, greedy_hitting_set_loop
-from bruteforce import significant_paths_bruteforce, with_zero_arcs
-from conftest import path_graph, seeded_graphs, star_graph
+from bruteforce import all_shortest_paths_reference, ball, gen_random_directed
+from bruteforce import greedy_hitting_set_loop, neighborhood_S, significant_paths_bruteforce
+from bruteforce import witnesses_reference, with_zero_arcs
+from conftest import path_graph, seeded_graphs, star_graph, triangle
 
 
 def _verts(paths):
@@ -75,6 +78,84 @@ def test_significant_paths_match_simple_path_enumeration():
             )
 
 
+def _reach_graphs() -> list[hl.Graph]:
+    """Seeded graphs with and without zero-length arcs, unit lengths (many ties),
+    bad-w, separator, undirected bad-g, the vertex-cover reductions with and
+    without unique shortest paths, a disconnected graph, and n = 0 and 1."""
+    rng = random.Random(16500)
+    graphs = [with_zero_arcs(g, rng) for g in seeded_graphs(80, 10, 16600)]
+    graphs += _graphs_with_zero_length_edges(40, 16700) + seeded_graphs(40, 12, 16800)
+    graphs += [families.gen_random(n, 2 * n, 1, 16900 + n) for n in range(6, 26)]
+    graphs += [families.gen_bad_w(k) for k in (2, 3)]
+    graphs += [families.gen_separator(k) for k in (2, 3, 4)]
+    graphs += [hl.undirect(families.gen_bad_g(k)) for k in (2, 3, 4, 5)]
+    bases = [path_graph(1), path_graph(2), triangle(), families.gen_cycle4(False)]
+    bases.append(hl.Graph(False, 5, [(i, (i + 1) % 5, 1) for i in range(5)]))
+    graphs += [families.reduce_vc_undirected(b, unique) for b in bases for unique in (True, False)]
+    two_parts = [(0, 1, 2), (1, 2, 1), (0, 2, 3), (3, 4, 0), (4, 5, 1), (5, 6, 1), (3, 6, 2)]
+    return graphs + [hl.Graph(False, 8, two_parts), hl.Graph(False, 0, []), hl.Graph(False, 1, [])]
+
+
+def test_pair_rule_reach_matches_the_witness_reference():
+    # Every shortest path's reach, read at its two ends, against the longest of
+    # the witnesses the per-path rule lists, zero-length arcs included.
+    graphs = _reach_graphs()
+    assert len(graphs) >= 200 and sum(ln == 0 for g in graphs for _, _, ln in g.arcs) >= 50
+    for g in graphs:
+        d = hl.all_pairs_distances(g)
+        family = highway._path_family(g, d)
+        assert sorted(sp.vertices for sp in family) == sorted(all_shortest_paths_reference(g, d))
+        for sp in family:
+            wits = witnesses_reference(g, d, sp.vertices)
+            assert sp.length == wits[0][0] == d.dist(sp.vertices[0], sp.vertices[-1])
+            assert sp.reach == max(length for length, _ in wits), (g.arcs, sp)
+
+
+def test_sphs_build_lists_no_witnesses(monkeypatch):
+    # Only the highway-dimension oracle lists witness paths: with its helper
+    # refusing, a cold SPHS build and its labeling still complete.
+    from hublab import oracles
+
+    def refuse(*args):
+        raise AssertionError("witness lists on the SPHS build path")
+
+    monkeypatch.setattr(oracles, "_witnesses", refuse)
+    with pytest.raises(AssertionError, match="witness lists"):
+        oracles.highway_dimension_bruteforce(path_graph(3))
+    for g in (families.gen_random(60, 120, 10, 1), families.gen_separator(3)):
+        highway._path_family.cache_clear()
+        d = hl.all_pairs_distances(g)
+        _, lab = hl.sphs_to_hhl(d, hl.greedy_multiscale_sphs(d))
+        assert hl.verify_cover(lab, d).valid
+
+
+def test_a_reach_equal_to_a_scale_is_not_a_target():
+    # On the unit path 0-..-5 (D = 5, scales 1, 2, 4) the paths (0, 1) and (4, 5)
+    # have reach 2 and (1, 2, 3) has reach 4: a level's targets are reach > r.
+    g = path_graph(5)
+    d = hl.all_pairs_distances(g)
+    reach = {sp.vertices: sp.reach for sp in hl.enumerate_significant_paths(d, 1)}
+    assert reach[(0, 1)] == reach[(4, 5)] == 2 and reach[(1, 2, 3)] == 4
+    ms = hl.greedy_multiscale_sphs(d)
+    # reach >= r would give {0, 2, 4} at level 2 and {2} at level 3
+    assert ms.levels[1:] == (frozenset({0, 2, 4}), frozenset({2, 3}), frozenset({1}))
+    assert hl.is_sphs(d, {2, 3}, 2, 2) and hl.is_sphs(d, {4}, 1, 4)
+    assert not hl.is_sphs(d, {4}, 1, 3)  # at r = 3, (1, 2, 3) is a target
+    _, lab = hl.sphs_to_hhl(d, ms)  # level 2 misses (0, 1), which it need not hit
+    assert hl.verify_cover(lab, d).valid
+
+
+def test_sphs_to_hhl_refuses_a_family_below_the_top_level():
+    # D = 5 needs levels up to ceil(log2 5) = 3; cut below, the labeling misses pairs.
+    d = hl.all_pairs_distances(path_graph(5))
+    ms = hl.greedy_multiscale_sphs(d)
+    for top in (0, 1, 2):
+        cut = hl.MultiscaleSPHS(ms.levels[: top + 1], ms.ball_caps[: top + 1], ms.diameter)
+        with pytest.raises(hl.InvalidSPHSError, match=f"^top level {top} is below ceil"):
+            hl.sphs_to_hhl(d, cut)
+    assert hl.verify_cover(hl.sphs_to_hhl(d, ms)[1], d).valid
+
+
 # sha256 of repr(MultiscaleSPHS), the order and the label file of sphs_to_hhl,
 # captured when every SPHS level enumerated its own significant paths.
 SPHS_INSTANCES = {
@@ -115,7 +196,7 @@ def test_cap_exceeded(monkeypatch):
     g = path_graph(3)
     d = hl.all_pairs_distances(g)
     # Graph and DistMatrix hash by value: an equal graph enumerated earlier is cached.
-    highway._paths_with_witnesses.cache_clear()
+    highway._path_family.cache_clear()
     monkeypatch.setattr(highway, "MAX_PATHS", 3)
     with pytest.raises(hl.CapExceededError):
         hl.enumerate_significant_paths(d, 1)
@@ -127,7 +208,7 @@ def test_path_enumeration_deeper_than_recursion_limit(monkeypatch):
     n = 1200
     g = hl.Graph(False, n, [(i, i + 1, 1) for i in range(n - 1)])
     d = hl.all_pairs_distances(g)
-    highway._paths_with_witnesses.cache_clear()
+    highway._path_family.cache_clear()
     # 1,200 trivial paths, then paths from vertex 0 with up to ~1,100 vertices
     monkeypatch.setattr(highway, "MAX_PATHS", 2300)
     with pytest.raises(hl.CapExceededError):
@@ -145,7 +226,7 @@ def test_equal_distance_arrays_of_different_graphs_keep_their_own_paths():
     path = path_graph(2)
     chord = hl.Graph(False, 3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)])
     for first, second in ((path, chord), (chord, path)):
-        highway._paths_with_witnesses.cache_clear()
+        highway._path_family.cache_clear()
         ds = [hl.all_pairs_distances(first), hl.all_pairs_distances(second)]
         assert ds[0] == ds[1] and [d.graph for d in ds] == [first, second]
         for g, d in zip((first, second), ds):
@@ -215,20 +296,20 @@ def test_significant_paths_and_neighborhoods_need_a_positive_radius(r):
     with pytest.raises(ValueError, match="r must be positive"):
         hl.enumerate_significant_paths(d, r)
     with pytest.raises(ValueError, match="r must be positive"):
-        hl.neighborhood_S(d, 0, r)
+        neighborhood_S(d, 0, r)
 
 
 def test_neighborhood_single_edge():
     g = hl.Graph(False, 2, [(0, 1, 1)])
     d = hl.all_pairs_distances(g)
-    s = hl.neighborhood_S(d, 0, Fraction(1, 2))
+    s = neighborhood_S(d, 0, Fraction(1, 2))
     assert _verts(s) == {(0,), (1,), (0, 1)}
 
 
 def test_neighborhood_excludes_far_witnesses():
     g = path_graph(6)
     d = hl.all_pairs_distances(g)
-    near = _verts(hl.neighborhood_S(d, 0, Fraction(1, 2)))
+    near = _verts(neighborhood_S(d, 0, Fraction(1, 2)))
     assert (6,) not in near and (5, 6) not in near
     assert (0, 1) in near
 
@@ -238,17 +319,15 @@ def test_neighborhood_bad_g_hitting_bound():
     g = hl.undirect(families.gen_bad_g(k))
     d = hl.all_pairs_distances(g)
     b1 = families.bad_g_ids(k).b[0]
-    paths = [set(sp.vertices) for sp in hl.neighborhood_S(d, b1, 1) if sp.length > 0]
+    paths = [set(sp.vertices) for sp in neighborhood_S(d, b1, 1) if sp.length > 0]
     assert len(hl.min_hitting_set(paths)) <= k + 2
 
 
 def test_closeness_monotonicity():
     # (r, d)-close stays close when r shrinks and d grows
-    from hublab.highway import _paths_with_witnesses
-
     for g in (path_graph(5),) + tuple(seeded_graphs(4, 7, 14900)):
         d = hl.all_pairs_distances(g)
-        paths = _paths_with_witnesses(g, d)
+        paths = [witnesses_reference(g, d, p) for p in all_shortest_paths_reference(g, d)]
         m = d.matrix
 
         def close(v, wits, r, dd):
@@ -256,7 +335,7 @@ def test_closeness_monotonicity():
                 wlen > r and min(m[v, x] for x in wverts) <= dd for wlen, wverts in wits
             )
 
-        for _, wits in paths:
+        for wits in paths:
             for v in range(g.n):
                 for r, dd in ((2, 1), (Fraction(3, 2), 2), (1, 0)):
                     if close(v, wits, r, dd):
@@ -273,26 +352,26 @@ def test_ball_and_neighborhood_refuse_ids_out_of_range(v):
     # on the path 0-1-2-3 numpy would read vertex 3's column for -1
     g = path_graph(3)
     d = hl.all_pairs_distances(g)
-    assert hl.ball(d, 3, 1) == {2, 3}
+    assert ball(d, 3, 1) == {2, 3}
     with pytest.raises(IndexError, match=f"vertex {v} out of range for 4 vertices"):
-        hl.ball(d, v, 1)
+        ball(d, v, 1)
     with pytest.raises(IndexError, match=f"vertex {v} out of range for 4 vertices"):
-        hl.neighborhood_S(d, v, 1)
+        neighborhood_S(d, v, 1)
 
 
 def test_ball_examples():
     g = star_graph(4)
     d = hl.all_pairs_distances(g)
-    assert 0 in hl.ball(d, 0, 0)
-    assert hl.ball(d, 0, 1) == set(range(5))
+    assert 0 in ball(d, 0, 0)
+    assert ball(d, 0, 1) == set(range(5))
     w = families.gen_bad_w(2)
     idw = families.bad_w_ids(2)
     dw = hl.all_pairs_distances(w)
-    assert hl.ball(dw, idw.a, 3) == {idw.a} | set(idw.d)
-    assert hl.ball(dw, idw.a, Fraction(5, 2)) == {idw.a}
+    assert ball(dw, idw.a, 3) == {idw.a} | set(idw.d)
+    assert ball(dw, idw.a, Fraction(5, 2)) == {idw.a}
     # D = 3, so a radius of 4 meets the stored value of unreachable pairs
     d4 = hl.all_pairs_distances(hl.parse_graph("p undirected 4 1\na 0 1 3\n"))
-    assert hl.ball(d4, 0, 4) == {0, 1}
+    assert ball(d4, 0, 4) == {0, 1}
 
 
 def test_is_sphs_examples():
@@ -414,18 +493,26 @@ def test_sphs_to_hhl_rejects_invalid_family():
         hl.sphs_to_hhl(d3, hl.MultiscaleSPHS((), (), 2))
 
 
+def _csr(sets):
+    """The sets as one CSR table ``(ptr, verts)``, int64 pointers and int32 ids."""
+    ptr = np.concatenate(([0], np.cumsum([len(s) for s in sets], dtype=np.int64)))
+    return ptr, np.fromiter(chain.from_iterable(sets), np.int32, ptr[-1])
+
+
 def test_greedy_hitting_set_matches_recounting_loop():
     # Significant-path families of seeded graphs at every SPHS scale, and random
-    # set families over few vertices, where count ties are common.
-    from hublab.highway import _greedy_hitting_set, _must_hit
+    # set families over few vertices, where count ties are common; each family is
+    # one CSR table, and its greedy sets from several starts k are those of the
+    # loop on the sets from k on.
+    from hublab.highway import _by_reach, _greedy_hitting_sets
 
     set_families = []
     for g in seeded_graphs(12, 9, 5100) + [families.gen_random(30, 60, 6, 5200)]:
         d = hl.all_pairs_distances(g)
         paths = hl.enumerate_significant_paths(d, 1)
         for i in range(1, max(d.diameter - 1, 0).bit_length() + 1):
-            targets = [frozenset(sp.vertices) for sp in paths if _must_hit(sp, 2 ** (i - 1))]
-            set_families.append(targets)
+            r = 2 ** (i - 1)
+            set_families.append([frozenset(sp.vertices) for sp in paths if sp.length and sp.reach > r])
     rng = random.Random(5300)
     for _ in range(60):
         k = rng.randint(1, 9)
@@ -436,19 +523,24 @@ def test_greedy_hitting_set_matches_recounting_loop():
     set_families.append([])
     set_families.append([frozenset({1, 2})] * 3 + [frozenset({2, 3}), frozenset({1, 2})])
     set_families.append([frozenset(s) for s in ({5, 9}, {9, 12}, {20}, {12, 40}, {5, 40})])
-    # The tuples of ``sp.vertices`` that ``greedy_multiscale_sphs`` passes, at every scale.
-    d = hl.all_pairs_distances(families.gen_random(60, 120, 10, 1))
-    paths = hl.enumerate_significant_paths(d, 1)
-    for i in range(1, (d.diameter - 1).bit_length() + 1):
-        set_families.append([sp.vertices for sp in paths if _must_hit(sp, 2 ** (i - 1))])
-    assert len(set_families[-1]) > 0
     for sets in set_families:
-        assert _greedy_hitting_set(sets) == greedy_hitting_set_loop(sets)
+        starts = sorted({*range(0, len(sets), max(1, len(sets) // 6)), len(sets)})
+        got = list(_greedy_hitting_sets(*_csr(sets), starts))
+        assert got == [greedy_hitting_set_loop(sets[k:]) for k in starts]
+    # The reach-sorted table ``greedy_multiscale_sphs`` reads, from every level's start.
+    d = hl.all_pairs_distances(families.gen_random(60, 120, 10, 1))
+    reach, ptr, verts = _by_reach(hl.enumerate_significant_paths(d, 1))
+    top = (d.diameter - 1).bit_length()
+    starts = reach.searchsorted([2 ** (i - 1) for i in range(1, top + 1)], "right")
+    assert starts[-1] < len(reach)
+    rows = [verts[a:b].tolist() for a, b in zip(ptr, ptr[1:])]
+    got = list(_greedy_hitting_sets(ptr, verts, starts))
+    assert got == [greedy_hitting_set_loop(rows[k:]) for k in starts]
 
 
 def test_multiscale_sphs_peaks_under_4_mib():
-    # The per-level sets are references to the enumeration's vertex tuples and the
-    # greedy holds one CSR table of them: 1.4 MiB here, where a frozenset copy of
+    # The path family is one reach-sorted CSR table, each level a suffix of it,
+    # and the greedy transposes it once: 1.4 MiB here, where a frozenset copy of
     # the path family per level and a Counter engine peaked at 14.9 MiB.
     d = hl.all_pairs_distances(families.gen_random(150, 300, 10, 1))
     ms = hl.greedy_multiscale_sphs(d)  # the enumeration is cached from here on
