@@ -20,13 +20,13 @@ _EXPORTS = {
     "cohen": "mds_peel run_cohen_hl",
     "families": "families",  # the generator module itself
     "graphs": "INF CapExceededError DistMatrix Graph GraphFormatError TooLargeError"
-    " all_pairs_distances parse_graph path_membership serialize_graph undirect",
+    " all_pairs_distances parse_graph path_membership serialize_graph",
     "greedy": "DhhlLevelAudit IterationRecord RunTrace TraceNotFromDHHLError audit_dhhl_levels"
     " run_d_hhl run_g_hhl run_w_hhl vertex_levels",
     "highway": "DirectedInputError InvalidSPHSError MultiscaleSPHS SignificantPath"
     " enumerate_significant_paths greedy_multiscale_sphs is_sphs sphs_to_hhl",
-    "labeling": "CoverReport LabelFormatError Labeling Order canonical_hhl is_sublabeling"
-    " parse_labeling respects_order serialize_labeling verify_cover",
+    "labeling": "CoverReport LabelFormatError Labeling Order canonical_hhl"
+    " parse_labeling serialize_labeling verify_cover",
     "oracles": "HlBnbResult exact_mds highway_dimension_bruteforce min_hitting_set"
     " min_vertex_cover optimal_hhl_bruteforce optimal_hl_bnb",
 }

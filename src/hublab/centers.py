@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DistMatrix, pair_arrays, path_membership, ranges, runs, transpose
+from .graphs import DistMatrix, as_int, pair_arrays, path_membership, ranges, runs, transpose
 
 NEG_INF_LEVEL = float("-inf")
 
@@ -17,56 +17,78 @@ class EmptyCenterGraphError(ValueError):
     """Density or subgraph selection requested on a center graph with no edges."""
 
 
-@dataclass(frozen=True)
-class CenterGraph:
-    """Uncovered pairs whose shortest paths pass through ``center``.
+def _ids(cols: np.ndarray) -> list[np.ndarray]:
+    """Per column of ``cols``, its distinct ids ascending, by one sort and an
+    adjacent compare (``np.unique`` imports ``numpy.ma``, as
+    ``graphs.unique_pairs`` says); a negative id raises ``ValueError``."""
+    s = np.sort(cols, axis=0)
+    if len(s) and min(s[0].tolist()) < 0:
+        raise ValueError(f"vertex id {s.min()} is negative")
+    new = np.ones(s.shape, bool)
+    new[1:] = s[1:] != s[:-1]
+    return [col[keep] for col, keep in zip(s.T, new.T)]
 
-    Directed center graphs are bipartite (tail side, head side); undirected ones
-    live on V and carry a self-loop for the pair [center, center] while uncovered.
+
+@dataclass(frozen=True, init=False)
+class CenterGraph:
+    """Uncovered pairs whose shortest paths pass through ``center``, stored as a
+    graph on side nodes ``(side, v)``: the nodes, and per node an adjacency
+    bitmask (bit i stands for node i) and a self-loop flag.
+
+    ``CenterGraph(center, directed, arcs)`` takes the pairs as ``(u, w)`` rows,
+    repeats counting once. Undirected: one node (0, v) per non-isolated vertex,
+    in id order, and the pair [v, v] is a loop. Directed: the graph is bipartite,
+    the heads (1, w), then the tails (0, u), each in id order, so a smaller
+    integer mask is a smaller (tail mask, head mask), bit i of those marking the
+    i-th smallest tail (head) id; a pair (v, v) joins two nodes. An id that is
+    not an int (by ``as_int``), is negative or does not fit in int64 raises
+    ``ValueError``.
     """
 
     center: int
     directed: bool
-    arcs: tuple[tuple[int, int], ...]
+    nodes: tuple[tuple[int, int], ...]
+    adj: tuple[int, ...]
+    loop: tuple[int, ...]
+    edge_count: int
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.arcs)
+    def __init__(self, center: int, directed: bool, arcs):
+        uw = np.asarray(arcs).reshape(-1, 2)
+        if uw.dtype.kind not in "iu":  # floats, strings, bools, (), ints past int64 (as float64)
+            try:
+                uw = np.array([as_int(x) for arc in arcs for x in arc], np.int64).reshape(-1, 2)
+            except OverflowError:
+                raise ValueError("vertex ids must fit in int64") from None
+        u, w = uw.T
+        if directed:
+            tails, heads = _ids(uw)
+            nodes = [(1, v) for v in heads.tolist()] + [(0, v) for v in tails.tolist()]
+            a, b = len(heads) + np.searchsorted(tails, u), np.searchsorted(heads, w)
+        else:
+            (ids,) = _ids(uw.reshape(-1, 1))
+            nodes = [(0, v) for v in ids.tolist()]
+            a, b = np.searchsorted(ids, u), np.searchsorted(ids, w)
+        adj, loop = [0] * len(nodes), [0] * len(nodes)
+        for x, y in zip(a.tolist(), b.tolist()):
+            if x == y:  # [v, v] when undirected; a directed (v, v) joins two nodes
+                loop[x] = 1
+            else:
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+        vars(self).update(  # frozen: each field is set once, here
+            center=center, directed=directed, nodes=tuple(nodes), adj=tuple(adj), loop=tuple(loop),
+            edge_count=sum(map(int.bit_count, adj)) // 2 + sum(loop),
+        )
 
     @property
     def nonisolated_count(self) -> int:
         """Distinct incident vertices, the side nodes; the directed case counts
         side occurrences."""
-        return len(self.side_nodes()[0])
+        return len(self.nodes)
 
-    def side_nodes(self) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-        """The graph on side nodes ``(side, v)``: the nodes, and per node an
-        adjacency bitmask (bit i stands for node i) and a self-loop flag.
-
-        Undirected: one node (0, v) per non-isolated vertex, in id order, and the
-        pair [v, v] is a loop. Directed: the heads (1, w), then the tails (0, u),
-        each in id order, so a smaller integer mask is a smaller (tail mask,
-        head mask), bit i of those marking the i-th smallest tail (head) id.
-        """
-        if self.directed:
-            heads, tails = sorted({w for _, w in self.arcs}), sorted({u for u, _ in self.arcs})
-            nodes = [(1, w) for w in heads] + [(0, u) for u in tails]
-        else:
-            nodes = [(0, v) for v in sorted({v for arc in self.arcs for v in arc})]
-        at = {node: i for i, node in enumerate(nodes)}
-        adj, loop = [0] * len(nodes), [0] * len(nodes)
-        for u, w in self.arcs:
-            a, b = at[0, u], at[int(self.directed), w]
-            if a == b:
-                loop[a] = 1
-            else:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-        return nodes, adj, loop
-
-    def sides(self, nodes: list[tuple[int, int]], mask: int) -> tuple[frozenset[int], ...]:
+    def sides(self, mask: int) -> tuple[frozenset[int], ...]:
         """Vertices of the side nodes in ``mask``: (members,), or (tails, heads) when directed."""
-        picked = [node for i, node in enumerate(nodes) if mask >> i & 1]
+        picked = [node for i, node in enumerate(self.nodes) if mask >> i & 1]
         return tuple(frozenset(v for s, v in picked if s == k) for k in range(1 + self.directed))
 
 
@@ -222,7 +244,8 @@ class CoverageState:
         return pids[self.uncovered[pids]]
 
     def center_graph(self, v: int) -> CenterGraph:
-        return CenterGraph(v, self.directed, tuple(self.index.pairs(self.pairs_through(v))))
+        pids = self.pairs_through(v)
+        return CenterGraph(v, self.directed, np.array((self.index.u[pids], self.index.w[pids])).T)
 
     def cover_pairs(self, pids) -> None:
         """Mark still-uncovered pairs covered and update the built counters; ascending

@@ -25,7 +25,7 @@ EXACT_MDS_SUBSETS = 1 << 22
 
 def mds_peel(cg: CenterGraph):
     """Densest-subgraph 2-approximation (Charikar): peel the side-node form
-    (:meth:`CenterGraph.side_nodes`), dropping the live node least by (degree,
+    (:class:`CenterGraph`), dropping the live node least by (degree,
     vertex id, side), tails on side 0; a node left without edges leaves too.
     A heap with lazy deletion finds each drop, so a peel of k side nodes and m
     edges takes O((k + m) log k). Among equal-density prefixes the largest
@@ -35,12 +35,12 @@ def mds_peel(cg: CenterGraph):
     """
     if cg.edge_count == 0:
         raise EmptyCenterGraphError(f"center graph of {cg.center} has no edges")
-    nodes, adj, loop = cg.side_nodes()
+    nodes, adj, loop = cg.nodes, cg.adj, cg.loop
     deg = [a.bit_count() + lp for a, lp in zip(adj, loop)]
     heap = [(dg, v, side, i) for i, (dg, (side, v)) in enumerate(zip(deg, nodes))]
     heapq.heapify(heap)
     alive = best = (1 << len(nodes)) - 1
-    m = best_e = (sum(deg) + sum(loop)) // 2  # distinct edges: two ends each, a loop one
+    m = best_e = cg.edge_count
     k = best_k = len(nodes)
     while m > 0:
         dg, _, _, drop = heapq.heappop(heap)
@@ -60,7 +60,7 @@ def mds_peel(cg: CenterGraph):
             deg[j] -= 1
             heapq.heappush(heap, (deg[j], nodes[j][1], nodes[j][0], j))
             nbrs ^= low
-    return cg.sides(nodes, best), Fraction(best_e, best_k)
+    return cg.sides(best), Fraction(best_e, best_k)
 
 
 def run_cohen_hl(d: DistMatrix, pairs=None, exact_mds: bool = False) -> tuple[Labeling, RunTrace]:
@@ -106,7 +106,9 @@ def run_cohen_hl(d: DistMatrix, pairs=None, exact_mds: bool = False) -> tuple[La
         # An undirected subgraph is one vertex set at both ends of its pairs.
         tails, heads = sets if d.directed else sets * 2
         pids = engine.pairs_through(v)
-        covered = pids[np.isin(idx.u[pids], list(tails)) & np.isin(idx.w[pids], list(heads))]
+        inside = np.zeros((2, d.n), bool)  # per side, the vertices of the subgraph
+        inside[0, list(tails)] = inside[1, list(heads)] = True
+        covered = pids[inside[0, idx.u[pids]] & inside[1, idx.w[pids]]]
         for x in np.flatnonzero(np.bincount(idx.rows(covered)[0], minlength=d.n)).tolist():
             solved.pop(x, None)
         # ``_select`` gives v to the ends of ``covered``, which are the sets: no side node

@@ -223,13 +223,6 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def undirect(g: Graph) -> Graph:
-    """Undirected version of a graph; parallel opposite arcs merge to the minimum length."""
-    if not g.directed:
-        return g
-    return Graph(False, g.n, g.arcs)
-
-
 def _dijkstra(adj, source: int, dist: list[int]) -> list[int]:
     """The vertices ``source`` reaches, in the order settled. ``dist`` holds
     ``far`` everywhere on entry and their distances on return."""

@@ -374,26 +374,6 @@ def hub_labeling(d: DistMatrix, fwd, bwd=None) -> Labeling:
     return Labeling._from_entries(d.directed, d.n, *sides)
 
 
-def respects_order(l: Labeling, pi: Order) -> bool:
-    """True iff every hub of v is at least as important as v."""
-    if pi.n != l.n:
-        raise ValueError("order and labeling disagree on n")
-    rank = np.array(pi._ranks, np.int64)
-    return all((rank[hub] <= np.repeat(rank, np.diff(ptr))).all() for ptr, hub, _ in l._sides())
-
-
-def is_sublabeling(a: Labeling, b: Labeling) -> bool:
-    """True iff every hub entry of ``a`` appears in ``b`` on the same side."""
-    if a.directed != b.directed or a.n != b.n:
-        raise ValueError("labelings disagree on shape")
-    for v in range(a.n):
-        if not set(a.fwd[v]) <= set(b.fwd[v]):
-            return False
-        if a.directed and not set(a.bwd[v]) <= set(b.bwd[v]):
-            return False
-    return True
-
-
 def serialize_labeling(l: Labeling) -> str:
     """Deterministic text form: one line per vertex per side, hubs ascending."""
 

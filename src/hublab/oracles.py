@@ -260,7 +260,7 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
 
 def exact_mds(cg: CenterGraph):
     """Exact maximum-density subgraph by one subset DP over the side-node form
-    (:meth:`CenterGraph.side_nodes`), as numpy passes over all masks.
+    (:class:`CenterGraph`), as numpy passes over all masks.
 
     A mask's edge count extends that of the mask without its top node:
     ``edges[2^v : 2^(v+1)] = edges[:2^v] + pop[arange(2^v) & adj[v]] + loop[v]``.
@@ -275,8 +275,7 @@ def exact_mds(cg: CenterGraph):
     """
     if cg.edge_count == 0:
         raise EmptyCenterGraphError(f"center graph of {cg.center} has no edges")
-    nodes, adj, loop = cg.side_nodes()
-    c = len(nodes)
+    adj, loop, c = cg.adj, cg.loop, len(cg.nodes)
     if c > EXACT_MDS_MAX_NODES:
         raise TooLargeError(f"{c} side nodes exceed limit {EXACT_MDS_MAX_NODES}")
     pop = _popcounts(c)
@@ -305,7 +304,7 @@ def exact_mds(cg: CenterGraph):
         held = masks[masks >> v & 1 == 1]
         masks = held if len(held) else masks
         v += 1
-    return cg.sides(nodes, int(masks[0])), Fraction(best_e, best_k)
+    return cg.sides(int(masks[0])), Fraction(best_e, best_k)
 
 
 def min_vertex_cover(g: Graph) -> frozenset[int]:

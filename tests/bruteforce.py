@@ -284,6 +284,33 @@ def pair_level(dist: int) -> int | float:
     return hl.NEG_INF_LEVEL if dist == 0 else dist.bit_length() - 1
 
 
+def undirect(g: hl.Graph) -> hl.Graph:
+    """Undirected version of a graph; parallel opposite arcs merge to the minimum length."""
+    if not g.directed:
+        return g
+    return hl.Graph(False, g.n, g.arcs)
+
+
+def respects_order(l: hl.Labeling, pi: hl.Order) -> bool:
+    """True iff every hub of v is at least as important as v."""
+    if pi.n != l.n:
+        raise ValueError("order and labeling disagree on n")
+    sides = (l.fwd, l.bwd) if l.directed else (l.fwd,)
+    return all(pi.rank(h) <= pi.rank(v) for side in sides for v in range(l.n) for h, _ in side[v])
+
+
+def is_sublabeling(a: hl.Labeling, b: hl.Labeling) -> bool:
+    """True iff every hub entry of ``a`` appears in ``b`` on the same side."""
+    if a.directed != b.directed or a.n != b.n:
+        raise ValueError("labelings disagree on shape")
+    for v in range(a.n):
+        if not set(a.fwd[v]) <= set(b.fwd[v]):
+            return False
+        if a.directed and not set(a.bwd[v]) <= set(b.bwd[v]):
+            return False
+    return True
+
+
 def build_center_graph(d: hl.DistMatrix, pairs, v: int) -> hl.CenterGraph:
     """From-scratch center graph of v over the given canonical pairs."""
     m = d.matrix
@@ -291,6 +318,38 @@ def build_center_graph(d: hl.DistMatrix, pairs, v: int) -> hl.CenterGraph:
         sorted((u, w) for u, w in pairs if np.isfinite(m[u, v]) and m[u, v] + m[v, w] == m[u, w])
     )
     return hl.CenterGraph(v, d.directed, arcs)
+
+
+def side_nodes(directed: bool, arcs) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """The side-node form of the pairs ``arcs`` from dicts and sets: the nodes
+    ``(side, v)`` (undirected, the vertices; directed, the heads then the tails,
+    each in id order), and per node an adjacency bitmask and a self-loop flag."""
+    if directed:
+        heads, tails = sorted({w for _, w in arcs}), sorted({u for u, _ in arcs})
+        nodes = [(1, w) for w in heads] + [(0, u) for u in tails]
+    else:
+        nodes = [(0, v) for v in sorted({v for arc in arcs for v in arc})]
+    at = {node: i for i, node in enumerate(nodes)}
+    adj, loop = [0] * len(nodes), [0] * len(nodes)
+    for u, w in arcs:
+        a, b = at[0, u], at[int(directed), w]
+        if a == b:
+            loop[a] = 1
+        else:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return nodes, adj, loop
+
+
+def arcs(cg: hl.CenterGraph) -> list[tuple[int, int]]:
+    """A center graph's pairs read back from its side nodes, sorted: (tail, head)
+    when directed, min-first when undirected."""
+    out = [(v, v) for (_, v), lp in zip(cg.nodes, cg.loop) if lp]
+    for i, (side, v) in enumerate(cg.nodes):
+        for j, (_, x) in enumerate(cg.nodes):
+            if cg.adj[i] >> j & 1 and (side == 0 if cg.directed else i < j):
+                out.append((v, x))
+    return sorted(out)
 
 
 def density(cg: hl.CenterGraph) -> Fraction:
@@ -327,7 +386,7 @@ class LevelProfile:
 def level_profile(cg: hl.CenterGraph, d: hl.DistMatrix) -> LevelProfile:
     m = d.matrix
     counts: dict[int | float, int] = {}
-    for u, w in cg.arcs:
+    for u, w in arcs(cg):
         lvl = pair_level(int(m[u, w]))
         counts[lvl] = counts.get(lvl, 0) + 1
     diam = d.diameter
@@ -340,7 +399,7 @@ def center_weight_sum(cg: hl.CenterGraph, d: hl.DistMatrix) -> int:
     """Exact big-integer sum of pair weights n^(2*level); dist-0 pairs weigh 0."""
     n = d.n
     total = 0
-    for u, w in cg.arcs:
+    for u, w in arcs(cg):
         dist = d.dist(u, w)
         if dist > 0:
             total += n ** (2 * (dist.bit_length() - 1))
@@ -844,7 +903,7 @@ def mds_peel_reference(cg: hl.CenterGraph):
     head_side = 1 if cg.directed else 0
     adj: dict[tuple[int, int], set[tuple[int, int]]] = {}
     loops: set[tuple[int, int]] = set()
-    for u, w in cg.arcs:
+    for u, w in arcs(cg):
         a, b = (0, u), (head_side, w)
         if a == b:
             loops.add(a)
@@ -878,11 +937,12 @@ def mds_peel_reference(cg: hl.CenterGraph):
 def exact_mds_undirected_reference(cg: hl.CenterGraph):
     """Densest vertex subset by subset DP with one Fraction per subset; ties go
     to fewer vertices, then to the lexicographically smallest sorted list."""
-    verts = sorted({v for arc in cg.arcs for v in arc})
+    pairs = arcs(cg)
+    verts = sorted({v for arc in pairs for v in arc})
     c = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
     adj, loop = [0] * c, [0] * c
-    for u, w in cg.arcs:
+    for u, w in pairs:
         if u == w:
             loop[idx[u]] = 1
         else:
@@ -917,8 +977,7 @@ def exact_mds_loop(cg: hl.CenterGraph, limit: int = 20):
     densities compare by integer cross-products and ties go as in ``hl.exact_mds``."""
     if cg.edge_count == 0:
         raise hl.EmptyCenterGraphError(f"center graph of {cg.center} has no edges")
-    nodes, adj, loop = cg.side_nodes()
-    c = len(nodes)
+    adj, loop, c = cg.adj, cg.loop, len(cg.nodes)
     if c > limit:
         raise hl.TooLargeError(f"{c} side nodes exceed limit {limit}")
     edges = [0] * (1 << c)
@@ -934,7 +993,7 @@ def exact_mds_loop(cg: hl.CenterGraph, limit: int = 20):
             k < best_k or k == best_k and not cg.directed and mask & (mask ^ best) & -(mask ^ best)
         ):
             best, best_e, best_k = mask, e, k
-    return cg.sides(nodes, best), Fraction(best_e, best_k)
+    return cg.sides(best), Fraction(best_e, best_k)
 
 
 def mask_tie_better(mask: int, incumbent: int, verts: list[int]) -> bool:
@@ -950,12 +1009,13 @@ def mask_tie_better(mask: int, incumbent: int, verts: list[int]) -> bool:
 def exact_mds_directed_reference(cg: hl.CenterGraph):
     """Densest (tails, heads) by a nested loop over tail and head subsets; ties
     go to fewer side occurrences, then to the smallest (tail mask, head mask)."""
-    tails, heads = sorted({u for u, _ in cg.arcs}), sorted({w for _, w in cg.arcs})
+    pairs = arcs(cg)
+    tails, heads = sorted({u for u, _ in pairs}), sorted({w for _, w in pairs})
     cx, cy = len(tails), len(heads)
     ti = {v: i for i, v in enumerate(tails)}
     hi = {v: i for i, v in enumerate(heads)}
     outmask = [0] * cx
-    for u, w in cg.arcs:
+    for u, w in pairs:
         outmask[ti[u]] |= 1 << hi[w]
     best_dens: Fraction | None = None
     best = (0, 0)

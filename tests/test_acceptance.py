@@ -21,7 +21,8 @@ import pytest
 import hublab as hl
 from hublab import families
 
-from bruteforce import build_center_graph, optimal_hl_milp, path_vertices_bruteforce
+from bruteforce import arcs, build_center_graph, is_sublabeling, optimal_hl_milp
+from bruteforce import path_vertices_bruteforce, respects_order, undirect
 from conftest import edge2, path_graph, star_graph, triangle
 
 
@@ -448,7 +449,7 @@ def test_c08_canonical_minimality_and_greedy_identity(random_graphs_8):
                 pi = hl.Order.from_sequence(seq)
                 lab = hl.canonical_hhl(d, pi)
                 assert hl.verify_cover(lab, d).valid
-                assert hl.respects_order(lab, pi)
+                assert respects_order(lab, pi)
                 fwd = [dict(lst) for lst in lab.fwd]
                 for v in range(g.n):
                     for h in range(g.n):
@@ -456,7 +457,7 @@ def test_c08_canonical_minimality_and_greedy_identity(random_graphs_8):
                             fwd[v][h] = d.dist(v, h)
                 ext = hl.Labeling(False, g.n, fwd)
                 assert hl.verify_cover(ext, d).valid
-                assert hl.is_sublabeling(lab, ext)
+                assert is_sublabeling(lab, ext)
             for run in (hl.run_g_hhl, hl.run_w_hhl, hl.run_d_hhl):
                 order, glab, _ = run(d)
                 assert glab == hl.canonical_hhl(d, order)
@@ -490,7 +491,7 @@ def test_c09_cohen_bounds(random_graphs_7):
                 heads = rec.receivers_bwd if d.directed else rec.receivers_fwd
                 covered = {
                     (a, b)
-                    for a, b in build_center_graph(d, u, rec.vertex).arcs
+                    for a, b in arcs(build_center_graph(d, u, rec.vertex))
                     if a in rec.receivers_fwd and b in heads
                 }
                 assert len(covered) == rec.covered
@@ -501,12 +502,12 @@ def test_c09_cohen_bounds(random_graphs_7):
 
 def test_c10_highway_machinery(sphs_instances):
     with criterion("10 (highway dimension, multiscale labeling, level audit)"):
-        und = hl.undirect(families.gen_bad_g(3))
+        und = undirect(families.gen_bad_g(3))
         h = hl.highway_dimension_bruteforce(und)
         assert h in (4, 5)
         for name, g, d, ms, order, lab in sphs_instances:
             assert hl.verify_cover(lab, d).valid
-            assert hl.respects_order(lab, order)
+            assert respects_order(lab, order)
             bound = 1 + sum(ms.ball_caps)
             assert max(len(lab.fwd[v]) for v in range(g.n)) <= bound
         du = hl.all_pairs_distances(und)

@@ -18,6 +18,7 @@ from hublab import cohen, families, graphs, greedy
 from hublab.centers import PathIndex
 
 from bruteforce import (
+    arcs,
     build_center_graph,
     canonical_hhl_loop,
     center_weight_sum,
@@ -28,6 +29,7 @@ from bruteforce import (
     on_shortest_path,
     pair_level,
     path_index_reference,
+    side_nodes,
     shortest_path_vertices,
     with_zero_arcs,
 )
@@ -338,12 +340,24 @@ def test_membership_kernel_matches_bruteforce(g, rnd):
     assert hl.canonical_hhl(d, pi) == canonical_hhl_loop(d, pi)
 
 
+def _engine_cases():
+    """Seeded graphs of both kinds, each again with zero-length arcs, and an
+    explicit pair list of each kind."""
+    rng = random.Random(11400)
+    graphs = seeded_graphs(6, 7, 11200) + [gen_random_directed(5, 3, 2, 11300)]
+    for g in graphs + [with_zero_arcs(g, rng) for g in graphs]:
+        yield g, None
+    for g in (families.gen_random(8, 12, 3, 11500), gen_random_directed(7, 5, 3, 11600)):
+        reach = hl.all_pairs_distances(g).reachable_pairs()
+        yield g, rng.sample(reach, len(reach) // 2)
+
+
 def test_engine_matches_from_scratch_after_random_covers():
     rng = random.Random(7)
-    graphs = seeded_graphs(6, 7, 11200) + [gen_random_directed(5, 3, 2, 11300)]
-    for g in graphs:
+    zero = explicit = own = 0
+    for g, pairs in _engine_cases():
         d = hl.all_pairs_distances(g)
-        engine = hl.CoverageState(d)
+        engine = hl.CoverageState(d, pairs)
         order = list(range(g.n))
         rng.shuffle(order)
         for v in order[: g.n // 2 + 1]:
@@ -353,9 +367,56 @@ def test_engine_matches_from_scratch_after_random_covers():
                 cg = build_center_graph(d, u, x)
                 assert engine.center_graph(x) == cg
                 assert engine.edges[x] == cg.edge_count
-                assert engine.noniso[x] == cg.nonisolated_count
+                if pairs is None:  # noniso refuses explicit pairs by design
+                    assert engine.noniso[x] == cg.nonisolated_count
                 prof = level_profile(cg, d)
                 assert engine.profile_key(x) == prof.key()
+                # a directed own pair (x, x) joins the tail and the head of one id
+                own += g.directed and {(0, x), (1, x)} <= set(cg.nodes) and (x, x) in arcs(cg)
+        zero += any(ln == 0 for _, _, ln in g.arcs)
+        explicit += pairs is not None
+    assert zero >= 3 and explicit == 2 and own
+
+
+def test_center_graph_matches_the_side_node_reference():
+    # Arcs as callers may give them: repeats, undirected pairs either way round,
+    # loops, directed pairs (v, v), and ids far past any vertex count.
+    rng = random.Random(11700)
+    for i in range(400):
+        directed = i % 2 == 1
+        pool = rng.sample([*range(12), 2**31, 2**40, 2**62], rng.randint(1, 8))
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 12))]
+        pairs += rng.sample(pairs, len(pairs) // 3)
+        for arcs_in in (pairs, np.array(pairs, np.int64).reshape(-1, 2)):
+            cg = hl.CenterGraph(5, directed, arcs_in)
+            nodes, adj, loop = side_nodes(directed, pairs)
+            assert (list(cg.nodes), list(cg.adj), list(cg.loop)) == (nodes, adj, loop)
+            distinct = {(u, w) if directed else (min(u, w), max(u, w)) for u, w in pairs}
+            assert arcs(cg) == sorted(distinct) and cg.edge_count == len(distinct)
+            assert (cg.center, cg.directed, cg.nonisolated_count) == (5, directed, len(nodes))
+
+
+def test_center_graph_refuses_non_int_and_negative_ids():
+    # These reached the solvers as vertices: 1.0 as a float in the sets, -1 as a vertex.
+    for directed in (False, True):
+        for bad, match in [
+            (((0, 1.0),), "1.0 is not an int"),
+            (((0, "1"),), "'1' is not an int"),
+            (((-1, 2),), "-1 is negative"),
+            (((3, 1), (2, -5)), "-5 is negative"),
+            (((0, 2**63),), "fit in int64"),
+            (((0, 2**70),), "fit in int64"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                hl.CenterGraph(0, directed, bad)
+    # Nothing is allocated per id: an id of 2^40 solves as a small one does.
+    big = 2**40
+    for directed, want in [
+        (False, (frozenset({3, big}),)),
+        (True, (frozenset({big}), frozenset({3}))),
+    ]:
+        cg = hl.CenterGraph(0, directed, ((big, 3),))
+        assert hl.mds_peel(cg) == hl.exact_mds(cg) == (want, Fraction(1, 2))
 
 
 def test_cover_center_covers_exactly_its_arcs():
@@ -363,11 +424,11 @@ def test_cover_center_covers_exactly_its_arcs():
     d = hl.all_pairs_distances(g)
     engine = hl.CoverageState(d)
     u_before = set(engine.index.pairs(np.flatnonzero(engine.uncovered)))
-    arcs = set(engine.center_graph(0).arcs)
+    cg_arcs = set(arcs(engine.center_graph(0)))
     pids = engine.pairs_through(0)
     engine.cover_pairs(pids)
-    assert set(engine.index.pairs(pids)) == arcs
-    assert set(engine.index.pairs(np.flatnonzero(engine.uncovered))) == u_before - arcs
+    assert set(engine.index.pairs(pids)) == cg_arcs
+    assert set(engine.index.pairs(np.flatnonzero(engine.uncovered))) == u_before - cg_arcs
     with pytest.raises(ValueError, match="still uncovered"):
         engine.cover_pairs(pids[:1])
 
@@ -532,12 +593,12 @@ def test_directed_density_counts_side_occurrences():
     d = hl.all_pairs_distances(g)
     u = d.reachable_pairs()
     cg0 = build_center_graph(d, u, 0)
-    assert set(cg0.arcs) == {(0, 0), (0, 1)}
+    assert set(arcs(cg0)) == {(0, 0), (0, 1)}
     assert cg0.nonisolated_count == 3  # tails {0}, heads {0, 1}
     assert density(cg0) == Fraction(2, 3)
     assert hl.CoverageState(d).noniso[0] == 3  # (0, 0) as a tail and as a head, (0, 1)
     # undirected, the self pair [0, 0] counts once
     du = hl.all_pairs_distances(hl.Graph(False, 2, [(0, 1, 1)]))
     cu0 = build_center_graph(du, du.reachable_pairs(), 0)
-    assert set(cu0.arcs) == {(0, 0), (0, 1)} and cu0.nonisolated_count == 2
+    assert set(arcs(cu0)) == {(0, 0), (0, 1)} and cu0.nonisolated_count == 2
     assert hl.CoverageState(du).noniso[0] == 2

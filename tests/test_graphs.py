@@ -21,6 +21,7 @@ from bruteforce import (
     on_shortest_path,
     path_vertices_bruteforce,
     shortest_path_vertices,
+    undirect,
     verify_cover_loop,
     with_zero_arcs,
 )
@@ -271,12 +272,12 @@ def test_prefix_closure(seed):
 
 def test_undirect():
     g = families.gen_bad_g(2)
-    u = hl.undirect(g)
+    u = undirect(g)
     assert not u.directed and u.n == g.n and u.m == g.m
     du = hl.all_pairs_distances(u)
     ids = families.bad_g_ids(2)
     assert du.dist(ids.c_id(1, 1), ids.a[0]) == 2
-    assert hl.undirect(u) is u
+    assert undirect(u) is u
 
 
 def test_dist_matrix_reachable_pairs():

@@ -17,6 +17,7 @@ from bruteforce import (
     build_center_graph,
     endpoint_count_graphs,
     level_profile,
+    respects_order,
     run_cohen_hl_reference,
     select_reference,
 )
@@ -151,7 +152,7 @@ def test_trace_invariants():
                     prev = rec.level
             assert trace.iterations[-1].uncovered_after == 0
             assert hl.verify_cover(lab, d).valid
-            assert hl.respects_order(lab, order)
+            assert respects_order(lab, order)
 
 
 def test_w_hhl_density_is_pairs_covered_over_labels_added():

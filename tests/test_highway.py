@@ -17,7 +17,7 @@ from hublab import families, highway
 
 from bruteforce import all_shortest_paths_reference, ball, gen_random_directed
 from bruteforce import greedy_hitting_set_loop, neighborhood_S, significant_paths_bruteforce
-from bruteforce import witnesses_reference, with_zero_arcs
+from bruteforce import respects_order, undirect, witnesses_reference, with_zero_arcs
 from conftest import path_graph, seeded_graphs, star_graph, triangle
 
 
@@ -88,7 +88,7 @@ def _reach_graphs() -> list[hl.Graph]:
     graphs += [families.gen_random(n, 2 * n, 1, 16900 + n) for n in range(6, 26)]
     graphs += [families.gen_bad_w(k) for k in (2, 3)]
     graphs += [families.gen_separator(k) for k in (2, 3, 4)]
-    graphs += [hl.undirect(families.gen_bad_g(k)) for k in (2, 3, 4, 5)]
+    graphs += [undirect(families.gen_bad_g(k)) for k in (2, 3, 4, 5)]
     bases = [path_graph(1), path_graph(2), triangle(), families.gen_cycle4(False)]
     bases.append(hl.Graph(False, 5, [(i, (i + 1) % 5, 1) for i in range(5)]))
     graphs += [families.reduce_vc_undirected(b, unique) for b in bases for unique in (True, False)]
@@ -316,7 +316,7 @@ def test_neighborhood_excludes_far_witnesses():
 
 def test_neighborhood_bad_g_hitting_bound():
     k = 3
-    g = hl.undirect(families.gen_bad_g(k))
+    g = undirect(families.gen_bad_g(k))
     d = hl.all_pairs_distances(g)
     b1 = families.bad_g_ids(k).b[0]
     paths = [set(sp.vertices) for sp in neighborhood_S(d, b1, 1) if sp.length > 0]
@@ -380,7 +380,7 @@ def test_is_sphs_examples():
     assert hl.is_sphs(d, set(range(g.n)), 10**6, 1)
     assert not hl.is_sphs(d, set(), 10**6, 1)
     k = 3
-    ug = hl.undirect(families.gen_bad_g(k))
+    ug = undirect(families.gen_bad_g(k))
     du = hl.all_pairs_distances(ug)
     bs = set(families.bad_g_ids(k).b)
     assert hl.is_sphs(du, bs, k + 1, 1)
@@ -437,7 +437,7 @@ def test_sphs_to_hhl_star_and_single_vertex():
     ms = hl.greedy_multiscale_sphs(ds)
     order, lab = hl.sphs_to_hhl(ds, ms)
     assert hl.verify_cover(lab, ds).valid
-    assert hl.respects_order(lab, order)
+    assert respects_order(lab, order)
     for leaf in range(1, 6):
         assert [h for h, _ in lab.fwd[leaf]] == [0, leaf]
 
@@ -574,7 +574,7 @@ def test_audit_single_vertex():
 
 def test_audit_bad_g_k3():
     k = 3
-    g = hl.undirect(families.gen_bad_g(k))
+    g = undirect(families.gen_bad_g(k))
     d = hl.all_pairs_distances(g)
     _, lab, trace = hl.run_d_hhl(d)
     h = hl.highway_dimension_bruteforce(g)

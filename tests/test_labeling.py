@@ -19,9 +19,11 @@ from bruteforce import (
     canonical_hhl_loop,
     gen_random_directed,
     hub_labeling_checked,
+    is_sublabeling,
     parse_labeling_reference,
     path_vertices_bruteforce,
     query_reference,
+    respects_order,
     verify_cover_loop,
     with_zero_arcs,
 )
@@ -500,38 +502,38 @@ def test_respects_order():
     c4 = families.gen_cycle4(False)
     d = hl.all_pairs_distances(c4)
     pi = hl.Order.from_sequence([0, 1, 2, 3])
-    assert hl.respects_order(hl.canonical_hhl(d, pi), pi)
+    assert respects_order(hl.canonical_hhl(d, pi), pi)
     lab = hl.Labeling(False, 2, [[(0, 0), (1, 1)], [(1, 0)]])
-    assert not hl.respects_order(lab, hl.Order.from_sequence([0, 1]))
-    assert hl.respects_order(lab, hl.Order.from_sequence([1, 0]))
+    assert not respects_order(lab, hl.Order.from_sequence([0, 1]))
+    assert respects_order(lab, hl.Order.from_sequence([1, 0]))
     # An order over another vertex count is refused, not read in part.
     three = hl.Labeling(True, 3, [[(0, 0)], [(1, 0)], [(2, 0)]], [[(0, 0)], [(1, 0)], [(2, 0)]])
-    assert hl.respects_order(three, hl.Order([3, 1, 2]))
+    assert respects_order(three, hl.Order([3, 1, 2]))
     for ranks in ([1, 2, 3, 4, 5], [1, 2], [1, 2, 3, 4], []):
         with pytest.raises(ValueError, match="disagree on n"):
-            hl.respects_order(three, hl.Order(ranks))
+            respects_order(three, hl.Order(ranks))
     g = families.gen_bad_g(2)
     dg = hl.all_pairs_distances(g)
     order, glab, _ = hl.run_g_hhl(dg)
-    assert hl.respects_order(glab, order)
+    assert respects_order(glab, order)
 
 
 def test_is_sublabeling():
     d = hl.all_pairs_distances(families.gen_cycle4(False))
     a = hl.canonical_hhl(d, hl.Order.from_sequence([0, 1, 2, 3]))
-    assert hl.is_sublabeling(a, a)
+    assert is_sublabeling(a, a)
     b = hl.canonical_hhl(d, hl.Order.from_sequence([2, 3, 0, 1]))
-    assert not hl.is_sublabeling(a, b)
+    assert not is_sublabeling(a, b)
     # Directed labelings that differ only in one backward row.
     fwd = [[(0, 0), (1, 1)], [(1, 0)]]
     f = hl.Labeling(True, 2, fwd, [[(0, 0)], [(1, 0)]])
     g = hl.Labeling(True, 2, fwd, [[(0, 0)], [(0, 1)]])
-    assert hl.is_sublabeling(f, f) and not hl.is_sublabeling(f, g)
+    assert is_sublabeling(f, f) and not is_sublabeling(f, g)
     und = hl.Labeling(False, 2, fwd)
     assert f.bwd == (((0, 0),), ((1, 0),)) and und.bwd is und.fwd
     for other in (und, hl.Labeling(True, 1, [[(0, 0)]], [[(0, 0)]])):
         with pytest.raises(ValueError, match="disagree on shape"):
-            hl.is_sublabeling(f, other)
+            is_sublabeling(f, other)
 
 
 def test_labeling_rows_must_fit_the_kind_and_n():
@@ -582,10 +584,10 @@ def test_canonical_minimality_under_extension():
             pi = hl.Order.from_sequence(seq)
             lab = hl.canonical_hhl(d, pi)
             assert hl.verify_cover(lab, d).valid
-            assert hl.respects_order(lab, pi)
+            assert respects_order(lab, pi)
             ext = _extend_with_rank_respecting_hubs(lab, d, pi, rng)
             assert hl.verify_cover(ext, d).valid
-            assert hl.is_sublabeling(lab, ext)
+            assert is_sublabeling(lab, ext)
 
 
 def test_query_soundness_when_cover_holds():

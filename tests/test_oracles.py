@@ -10,11 +10,12 @@ import pytest
 import hublab as hl
 from hublab import families, oracles
 
-from bruteforce import center_graph_on, exact_mds_loop, exact_mds_reference, gen_random_directed
+from bruteforce import arcs, center_graph_on, exact_mds_loop, exact_mds_reference
+from bruteforce import gen_random_directed
 from bruteforce import min_hitting_set_bruteforce, min_hitting_set_recursive
 from bruteforce import min_vertex_cover_reference
 from bruteforce import optimal_hhl_recursive, optimal_hl_bnb_reference
-from bruteforce import optimal_hl_milp, random_center_graph, with_zero_arcs
+from bruteforce import optimal_hl_milp, random_center_graph, undirect, with_zero_arcs
 from conftest import complete_graph, edge2, path_graph, seeded_graphs, star_graph, triangle
 
 
@@ -292,7 +293,7 @@ def test_exact_mds_matches_reference_on_random_center_graphs():
     for i in range(600):
         cg = random_center_graph(rng, directed=i % 2 == 1)
         assert hl.exact_mds(cg) == exact_mds_reference(cg), cg
-        same = any(u == w for u, w in cg.arcs)
+        same = any(u == w for u, w in arcs(cg))
         seen_loops += same and not cg.directed
         seen_same_ids += same and cg.directed
     assert seen_loops > 50 and seen_same_ids > 50
@@ -326,12 +327,12 @@ def test_exact_mds_memory_stays_small():
 
 def test_side_nodes_put_heads_before_tails():
     cg = hl.CenterGraph(0, True, ((0, 11), (1, 10), (1, 1)))
-    nodes, adj, loop = cg.side_nodes()
-    assert nodes == [(1, 1), (1, 10), (1, 11), (0, 0), (0, 1)]
-    assert adj == [0b10000, 0b10000, 0b01000, 0b00100, 0b00011] and loop == [0] * 5
-    assert cg.sides(nodes, 0b01101) == (frozenset({0}), frozenset({1, 11}))
-    nodes, adj, loop = hl.CenterGraph(0, False, ((2, 2), (2, 5))).side_nodes()
-    assert (nodes, adj, loop) == ([(0, 2), (0, 5)], [0b10, 0b01], [1, 0])
+    nodes, adj, loop = cg.nodes, cg.adj, cg.loop
+    assert nodes == ((1, 1), (1, 10), (1, 11), (0, 0), (0, 1))
+    assert adj == (0b10000, 0b10000, 0b01000, 0b00100, 0b00011) and loop == (0,) * 5
+    assert cg.sides(0b01101) == (frozenset({0}), frozenset({1, 11}))
+    cu = hl.CenterGraph(0, False, ((2, 2), (2, 5)))
+    assert (cu.nodes, cu.adj, cu.loop) == (((0, 2), (0, 5)), (0b10, 0b01), (1, 0))
 
 
 def test_min_vertex_cover_examples():
@@ -435,7 +436,7 @@ def test_min_hitting_set_examples():
 
 def test_min_hitting_set_bad_g_positive_paths():
     k = 3
-    g = hl.undirect(families.gen_bad_g(k))
+    g = undirect(families.gen_bad_g(k))
     d = hl.all_pairs_distances(g)
     paths = [
         set(sp.vertices)
@@ -452,7 +453,7 @@ def test_min_hitting_set_bad_g_positive_paths():
 def test_highway_dimension_values():
     assert hl.highway_dimension_bruteforce(hl.Graph(False, 1, [])) == 0
     assert hl.highway_dimension_bruteforce(path_graph(4)) == 2
-    und = hl.undirect(families.gen_bad_g(3))
+    und = undirect(families.gen_bad_g(3))
     assert hl.highway_dimension_bruteforce(und) == 4
     # a center with four unit spokes, each spoke ending in a zero-length edge:
     # the zero-length paths (a_i, b_i) are no hitting targets, so the center suffices
@@ -467,7 +468,7 @@ def test_highway_dimension_errors(monkeypatch):
         hl.highway_dimension_bruteforce(families.gen_bad_g(2))
     monkeypatch.setattr(oracles, "HD_MAX_N", 10)
     with pytest.raises(hl.TooLargeError):
-        hl.highway_dimension_bruteforce(hl.undirect(families.gen_bad_g(4)))
+        hl.highway_dimension_bruteforce(undirect(families.gen_bad_g(4)))
     two_comp = hl.Graph(False, 4, [(0, 1, 1), (2, 3, 1)])
     with pytest.raises(ValueError, match="connected"):
         hl.highway_dimension_bruteforce(two_comp)
