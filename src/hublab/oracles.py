@@ -18,25 +18,33 @@ EXACT_MDS_MAX_NODES = 20  # exact_mds's side nodes: its tables hold 2^20 masks
 HD_MAX_N = 24  # highway_dimension_bruteforce's vertices
 
 
+_POP = np.zeros(1, np.int8)  # bit counts of 0 .. len - 1, grown by _popcounts
+
+
 def _popcounts(c: int) -> np.ndarray:
-    """Bit counts of 0 .. 2^c - 1 as int8, by doubling (``np.bitwise_count`` needs numpy 2)."""
-    pop = np.zeros(1 << c, np.int8)
-    for v in range(c):
-        np.add(pop[: 1 << v], 1, out=pop[1 << v : 2 << v])
-    return pop
+    """Bit counts of 0 .. 2^c - 1 as int8, a read-only prefix of one table that is
+    rebuilt by doubling (``np.bitwise_count`` needs numpy 2) when c outgrows it."""
+    global _POP
+    if len(_POP) < 1 << c:
+        _POP = np.zeros(1 << c, np.int8)
+        for v in range(c):
+            np.add(_POP[: 1 << v], 1, out=_POP[1 << v : 2 << v])
+        _POP.flags.writeable = False
+    return _POP[: 1 << c]
 
 
 def _depth_first(node, *root) -> None:
-    """Run the search tree of the generator function ``node`` from ``node(*root)``,
-    depth first on an explicit stack: each node yields its children's argument
-    tuples in visit order, so a deep search needs no interpreter frames."""
-    stack = [node(*root)]
+    """Run the search tree of ``node`` from ``node(*root)``, depth first on an
+    explicit stack: a node returns an iterator over its children's argument
+    tuples in visit order, or None when it has none, so a deep search needs no
+    interpreter frames."""
+    stack = [iter((root,))]
     while stack:
         child = next(stack[-1], None)
         if child is None:
             stack.pop()
-        else:
-            stack.append(node(*child))
+        elif (children := node(*child)) is not None:
+            stack.append(children)
 
 
 def optimal_hhl_bruteforce(d: DistMatrix, limit_n: int = 9) -> tuple[int, Order]:
@@ -120,17 +128,16 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
     result keeps a valid labeling and honest bounds.
 
     Each pair's completion cost, the fewest new entries that would cover it
-    (0, 1 or 2), is kept in ``cost`` instead of being recomputed at every node.
-    Placing hub h at vertex v on one side can only lower the cost of the pairs
-    with v at that end and h among their options; watch lists keyed by (v, h)
-    name them, and undirected both ends share one side and one list. A branch
-    re-prices only those pairs and restores their old costs when it returns.
-    A node drops its covered pairs, bounds by greedily matching slot-disjoint
-    pairs (cost 2 before cost 1, ascending pair id within a cost), each needing
-    an entry on every free slot, and branches on the dearest pair with the
-    fewest options, cheapest hub first. The kept costs equal a recomputation
-    from the current labels, so the nodes and their order are those of the
-    search that recomputes them (``tests/bruteforce.py``).
+    (0, 1 or 2), is kept in four int bitsets: cost 2 and cost 1 by pair id,
+    cost 2 and cost > 0 by position in ``static``. Placing hub h at v can only
+    lower the costs of the pairs watching (v, h); a branch re-prices those and
+    restores the masks when it returns. Each pick is covered by its own branch,
+    so a node's uncovered pairs are those of positive cost. A node bounds by
+    greedily matching slot-disjoint pairs (cost 2 first, ascending id;
+    ``clash[i]`` holds the pairs sharing a slot with i) and branches on the
+    first pair of cost 2 in ``static`` order, else the first pair, cheapest hub
+    first: the nodes, in order, of the search that recomputes every cost
+    (``tests/bruteforce.py``).
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -160,97 +167,82 @@ def optimal_hl_bnb(d: DistMatrix, pairs=None, budget: int = 1_000_000) -> HlBnbR
     best = min(candidates, key=lambda cand: cand.size)  # the first of the smallest
     upper = best.size
 
-    # Undirected self pairs cost one entry: both sides are the same list.
-    collapse = [not d.directed and s == t for s, t in pairs]
-    # A pair's matching slots as bits: (s, fwd) and (t, bwd), one per vertex undirected.
-    slots = [(1 << 2 * s) | (1 << 2 * t + d.directed) for s, t in pairs]
-    cost = [1 if c else 2 for c in collapse]  # no entries placed yet
-    watch_f: dict[int, list[int]] = {}
-    watch_b: dict[int, list[int]] = {} if d.directed else watch_f
+    at = [1 << k for k in sorted(range(len(pairs)), key=static.__getitem__)]  # static bits
+    m2 = s2 = live = (1 << len(pairs)) - 1  # no entries placed yet: every pair costs 2,
+    m1 = 0  # but an undirected self pair costs one entry (both sides are one list)
+    holders: dict[int, int] = {}  # slot -> its pairs; undirected, fwd and bwd share a slot
+    watch_f: dict[int, list[tuple[int, int, set[int]]]] = {}
+    watch_b: dict[int, list[tuple[int, int, set[int]]]] = {} if d.directed else watch_f
     for i, (s, t) in enumerate(pairs):
+        for slot in (s, t + n * d.directed):
+            holders[slot] = holders.get(slot, 0) | 1 << i
         for h in options[i]:
-            watch_f.setdefault(s * n + h, []).append(i)
-            if not collapse[i]:
-                watch_b.setdefault(t * n + h, []).append(i)
-
-    def place(side: list[set[int]], watch: dict[int, list[int]], v: int, h: int, undo) -> None:
-        # Only h's term changes, and it can only fall; ``undo`` keeps the old costs.
-        side[v].add(h)
-        for i in watch.get(v * n + h, ()):
-            if cost[i]:
-                s, t = pairs[i]
-                c = 0 if collapse[i] else (h not in fwd[s]) + (h not in bwd[t])
-                if c < cost[i]:
-                    undo.append((i, cost[i]))
-                    cost[i] = c
+            watch_f.setdefault(s * n + h, []).append((1 << i, at[i], bwd[t]))
+            if d.directed or s != t:
+                watch_b.setdefault(t * n + h, []).append((1 << i, at[i], fwd[s]))
+        if not d.directed and s == t:
+            m2, s2, m1 = m2 ^ 1 << i, s2 ^ at[i], m1 | 1 << i
+    clash = [holders[s] | holders[t + n * d.directed] for s, t in pairs]
 
     nodes = 0
     exhausted_lb: int | None = None
-    budget_left = budget
 
-    def dfs(uncovered: list[int], current: int):
-        nonlocal upper, best, nodes, exhausted_lb, budget_left
+    def node(current: int):
+        nonlocal upper, best, nodes, exhausted_lb
         nodes += 1
-        budget_left -= 1
-        still = [i for i in uncovered if cost[i]]
-        if not still:
+        if not live:
             if current < upper:
                 upper = current  # a copy as (owner, hub) entries: the sets keep changing
                 best = [[(v, h) for v, hs in enumerate(side) for h in hs] for side in sides]
-            return
+            return None
         # Slot-disjoint pairs need disjoint new entries, so their costs add up.
-        lb, used = current, 0
-        ordered = sorted(still)
-        for c in (2, 1):
-            for i in ordered:
-                if cost[i] == c and not used & slots[i]:
-                    lb += c
-                    used |= slots[i]
+        lb, blocked = current, 0
+        for c, free in ((2, m2), (1, m1)):
+            free &= ~blocked
+            while free:
+                i = (free & -free).bit_length() - 1
+                lb += c
+                blocked |= clash[i]
+                free &= ~blocked
         if lb >= upper:
-            return
-        if budget_left <= 0:
+            return None
+        if nodes >= budget:
             exhausted_lb = lb if exhausted_lb is None else min(exhausted_lb, lb)
-            return
-        # The dearest pair with the fewest options, first in ``still``: since
-        # ``still`` keeps the (option count, pair) order of ``static``, that is
-        # its first pair of cost 2, else its first pair.
-        pick = next((i for i in still if cost[i] == 2), still[0])
+            return None
+        first = s2 or live
+        return branch(static[(first & -first).bit_length() - 1], current)
+
+    def branch(pick: int, current: int):
+        nonlocal m2, m1, s2, live
         s, t = pairs[pick]
-        branches = sorted(
-            ((h not in fwd[s]) + (h not in bwd[t]), h) for h in options[pick]
-        )
-        rest = [i for i in still if i != pick]
-        for _, h in branches:
-            undo: list[tuple[int, int]] = []
-            added_f = h not in fwd[s]
-            if added_f:
-                place(fwd, watch_f, s, h, undo)
-            added_b = h not in bwd[t]
-            if added_b:
-                place(bwd, watch_b, t, h, undo)
-            yield rest, current + added_f + added_b  # a child, its entries placed
-            if added_f:
-                fwd[s].discard(h)
-            if added_b:
-                bwd[t].discard(h)
-            for i, c in reversed(undo):
-                cost[i] = c
+        saved, ends = (m2, m1, s2, live), ((fwd[s], watch_f, s), (bwd[t], watch_b, t))
+        for _, h in sorted([((h not in fwd[s]) + (h not in bwd[t]), h) for h in options[pick]]):
+            placed = []
+            for hs, watch, v in ends:
+                if h in hs:
+                    continue
+                hs.add(h)
+                placed.append(hs)
+                # Only h's term changes, and it can only fall: to 1, or to 0
+                # when the other end holds h too.
+                for bit, k, other in watch.get(v * n + h, ()):
+                    if s2 & k:
+                        m2, s2, m1 = m2 ^ bit, s2 ^ k, m1 | bit
+                    if h in other and live & k:
+                        m1, live = m1 ^ bit, live ^ k
+            yield (current + len(placed),)  # a child, its entries placed
+            for hs in placed:
+                hs.discard(h)
+            m2, m1, s2, live = saved
 
     # Single-option pairs (every self pair away from zero-length edges, for one)
-    # admit exactly one hub in any solution; place those entries up front.
+    # admit exactly one hub in any solution: take each one's only branch up front.
     forced_cost = 0
     for i in static:
         if len(options[i]) == 1:
-            s, t = pairs[i]
-            h = options[i][0]
-            if h not in fwd[s]:
-                place(fwd, watch_f, s, h, [])
-                forced_cost += 1
-            if h not in bwd[t]:
-                place(bwd, watch_b, t, h, [])
-                forced_cost += 1
+            (forced_cost,) = next(branch(i, forced_cost))  # never resumed, never undone
 
-    _depth_first(dfs, static, forced_cost)
+    _depth_first(node, forced_cost)
     complete = exhausted_lb is None
     lower = upper if complete else min(upper, exhausted_lb)
     if not isinstance(best, Labeling):  # the search beat every candidate
@@ -286,12 +278,12 @@ def exact_mds(cg: CenterGraph):
         np.add(edges[: 1 << v], pop[below[: 1 << v] & adj[v]], out=top)
         if loop[v]:
             top += 1
-    del below  # 2 MB at 20 side nodes, freed before the int32 products
+    del below  # 2 MB at 20 side nodes, freed before the products
     e, k = edges[1:], pop[1:]  # masks 1 .. 2^c - 1
     best_e, best_k = int(edges[-1]), c
-    while True:
-        gain = np.multiply(e, best_k, dtype=np.int32)
-        gain -= np.multiply(k, best_e, dtype=np.int32)
+    while True:  # products of at most 210 edges (20 nodes' pairs and loops) and 20: int16
+        gain = np.multiply(e, best_k, dtype=np.int16)
+        gain -= np.multiply(k, best_e, dtype=np.int16)
         j = int(gain.argmax())
         if gain[j] <= 0:
             break

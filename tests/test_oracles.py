@@ -197,7 +197,9 @@ def test_optimal_hl_counts_an_undirected_self_pair_entry_once():
 def _bnb_reference_cases():
     c4 = hl.Graph(False, 4, [(i, (i + 1) % 4, 1) for i in range(4)])
     yield "vc-dir-C4", families.reduce_vc_directed(c4), None, 20_000
+    yield "vc-dir-C4-2000", families.reduce_vc_directed(c4), None, 2_000
     yield "vc-und-K2", families.reduce_vc_undirected(edge2()), None, 3_000
+    yield "vc-und-K2-10000", families.reduce_vc_undirected(edge2()), None, 10_000
     yield "vc-und-P3", families.reduce_vc_undirected(path_graph(2)), None, 3_000
     yield "cycle4", families.gen_cycle4(False), None, 1_000_000
     yield "cycle4-directed", families.gen_cycle4(True), None, 1_000_000
@@ -211,6 +213,14 @@ def _bnb_reference_cases():
         g = _seeded_bnb_graph(i + 20)
         subset = [p for p in hl.all_pairs_distances(g).reachable_pairs() if rng.random() < 0.5]
         yield f"subset-{i}", g, subset, 2_000
+    # Past 32 vertices and 64 pairs, so every mask of the search outgrows a
+    # machine word: 666 pairs with zero-length edges, 302 directed ones.
+    wide = with_zero_arcs(families.gen_random(36, 44, 3, 36), random.Random(36))
+    yield "wide-undirected", wide, None, 300
+    wide = gen_random_directed(35, 3, 3, 35)
+    rng = random.Random(35)
+    subset = [p for p in hl.all_pairs_distances(wide).reachable_pairs() if rng.random() < 0.25]
+    yield "wide-directed-subset", wide, subset, 2_000
 
 
 def test_optimal_hl_bnb_matches_the_recomputing_reference():
