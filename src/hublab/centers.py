@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DistMatrix, as_int, pair_arrays, path_membership, ranges, runs, transpose
+from .graphs import DistMatrix, as_int, pair_arrays, path_membership, ranges, run_starts, runs
+from .graphs import transpose
 
 NEG_INF_LEVEL = float("-inf")
 
@@ -18,15 +19,13 @@ class EmptyCenterGraphError(ValueError):
 
 
 def _ids(cols: np.ndarray) -> list[np.ndarray]:
-    """Per column of ``cols``, its distinct ids ascending, by one sort and an
-    adjacent compare (``np.unique`` imports ``numpy.ma``, as
+    """Per column of ``cols``, its distinct ids ascending, by one sort and
+    ``run_starts`` (``np.unique`` imports ``numpy.ma``, as
     ``graphs.unique_pairs`` says); a negative id raises ``ValueError``."""
     s = np.sort(cols, axis=0)
     if len(s) and min(s[0].tolist()) < 0:
         raise ValueError(f"vertex id {s.min()} is negative")
-    new = np.ones(s.shape, bool)
-    new[1:] = s[1:] != s[:-1]
-    return [col[keep] for col, keep in zip(s.T, new.T)]
+    return [col[run_starts(col)] for col in s.T]
 
 
 @dataclass(frozen=True, init=False)

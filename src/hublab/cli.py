@@ -83,6 +83,18 @@ def _read_labeling(path: str, g) -> Labeling:
 
 def _cmd_generate(args) -> int:
     families, family = _cli.families, args.family
+    # The flags without a default that each family reads; --labels-out also needs --with-hl.
+    takes = {
+        "separator": {"with_hl", "labels_out"},
+        "cycle4": {"directed", "with_hl", "labels_out"},
+        "vc-und": {"graph", "unique", "with_hl", "labels_out"},
+        "vc-dir": {"graph", "with_hl", "labels_out"},
+    }.get(family, set())
+    for flag in ("graph", "directed", "unique", "with_hl", "labels_out"):
+        if getattr(args, flag) not in (None, False) and flag not in takes:
+            raise ValueError(f"{family} does not take --{flag.replace('_', '-')}")
+    if args.labels_out is not None and not args.with_hl:
+        raise ValueError(f"{family} does not take --labels-out without --with-hl")
     labeling = None
     if family == "bad-g":
         g = families.gen_bad_g(args.k)

@@ -74,11 +74,11 @@ def run_cohen_hl(d: DistMatrix, pairs=None, exact_mds: bool = False) -> tuple[La
     not hierarchical in general. An exact run raises ``TooLargeError`` (exit 3)
     before the subsets it enumerates in all would pass ``EXACT_MDS_SUBSETS``.
 
-    A center's solve is kept until a pick covers a pair through it. This is
-    exact: a solve is a pure function of the center graph, and v's center graph
-    (the uncovered pairs whose shortest-path rows hold v) changes only when a
-    covered pair's row holds v. So every pick sees the scores an eager re-solve
-    of every center would give, and picks the same center and subgraph.
+    A center's solve is kept with the count ``engine.edges[v]`` it was made at
+    and reused while that count holds. This is exact: a solve is a pure function
+    of the center graph, and v's center graph (the uncovered pairs whose
+    shortest-path rows hold v) only loses pairs, each lowering ``edges[v]``. So
+    every pick is the one an eager re-solve of every center would make.
     """
     if exact_mds:  # only an exact run loads oracles
         from . import oracles
@@ -86,20 +86,21 @@ def run_cohen_hl(d: DistMatrix, pairs=None, exact_mds: bool = False) -> tuple[La
     engine = CoverageState(d, pairs)
     idx = engine.index
     subsets = 0
-    solved: dict[int, tuple] = {}  # center -> (sets, density) of its current center graph
+    solved: dict[int, tuple] = {}  # center -> (edges[v], sets, density) of its last solve
 
     def step(engine: CoverageState):
         nonlocal subsets
         best = None
+        counts = engine.edges.tolist()
         for v in np.flatnonzero(engine.edges).tolist():
-            if v not in solved:
+            if solved.get(v, (0,))[0] != counts[v]:  # never solved, or at a larger count
                 cg = engine.center_graph(v)
                 if exact_mds:
                     subsets += 1 << cg.nonisolated_count
                     if subsets > EXACT_MDS_SUBSETS:
                         raise TooLargeError(f"exact MDS needs over {EXACT_MDS_SUBSETS} subsets")
-                solved[v] = (oracles.exact_mds if exact_mds else mds_peel)(cg)
-            sets, dens = solved[v]
+                solved[v] = (counts[v], *(oracles.exact_mds if exact_mds else mds_peel)(cg))
+            _, sets, dens = solved[v]
             if best is None or dens > best[0]:
                 best = (dens, v, sets)
         dens, v, sets = best
@@ -109,8 +110,6 @@ def run_cohen_hl(d: DistMatrix, pairs=None, exact_mds: bool = False) -> tuple[La
         inside = np.zeros((2, d.n), bool)  # per side, the vertices of the subgraph
         inside[0, list(tails)] = inside[1, list(heads)] = True
         covered = pids[inside[0, idx.u[pids]] & inside[1, idx.w[pids]]]
-        for x in np.flatnonzero(np.bincount(idx.rows(covered)[0], minlength=d.n)).tolist():
-            solved.pop(x, None)
         # ``_select`` gives v to the ends of ``covered``, which are the sets: no side node
         # of a densest subgraph is isolated in it. The peel keeps a prefix only on dropping
         # a node of positive degree, the least live one; the exact solver keeps the fewest

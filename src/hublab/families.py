@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,31 +272,28 @@ def construct_reduction_labeling_directed(g: Graph, vc) -> Labeling:
     return hub_labeling(all_pairs_distances(gp), np.array(fwd).T, np.array(bwd).T)
 
 
-class _NonTreePairs(Sequence):
-    """The pairs u < v of 0..n-1 other than the given tree edges, in lexicographic
-    order, each computed on access; ``random.sample`` needs only length and index."""
+def _non_tree_pairs(n: int, tree):
+    """The count of the pairs u < v of 0..n-1 other than the given tree edges, and
+    the map from an index i in 0..count-1 to the i-th such pair in lexicographic
+    order, computed on call; an index outside that range raises ``IndexError``."""
 
-    def __init__(self, n: int, tree):
-        self._n = n
-        ranks = sorted(self._start(a) + b - a - 1 for a, b in tree)
-        # Non-tree pairs ranked below the j-th tree edge: the i-th non-tree pair
-        # passes exactly the tree edges whose count is <= i.
-        self._below = [r - j for j, r in enumerate(ranks)]
-        self._len = n * (n - 1) // 2 - len(ranks)
+    def start(u: int) -> int:  # lexicographic rank of the pair (u, u + 1)
+        return u * (2 * n - u - 1) // 2
 
-    def _start(self, u: int) -> int:
-        """Lexicographic rank of the pair (u, u + 1)."""
-        return u * (2 * self._n - u - 1) // 2
+    ranks = sorted(start(a) + b - a - 1 for a, b in tree)
+    # Non-tree pairs ranked below the j-th tree edge: the i-th non-tree pair
+    # passes exactly the tree edges whose count is <= i.
+    below = [r - j for j, r in enumerate(ranks)]
+    count = n * (n - 1) // 2 - len(ranks)
 
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < self._len:
+    def pair(i: int) -> tuple[int, int]:
+        if not 0 <= i < count:
             raise IndexError(i)
-        r = i + bisect_right(self._below, i)
-        u = bisect_right(range(self._n), r, key=self._start) - 1
-        return (u, u + 1 + r - self._start(u))
+        r = i + bisect_right(below, i)
+        u = bisect_right(range(n), r, key=start) - 1
+        return (u, u + 1 + r - start(u))
+
+    return count, pair
 
 
 def gen_random(n: int, m: int, maxlen: int, seed: int) -> Graph:
@@ -315,7 +311,9 @@ def gen_random(n: int, m: int, maxlen: int, seed: int) -> Graph:
         edges: list[tuple[int, int]] = []
         for i in range(1, n):
             edges.append((rng.randrange(i), i))
-        edges.extend(rng.sample(_NonTreePairs(n, edges), m - (n - 1)))
+        # ``sample`` reads the length and the drawn items: indices draw as pairs would.
+        count, pair = _non_tree_pairs(n, edges)
+        edges.extend(map(pair, rng.sample(range(count), m - (n - 1))))
         yield from ((u, v, rng.randint(1, maxlen)) for u, v in edges)
 
     return Graph(False, n, arcs())

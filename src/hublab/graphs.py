@@ -327,11 +327,6 @@ class DistMatrix:
             ws.append(w.astype(np.uint16))
         return np.concatenate(us, dtype=np.intp), np.concatenate(ws, dtype=np.intp)
 
-    def reachable_pairs(self) -> list[tuple[int, int]]:
-        """All reachable pairs: ordered (u, w) when directed, canonical u <= w otherwise."""
-        us, ws = self.reachable_arrays()
-        return list(zip(us.tolist(), ws.tolist()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DistMatrix):
             return NotImplemented
@@ -450,9 +445,15 @@ def unique_pairs(directed: bool, us, ws) -> tuple[np.ndarray, np.ndarray]:
         us, ws = np.minimum(us, ws), np.maximum(us, ws)
     at = np.lexsort((ws, us))
     us, ws = us[at], ws[at]
-    new = np.ones(us.size, dtype=bool)
-    new[1:] = (us[1:] != us[:-1]) | (ws[1:] != ws[:-1])
+    new = run_starts(us, ws)
     return us[new], ws[new]
+
+
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Whether each entry of the key columns, sorted together, starts a run of equal keys."""
+    new = np.ones(len(keys[0]), dtype=bool)
+    new[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    return new
 
 
 def pair_arrays(d: DistMatrix, pairs) -> tuple[np.ndarray, np.ndarray]:

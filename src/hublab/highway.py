@@ -7,7 +7,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
 
@@ -122,12 +121,12 @@ def _path_family(g: Graph, d: DistMatrix) -> list[SignificantPath]:
 def _within(d: DistMatrix, r) -> int:
     """Largest distance within radius r: floor(r), capped at D because above D
     the distance array holds only the unreachable value."""
-    return min(math.floor(Fraction(r)), d.diameter)
+    return min(math.floor(r), d.diameter)
 
 
 def enumerate_significant_paths(d: DistMatrix, r) -> list[SignificantPath]:
     """All r-significant shortest paths: those with a witness longer than r."""
-    if Fraction(r) <= 0:
+    if r <= 0:
         raise ValueError("r must be positive")
     cut = _within(d, r)  # reach is an integer at most D
     return [sp for sp in _path_family(d.graph, d) if sp.reach > cut]
@@ -183,7 +182,7 @@ def is_sphs(d: DistMatrix, c, h: int, r) -> bool:
     if stray:  # numpy would count a negative id from the end
         raise IndexError(f"vertex {min(stray)} out of range for {d.n} vertices")
     hit = _hits_all(d, _by_reach(enumerate_significant_paths(d, r)), cset, r)
-    return hit and (not cset or _ball_cap(d, cset, 2 * Fraction(r)) <= h)
+    return hit and (not cset or _ball_cap(d, cset, 2 * r) <= h)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import INF, MAX_TOTAL_LENGTH, DistMatrix, as_int, pair_arrays, path_membership
-from .graphs import ranges, transpose, unique_pairs
+from .graphs import ranges, run_starts, transpose, unique_pairs
 
 
 class LabelFormatError(ValueError):
@@ -81,10 +81,8 @@ def _csr(n: int, own, hub, dist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"entry {out[0]}: vertex {own[out[0]]} out of range")
     at = np.lexsort((hub, own))  # a hub's entries in one row end up adjacent
     own, hub, dist = own[at], hub[at], dist[at]
-    first = np.ones(own.size, bool)  # the first entry of its (vertex, hub)
-    first[1:] = (own[1:] != own[:-1]) | (hub[1:] != hub[:-1])
-    keep = first.copy()
-    keep[1:] |= dist[1:] != dist[:-1]
+    first = run_starts(own, hub)  # the first entry of its (vertex, hub)
+    keep = run_starts(own, hub, dist)
     own, hub, dist, first = own[keep], hub[keep], dist[keep], first[keep]
     bad = (hub < 0) | (hub >= n) | (dist < 0) | (dist >= MAX_TOTAL_LENGTH)
     if bad.any() or not first.all():

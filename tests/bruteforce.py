@@ -72,6 +72,12 @@ def path_vertices_bruteforce(g: hl.Graph, u: int, w: int) -> set[int]:
     return out
 
 
+def reachable_pairs(d: hl.DistMatrix) -> list[tuple[int, int]]:
+    """All reachable pairs: ordered (u, w) when directed, canonical u <= w otherwise."""
+    us, ws = d.reachable_arrays()
+    return list(zip(us.tolist(), ws.tolist()))
+
+
 class UnreachablePairError(ValueError):
     """An operation required a finite distance between an unreachable pair."""
 
@@ -140,7 +146,7 @@ def canonical_hhl_loop(d: hl.DistMatrix, pi: hl.Order) -> hl.Labeling:
     n = d.n
     fwd: list[dict[int, int]] = [{} for _ in range(n)]
     bwd: list[dict[int, int]] = [{} for _ in range(n)] if d.directed else fwd
-    for u, w in d.reachable_pairs():
+    for u, w in reachable_pairs(d):
         h = min(shortest_path_vertices(d, u, w), key=pi.rank)
         fwd[u][h] = d.dist(u, h)
         bwd[w][h] = d.dist(h, w)
@@ -183,7 +189,7 @@ def verify_cover_loop(l: hl.Labeling, d: hl.DistMatrix, pairs=None) -> hl.CoverR
     fwd_maps = [dict(lst) for lst in l.fwd]
     bwd_maps = fwd_maps if not l.directed else [dict(lst) for lst in l.bwd]
     if pairs is None:
-        pairs = d.reachable_pairs()
+        pairs = reachable_pairs(d)
     for s, t in pairs:
         target = m[s, t]
         if not np.isfinite(target):
@@ -414,7 +420,7 @@ def optimal_hl_milp(d: hl.DistMatrix, pairs=None) -> int:
     n = d.n
     m = d.matrix
     if pairs is None:
-        pairs = d.reachable_pairs()
+        pairs = reachable_pairs(d)
     pairs = list(pairs)
     opts = []
     for s, t in pairs:
@@ -642,6 +648,16 @@ def optimal_hhl_recursive(d: hl.DistMatrix) -> tuple[int, hl.Order]:
         seq.append(x)
         chosen |= 1 << x
     return size, hl.Order.from_sequence(seq)
+
+
+def gen_random_reference(n: int, m: int, maxlen: int, seed: int) -> hl.Graph:
+    """``families.gen_random`` by sampling the sorted list of every non-tree pair."""
+    rng = random.Random(seed)
+    tree = [(rng.randrange(i), i) for i in range(1, n)]
+    present = set(tree)
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
+    edges = tree + rng.sample(candidates, m - (n - 1))
+    return hl.Graph(False, n, [(u, v, rng.randint(1, maxlen)) for u, v in edges])
 
 
 def gen_random_directed(n: int, extra: int, maxlen: int, seed: int) -> hl.Graph:

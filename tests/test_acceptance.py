@@ -22,7 +22,7 @@ import hublab as hl
 from hublab import families
 
 from bruteforce import arcs, build_center_graph, is_sublabeling, optimal_hl_milp
-from bruteforce import path_vertices_bruteforce, respects_order, undirect
+from bruteforce import path_vertices_bruteforce, reachable_pairs, respects_order, undirect
 from conftest import edge2, path_graph, star_graph, triangle
 
 
@@ -148,11 +148,11 @@ def labeling_catalog(bad_g_runs, bad_w_runs, reduction_bases, sphs_instances,
         catalog.append((f"sphs-{name}", d, lab))
     g5 = families.gen_bad_g(5)
     d5 = hl.all_pairs_distances(g5)
-    catalog.append(("bad-g-5-cohen", d5, hl.run_cohen_hl(d5, d5.reachable_pairs())[0]))
+    catalog.append(("bad-g-5-cohen", d5, hl.run_cohen_hl(d5, reachable_pairs(d5))[0]))
     for i, g in enumerate(random_graphs_7[:6]):
         d = hl.all_pairs_distances(g)
         for exact in (False, True):
-            lab, _ = hl.run_cohen_hl(d, d.reachable_pairs(), exact_mds=exact)
+            lab, _ = hl.run_cohen_hl(d, reachable_pairs(d), exact_mds=exact)
             catalog.append((f"random7-{i}-cohen-{exact}", d, lab))
     for i, g in enumerate(random_graphs_8[:10]):
         d = hl.all_pairs_distances(g)
@@ -177,7 +177,7 @@ def test_c01_bad_g_greedy_orders_and_initial_counts(bad_g_runs):
                 order = bundle[algo][0]
                 assert order.by_rank() == expected
             d = bundle["dist"]
-            u = d.reachable_pairs()
+            u = reachable_pairs(d)
             assert build_center_graph(d, u, ids.a[0]).edge_count == (k + 1) ** 2 + 1
             assert build_center_graph(d, u, ids.b[0]).edge_count == (k + 1) ** 2
             assert build_center_graph(d, u, ids.c_id(1, 1)).edge_count == k + 2
@@ -195,7 +195,7 @@ def _canonical_hub_sets(g, d, order):
     rebuilt from simple-path enumeration without the package's engine."""
     fwd = [set() for _ in range(g.n)]
     bwd = [set() for _ in range(g.n)]
-    for u, w in d.reachable_pairs():
+    for u, w in reachable_pairs(d):
         hub = min(path_vertices_bruteforce(g, u, w), key=order.rank)
         fwd[u].add(hub)
         bwd[w].add(hub)
@@ -284,7 +284,7 @@ def test_c04_bad_w_eq1_eq2_regression(bad_w_runs):
             blocked = np.zeros(m.shape, dtype=bool)
             for x in chosen[:step]:
                 blocked |= m[:, x, None] + m[None, x, :] == m
-            uncovered = [(u, w) for u, w in d.reachable_pairs() if not blocked[u, w]]
+            uncovered = [(u, w) for u, w in reachable_pairs(d) if not blocked[u, w]]
             eq_b = t * (t - 1) // 2 + t * (t - 1) * l + (1 + t + t * l)
             eq_c = l * (l - 1) // 2 + l * (t - 1) + l + (1 + t + t * l)
             assert build_center_graph(d, uncovered, ids.b).edge_count == eq_b
@@ -472,13 +472,13 @@ def test_c09_cohen_bounds(random_graphs_7):
             if not res.complete:
                 continue
             checked += 1
-            lab, _ = hl.run_cohen_hl(d, d.reachable_pairs(), exact_mds=True)
+            lab, _ = hl.run_cohen_hl(d, reachable_pairs(d), exact_mds=True)
             assert lab.size <= (1 + math.log(g.n**2)) * res.upper
-            _, trace = hl.run_cohen_hl(d, d.reachable_pairs())
+            _, trace = hl.run_cohen_hl(d, reachable_pairs(d))
             # Replay the trace: each pick covers the uncovered pairs through its
             # vertex with the tail among its forward receivers and the head
             # among its backward ones (the forward ones when undirected).
-            uncovered = set(d.reachable_pairs())
+            uncovered = set(reachable_pairs(d))
             for rec in trace.iterations:
                 u = sorted(uncovered)
                 for v in range(g.n):
@@ -521,6 +521,6 @@ def test_c11_query_exactness_for_every_labeling(labeling_catalog):
     with criterion("11 (query equals distance on every labeling the suite built)"):
         assert len(labeling_catalog) >= 50
         for name, d, lab in labeling_catalog:
-            for s, t in d.reachable_pairs():
+            for s, t in reachable_pairs(d):
                 got = lab.query(s, t)
                 assert got == d.dist(s, t), (name, s, t, got)

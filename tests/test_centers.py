@@ -29,6 +29,7 @@ from bruteforce import (
     on_shortest_path,
     pair_level,
     path_index_reference,
+    reachable_pairs,
     side_nodes,
     shortest_path_vertices,
     with_zero_arcs,
@@ -62,13 +63,13 @@ def _reachable_count_bfs(g: hl.Graph) -> int:
 
 def test_initial_uncovered_counts():
     d1 = hl.all_pairs_distances(hl.Graph(False, 1, []))
-    assert d1.reachable_pairs() == [(0, 0)]
+    assert reachable_pairs(d1) == [(0, 0)]
     d2 = hl.all_pairs_distances(edge2())
-    u2 = d2.reachable_pairs()
+    u2 = reachable_pairs(d2)
     assert len(u2) == 3 and set(u2) == {(0, 0), (0, 1), (1, 1)}
     g3 = families.gen_bad_g(3)
     d3 = hl.all_pairs_distances(g3)
-    u3 = d3.reachable_pairs()
+    u3 = reachable_pairs(d3)
     assert len(u3) == _reachable_count_bfs(g3) == 79
 
 
@@ -106,7 +107,7 @@ def test_path_index_matches_the_whole_array_reference(block, monkeypatch):
     fields = ("u", "w", "level", "verts", "ptr", "vpairs", "vptr")
     for g in _index_cases():
         d = hl.all_pairs_distances(g)
-        reach = d.reachable_pairs()
+        reach = reachable_pairs(d)
         part = rng.sample(reach, len(reach) // 2)
         part += rng.choices(part, k=len(part) // 3)
         if not g.directed:
@@ -144,7 +145,7 @@ def test_path_index_reads_sources_in_runs_of_several(block, monkeypatch):
     several = 0
     for g in cases:
         d = hl.all_pairs_distances(g)
-        reach = d.reachable_pairs()
+        reach = reachable_pairs(d)
         sizes = [len(rows) for _, rows, _ in d.source_runs()]
         several += max(sizes, default=0) > 1 and len(sizes) > 2
         thirds = [(u, w) for u, w in reach if u % 3 == 1]
@@ -195,7 +196,7 @@ def test_path_index_canonicalizes_caller_pairs():
     rng = random.Random(3)
     for g in seeded_graphs(3, 8, 11600) + [gen_random_directed(6, 4, 3, 11700)]:
         d = hl.all_pairs_distances(g)
-        canon = d.reachable_pairs()
+        canon = reachable_pairs(d)
         assert _same_index(PathIndex(d), PathIndex(d, canon))
         spelled = [(w, u) if not g.directed and rng.random() < 0.5 else (u, w) for u, w in canon]
         spelled += rng.sample(spelled, len(spelled) // 3)
@@ -221,7 +222,7 @@ def test_center_graph_bad_g_initial_counts():
     g = families.gen_bad_g(k)
     ids = families.bad_g_ids(k)
     d = hl.all_pairs_distances(g)
-    u = d.reachable_pairs()
+    u = reachable_pairs(d)
     assert build_center_graph(d, u, ids.a[0]).edge_count == (k + 1) ** 2 + 1 == 17
     assert build_center_graph(d, u, ids.b[0]).edge_count == (k + 1) ** 2 == 16
     assert build_center_graph(d, u, ids.c_id(1, 1)).edge_count == k + 2 == 5
@@ -241,12 +242,12 @@ def test_density_examples():
     k = 2
     w = families.gen_bad_w(k)
     dw = hl.all_pairs_distances(w)
-    uw = dw.reachable_pairs()
+    uw = reachable_pairs(dw)
     for v in (0, 1, 5):
         assert build_center_graph(dw, uw, v).nonisolated_count == w.n
     g = families.gen_bad_g(3)
     dg = hl.all_pairs_distances(g)
-    ug = dg.reachable_pairs()
+    ug = reachable_pairs(dg)
     cg_a1 = build_center_graph(dg, ug, 0)
     assert density(cg_a1) == Fraction(17, 18)
 
@@ -256,7 +257,7 @@ def test_level_profile_examples():
     g = families.gen_bad_g(k)
     ids = families.bad_g_ids(k)
     d = hl.all_pairs_distances(g)
-    u = d.reachable_pairs()
+    u = reachable_pairs(d)
     p_a = level_profile(build_center_graph(d, u, ids.a[0]), d)
     assert p_a.count(1) == k * (k + 1) == 12
     p_b = level_profile(build_center_graph(d, u, ids.b[0]), d)
@@ -272,7 +273,7 @@ def test_profile_key_orders_like_bigint_weight_sums():
     graphs = seeded_graphs(10, 8, 11000) + [gen_random_directed(6, 4, 3, 11100)]
     for g in graphs:
         d = hl.all_pairs_distances(g)
-        u = d.reachable_pairs()
+        u = reachable_pairs(d)
         scored = []
         for v in range(g.n):
             cg = build_center_graph(d, u, v)
@@ -286,7 +287,7 @@ def test_path_index_views_match_shortest_path_vertices():
     for g in graphs:
         d = hl.all_pairs_distances(g)
         index = PathIndex(d)
-        assert index.pairs(slice(None)) == d.reachable_pairs()
+        assert index.pairs(slice(None)) == reachable_pairs(d)
         through = {v: [] for v in range(g.n)}
         for pid, (u, w) in enumerate(index.pairs(slice(None))):
             assert index[pid].tolist() == sorted(shortest_path_vertices(d, u, w))
@@ -331,7 +332,7 @@ def test_membership_kernel_matches_bruteforce(g, rnd):
     rows = [[d.dist(u, v) if d.finite(u, v) else cap for v in range(g.n)] for u in range(g.n)]
     assert into.tolist() == rows
     index = PathIndex(d)
-    assert index.pairs(slice(None)) == d.reachable_pairs()
+    assert index.pairs(slice(None)) == reachable_pairs(d)
     for pid, (u, w) in enumerate(index.pairs(slice(None))):
         assert index[pid].tolist() == sorted(shortest_path_vertices(d, u, w))
     order = list(range(g.n))
@@ -348,7 +349,7 @@ def _engine_cases():
     for g in graphs + [with_zero_arcs(g, rng) for g in graphs]:
         yield g, None
     for g in (families.gen_random(8, 12, 3, 11500), gen_random_directed(7, 5, 3, 11600)):
-        reach = hl.all_pairs_distances(g).reachable_pairs()
+        reach = reachable_pairs(hl.all_pairs_distances(g))
         yield g, rng.sample(reach, len(reach) // 2)
 
 
@@ -471,7 +472,7 @@ def _lazy_cases():
         g = gen_random_directed(4 + i, 2 + i, 3, 12200 + i)
         yield g if i % 2 else with_zero_arcs(g, rng), None
     for g in (families.gen_random(8, 12, 3, 12300), gen_random_directed(7, 5, 3, 12400)):
-        reach = hl.all_pairs_distances(g).reachable_pairs()
+        reach = reachable_pairs(hl.all_pairs_distances(g))
         yield g, rng.sample(reach, len(reach) // 2)
 
 
@@ -591,7 +592,7 @@ def test_directed_density_counts_side_occurrences():
     # the directed self pair puts its vertex on both sides
     g = hl.Graph(True, 2, [(0, 1, 1)])
     d = hl.all_pairs_distances(g)
-    u = d.reachable_pairs()
+    u = reachable_pairs(d)
     cg0 = build_center_graph(d, u, 0)
     assert set(arcs(cg0)) == {(0, 0), (0, 1)}
     assert cg0.nonisolated_count == 3  # tails {0}, heads {0, 1}
@@ -599,6 +600,6 @@ def test_directed_density_counts_side_occurrences():
     assert hl.CoverageState(d).noniso[0] == 3  # (0, 0) as a tail and as a head, (0, 1)
     # undirected, the self pair [0, 0] counts once
     du = hl.all_pairs_distances(hl.Graph(False, 2, [(0, 1, 1)]))
-    cu0 = build_center_graph(du, du.reachable_pairs(), 0)
+    cu0 = build_center_graph(du, reachable_pairs(du), 0)
     assert set(arcs(cu0)) == {(0, 0), (0, 1)} and cu0.nonisolated_count == 2
     assert hl.CoverageState(du).noniso[0] == 2

@@ -106,6 +106,39 @@ def test_generate_cycle4_variants(tmp_path, capsys):
     assert main(["generate", "cycle4", "--with-hl", "--out", str(tmp_path / "x.gr")]) == 2
 
 
+# The flags without a default that each family reads (README, "Command line").
+TAKES = {
+    "bad-g": set(),
+    "bad-w": set(),
+    "random": set(),
+    "separator": {"with-hl", "labels-out"},
+    "cycle4": {"directed", "with-hl", "labels-out"},
+    "vc-und": {"graph", "unique", "with-hl", "labels-out"},
+    "vc-dir": {"graph", "with-hl", "labels-out"},
+}
+UNREAD = [
+    (family, flag)
+    for family, takes in TAKES.items()
+    for flag in ("graph", "directed", "unique", "with-hl", "labels-out")
+    if flag not in takes
+]
+
+
+@pytest.mark.parametrize("family, flag", UNREAD + [(f, "labels-out") for f in TAKES if TAKES[f]])
+def test_generate_refuses_a_flag_its_family_does_not_read(tmp_path, capsys, family, flag):
+    # Outside the vc families --graph names an existing file, and --labels-out
+    # comes without --with-hl in the second group, so only the flag is at fault.
+    base = tmp_path / "c5.base"
+    base.write_text(hl.serialize_graph(hl.Graph(False, 5, [(i, (i + 1) % 5, 1) for i in range(5)])))
+    value = {"graph": [str(base)], "labels-out": [str(tmp_path / "x.lab")]}.get(flag, [])
+    argv = ["generate", family, "--k", "2", "--out", str(tmp_path / "x.gr"), f"--{flag}", *value]
+    argv += ["--graph", str(base)] if family.startswith("vc-") else []
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {family} does not take --{flag}"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c5.base"]
+
+
 def test_build_and_verify_g_hhl(tmp_path, capsys):
     graph = tmp_path / "badg3.gr"
     graph.write_text(hl.serialize_graph(families.gen_bad_g(3)))

@@ -10,8 +10,9 @@ import hublab as hl
 from hublab import cohen, families, oracles
 
 from bruteforce import build_center_graph, center_graph_on, gen_random_directed, mds_peel_reference
-from bruteforce import arcs, random_center_graph, run_cohen_hl_reference, with_zero_arcs
-from conftest import complete_graph, edge2, seeded_graphs, star_graph
+from bruteforce import arcs, random_center_graph, reachable_pairs, run_cohen_hl_reference
+from bruteforce import with_zero_arcs
+from conftest import complete_graph, edge2, path_graph, seeded_graphs, star_graph
 
 
 def _clique_center_graph(n: int) -> hl.CenterGraph:
@@ -56,7 +57,7 @@ def test_mds_peel_counts_a_repeated_pair_once():
 def test_peel_within_half_of_exact_on_encountered_graphs():
     for g in seeded_graphs(12, 8, 13000):
         d = hl.all_pairs_distances(g)
-        u = d.reachable_pairs()
+        u = reachable_pairs(d)
         for v in range(g.n):
             cg = build_center_graph(d, u, v)
             if cg.edge_count == 0:
@@ -91,7 +92,7 @@ def test_densest_subgraph_side_nodes_have_an_edge_inside():
 
 def test_cohen_two_vertex_edge_matches_optimum():
     d = hl.all_pairs_distances(edge2())
-    lab, trace = hl.run_cohen_hl(d, d.reachable_pairs())
+    lab, trace = hl.run_cohen_hl(d, reachable_pairs(d))
     assert lab.size == 3 == hl.optimal_hl_bnb(d).upper
     assert hl.verify_cover(lab, d).valid
 
@@ -105,7 +106,7 @@ def test_cohen_empty_target():
 def test_cohen_beats_g_hhl_on_bad_g():
     g = families.gen_bad_g(5)
     d = hl.all_pairs_distances(g)
-    clab, _ = hl.run_cohen_hl(d, d.reachable_pairs())
+    clab, _ = hl.run_cohen_hl(d, reachable_pairs(d))
     _, glab, _ = hl.run_g_hhl(d)
     assert clab.size < glab.size
     assert hl.verify_cover(clab, d).valid
@@ -125,7 +126,7 @@ def test_cohen_monotone_progress_and_exact_mode():
     for g in seeded_graphs(6, 6, 13100) + [complete_graph(4)]:
         d = hl.all_pairs_distances(g)
         for exact in (False, True):
-            lab, trace = hl.run_cohen_hl(d, d.reachable_pairs(), exact_mds=exact)
+            lab, trace = hl.run_cohen_hl(d, reachable_pairs(d), exact_mds=exact)
             assert hl.verify_cover(lab, d).valid
             for rec in trace.iterations:
                 assert rec.covered >= 1
@@ -138,14 +139,14 @@ def test_cohen_exact_mode_within_set_cover_bound():
         res = hl.optimal_hl_bnb(d, budget=300_000)
         if not res.complete:
             continue
-        lab, _ = hl.run_cohen_hl(d, d.reachable_pairs(), exact_mds=True)
+        lab, _ = hl.run_cohen_hl(d, reachable_pairs(d), exact_mds=True)
         assert lab.size <= (1 + math.log(g.n**2)) * res.upper
 
 
 def test_cohen_directed():
     g = families.gen_bad_g(2)
     d = hl.all_pairs_distances(g)
-    lab, trace = hl.run_cohen_hl(d, d.reachable_pairs())
+    lab, trace = hl.run_cohen_hl(d, reachable_pairs(d))
     assert hl.verify_cover(lab, d).valid
     assert trace.order is None
 
@@ -164,7 +165,7 @@ def _cohen_reference_cases():
     for i in range(6):
         g = families.gen_random(8, 12, 3, 13700 + i) if i % 2 else gen_random_directed(7, 5, 3, i)
         g = with_zero_arcs(g, rng) if i % 3 == 0 else g
-        subset = [p for p in hl.all_pairs_distances(g).reachable_pairs() if rng.random() < 0.4]
+        subset = [p for p in reachable_pairs(hl.all_pairs_distances(g)) if rng.random() < 0.4]
         yield f"subset-{i}", g, subset
 
 
@@ -182,10 +183,16 @@ def test_cohen_solves_only_the_centers_a_pick_touched(monkeypatch):
     solves = []
     peel, exact = cohen.mds_peel, oracles.exact_mds
     monkeypatch.setattr(cohen, "mds_peel", lambda cg: solves.append(1) or peel(cg))
-    d = hl.all_pairs_distances(families.gen_random(60, 120, 10, 1))
-    _, trace = hl.run_cohen_hl(d)
-    # Re-solving every live center on every pick takes 3,543 peels.
-    assert (len(trace.iterations), len(solves)) == (74, 684)
+    # (graph, picks, peels). On the first, re-solving every live center on every
+    # pick takes 3,543 peels.
+    for g, picks, peels in [
+        (families.gen_random(60, 120, 10, 1), 74, 684),
+        (families.gen_bad_g(3), 19, 43),
+        (path_graph(5), 6, 14),
+    ]:
+        solves.clear()
+        _, trace = hl.run_cohen_hl(hl.all_pairs_distances(g))
+        assert (len(trace.iterations), len(solves)) == (picks, peels), g
     monkeypatch.setattr(oracles, "exact_mds", lambda cg: solves.append(cg) or exact(cg))
     solves.clear()
     c5 = hl.Graph(False, 5, [(i, (i + 1) % 5, 1) for i in range(5)])

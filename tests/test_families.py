@@ -15,7 +15,7 @@ import hublab as hl
 from hublab import families
 
 from conftest import edge2, path_graph, triangle
-from bruteforce import all_pairs_bruteforce
+from bruteforce import all_pairs_bruteforce, gen_random_reference
 
 
 def test_gen_bad_g_counts():
@@ -368,12 +368,23 @@ def test_non_tree_pairs_view_matches_sorted_list():
         tree = [(rng.randrange(i), i) for i in range(1, n)]
         present = set(tree)
         expect = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
-        view = families._NonTreePairs(n, tree)
-        assert len(view) == len(expect)
-        assert list(view) == expect
-        assert [view[i] for i in range(len(view))] == expect
-        with pytest.raises(IndexError):
-            view[len(view)]
+        count, pair = families._non_tree_pairs(n, tree)
+        assert count == len(expect)
+        assert [pair(i) for i in range(count)] == expect
+        for i in (-1, count):
+            with pytest.raises(IndexError):
+                pair(i)
+
+
+def test_gen_random_matches_sampling_an_explicit_candidate_list():
+    # Both branches of random.sample: a pool copy for small counts, a set of
+    # drawn indices for large ones.
+    for n in range(1, 41):
+        top = n * (n - 1) // 2
+        for m in sorted({min(m, top) for m in (n - 1, n, 2 * n, 3 * n, top)}):
+            for seed in range(3):
+                got = hl.serialize_graph(families.gen_random(n, m, 10, seed))
+                assert got == hl.serialize_graph(gen_random_reference(n, m, 10, seed)), (n, m, seed)
 
 
 def test_generate_random_at_vertex_limit_under_memory_cap(tmp_path):

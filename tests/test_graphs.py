@@ -20,6 +20,7 @@ from bruteforce import (
     gen_random_directed,
     on_shortest_path,
     path_vertices_bruteforce,
+    reachable_pairs,
     shortest_path_vertices,
     undirect,
     verify_cover_loop,
@@ -282,9 +283,9 @@ def test_undirect():
 
 def test_dist_matrix_reachable_pairs():
     d = hl.all_pairs_distances(edge2())
-    assert d.reachable_pairs() == [(0, 0), (0, 1), (1, 1)]
+    assert reachable_pairs(d) == [(0, 0), (0, 1), (1, 1)]
     d3 = hl.all_pairs_distances(path_graph(2))
-    assert len(d3.reachable_pairs()) == 6
+    assert len(reachable_pairs(d3)) == 6
 
 
 @pytest.mark.parametrize("block", [1, 7, graphs.BLOCK])
@@ -341,7 +342,7 @@ def test_pair_set_builds_no_n_by_n_table(directed):
     # Three reachable pairs besides the n self pairs: an n x n bool table would
     # be 8.6 MiB, and the scan and the index each peak far below 1 MiB.
     d = hl.all_pairs_distances(hl.Graph(directed, 3000, [(0, 1, 1), (1, 2, 1)]))
-    for build in (d.reachable_pairs, lambda: PathIndex(d)):
+    for build in (lambda: reachable_pairs(d), lambda: PathIndex(d)):
         tracemalloc.start()
         try:
             result = build()

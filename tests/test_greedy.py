@@ -17,6 +17,7 @@ from bruteforce import (
     build_center_graph,
     endpoint_count_graphs,
     level_profile,
+    reachable_pairs,
     respects_order,
     run_cohen_hl_reference,
     select_reference,
@@ -99,7 +100,7 @@ def test_d_hhl_bad_g_matches_g_hhl():
     first = trace.iterations[0]
     assert first.vertex in families.bad_g_ids(3).a
     assert first.score[0] == 12
-    u = d.reachable_pairs()
+    u = reachable_pairs(d)
     p_b = level_profile(build_center_graph(d, u, families.bad_g_ids(3).b[0]), d)
     assert p_b.count(1) == 9
 
@@ -329,7 +330,7 @@ def _tail_cases():
         yield f"graph-{i}", g, None
     rng = random.Random(2700)
     for i, g in enumerate(endpoint_count_graphs(2800)[:16]):
-        pairs = [p for p in hl.all_pairs_distances(g).reachable_pairs() if rng.random() < 0.6]
+        pairs = [p for p in reachable_pairs(hl.all_pairs_distances(g)) if rng.random() < 0.6]
         yield f"subset-{i}", g, pairs
         yield f"subset-{i}-no-self", g, [(u, w) for u, w in pairs if u != w]
         yield f"subset-{i}-self", g, [(u, w) for u, w in pairs if u == w]

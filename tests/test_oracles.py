@@ -15,7 +15,8 @@ from bruteforce import gen_random_directed
 from bruteforce import min_hitting_set_bruteforce, min_hitting_set_recursive
 from bruteforce import min_vertex_cover_reference
 from bruteforce import optimal_hhl_recursive, optimal_hl_bnb_reference
-from bruteforce import optimal_hl_milp, random_center_graph, undirect, with_zero_arcs
+from bruteforce import optimal_hl_milp, random_center_graph, reachable_pairs, undirect
+from bruteforce import with_zero_arcs
 from conftest import complete_graph, edge2, path_graph, seeded_graphs, star_graph, triangle
 
 
@@ -211,7 +212,7 @@ def _bnb_reference_cases():
     rng = random.Random(15100)
     for i in (1, 2, 3):
         g = _seeded_bnb_graph(i + 20)
-        subset = [p for p in hl.all_pairs_distances(g).reachable_pairs() if rng.random() < 0.5]
+        subset = [p for p in reachable_pairs(hl.all_pairs_distances(g)) if rng.random() < 0.5]
         yield f"subset-{i}", g, subset, 2_000
     # Past 32 vertices and 64 pairs, so every mask of the search outgrows a
     # machine word: 666 pairs with zero-length edges, 302 directed ones.
@@ -219,7 +220,7 @@ def _bnb_reference_cases():
     yield "wide-undirected", wide, None, 300
     wide = gen_random_directed(35, 3, 3, 35)
     rng = random.Random(35)
-    subset = [p for p in hl.all_pairs_distances(wide).reachable_pairs() if rng.random() < 0.25]
+    subset = [p for p in reachable_pairs(hl.all_pairs_distances(wide)) if rng.random() < 0.25]
     yield "wide-directed-subset", wide, subset, 2_000
 
 

@@ -94,6 +94,13 @@ def test_sphs_build_loads_only_highway(files):
     assert _fresh(RUN_CLI, *argv) == ["cli", "graphs", "highway", "labeling"]
 
 
+def test_sphs_build_imports_no_fractions(files):
+    # The radii are ints, so nothing loads fractions (nor the decimal it imports).
+    argv = ["build", files["graph"], "--algo", "sphs", "--out", str(files["dir"] / "s.lab")]
+    script = RUN_CLI.replace(LOADED, "sorted({'fractions', 'decimal'} & set(sys.modules))")
+    assert _fresh(script, *argv) == []
+
+
 def test_vc_dir_with_labeling_loads_the_cover_oracle_and_no_selection(files):
     argv = ["generate", "vc-dir", "--graph", files["graph"], "--with-hl",
             "--out", str(files["dir"] / "vd.gr")]
