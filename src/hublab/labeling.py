@@ -82,7 +82,8 @@ def _csr(n: int, own, hub, dist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     at = np.lexsort((hub, own))  # a hub's entries in one row end up adjacent
     own, hub, dist = own[at], hub[at], dist[at]
     first = run_starts(own, hub)  # the first entry of its (vertex, hub)
-    keep = run_starts(own, hub, dist)
+    keep = first.copy()
+    keep[1:] |= dist[1:] != dist[:-1]
     own, hub, dist, first = own[keep], hub[keep], dist[keep], first[keep]
     bad = (hub < 0) | (hub >= n) | (dist < 0) | (dist >= MAX_TOTAL_LENGTH)
     if bad.any() or not first.all():
