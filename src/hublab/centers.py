@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DistMatrix, as_int, pair_arrays, path_membership, ranges, run_starts, runs
-from .graphs import transpose
+from .graphs import DistMatrix, as_int, pair_arrays, pair_blocks, path_membership, ranges
+from .graphs import run_starts, runs, transpose
 
 NEG_INF_LEVEL = float("-inf")
 
@@ -105,12 +105,12 @@ class PathIndex:
     One pass of ``d.source_runs(pairs)`` gives the pairs, every reachable one
     or the caller's ``(u, w)`` through ``pair_arrays`` (checked, undirected
     ones min-first, deduplicated and sorted; an unreachable one raises
-    ``ValueError``), and their rows: a source's come from the membership
-    predicate on its distance row, an (its pairs) x n table. A run's pairs,
-    levels, lengths and rows wait, narrow, for one join after the pass, and
-    ``vptr`` and ``vpairs`` come by ``transpose``, so the peak is the kept
-    arrays and ``transpose``'s temporaries: on ``gen_random(300, 600, 10,
-    11)``, 2.88 MiB against 2.47 MiB kept.
+    ``ValueError``), and their rows: those of a run's ``pair_blocks`` come
+    from the membership predicate on one distance row per pair, a (block) x n
+    table. A run's pairs, levels, lengths and rows wait, narrow, for one join
+    after the pass, and ``vptr`` and ``vpairs`` come by ``transpose``, so the
+    peak is the kept arrays and ``transpose``'s temporaries: on
+    ``gen_random(300, 600, 10, 11)``, 2.88 MiB against 2.47 MiB kept.
     """
 
     def __init__(self, d: DistMatrix, pairs=None):
@@ -125,11 +125,10 @@ class PathIndex:
         for a, rows, fin in d.source_runs(pairs):
             s, w = np.divmod(np.flatnonzero(fin), n)
             lens, run = np.zeros(len(w), np.uint16), [empty]
-            at = np.searchsorted(s, np.arange(len(rows) + 1)).tolist()  # each source's first pair
-            for i in np.flatnonzero(np.diff(at)).tolist():
-                lo, hi = at[i], at[i + 1]
-                # Not np.flatnonzero, whose wrappers cost a tenth of a small source's time.
-                ids, vs = np.divmod(path_membership(d, rows[i], w[lo:hi]).ravel().nonzero()[0], n)
+            for lo, hi in pair_blocks(len(w), n):
+                table = path_membership(d, rows[s[lo:hi]], w[lo:hi])
+                # Not np.flatnonzero, whose wrappers cost a tenth of a small block's time.
+                ids, vs = np.divmod(table.ravel().nonzero()[0], n)
                 lens[lo:hi] = np.bincount(ids, minlength=hi - lo)
                 run.append(vs.astype(np.uint16))
             level = (np.frexp(rows[s, w])[1] - 1).astype(np.int8)

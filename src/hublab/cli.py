@@ -7,30 +7,29 @@ labeling, 2 usage or input error, 3 resource limit.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import sys
-from pathlib import Path
 
-from .graphs import (
-    INF,
-    CapExceededError,
-    GraphFormatError,
-    TooLargeError,
-    all_pairs_distances,
-    parse_graph,
-    serialize_graph,
-)
-from .labeling import (
-    Labeling,
-    LabelFormatError,
-    Order,
-    canonical_hhl,
-    parse_labeling,
-    serialize_labeling,
-    verify_cover,
-)
+# The collector is paused while this module loads numpy and the package, which
+# would otherwise cost dozens of passes over the objects numpy creates (about
+# 6 ms a process). The caller's setting is restored at the end of the module,
+# not after the imports: there, the next allocation would start one young pass
+# over every object the imports made. ``run`` freezes them before ``main``.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import json
+    from pathlib import Path
+
+    from .graphs import INF, CapExceededError, GraphFormatError, TooLargeError
+    from .graphs import all_pairs_distances, parse_graph, serialize_graph
+    from .labeling import Labeling, LabelFormatError, Order, canonical_hhl, parse_labeling
+    from .labeling import serialize_labeling, verify_cover
+except BaseException:
+    if _collecting:
+        gc.enable()
+    raise
 
 # Every subcommand uses graphs and labeling; these load on first use instead,
 # so a verify or query never imports an algorithm. The handlers reach them as
@@ -83,15 +82,21 @@ def _read_labeling(path: str, g) -> Labeling:
 
 def _cmd_generate(args) -> int:
     families, family = _cli.families, args.family
-    # The flags without a default that each family reads; --labels-out also needs --with-hl.
+    # The flags each family reads, each with the value it takes when absent; the
+    # family refuses any other. --labels-out also needs --with-hl.
     takes = {
-        "separator": {"with_hl", "labels_out"},
-        "cycle4": {"directed", "with_hl", "labels_out"},
-        "vc-und": {"graph", "unique", "with_hl", "labels_out"},
-        "vc-dir": {"graph", "with_hl", "labels_out"},
-    }.get(family, set())
-    for flag in ("graph", "directed", "unique", "with_hl", "labels_out"):
-        if getattr(args, flag) not in (None, False) and flag not in takes:
+        "bad-g": {"k": 3},
+        "bad-w": {"k": 3},
+        "separator": {"k": 3, "with_hl": False, "labels_out": None},
+        "cycle4": {"directed": False, "with_hl": False, "labels_out": None},
+        "vc-und": {"graph": None, "unique": False, "with_hl": False, "labels_out": None},
+        "vc-dir": {"graph": None, "with_hl": False, "labels_out": None},
+        "random": {"n": 8, "m": 10, "maxlen": 4, "seed": 0},
+    }[family]
+    for flag in "graph directed unique with_hl labels_out k n m maxlen seed".split():
+        if getattr(args, flag) is None:
+            setattr(args, flag, takes.get(flag))
+        elif flag not in takes:
             raise ValueError(f"{family} does not take --{flag.replace('_', '-')}")
     if args.labels_out is not None and not args.with_hl:
         raise ValueError(f"{family} does not take --labels-out without --with-hl")
@@ -300,15 +305,17 @@ def _parser() -> argparse.ArgumentParser:
         "family",
         choices=["bad-g", "bad-w", "separator", "cycle4", "vc-und", "vc-dir", "random"],
     )
-    gen.add_argument("--k", type=int, default=3)
+    # Every flag but --out defaults to None, so that a family can refuse one it does not read.
+    gen.add_argument("--k", type=int)
     gen.add_argument("--graph", help="base graph file for the vc reductions")
-    gen.add_argument("--directed", action="store_true", help="directed variant (cycle4)")
-    gen.add_argument("--with-hl", action="store_true", help="also write the explicit labeling")
-    gen.add_argument("--unique", action="store_true", help="scale lengths for unique shortest paths")
-    gen.add_argument("--n", type=int, default=8)
-    gen.add_argument("--m", type=int, default=10)
-    gen.add_argument("--maxlen", type=int, default=4)
-    gen.add_argument("--seed", type=int, default=0)
+    switch = {"action": "store_true", "default": None}
+    gen.add_argument("--directed", **switch, help="directed variant (cycle4)")
+    gen.add_argument("--with-hl", **switch, help="also write the explicit labeling")
+    gen.add_argument("--unique", **switch, help="scale lengths for unique shortest paths")
+    gen.add_argument("--n", type=int)
+    gen.add_argument("--m", type=int)
+    gen.add_argument("--maxlen", type=int)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True)
     gen.add_argument("--labels-out")
     gen.set_defaults(func=_cmd_generate)
@@ -361,12 +368,18 @@ def main(argv=None) -> int:
 def run() -> None:
     """The program, as ``python -m hublab.cli`` and the ``hublab`` script run it:
     ``main`` on the command line, then exit with its code. The heap is frozen
-    first, so interpreter exit runs no full collection over the objects numpy
-    made at import; finalizers, flushes and atexit handlers still run."""
+    before ``main``, so no collection during the run walks the objects numpy
+    made at import, and again after it, so interpreter exit runs no full
+    collection over what the run kept; finalizers, flushes and atexit handlers
+    still run."""
+    gc.freeze()
     code = main()
     gc.freeze()
     sys.exit(code)
 
+
+if _collecting:  # the module has loaded: the caller's setting is back
+    gc.enable()
 
 if __name__ == "__main__":
     run()

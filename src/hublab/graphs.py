@@ -414,18 +414,19 @@ def all_pairs_distances(g: Graph) -> DistMatrix:
 
 def path_membership(d: DistMatrix, row: np.ndarray, cols) -> np.ndarray:
     """Pair-major boolean (j, v) table: v lies on some shortest u-w path, w = ``cols[j]``,
-    for ``row`` = dist(u, .), a row of a run of ``d.source_runs``. A w outside
-    0..n-1 raises ``IndexError`` and one unreachable from u ``ValueError``. The
-    legs dist(v, w) are the store's rows ``cols``, where an unreachable leg is
-    D+1 and so never sums to the finite target; row j lists its path vertices
-    in id order, as a CSR row wants them.
+    for ``row`` = dist(u, .), a row of a run of ``d.source_runs``, or for ``row[j]``
+    when ``row`` holds one such row per target, a (len(cols), n) array. A w
+    outside 0..n-1 raises ``IndexError`` and one unreachable from its u
+    ``ValueError``. The legs dist(v, w) are the store's rows ``cols``, where an
+    unreachable leg is D+1 and so never sums to the finite target; row j lists
+    its path vertices in id order, as a CSR row wants them.
     """
     try:  # one C pass checks 0 <= w < n; indexing would count a negative w from the end
         cols = np.ravel_multi_index((cols,), (d.n,)) if len(cols) else np.zeros(0, np.intp)
     except ValueError:
         v = next(w for w in np.asarray(cols).tolist() if not 0 <= w < d.n)
         raise IndexError(f"vertex {v} out of range for {d.n} vertices") from None
-    target = row[cols]
+    target = row[cols] if row.ndim == 1 else row[np.arange(len(cols)), cols]
     if np.maximum.reduce(target, initial=0) >= d.unreachable:
         raise ValueError(f"vertex {cols[target.argmax()]} is unreachable from the row's source")
     legs = d._into[cols]
@@ -493,6 +494,13 @@ def runs(ptr: np.ndarray, ids=None, block=None):
         hi = max(hi, lo + 1)
         yield lo, hi
         lo = hi
+
+
+def pair_blocks(count: int, n: int) -> list[tuple[int, int]]:
+    """Runs ``[lo, hi)`` of ``count`` pairs whose n-cell ``path_membership`` rows
+    total at most 4 ``BLOCK`` cells (2^16), a pair alone when n is larger."""
+    step = max(1, 4 * BLOCK // n)
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def transpose(ptr: np.ndarray, keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .centers import NEG_INF_LEVEL, CoverageState
 from .graphs import DistMatrix
 from .labeling import Labeling, Order, hub_labeling
+
+if TYPE_CHECKING:  # ``_pick_density`` imports it when it runs
+    from fractions import Fraction
 
 
 class TraceNotFromDHHLError(ValueError):
@@ -52,12 +55,12 @@ class RunTrace:
     order: Order | None = None
 
     def to_dict(self) -> dict:
-        def enc_score(s):
-            if isinstance(s, Fraction):
-                return f"{s.numerator}/{s.denominator}"
+        def enc_score(s):  # d-HHL's tuple, g-HHL's int, else w-HHL's or Cohen's Fraction
             if isinstance(s, tuple):
                 return list(s)
-            return s
+            if isinstance(s, int):
+                return s
+            return f"{s.numerator}/{s.denominator}"
 
         def enc_level(lv):
             if lv is None:
@@ -151,6 +154,8 @@ def _pick_edges(engine: CoverageState) -> tuple[int, int, None]:
 
 
 def _pick_density(engine: CoverageState) -> tuple[int, Fraction, None]:
+    from fractions import Fraction  # here, so that g- and d-HHL builds never load it
+
     cand = np.flatnonzero(engine.edges)
     e, k = engine.edges[cand], engine.noniso[cand]
     # The float argmax is the exact one. e <= n^2 (pairs through v) and 1 <= k <= 2n

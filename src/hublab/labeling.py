@@ -7,8 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import INF, MAX_TOTAL_LENGTH, DistMatrix, as_int, pair_arrays, path_membership
-from .graphs import ranges, run_starts, transpose, unique_pairs
+from .graphs import INF, MAX_TOTAL_LENGTH, DistMatrix, as_int, pair_arrays, pair_blocks
+from .graphs import path_membership, ranges, run_starts, transpose, unique_pairs
 
 
 class LabelFormatError(ValueError):
@@ -325,14 +325,11 @@ def canonical_hhl(d: DistMatrix, pi: Order) -> Labeling:
     chunks = [(np.zeros(0, np.uint16),) * 4]  # forward owners and hubs, backward owners and hubs
     for a, rows, fin in d.source_runs():
         us, ws = np.divmod(np.flatnonzero(fin), n)
-        at = np.searchsorted(us, np.arange(len(rows) + 1)).tolist()  # each source's first pair
-        us = (us + a).astype(np.uint16)  # n <= MAX_VERTICES < 2^16, as ws after the loop
         hub = [np.zeros(0, np.intp)]  # of each pair
-        for i in np.flatnonzero(np.diff(at)).tolist():
-            lo, hi = at[i], at[i + 1]
-            hub.append((path_membership(d, rows[i], ws[lo:hi]) * weight).argmax(axis=1))
+        for lo, hi in pair_blocks(len(ws), n):
+            hub.append((path_membership(d, rows[us[lo:hi]], ws[lo:hi]) * weight).argmax(axis=1))
         hub = np.concatenate(hub)
-        ws = ws.astype(np.uint16)
+        us, ws = (us + a).astype(np.uint16), ws.astype(np.uint16)  # n <= MAX_VERTICES < 2^16
         chunks.append((us[hub == ws], ws[hub == ws], ws[hub == us], us[hub == us]))
     fwd_u, fwd_h, bwd_u, bwd_h = (np.concatenate(x) for x in zip(*chunks))
     if d.directed:

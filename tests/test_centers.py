@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hublab as hl
-from hublab import cohen, families, graphs, greedy
+from hublab import centers, cohen, families, graphs, greedy
 from hublab.centers import PathIndex
 
 from bruteforce import (
@@ -157,6 +157,38 @@ def test_path_index_reads_sources_in_runs_of_several(block, monkeypatch):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), (g, f)
                 assert got.tobytes() == want.tobytes(), (g, f)
     assert several >= 2
+
+
+@pytest.mark.parametrize("block", [12, 20, 30])
+def test_path_index_reads_pairs_in_blocks_across_sources(block, monkeypatch):
+    # One membership call per block of 4 BLOCK // n pairs, with a distance row
+    # per pair: patched small, blocks end inside sources and span several. The
+    # arrays, dtypes included, equal the whole-array reference's.
+    monkeypatch.setattr(graphs, "BLOCK", block)
+    calls = []
+    membership = centers.path_membership
+
+    def recorded(d, row, cols):
+        calls.append(len(cols))
+        return membership(d, row, cols)
+
+    monkeypatch.setattr(centers, "path_membership", recorded)
+    fields = ("u", "w", "level", "verts", "ptr", "vpairs", "vptr")
+    inside = spanning = 0
+    for g in [*_index_cases(), families.gen_bad_g(3)]:
+        d = hl.all_pairs_distances(g)
+        calls.clear()
+        index, ref = PathIndex(d), path_index_reference(d, None)
+        for f in fields:
+            got, want = getattr(index, f), getattr(ref, f)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), (g, f)
+            assert got.tobytes() == want.tobytes(), (g, f)
+        assert sum(calls) == len(index) and all(0 < k <= max(1, 4 * block // g.n) for k in calls)
+        last = np.cumsum(calls, dtype=np.int64) - 1  # each call's last pair
+        inside += int(np.count_nonzero(index.u[last[:-1]] == index.u[last[:-1] + 1]))
+        first = last + 1 - np.array(calls, np.int64)
+        spanning += int(np.count_nonzero(index.u[first] != index.u[last]))
+    assert inside >= 10 and spanning >= 10
 
 
 def test_path_index_peaks_near_what_it_keeps():

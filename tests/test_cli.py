@@ -106,37 +106,55 @@ def test_generate_cycle4_variants(tmp_path, capsys):
     assert main(["generate", "cycle4", "--with-hl", "--out", str(tmp_path / "x.gr")]) == 2
 
 
-# The flags without a default that each family reads (README, "Command line").
+# The flags each family reads (README, "Command line").
 TAKES = {
-    "bad-g": set(),
-    "bad-w": set(),
-    "random": set(),
-    "separator": {"with-hl", "labels-out"},
+    "bad-g": {"k"},
+    "bad-w": {"k"},
+    "random": {"n", "m", "maxlen", "seed"},
+    "separator": {"k", "with-hl", "labels-out"},
     "cycle4": {"directed", "with-hl", "labels-out"},
     "vc-und": {"graph", "unique", "with-hl", "labels-out"},
     "vc-dir": {"graph", "with-hl", "labels-out"},
 }
-UNREAD = [
-    (family, flag)
-    for family, takes in TAKES.items()
-    for flag in ("graph", "directed", "unique", "with-hl", "labels-out")
-    if flag not in takes
-]
+FLAGS = ("graph", "directed", "unique", "with-hl", "labels-out", "k", "n", "m", "maxlen", "seed")
+UNREAD = [(family, flag) for family, takes in TAKES.items() for flag in FLAGS if flag not in takes]
+WITHOUT_HL = [(family, "labels-out") for family, takes in TAKES.items() if "labels-out" in takes]
 
 
-@pytest.mark.parametrize("family, flag", UNREAD + [(f, "labels-out") for f in TAKES if TAKES[f]])
+@pytest.mark.parametrize("family, flag", UNREAD + WITHOUT_HL)
 def test_generate_refuses_a_flag_its_family_does_not_read(tmp_path, capsys, family, flag):
-    # Outside the vc families --graph names an existing file, and --labels-out
-    # comes without --with-hl in the second group, so only the flag is at fault.
+    # The family gets the flags it needs (--k 2, --graph), so only the flag is
+    # at fault: outside the vc families --graph names an existing file, a
+    # flag with a default gets a value (--seed its default, 0), and
+    # --labels-out comes without --with-hl in the second group.
     base = tmp_path / "c5.base"
     base.write_text(hl.serialize_graph(hl.Graph(False, 5, [(i, (i + 1) % 5, 1) for i in range(5)])))
-    value = {"graph": [str(base)], "labels-out": [str(tmp_path / "x.lab")]}.get(flag, [])
-    argv = ["generate", family, "--k", "2", "--out", str(tmp_path / "x.gr"), f"--{flag}", *value]
+    value = {"graph": [str(base)], "labels-out": [str(tmp_path / "x.lab")], "seed": ["0"]}.get(
+        flag, [] if flag in ("directed", "unique", "with-hl") else ["3"]
+    )
+    argv = ["generate", family, "--out", str(tmp_path / "x.gr"), f"--{flag}", *value]
+    argv += ["--k", "2"] if "k" in TAKES[family] else []
     argv += ["--graph", str(base)] if family.startswith("vc-") else []
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {family} does not take --{flag}"), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c5.base"]
+
+
+def test_generate_applies_each_familys_defaults(tmp_path, capsys):
+    # An absent flag takes its family's default, as the header records.
+    for argv, header in (
+        (["random"], "# hublab random n=8 m=10 maxlen=4 seed=0"),
+        (["random", "--n", "6", "--seed", "2"], "# hublab random n=6 m=10 maxlen=4 seed=2"),
+        (["bad-g"], "# hublab bad-g k=3"),
+        (["bad-w"], "# hublab bad-w k=3 l=18"),
+        (["separator"], "# hublab separator k=3"),
+        (["cycle4"], "# hublab cycle4 directed=False"),
+    ):
+        out = tmp_path / "d.gr"
+        assert main(["generate", *argv, "--out", str(out)]) == 0, argv
+        assert out.read_text().splitlines()[0] == header
+    assert hl.parse_graph(out.read_text()) == families.gen_cycle4(False)
 
 
 def test_build_and_verify_g_hhl(tmp_path, capsys):

@@ -507,6 +507,62 @@ def test_pivot_loop_matches_the_per_source_searches():
     assert unreachable >= 100
 
 
+def _membership_outcome(call):
+    try:
+        table = call()
+    except (IndexError, ValueError) as exc:
+        return type(exc), str(exc)
+    return table.shape, table.tobytes()
+
+
+def test_path_membership_per_target_rows_match_the_per_source_calls():
+    # One distance row per target, as PathIndex and canonical_hhl pass a block
+    # of pairs, gives the per-source tables stacked; a bad target among them
+    # raises what the first per-source call to fail raises.
+    rng = random.Random(16)
+    dtypes, far = set(), 0
+    for g in _differential_graphs():
+        d = hl.all_pairs_distances(g)
+        n, exact = d.n, d.exact()
+        us, ws = np.divmod(np.arange(n * n), n)  # every pair, sorted by source
+        fin = exact[us, ws] < d.unreachable
+        dtypes.add(exact.dtype)
+        far += not fin.all()
+
+        def stacked(us, ws):
+            tables = [hl.path_membership(d, exact[s], ws[us == s]) for s in range(n)]
+            return np.concatenate([np.zeros((0, n), bool), *tables])
+
+        for u, w in ((us[fin], ws[fin]), (us, ws)):  # reachable pairs, then all of them
+            got = _membership_outcome(lambda: hl.path_membership(d, exact[u], w))
+            assert got == _membership_outcome(lambda: stacked(u, w)), g
+        u, w = us[fin], ws[fin]
+        if len(u):
+            perm = np.array(rng.sample(range(len(u)), len(u)), np.intp)
+            table = hl.path_membership(d, exact[u], w)
+            assert hl.path_membership(d, exact[u[perm]], w[perm]).tobytes() == table[perm].tobytes()
+            bad = w.copy()
+            bad[rng.randrange(len(w))] = rng.choice((-1, -n - 1, n, 2**40))
+            got = _membership_outcome(lambda: hl.path_membership(d, exact[u], bad))
+            assert got[0] is IndexError and got == _membership_outcome(lambda: stacked(u, bad)), g
+    assert dtypes == {np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64)}
+    assert far >= 100
+
+
+def test_pair_blocks_tile_the_pairs_with_at_most_4_block_cells(monkeypatch):
+    # A block's membership table holds at most 4 BLOCK cells, or one pair, and
+    # takes every pair that fits.
+    cases = ((graphs.BLOCK, 461, 9155), (graphs.BLOCK, 20_000, 5), (7, 10, 9), (1, 5, 3), (4, 3, 0))
+    for block, n, count in cases:
+        monkeypatch.setattr(graphs, "BLOCK", block)
+        blocks = graphs.pair_blocks(count, n)
+        bounds = [0] + [hi for _, hi in blocks]
+        assert [lo for lo, _ in blocks] == bounds[:-1] and bounds[-1] == count
+        for lo, hi in blocks:
+            assert (hi - lo) * n <= 4 * block or hi - lo == 1
+            assert hi == count or (hi - lo + 1) * n > 4 * block
+
+
 def test_all_pairs_above_the_pivot_cut_runs_the_searches(monkeypatch):
     n = graphs.PIVOT_MAX_N + 1
     g = families.gen_random(n, n + 40, 10, 15)

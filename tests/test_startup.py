@@ -101,6 +101,77 @@ def test_sphs_build_imports_no_fractions(files):
     assert _fresh(script, *argv) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "{graph}", "--algo", "g-hhl", "--trace", "{dir}/t.json", "--out", "{dir}/f.lab"],
+        ["build", "{graph}", "--algo", "d-hhl", "--trace", "{dir}/t.json", "--out", "{dir}/f.lab"],
+        ["build", "{graph}", "--algo", "canonical", "--order", "{order}", "--out", "{dir}/f.lab"],
+        ["verify", "{graph}", "{labels}"],
+    ],
+    ids=["g-hhl", "d-hhl", "canonical", "verify"],
+)
+def test_g_d_canonical_builds_and_verify_import_no_fractions(files, argv):
+    # Only w-HHL's densities and Cohen's are Fractions; the trace encoder names no class.
+    script = RUN_CLI.replace(LOADED, "sorted({'fractions', 'decimal'} & set(sys.modules))")
+    assert _fresh(script, *(a.format(**files) for a in argv)) == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_import_keeps_the_callers_collector_setting(enabled):
+    script = (
+        "import gc, json, sys\n"
+        f"gc.{'enable' if enabled else 'disable'}()\n"
+        "import hublab.cli\n"
+        "print(json.dumps([gc.isenabled(), 'numpy' in sys.modules]))\n"
+    )
+    assert _fresh(script) == [enabled, True]
+
+
+def test_run_freezes_the_loaded_heap_before_main_and_main_never_does(files):
+    script = (
+        "import gc, json, sys\n"
+        "import hublab.cli\n"
+        "assert hublab.cli.main(sys.argv[1:]) == 0\n"
+        "in_process = gc.get_freeze_count()\n"
+        "frozen = []\n"
+        "hublab.cli.main = lambda: frozen.append(gc.get_freeze_count()) or 0\n"
+        "try:\n"
+        "    hublab.cli.run()\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([in_process, frozen[0] > 0, code]))\n"
+    )
+    assert _fresh(script, "verify", files["graph"], files["labels"]) == [0, True, 0]
+
+
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_a_cli_run_walks_none_of_the_import_time_objects(files, command):
+    # Run as ``python -m hublab.cli`` runs it: each collection walks its
+    # generation and the younger ones, counted at its start. Loading numpy
+    # makes about 34,000 objects; collected during the load, or once after
+    # it, they put the total walked at 20,000 to 40,000.
+    script = (
+        "import gc, json, runpy, sys\n"
+        "walked = []\n"
+        "def count(phase, info):\n"
+        "    if phase == 'start':\n"
+        "        walked.append(sum(len(gc.get_objects(g)) for g in range(info['generation'] + 1)))\n"
+        "gc.callbacks.append(count)\n"
+        "sys.argv = ['hublab', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('hublab.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "print(json.dumps(sum(walked)))\n"
+    )
+    argv = {
+        "verify": ["verify", files["graph"], files["labels"]],
+        "build": ["build", files["graph"], "--algo", "w-hhl", "--out", str(files["dir"] / "w.lab")],
+    }[command]
+    assert _fresh(script, *argv) < 10_000
+
+
 def test_vc_dir_with_labeling_loads_the_cover_oracle_and_no_selection(files):
     argv = ["generate", "vc-dir", "--graph", files["graph"], "--with-hl",
             "--out", str(files["dir"] / "vd.gr")]
